@@ -16,9 +16,10 @@ multiple of lambda(t) = q t^p - p t^q s1/s2 + (p-q) s1 > 0), so the region
 where the left factor p*w^(q-1) - (p-1)*w^q is positive, i.e. where
 tau > H_q(p/(p-1)), is an upper t-interval; the residual is strictly
 negative below it and strictly increasing on it, so there is at most one
-root.  The bracket scan below nevertheless keeps the last sign change it
-sees, which selects the greatest root by construction if that reasoning is
-ever defeated numerically.
+root.  Hence residual(lo) < 0 < residual(hi) on the endpoint bracket
+[lo, hi] (hi the largest t below p/(p-1) with tau(t) <= 1) holds exactly when
+a root exists, and ``special._bracketed_root`` refines that bracket directly;
+the same kernel finds hi as the root of tau(t) - 1.
 """
 
 from __future__ import annotations
@@ -26,26 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Membership, ParamPoint, in_domain
 from .errors import (
-    ConvergenceError,
     DomainError,
     InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
     SingularityError,
 )
-from .special import Exponents, omega
+from .special import Exponents, _bracketed_root, omega
 
-#: margin by which the scan bracket stays inside the open interval (1, p/(p-1))
+#: margin by which the bracket's left end stays above t = 1
 _ENDPOINT_MARGIN = 1e-12
-#: number of equal scan cells used to locate a sign change
-_SCAN_CELLS = 64
-#: final root-bracket width
-_BRACKET_WIDTH = 1e-13
-_MAX_REFINE_ITER = 200
+#: final root-bracket width, far inside the 1e-13 that bracket_width
+#: certifies: the t returned is as close to the root as the kernel's last
+#: steps, and a 1e-13 stop leaves it up to 5e-14 off
+_BRACKET_WIDTH = 1e-15
 
 
 @dataclass(frozen=True)
@@ -106,38 +103,39 @@ def _residual_given_alpha(e: Exponents, pt: ParamPoint, t: float, a2: float) -> 
 
 
 def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> float:
-    """Largest t in [lo, hi] with tau(t) <= 1 (tau is increasing in t)."""
-    if tau_eval(e, pt, hi) <= 1.0:
+    """Largest t in [lo, hi] with tau(t) <= 1, to within the bracket width.
+
+    tau is increasing in t, so this is hi itself or the left end of the
+    kernel's bracket on tau(t) - 1, where tau <= 1 holds.
+    """
+    tau_hi = tau_eval(e, pt, hi)
+    if tau_hi <= 1.0:
         return hi
-    if tau_eval(e, pt, lo) > 1.0:
+    tau_lo = tau_eval(e, pt, lo)
+    if tau_lo > 1.0:
         raise NoRootError(
             f"tau exceeds 1 on the whole bracket at (s1={pt.s1}, s2={pt.s2})"
         )
-    a, b = lo, hi
-    for _ in range(_MAX_REFINE_ITER):
-        mid = 0.5 * (a + b)
-        if tau_eval(e, pt, mid) <= 1.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= _BRACKET_WIDTH:
-            break
-    return a
+    return _bracketed_root(
+        lambda t: tau_eval(e, pt, t) - 1.0, lo, hi, tau_lo - 1.0, tau_hi - 1.0, _BRACKET_WIDTH
+    )[0]
 
 
 def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     """Solve the implicit equation for the constant at an interior point.
 
-    Scans [1 + eps, p/(p-1) - eps] (truncated to the t-interval where tau
-    stays in [0, 1]) in equal cells for a sign change of the residual, takes
-    the rightmost one, and refines it with a bisection-safeguarded secant
-    iteration until the bracket is narrower than 1e-13.  Of all residual
-    evaluations inside the final bracket, the t with the smallest |residual|
-    is returned, which in practice lands within a few ulp of the root.
+    The bracket is [1 + 1e-12, hi], where hi is the largest float below
+    p/(p-1), lowered to the tau-feasibility top when tau exceeds 1 there.
+    The residual is negative below an upper t-interval and strictly
+    increasing on it (module docstring), so a root exists exactly when the
+    residual is negative at the left end and positive at the right one.
+    ``_bracketed_root`` narrows the bracket to 1e-15 (or to adjacent floats)
+    and the t returned is the evaluated interior point with the smallest
+    |residual|, which in practice lands within an ulp of the root.
 
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
-    NoRootError when the residual has no sign change (an operationally
-    excluded point beyond the admissible region's upper-left cutoff).
+    NoRootError when the bracket ends do not show that sign change (an
+    operationally excluded point beyond the admissible region's cutoff).
     """
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
@@ -146,61 +144,19 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
         )
     a2 = alpha_eval(e, pt.s2)
     lo = 1.0 + _ENDPOINT_MARGIN
-    hi = e.p_conj - _ENDPOINT_MARGIN
-    hi = _tau_feasible_top(e, pt, lo, hi)
+    hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
 
     def f(t: float) -> float:
         return _residual_given_alpha(e, pt, t, a2)
 
-    ts = [float(t) for t in np.linspace(lo, hi, _SCAN_CELLS + 1)]
-    vals = [f(t) for t in ts]
-    bracket = None
-    for i in range(_SCAN_CELLS):
-        if vals[i] == 0.0:
-            return _certify(e, pt, ts[i], 0.0)
-        if vals[i] * vals[i + 1] < 0.0:
-            bracket = (ts[i], ts[i + 1], vals[i], vals[i + 1])
-    if vals[-1] == 0.0:
-        return _certify(e, pt, ts[-1], 0.0)
-    if bracket is None:
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo < 0.0 < f_hi:
         raise NoRootError(
-            f"residual has no sign change in ({lo}, {hi}) at "
+            f"residual has no sign change on [{lo}, {hi}] at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-
-    a, b, fa, fb = bracket
-    best_t, best_f = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    prev_width = b - a
-    for k in range(_MAX_REFINE_ITER):
-        width = b - a
-        if width <= _BRACKET_WIDTH:
-            break
-        # Secant candidate, pushed to the midpoint whenever it leaves the
-        # bracket interior or the previous round failed to halve the bracket.
-        use_bisect = k >= 2 and width > 0.5 * prev_width
-        prev_width = width
-        if not use_bisect and fb != fa:
-            c = b - fb * (b - a) / (fb - fa)
-            if not a + 0.01 * width < c < b - 0.01 * width:
-                c = 0.5 * (a + b)
-        else:
-            c = 0.5 * (a + b)
-        fc = f(c)
-        if abs(fc) < abs(best_f):
-            best_t, best_f = c, fc
-        if fc == 0.0:
-            a = b = c
-            break
-        if fa * fc < 0.0:
-            b, fb = c, fc
-        else:
-            a, fa = c, fc
-    else:
-        raise ConvergenceError("root refinement exceeded its iteration cap")
-
-    if not a <= best_t <= b:
-        best_t, best_f = 0.5 * (a + b), f(0.5 * (a + b))
-    return _certify(e, pt, best_t, b - a)
+    a, b, t = _bracketed_root(f, lo, hi, f_lo, f_hi, _BRACKET_WIDTH)
+    return _certify(e, pt, t, b - a)
 
 
 def _certify(e: Exponents, pt: ParamPoint, t: float, width: float) -> BellmanSolution:

@@ -131,6 +131,18 @@ class TestVerify:
         assert "suites passed" in out
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize(
+        "p,q",
+        [("2.5", "1.3"), ("5", "1.2"), ("4.023077022296251", "1.8959193885654708")],
+        ids=["stiff-p2.5q1.3", "stiff-p5q1.2", "fd-noise-p4.02"],
+    )
+    def test_hard_pairs_pass(self, capsys, p, q):
+        # the limit ladder must stay inside the region for stiff pairs, and
+        # solver noise must not spoil the finite-difference check
+        code, out, _ = run(capsys, ["verify", "--p", p, "--q", q, "--grid", "10"])
+        assert code == 0
+        assert "7/7 suites passed" in out
+
     def test_grid_too_small_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", "5"])
         assert code == 2

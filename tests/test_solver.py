@@ -117,6 +117,12 @@ class TestSolveT:
         with pytest.raises(OutsideDomainError):
             solve_t(E2, pt)
 
+    def test_root_within_ulps_of_upper_endpoint(self):
+        # the root lies 3e-13 (about 1400 ulp) below p/(p-1); the reference
+        # value is a 40-digit mpmath solve
+        sol = solve_t(Exponents(5.0, 1.2), ParamPoint(4.9e-13, 0.3424))
+        assert sol.t == pytest.approx(1.2499999999996787, rel=1e-15)
+
     def test_no_root_near_lower_boundary(self):
         # residual is single-signed here: operationally outside the region
         with pytest.raises(NoRootError):

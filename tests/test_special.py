@@ -8,7 +8,7 @@ import pytest
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
 
-R_SET = [1.3, 1.5, 2.0, 3.0, 5.0]
+R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
 
 
 class TestExponents:
