@@ -12,6 +12,7 @@ from hardyconst import (
     Exponents,
     ParamPoint,
     eq_omega_curve,
+    has_root,
     in_domain,
     lower_curve,
     omega,
@@ -49,10 +50,12 @@ print("\nAs s1 -> 0 the constant climbs to p/(p-1) = 2:")
 for s1 in (1e-2, 1e-4, 1e-6, 1e-8):
     print(f"  s1 = {s1:.0e}: t = {solve_t(e, ParamPoint(s1, 0.5)).t:.12f}")
 
-print("\nBeyond the (closed-form-free) upper cutoff the residual never")
-print("changes sign and the solver reports the point as operationally outside:")
+print("\nIn the no-root band along the lower curve at large s2 the root would")
+print("need tau >= 1: has_root is false there and solve_t raises NoRootError:")
 e3 = Exponents(3.0, 2.0)
+beyond = ParamPoint(0.98 * 0.85**2, 0.85)
+print(f"  in_domain: {in_domain(e3, beyond).value}, has_root: {has_root(e3, beyond)}")
 try:
-    solve_t(e3, ParamPoint(0.98 * 0.85**2, 0.85))
+    solve_t(e3, beyond)
 except NoRootError as exc:
     print(f"  NoRootError: {exc}")

@@ -47,7 +47,7 @@ from .sensitivity import (
     gamma_eval,
     lambda_eval,
 )
-from .solver import BellmanSolution, alpha_eval, residual, solve_t, tau_eval
+from .solver import BellmanSolution, alpha_eval, has_root, residual, solve_t, tau_eval
 from .special import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 
 __version__ = "0.1.0"
@@ -81,6 +81,7 @@ __all__ = [
     "h_deriv",
     "h_eval",
     "hardy_lhs",
+    "has_root",
     "in_domain",
     "lambda_eval",
     "lower_curve",

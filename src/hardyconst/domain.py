@@ -5,10 +5,11 @@ A point (s1, s2) is admissible for the constant-solve when
     0 < s1 < s2^((p-1)/(q-1))  and  s2 < 1,
 
 i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
-The admissible region also has an upper-left cutoff that is not available
-in closed form here; the solver substitutes an operational check for it
-(a root must exist with tau in (0, 1)), so membership reported by
-``in_domain`` is necessary but not sufficient for solvability.
+``in_domain`` decides this closed-form, geometric part of the region; it
+is necessary but not sufficient for solvability.  The constant also has a
+no-root cutoff: a band along the lower curve at large s2 where the root
+would need tau >= 1.  ``solver.has_root`` decides that exactly, with the
+same endpoint-bracket test ``solve_t`` makes.
 
 Two more curves matter: the equal-omega curve s2 = H_q(omega_p(s1)), on
 which the constant is omega_p(s1) in closed form, and the horizontal

@@ -38,9 +38,10 @@ class InfeasibleTauError(HardyConstError):
 class NoRootError(HardyConstError):
     """The implicit equation has no root in the open bracket.
 
-    Treated as an operational domain exclusion, not a solver defect: the
-    admissible region has an upper-left boundary that is not available in
-    closed form, and points beyond it produce a single-signed residual.
+    Treated as a domain exclusion, not a solver defect: beyond the no-root
+    cutoff, the band along the lower curve at large s2 where the root would
+    need tau >= 1, the residual is single-signed.  ``solver.has_root``
+    decides the cutoff exactly.
     """
 
     name = "no-root"

@@ -29,10 +29,9 @@ from .errors import (
     BoundaryCaseError,
     ConvergenceError,
     DomainError,
-    HardyConstError,
     InconsistentMomentsError,
 )
-from .solver import solve_t
+from .solver import has_root, solve_t
 from .special import Exponents
 
 _GL_ORDER = 16
@@ -213,9 +212,10 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     Draws breakpoints and positive values from a seeded generator, rejecting
     degenerate geometry (segments shorter than 1e-3 * kappa), samples whose
     induced (s1, s2) comes within 1e-6 of the region boundary, and samples
-    whose induced point admits no root: beyond the operational cutoff the
-    constant is not characterized by the equation solved here, so such
-    samples are rejected rather than guessed at.
+    whose induced point has no root (``has_root``): beyond the no-root
+    cutoff, the band along the lower curve at large s2 where the root would
+    need tau >= 1, the constant is not characterized by the equation solved
+    here, so such samples are rejected rather than guessed at.
     """
     if k < 2:
         raise DomainError(f"need at least 2 pieces, got k={k}")
@@ -230,21 +230,14 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
         values = rng.uniform(0.05, 4.0, size=k)
         h = StepFunction(kappa=kappa, breakpoints=tuple(pts), values=tuple(values))
         pt = moments_to_params(step_moments(h, e), e)
-        if in_domain(e, pt) is not Membership.INSIDE:
-            continue
         margin = min(
             pt.s1,
             1.0 - pt.s1,
             1.0 - pt.s2,
             pt.s2 - lower_curve(e, pt.s1),
         )
-        if margin < _SAMPLE_BOUNDARY_MARGIN:
-            continue
-        try:
-            solve_t(e, pt)
-        except HardyConstError:
-            continue
-        return h
+        if margin >= _SAMPLE_BOUNDARY_MARGIN and has_root(e, pt):
+            return h
     raise ConvergenceError("step-function sampling failed to find an interior sample")
 
 

@@ -20,12 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domain import Membership, ParamPoint, in_domain
-from .errors import (
-    HardyConstError,
-    SingularityError,
-    StencilError,
-)
+from .domain import ParamPoint
+from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
 from .solver import BellmanSolution, alpha_eval, solve_t
 from .special import Exponents
 
@@ -95,12 +91,10 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     ts = []
     for s1 in (hi, lo):
         stencil_pt = ParamPoint(s1, pt.s2)
-        if in_domain(e, stencil_pt) is not Membership.INSIDE:
-            raise StencilError(f"stencil point s1={s1} left the region")
         try:
             ts.append(solve_t(e, stencil_pt).t)
-        except HardyConstError as exc:
-            raise StencilError(f"stencil solve failed at s1={s1}: {exc}") from exc
+        except (OutsideDomainError, NoRootError) as exc:
+            raise StencilError(f"stencil point s1={s1} has no constant: {exc}") from exc
     fd = (ts[0] - ts[1]) / (2.0 * h)
 
     return SensitivityReport(

@@ -121,21 +121,19 @@ def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> flo
     )[0]
 
 
-def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
-    """Solve the implicit equation for the constant at an interior point.
+def _endpoint_bracket(
+    e: Exponents, pt: ParamPoint
+) -> tuple[float, float, float, float, float]:
+    """(lo, hi, residual(lo), residual(hi), alpha(s2)) of a solvable point.
 
     The bracket is [1 + 1e-12, hi], where hi is the largest float below
     p/(p-1), lowered to the tau-feasibility top when tau exceeds 1 there.
     The residual is negative below an upper t-interval and strictly
     increasing on it (module docstring), so a root exists exactly when the
     residual is negative at the left end and positive at the right one.
-    ``_bracketed_root`` narrows the bracket to 1e-15 (or to adjacent floats)
-    and the t returned is the evaluated interior point with the smallest
-    |residual|, which in practice lands within an ulp of the root.
-
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
-    NoRootError when the bracket ends do not show that sign change (an
-    operationally excluded point beyond the admissible region's cutoff).
+    NoRootError when that sign change is missing (the point lies in the
+    no-root band along the lower curve, where the root would need tau >= 1).
     """
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
@@ -145,26 +143,48 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     a2 = alpha_eval(e, pt.s2)
     lo = 1.0 + _ENDPOINT_MARGIN
     hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
-
-    def f(t: float) -> float:
-        return _residual_given_alpha(e, pt, t, a2)
-
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo = _residual_given_alpha(e, pt, lo, a2)
+    f_hi = _residual_given_alpha(e, pt, hi, a2)
     if not f_lo < 0.0 < f_hi:
         raise NoRootError(
             f"residual has no sign change on [{lo}, {hi}] at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    a, b, t = _bracketed_root(f, lo, hi, f_lo, f_hi, _BRACKET_WIDTH)
-    return _certify(e, pt, t, b - a)
+    return lo, hi, f_lo, f_hi, a2
 
 
-def _certify(e: Exponents, pt: ParamPoint, t: float, width: float) -> BellmanSolution:
+def has_root(e: Exponents, pt: ParamPoint) -> bool:
+    """True exactly when ``solve_t(e, pt)`` returns a constant.
+
+    The same endpoint-bracket test ``solve_t`` makes, without refining it:
+    ``in_domain`` is its closed-form, geometric part, and the sign test
+    decides the no-root cutoff exactly.
+    """
+    try:
+        _endpoint_bracket(e, pt)
+    except (OutsideDomainError, NoRootError):
+        return False
+    return True
+
+
+def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
+    """Solve the implicit equation for the constant at an interior point.
+
+    ``_bracketed_root`` narrows the endpoint bracket to 1e-15 (or to
+    adjacent floats) and the t returned is the evaluated interior point
+    with the smallest |residual|, which in practice lands within an ulp of
+    the root.  Raises OutsideDomainError or NoRootError exactly when
+    ``has_root`` is false.
+    """
+    lo, hi, f_lo, f_hi, a2 = _endpoint_bracket(e, pt)
+    a, b, t = _bracketed_root(
+        lambda t: _residual_given_alpha(e, pt, t, a2), lo, hi, f_lo, f_hi, _BRACKET_WIDTH
+    )
     tau = tau_eval(e, pt, t)
     return BellmanSolution(
         t=t,
         tau=tau,
         omega_q_tau=omega(e.q, tau),
-        residual=residual(e, pt, t),
-        bracket_width=width,
+        residual=_residual_given_alpha(e, pt, t, a2),
+        bracket_width=b - a,
     )

@@ -143,6 +143,14 @@ class TestVerify:
         assert code == 0
         assert "7/7 suites passed" in out
 
+    def test_skip_counts_pinned(self, capsys):
+        # only no-root grid points and unsolvable stencils are skipped
+        code, out, _ = run(capsys, ["verify", "--p", "5", "--q", "1.2", "--grid", "10"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "[PASS] sign suite (gamma<0, delta>0, lambda>0): 267 checks, 11 skipped" in lines
+        assert "[PASS] derivative identity vs finite differences: 16 checks, 4 skipped" in lines
+
     def test_grid_too_small_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", "5"])
         assert code == 2

@@ -8,6 +8,7 @@ from hardyconst import (
     ParamPoint,
     alpha_eval,
     eq_omega_curve,
+    has_root,
     omega,
     residual,
     solve_t,
@@ -164,3 +165,46 @@ class TestSolveT:
         a = solve_t(E2, ParamPoint(0.4, 0.8))
         b = solve_t(E2, ParamPoint(0.4, 0.8))
         assert a == b
+
+
+class TestHasRoot:
+    @staticmethod
+    def _solve_outcome(e, pt):
+        try:
+            solve_t(e, pt)
+        except NoRootError:
+            return "no-root"
+        except OutsideDomainError:
+            return "outside"
+        return "ok"
+
+    @pytest.mark.parametrize(
+        "e",
+        [E2, E3, Exponents(2.5, 1.3), Exponents(5.0, 1.2)],
+        ids=["p2q1.5", "p3q2", "p2.5q1.3", "p5q1.2"],
+    )
+    def test_agrees_with_solve_t_across_the_cutoff(self, e):
+        # s1 runs from deep inside, through the no-root band along the lower
+        # curve, to past the curve itself
+        seen = set()
+        for s2 in (0.45, 0.85, 0.97):
+            s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+            for frac in [1e-6, 0.5, *np.linspace(0.9, 1.01, 45)]:
+                pt = ParamPoint(float(frac * s1_top), s2)
+                outcome = self._solve_outcome(e, pt)
+                seen.add(outcome)
+                assert has_root(e, pt) == (outcome == "ok"), (pt, outcome)
+        assert seen == {"ok", "no-root", "outside"}
+
+    @pytest.mark.parametrize(
+        "e,pt,expected",
+        [
+            (Exponents(5.0, 1.2), ParamPoint(4.9e-13, 0.3424), True),
+            (E2, ParamPoint(0.81, 0.5), False),
+            (E3, ParamPoint(0.98 * 0.85**2, 0.85), False),
+        ],
+        ids=["root-3e-13-below-top", "beyond-lower-curve", "no-root-band"],
+    )
+    def test_edge_points(self, e, pt, expected):
+        assert has_root(e, pt) is expected
+        assert (self._solve_outcome(e, pt) == "ok") is expected
