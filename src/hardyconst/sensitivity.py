@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .domain import ParamPoint
 from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
-from .solver import BellmanSolution, alpha_eval, solve_t
+from .solver import BellmanSolution, solve_t
 from .special import Exponents
 
 #: relative finite-difference step; balances solver noise against truncation
@@ -58,13 +58,13 @@ def _bracket_factor(e: Exponents, w: float) -> float:
 def gamma_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """gamma = alpha(s2) - B(omega_q(tau)) * (t^q / s2 - 1); negative in the region."""
     b = _bracket_factor(e, sol.omega_q_tau)
-    return alpha_eval(e, pt.s2) - b * (sol.t**e.q / pt.s2 - 1.0)
+    return sol.alpha - b * (sol.t**e.q / pt.s2 - 1.0)
 
 
 def delta_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """delta = B(omega_q(tau)) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
     b = _bracket_factor(e, sol.omega_q_tau)
-    return b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * alpha_eval(e, pt.s2)
+    return b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * sol.alpha
 
 
 def dt_ds1_analytic(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:

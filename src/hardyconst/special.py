@@ -17,6 +17,14 @@ truncated toward the midpoint and projected into a ball around it that
 shrinks like bisection, so it keeps a sign-change bracket, converges
 superlinearly on smooth functions, and never needs more than three
 evaluations beyond bisection.
+
+``omega`` is a thin wrapper over one bracketed inversion,
+``_omega_between``, which returns (z, H_r(z)) for the root z inside a given
+bracket [z_lo, z_hi] whose H values are known.  ``omega`` passes the
+natural bracket [1, r'] with the exact values 1 and 0; ``solver`` passes
+narrower ones that earlier evaluations prove.  ITP's k1 always comes from
+the natural bracket, 0.2/(r'-1), so a full-bracket call iterates exactly
+as a plain ITP run on [1, r'] does.
 """
 
 from __future__ import annotations
@@ -96,24 +104,34 @@ def h_deriv(r: float, z: float) -> float:
 
 
 def _bracketed_root(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
-) -> tuple[float, float, float]:
-    """ITP root search on a < b with f(a) and f(b) of opposite signs.
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    xtol: float,
+    y: float = 0.0,
+    k1: float | None = None,
+) -> tuple[float, float, float, float]:
+    """ITP search for x in (a, b) with f(x) = y.
 
-    fa and fb are f's values at the ends (the caller may know them exactly;
-    fa may be 0).  Iterates until the bracket is at most xtol wide, or its
-    ends are adjacent floats, or f vanishes exactly.  Returns the final
-    bracket (a, b), whose ends keep the signs of fa and fb, and the
-    evaluated interior point with the smallest |f|, or the initial midpoint
-    when the bracket needed no evaluation.  ITP's parameters are
-    k1 = 0.2/(b-a), k2 = 2 and n0 = 3: at most three evaluations more than
-    bisection to reach xtol.  With n0 = 1 a few slow regula falsi steps
-    early on use up the slack and the rest is plain bisection (50
-    evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
+    fa = f(a) and fb = f(b) lie on opposite sides of y; the caller may know
+    them exactly, and either may equal y.  Iterates
+    until the bracket is at most xtol wide, or its ends are adjacent floats,
+    or f hits y exactly.  Returns the final bracket (a, b), whose ends keep
+    the sides of fa and fb, the evaluated interior point x with the smallest
+    |f(x) - y| and f(x) as f returned it; when the bracket needed no
+    evaluation, the initial midpoint and nan.  ITP's parameters are
+    k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most three
+    evaluations more than bisection to reach xtol.  With n0 = 1 a few slow
+    regula falsi steps early on use up the slack and the rest is plain
+    bisection (50 evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
     """
-    k1 = 0.2 / (b - a)
+    if k1 is None:
+        k1 = 0.2 / (b - a)
+    fa, fb = fa - y, fb - y
     n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
-    best_x, best_y = 0.5 * (a + b), math.inf
+    best_x, best_f, best_g = 0.5 * (a + b), math.nan, math.inf
     j = 0
     while b - a > xtol:
         mid = 0.5 * (a + b)
@@ -129,26 +147,50 @@ def _bracketed_root(
         x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
         if not a < x < b:
             x = mid
-        y = f(x)
+        fx = f(x)
+        g = fx - y
         j += 1
-        if abs(y) < abs(best_y):
-            best_x, best_y = x, y
-        if y == 0.0:
-            return x, x, x
-        if (y > 0.0) == (fb > 0.0):
-            b, fb = x, y
+        if abs(g) < abs(best_g):
+            best_x, best_f, best_g = x, fx, g
+        if g == 0.0:
+            return x, x, x, fx
+        if (g > 0.0) == (fb > 0.0):
+            b, fb = x, g
         else:
-            a, fa = x, y
-    return a, b, best_x
+            a, fa = x, g
+    return a, b, best_x, best_f
+
+
+def _omega_between(
+    r: float, s: float, z_lo: float, h_lo: float, z_hi: float, h_hi: float
+) -> tuple[float, float]:
+    """(z, H_r(z)) for the root z of H_r(z) = s inside [z_lo, z_hi].
+
+    h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), as evaluated earlier or known
+    exactly; [1, r'] with (1, 0) is omega's natural bracket.  The H returned
+    is ``h_eval``'s value at z, bit for bit.  ITP's k1 comes from the
+    natural bracket, 0.2/(r'-1), on every bracket: scaled to a narrowed one
+    it truncates the regula falsi step far more and costs more evaluations.
+    A bracket already within the tolerance returns its midpoint.
+    """
+    top = r / (r - 1.0)
+    xtol = _BRACKET_REL_TOL * top
+    if z_hi - z_lo <= xtol:
+        z = 0.5 * (z_lo + z_hi)
+        return z, h_eval(r, z)
+    _, _, z, h = _bracketed_root(
+        lambda z: h_eval(r, z), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
+    )
+    return z, h
 
 
 def omega(r: float, s: float) -> float:
     """Invert H_r: the unique z in [1, r/(r-1)] with H_r(z) = s.
 
     Endpoints are short-circuited to the exact closed-form values
-    omega_r(1) = 1 and omega_r(0) = r/(r-1).  Inside, ``_bracketed_root``
-    runs on H_r(z) - s over [1, r/(r-1)], where the end values 1 - s and -s
-    are exact.
+    omega_r(1) = 1 and omega_r(0) = r/(r-1).  Inside, it is
+    ``_omega_between`` on the natural bracket [1, r/(r-1)], where the end
+    values H_r = 1 and 0 are exact.
     """
     _check_exponent(r)
     if not 0.0 <= s <= 1.0:
@@ -158,9 +200,7 @@ def omega(r: float, s: float) -> float:
         return 1.0
     if s == 0.0:
         return top
-    return _bracketed_root(
-        lambda z: h_eval(r, z) - s, 1.0, top, 1.0 - s, -s, _BRACKET_REL_TOL * top
-    )[2]
+    return _omega_between(r, s, 1.0, 1.0, top, 0.0)[0]
 
 
 def omega_deriv(r: float, s: float) -> float:

@@ -19,6 +19,8 @@ from hardyconst import (
     tau_eval,
 )
 from hardyconst.errors import HardyConstError, StencilError
+from hardyconst.sensitivity import _bracket_factor
+from hardyconst.solver import alpha_eval, has_root
 from hardyconst.verify import feasible_s1_grid
 
 E2 = Exponents(2.0, 1.5)
@@ -77,6 +79,27 @@ class TestGammaDelta:
         pt = ParamPoint(1e-10, 0.6)
         sol = solve_t(E2, pt)
         assert delta_eval(E2, pt, sol) > 0.0
+
+    @pytest.mark.parametrize(
+        "e",
+        [E2, Exponents(3.0, 2.0), Exponents(2.5, 1.3), Exponents(5.0, 1.2)],
+        ids=["p2q1.5", "p3q2", "p2.5q1.3", "p5q1.2"],
+    )
+    def test_solution_alpha_matches_alpha_eval(self, e):
+        # the formulas with alpha(s2) recomputed, bit for bit
+        for s2 in (0.3, 0.6, 0.9):
+            s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+            for frac in (1e-9, 1e-4, 0.1, 0.5, 0.9):
+                pt = ParamPoint(frac * s1_top, s2)
+                if not has_root(e, pt):
+                    continue
+                sol = solve_t(e, pt)
+                a2 = alpha_eval(e, s2)
+                b = _bracket_factor(e, sol.omega_q_tau)
+                assert gamma_eval(e, pt, sol) == a2 - b * (sol.t**e.q / s2 - 1.0)
+                assert delta_eval(e, pt, sol) == (
+                    b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * a2
+                )
 
 
 class TestDtDs1:

@@ -21,6 +21,8 @@ from hardyconst.errors import (
     OutsideDomainError,
     SingularityError,
 )
+from hardyconst.solver import _omega_ends, _omega_near, _residual_at
+from hardyconst.special import h_eval
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -208,3 +210,70 @@ class TestHasRoot:
     def test_edge_points(self, e, pt, expected):
         assert has_root(e, pt) is expected
         assert (self._solve_outcome(e, pt) == "ok") is expected
+
+
+class TestOmegaNear:
+    Q = 1.5
+    TAU = 0.6
+
+    def _near(self, *entries):
+        known = sorted([*_omega_ends(self.Q), *entries])
+        return _omega_near(self.Q, self.TAU, known)
+
+    def _natural(self):
+        w = omega(self.Q, self.TAU)
+        return w, h_eval(self.Q, w)
+
+    def test_strict_neighbours_narrow_the_bracket(self):
+        below, above = omega(self.Q, 0.59), omega(self.Q, 0.61)
+        w, h = self._near(
+            (0.59, below, h_eval(self.Q, below)), (0.61, above, h_eval(self.Q, above))
+        )
+        assert above < w < below
+        assert abs(w - omega(self.Q, self.TAU)) <= 1e-15 * 3.0
+        assert h == h_eval(self.Q, w)
+
+    def test_stored_h_equal_to_tau_is_reused(self):
+        assert self._near((0.59, 2.0, 0.6), (0.61, 1.9, 0.7)) == (2.0, 0.6)
+        assert self._near((0.59, 2.0, 0.5), (0.61, 1.9, 0.6)) == (1.9, 0.6)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0.59, 2.0, 0.65), (0.61, 1.9, 0.65)],  # equal H on both sides
+            [(0.59, 1.9, 0.55), (0.61, 2.0, 0.65)],  # w order inverted
+            [(0.59, 2.0, 0.65), (0.61, 1.9, 0.55)],  # H order inverted
+            [(0.6, 1.9, 0.5999999999999999)],  # equal tau, H rounded below it
+        ],
+        ids=["equal-h", "w-inverted", "h-inverted", "equal-tau"],
+    )
+    def test_no_strict_bracket_falls_back_to_natural(self, entries):
+        assert self._near(*entries) == self._natural()
+
+    @pytest.mark.parametrize("tau,expected", [(0.0, 3.0), (1.0, 1.0)])
+    def test_exact_ends(self, tau, expected):
+        assert _omega_near(self.Q, tau, _omega_ends(self.Q)) == (expected, tau)
+
+
+class TestSolutionRecord:
+    @pytest.mark.parametrize(
+        "e",
+        [E2, E3, Exponents(2.5, 1.3), Exponents(5.0, 1.2)],
+        ids=["p2q1.5", "p3q2", "p2.5q1.3", "p5q1.2"],
+    )
+    def test_fields_come_from_the_evaluation_at_t(self, e):
+        n_ok = 0
+        for s2 in (0.3, 0.6, 0.9):
+            s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+            for frac in (1e-9, 1e-4, 0.1, 0.5, 0.9):
+                pt = ParamPoint(frac * s1_top, s2)
+                if not has_root(e, pt):
+                    continue
+                n_ok += 1
+                sol = solve_t(e, pt)
+                assert sol.alpha == alpha_eval(e, pt.s2)
+                assert sol.tau == tau_eval(e, pt, sol.t)
+                assert abs(h_eval(e.q, sol.omega_q_tau) - sol.tau) <= 1e-15
+                at_t = _residual_at(e, pt, sol.t, sol.omega_q_tau, sol.alpha)
+                assert sol.residual == at_t
+        assert n_ok >= 12

@@ -7,6 +7,7 @@ import pytest
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
+from hardyconst.special import _omega_between
 
 R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -110,6 +111,58 @@ class TestOmega:
     def test_domain(self, s):
         with pytest.raises(DomainError):
             omega(2.0, s)
+
+
+class TestOmegaBetween:
+    @staticmethod
+    def _sub_brackets(r, rng, n=200):
+        """(s, z_lo, z_hi) with omega_r(s) inside [z_lo, z_hi] and H strictly across s.
+
+        Widths run from about one ulp to the whole of [1, r']; one end is
+        sometimes the natural one.
+        """
+        top = conjugate(r)
+        out = []
+        while len(out) < n:
+            s = float(rng.uniform(0.001, 0.999))
+            z = omega(r, s)
+            lo_gap, hi_gap = 10.0 ** rng.uniform(-16, 0, size=2) * (top - 1.0)
+            z_lo = 1.0 if rng.random() < 0.1 else max(1.0, z - float(lo_gap))
+            z_hi = top if rng.random() < 0.1 else min(top, z + float(hi_gap))
+            if h_eval(r, z_lo) > s > h_eval(r, z_hi):
+                out.append((s, z_lo, z_hi))
+        return out
+
+    @pytest.mark.parametrize("r", R_SET)
+    def test_agrees_with_omega_and_returns_h_eval(self, r):
+        rng = np.random.default_rng(int(100 * r))
+        top = conjugate(r)
+        for s, z_lo, z_hi in self._sub_brackets(r, rng):
+            z, h = _omega_between(r, s, z_lo, h_eval(r, z_lo), z_hi, h_eval(r, z_hi))
+            assert z_lo <= z <= z_hi
+            assert abs(z - omega(r, s)) <= 1e-15 * top
+            assert h == h_eval(r, z)
+
+    @pytest.mark.parametrize("r", R_SET)
+    def test_bracket_already_within_tolerance(self, r):
+        # the tightest float bracket around the root: no iteration is needed
+        top = conjugate(r)
+        n_tight = 0
+        for s in np.linspace(0.01, 0.99, 99):
+            s = float(s)
+            z_lo = z_hi = omega(r, s)
+            while not h_eval(r, z_lo) > s:
+                z_lo = math.nextafter(z_lo, 0.0)
+            while not h_eval(r, z_hi) < s:
+                z_hi = math.nextafter(z_hi, 2.0 * top)
+            if z_hi - z_lo > 1e-15 * top:
+                continue
+            n_tight += 1
+            z, h = _omega_between(r, s, z_lo, h_eval(r, z_lo), z_hi, h_eval(r, z_hi))
+            assert z_lo <= z <= z_hi
+            assert abs(z - omega(r, s)) <= 1e-15 * top
+            assert h == h_eval(r, z)
+        assert n_tight >= 50
 
 
 class TestOmegaDeriv:
