@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -161,7 +162,9 @@ def cmd_hardy(args: argparse.Namespace) -> int:
     return EXIT_OK if violations == 0 else EXIT_INVARIANT
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it costs about ten parses."""
     parser = argparse.ArgumentParser(
         prog="hardyconst",
         description=(

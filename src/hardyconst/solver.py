@@ -18,62 +18,79 @@ tau > H_q(p/(p-1)), is an upper t-interval; the residual is strictly
 negative below it and strictly increasing on it, so there is at most one
 root.  Hence residual(lo) < 0 < residual(hi) on the endpoint bracket
 [lo, hi] (hi the largest t below p/(p-1) with tau(t) <= 1) holds exactly when
-a root exists, and ``special._bracketed_root`` refines that bracket directly;
-the same kernel finds hi as the root of tau(t) - 1.
+a root exists; the bracketed kernel ``special._bracketed_root`` finds hi as
+the root of tau(t) - 1.
 
-Every residual evaluation inverts omega_q, and within one solve these
-inversions share their work.  tau is strictly increasing in t and omega_q
-strictly decreasing, so for a new t the root w = omega_q(tau(t)) lies
-between the w of the nearest evaluated tau above it and the w of the
-nearest one below it.  The solve keeps each evaluation's (tau, w, H_q(w)),
-with H_q(w) exactly as ``special.h_eval`` returned it, starting from
-omega_q's exact ends (0, q/(q-1), 0) and (1, 1, 1) and the two endpoint
-residuals.
-The stored H values are then exact end values for the inner kernel, whose
-sign change is certain at no extra evaluation.  When rounding leaves two
-neighbours without a strict bracket, a stored w with H_q(w) = tau is
-reused, and otherwise the natural bracket [1, q/(q-1)] is used.  The record
-lives only inside one solve; the solution returns the tau, w and residual
-of the evaluation at the returned t, and alpha(s2).
+The root is found without inverting omega_q.  With u = p - (p-1) w in
+(0, 1], the left factor is w^(q-1) u, and for a given w the equation gives
+t explicitly: X(u) = t^(p-q) = s1/s2 + K / (w^(q-1) u), K = (p-q) s1 alpha/q.
+Substituted into H_q(w) = tau(t), whose denominator is then K / (w^(q-1) u),
+and divided by w^(q-1), that leaves one explicit equation in u:
+
+    g(u) = q - (q-1) w - c u (X^(p/(p-q)) - s1) = 0,    c = q / (p s1 alpha),
+
+whose sign is that of H_q(w) - tau(t(u)).  As u grows, H_q(w) rises and
+t(u), so tau, falls: g changes sign once, at u* with t(u*) the constant.  u
+keeps full relative precision as s1 -> 0, where u* is of the order of s1.
+t^p is X^(p/(p-q)) in one pow: t**p would let p amplify t's rounding.
+
+The u bracket comes from the endpoint bracket.  At u_t = p - (p-1)
+omega_q(tau(t)), g(u_t) has the sign of residual(t), so u_b = u_hi has
+g > 0.  As w^(q-1) <= p'^(q-1) (p' = p/(p-1)), u_a = K / (p'^(q-1)
+(hi^(p-q) - s1/s2)) has t(u_a) >= hi, so g < 0; it is tighter than u_t at
+lo, which is seldom positive.  Rounding defeats an end's sign only where t
+is an ulp or two below p/(p-1) (seen at s1 < 1e-14 on (5, 1.2), (10, 1.05)
+and (1.5, 1.1)); that end is stepped outward.  g's rounding bounds t to a
+few ulp: up to 1.0e-15 relative against a 40-digit oracle on (1.5, 1.1),
+where X is near 1, and more as p - q shrinks (t = X^(1/(p-q))).
+
+The certificate stays in t-space, so that it checks t independently of g:
+tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
+inverted from a narrow bracket around w(u*) when H_q at its ends brackets
+tau strictly, and from the natural bracket otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .domain import Membership, ParamPoint, in_domain
 from .errors import (
+    ConvergenceError,
     DomainError,
     InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
     SingularityError,
 )
-from .special import Exponents, _bracketed_root, _omega_between, omega
+from .special import _BRACKET_REL_TOL, Exponents, _bracketed_root, _omega_between, h_eval, omega
 
 #: margin by which the bracket's left end stays above t = 1
 _ENDPOINT_MARGIN = 1e-12
-#: final root-bracket width, far inside the 1e-13 that bracket_width
-#: certifies: the t returned is as close to the root as the kernel's last
-#: steps, and a 1e-13 stop leaves it up to 5e-14 off
+#: final width of the tau-feasibility top's bracket in t
 _BRACKET_WIDTH = 1e-15
+#: u bracket width relative to u_a <= u*, not u_b: 1e-15 u_b left t up to
+#: 7.7e-15 off where u_b was 60 u*
+_U_REL_WIDTH = 1e-15
+#: certificate bracket half-width relative to q/(q-1): at 0.5 omega
+#: tolerances 18 % of solves fell back to the natural bracket, at 4 0.3 %
+_NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
 
 
 @dataclass(frozen=True)
 class BellmanSolution:
     """A solved constant together with its certificates.
 
-    tau, omega_q_tau and residual come from the solve's own residual
-    evaluation at the returned t, and alpha is the alpha(s2) that every
-    evaluation used; nothing is re-derived after the solve.
+    t comes from the explicit equation in u; tau, omega_q_tau and residual
+    are recomputed from t in t-space, so they check it independently.
 
     t             the constant, in (1, p/(p-1))
     tau           tau(t), the reparameterized argument fed to omega_q, in (0, 1)
-    omega_q_tau   the w = omega_q(tau) that evaluation inverted
+    omega_q_tau   omega_q(tau), inverted by special._omega_between
     residual      the implicit-equation residual at (t, omega_q_tau)
-    bracket_width width of the final root bracket containing t
+    bracket_width |t(u_a) - t(u_b)| over the final root bracket [u_a, u_b]
     alpha         alpha(s2), the value the residual used
     """
 
@@ -83,10 +100,6 @@ class BellmanSolution:
     residual: float
     bracket_width: float
     alpha: float
-
-
-#: one evaluation of the residual at some t: (residual, tau, w, H_q(w))
-_Evaluation = tuple[float, float, float, float]
 
 
 def tau_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
@@ -110,7 +123,7 @@ def alpha_eval(e: Exponents, s2: float) -> float:
 
 def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     """Implicit-equation residual at t; zero exactly at the constant."""
-    return _evaluate(e, pt, t, alpha_eval(e, pt.s2), _omega_ends(e.q))[0]
+    return _evaluate(e, pt, t, alpha_eval(e, pt.s2))[0]
 
 
 def _residual_at(e: Exponents, pt: ParamPoint, t: float, w: float, a2: float) -> float:
@@ -123,50 +136,15 @@ def _residual_at(e: Exponents, pt: ParamPoint, t: float, w: float, a2: float) ->
     return lhs - (e.p - e.q) * pt.s1 * a2
 
 
-def _omega_ends(q: float) -> list[tuple[float, float, float]]:
-    """omega_q's exact ends as (tau, w, H_q(w)) triples: its natural bracket."""
-    return [(0.0, q / (q - 1.0), 0.0), (1.0, 1.0, 1.0)]
-
-
-def _omega_near(
-    q: float, tau: float, known: list[tuple[float, float, float]]
-) -> tuple[float, float]:
-    """(w, H_q(w)) for w = omega_q(tau), inverted between its known neighbours.
-
-    ``known`` holds (tau_k, w_k, H_q(w_k)) triples sorted by tau_k, starting
-    with ``_omega_ends``.  omega_q is strictly decreasing, so the root lies
-    between the w of the nearest tau_k above tau and the one below it, and
-    their stored H values are exact end values.  When rounding (or an equal
-    tau_k) leaves them no strict bracket, a stored w with H == tau is reused
-    and otherwise the natural bracket is used.
-    """
-    i = bisect_left(known, (tau,))
-    _, z_lo, h_lo = known[i]
-    _, z_hi, h_hi = known[i - 1]
-    if h_lo == tau:
-        return z_lo, h_lo
-    if h_hi == tau:
-        return z_hi, h_hi
-    if not (h_lo > tau > h_hi and z_lo < z_hi):
-        (_, z_hi, h_hi), (_, z_lo, h_lo) = _omega_ends(q)
-    return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)
-
-
-def _evaluate(
-    e: Exponents,
-    pt: ParamPoint,
-    t: float,
-    a2: float,
-    known: list[tuple[float, float, float]],
-) -> _Evaluation:
-    """The residual at t, with omega_q(tau(t)) inverted by ``_omega_near``."""
+def _evaluate(e: Exponents, pt: ParamPoint, t: float, a2: float) -> tuple[float, float]:
+    """(residual, w) at t, with w = omega_q(tau(t)) inverted on its natural bracket."""
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
         raise InfeasibleTauError(
             f"tau={tau} left [0, 1] at t={t}; omega_q is undefined there"
         )
-    w, h = _omega_near(e.q, tau, known)
-    return _residual_at(e, pt, t, w, a2), tau, w, h
+    w = omega(e.q, tau)
+    return _residual_at(e, pt, t, w, a2), w
 
 
 def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> float:
@@ -188,10 +166,8 @@ def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> flo
     )[0]
 
 
-def _endpoint_bracket(
-    e: Exponents, pt: ParamPoint
-) -> tuple[float, float, _Evaluation, _Evaluation, float]:
-    """(lo, hi, evaluation at lo, evaluation at hi, alpha(s2)) of a solvable point.
+def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float]:
+    """(hi, omega_q(tau(hi)), alpha(s2)) of a solvable point.
 
     The bracket is [1 + 1e-12, hi], where hi is the largest float below
     p/(p-1), lowered to the tau-feasibility top when tau exceeds 1 there.
@@ -212,14 +188,14 @@ def _endpoint_bracket(
     a2 = alpha_eval(e, pt.s2)
     lo = 1.0 + _ENDPOINT_MARGIN
     hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
-    at_lo = _evaluate(e, pt, lo, a2, _omega_ends(e.q))
-    at_hi = _evaluate(e, pt, hi, a2, _omega_ends(e.q))
-    if not at_lo[0] < 0.0 < at_hi[0]:
+    res_lo = _evaluate(e, pt, lo, a2)[0]
+    res_hi, w_hi = _evaluate(e, pt, hi, a2)
+    if not res_lo < 0.0 < res_hi:
         raise NoRootError(
             f"residual has no sign change on [{lo}, {hi}] at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    return lo, hi, at_lo, at_hi, a2
+    return hi, w_hi, a2
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
@@ -236,30 +212,73 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     return True
 
 
+def _u_equation(
+    e: Exponents, pt: ParamPoint, k: float
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """(g, t) as functions of u, given K = k; c is taken as (p-q) / (p K)."""
+    p, q, s1 = e.p, e.q, pt.s1
+    pm1, qm1, ratio = p - 1.0, q - 1.0, s1 / pt.s2
+    c, x_to_tp, x_to_t = (p - q) / (p * k), p / (p - q), 1.0 / (p - q)
+
+    def g(u: float) -> float:
+        w = (p - u) / pm1
+        return q - qm1 * w - c * u * ((ratio + k / (w**qm1 * u)) ** x_to_tp - s1)
+
+    def t_of(u: float) -> float:
+        return (ratio + k / (((p - u) / pm1) ** qm1 * u)) ** x_to_t
+
+    return g, t_of
+
+
+def _u_bracket(
+    g: Callable[[float], float], u_a: float, u_b: float
+) -> tuple[float, float, float, float]:
+    """(u_a, u_b, g(u_a), g(u_b)) with g(u_a) < 0 < g(u_b) in floats.
+
+    An end whose float sign rounding defeated is stepped outward: u_a
+    halved (g -> -inf as u -> 0), u_b doubled up to u = 1.
+    """
+    while not (g_a := g(u_a)) < 0.0:
+        u_a *= 0.5
+    u_b = max(u_b, u_a)
+    while not (g_b := g(u_b)) > 0.0:
+        if u_b == 1.0:
+            raise ConvergenceError(f"g(u) = {g_b} is not positive at u = 1")
+        u_b = min(2.0 * u_b, 1.0)
+    return u_a, u_b, g_a, g_b
+
+
+def _omega_certificate(q: float, tau: float, w: float) -> float:
+    """omega_q(tau), from a bracket around w if H_q there brackets tau strictly."""
+    top = q / (q - 1.0)
+    d = _NEAR_HALF_WIDTH * top
+    z_lo, z_hi = max(1.0, w - d), min(top, w + d)
+    h_lo, h_hi = h_eval(q, z_lo), h_eval(q, z_hi)
+    if h_lo > tau > h_hi:
+        return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)[0]
+    return omega(q, tau)
+
+
 def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     """Solve the implicit equation for the constant at an interior point.
 
-    ``_bracketed_root`` narrows the endpoint bracket to 1e-15 (or to
-    adjacent floats) and the t returned is the evaluated interior point
-    with the smallest |residual|, which in practice lands within an ulp of
-    the root.  Each residual evaluation inverts omega_q between the nearest
-    (tau, w, H_q(w)) this solve has already evaluated (module docstring);
-    the record is dropped when the solve returns.  Raises
+    ``_bracketed_root`` solves g(u) = 0 on the u bracket that the endpoint
+    bracket gives, and t = X(u)^(1/(p-q)) (module docstring).  Raises
     OutsideDomainError or NoRootError exactly when ``has_root`` is false.
     """
-    lo, hi, at_lo, at_hi, a2 = _endpoint_bracket(e, pt)
-    known = sorted([*_omega_ends(e.q), at_lo[1:], at_hi[1:]])
-    evaluated: dict[float, _Evaluation] = {}
-
-    def f(t: float) -> float:
-        ev = evaluated[t] = _evaluate(e, pt, t, a2, known)
-        insort(known, ev[1:])
-        return ev[0]
-
-    a, b, t, _ = _bracketed_root(f, lo, hi, at_lo[0], at_hi[0], _BRACKET_WIDTH)
-    if t not in evaluated:  # the bracket was within 1e-15 from the start
-        f(t)
-    res, tau, w, _ = evaluated[t]
+    hi, w_hi, a2 = _endpoint_bracket(e, pt)
+    p, q = e.p, e.q
+    k = (p - q) * pt.s1 * a2 / q
+    g, t_of = _u_equation(e, pt, k)
+    u_enclosed = k / (e.p_conj ** (q - 1.0) * (hi ** (p - q) - pt.s1 / pt.s2))
+    u_a, u_b, g_a, g_b = _u_bracket(g, u_enclosed, p - (p - 1.0) * w_hi)
+    a, b, u, _ = _bracketed_root(g, u_a, u_b, g_a, g_b, _U_REL_WIDTH * u_a)
+    # the root lies below hi, but X(u)^(1/(p-q)) can round up to p/(p-1)
+    # (307 of 12,981 solves at s1 < 1e-11 on six pairs)
+    t = min(t_of(u), hi)
+    tau = tau_eval(e, pt, t)
+    w = _omega_certificate(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
-        t=t, tau=tau, omega_q_tau=w, residual=res, bracket_width=b - a, alpha=a2
+        t=t, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
+        bracket_width=abs(t_of(a) - t_of(b)), alpha=a2,
     )

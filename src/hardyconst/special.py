@@ -11,7 +11,8 @@ where r' = r/(r-1) is the Hoelder conjugate of r.  Its inverse
 
 underpins everything else in this package.  Every root in the package is
 found by one bracketed kernel, ``_bracketed_root``: omega_r here, and the
-tau-feasibility top and the constant t in ``solver``.  The kernel is the ITP
+tau-feasibility top and the explicit equation for the constant in
+``solver``.  The kernel is the ITP
 method (Oliveira and Takahashi, ACM TOMS 2020): a regula falsi step,
 truncated toward the midpoint and projected into a ball around it that
 shrinks like bisection, so it keeps a sign-change bracket, converges
@@ -21,8 +22,9 @@ evaluations beyond bisection.
 ``omega`` is a thin wrapper over one bracketed inversion,
 ``_omega_between``, which returns (z, H_r(z)) for the root z inside a given
 bracket [z_lo, z_hi] whose H values are known.  ``omega`` passes the
-natural bracket [1, r'] with the exact values 1 and 0; ``solver`` passes
-narrower ones that earlier evaluations prove.  ITP's k1 always comes from
+natural bracket [1, r'] with the exact values 1 and 0; ``solver``'s
+certificate passes a narrow one around its estimate of the root once the H
+values at its ends bracket the target.  ITP's k1 always comes from
 the natural bracket, 0.2/(r'-1), so a full-bracket call iterates exactly
 as a plain ITP run on [1, r'] does.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError, SingularityError
 
@@ -88,6 +91,11 @@ def h_eval(r: float, z: float) -> float:
     top = r / (r - 1.0)
     if not 1.0 <= z <= top:
         raise DomainError(f"H_{r} is only used on [1, {top}], got z={z}")
+    return _h(r, z)
+
+
+def _h(r: float, z: float) -> float:
+    """``h_eval`` without its checks, for a validated r and z in [1, r']."""
     val = z ** (r - 1.0) * (r - (r - 1.0) * z)
     if -1e-13 < val < 0.0:
         return 0.0
@@ -168,18 +176,21 @@ def _omega_between(
 
     h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), as evaluated earlier or known
     exactly; [1, r'] with (1, 0) is omega's natural bracket.  The H returned
-    is ``h_eval``'s value at z, bit for bit.  ITP's k1 comes from the
+    is ``h_eval``'s value at z, bit for bit.  r is validated here, once per
+    inversion, and the kernel evaluates H_r through ``_h`` without
+    ``h_eval``'s per-evaluation checks.  ITP's k1 comes from the
     natural bracket, 0.2/(r'-1), on every bracket: scaled to a narrowed one
     it truncates the regula falsi step far more and costs more evaluations.
     A bracket already within the tolerance returns its midpoint.
     """
+    _check_exponent(r)
     top = r / (r - 1.0)
     xtol = _BRACKET_REL_TOL * top
     if z_hi - z_lo <= xtol:
         z = 0.5 * (z_lo + z_hi)
-        return z, h_eval(r, z)
+        return z, _h(r, z)
     _, _, z, h = _bracketed_root(
-        lambda z: h_eval(r, z), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
+        partial(_h, r), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
     )
     return z, h
 

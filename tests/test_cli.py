@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hardyconst.cli import CSV_HEADER, main
+from hardyconst.cli import CSV_HEADER, _build_parser, main
 
 ANCHOR_ARGS = ["--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
 
@@ -184,3 +184,17 @@ class TestHardyCmd:
         code, _, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--samples", "0"])
         assert code == 2
         assert "error:" in err
+
+
+class TestParser:
+    def test_built_once_and_reused(self, capsys, tmp_path):
+        scan = ["scan", "--p", "2", "--q", "1.5", "--s2", "0.92",
+                "--s1-min", "0.1", "--s1-max", "0.8", "--n", "3"]
+        assert run(capsys, [*scan, "--out", str(tmp_path / "scan.csv")])[0] == 0
+        # a later request sees the parser's defaults, not the earlier --out
+        code, out, _ = run(capsys, scan)
+        assert code == 0
+        assert out == (tmp_path / "scan.csv").read_text()
+        assert run(capsys, ["solve", *ANCHOR_ARGS])[0] == 0
+        assert _build_parser.cache_info().misses == 1
+        assert _build_parser() is _build_parser()

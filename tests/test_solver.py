@@ -15,13 +15,14 @@ from hardyconst import (
     tau_eval,
 )
 from hardyconst.errors import (
+    ConvergenceError,
     DomainError,
     InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
     SingularityError,
 )
-from hardyconst.solver import _omega_ends, _omega_near, _residual_at
+from hardyconst.solver import _omega_certificate, _residual_at, _u_bracket
 from hardyconst.special import h_eval
 
 E2 = Exponents(2.0, 1.5)
@@ -124,7 +125,53 @@ class TestSolveT:
         # the root lies 3e-13 (about 1400 ulp) below p/(p-1); the reference
         # value is a 40-digit mpmath solve
         sol = solve_t(Exponents(5.0, 1.2), ParamPoint(4.9e-13, 0.3424))
-        assert sol.t == pytest.approx(1.2499999999996787, rel=1e-15)
+        assert sol.t == pytest.approx(1.2499999999996787, rel=1e-15, abs=0.0)
+
+    def test_root_far_below_the_u_bracket_top(self):
+        # u_b is about 60 u* here, so a bracket width relative to u_b would
+        # leave t 7.7e-15 off; the reference value is a 40-digit mpmath solve
+        sol = solve_t(Exponents(1.5, 1.1), ParamPoint(7.656332914888871e-06, 0.9983599468268123))
+        assert sol.t == pytest.approx(2.9999907044774363, rel=2e-15, abs=0.0)
+
+    def test_q_near_p(self):
+        # omega_q(tau(1 + 1e-12)) < p/(p-1) here, unlike on the pairs above;
+        # the reference value is a 40-digit mpmath solve
+        e, pt = Exponents(20.0, 19.0), ParamPoint(0.109368876001114, 0.12287917809280041)
+        assert solve_t(e, pt).t == pytest.approx(1.0498387238814844, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "e,pt,expected",
+        [
+            (Exponents(5.0, 1.2), ParamPoint(1.9389152882672358e-16, 0.17635458561734324),
+             1.2499999999999996),
+            (Exponents(5.0, 1.2), ParamPoint(4.015179437779812e-16, 0.3601024638871064),
+             1.2499999999999996),
+            (Exponents(5.0, 1.2), ParamPoint(1.4434987340448712e-16, 0.1807121115831557),
+             1.2499999999999996),
+            (Exponents(5.0, 1.2), ParamPoint(1.4498558327084564e-16, 0.1687177657308814),
+             1.2499999999999996),
+            (Exponents(10.0, 1.05), ParamPoint(6.9958314993777825e-15, 0.8344187984703154),
+             1.1111111111111103),
+            (Exponents(10.0, 1.05), ParamPoint(3.0094899488502778e-15, 0.8454090460454174),
+             1.1111111111111105),
+            (Exponents(10.0, 1.05), ParamPoint(3.1023740023843006e-15, 0.9107319755363885),
+             1.1111111111111107),
+            (Exponents(5.0, 1.2), ParamPoint(1.8596079720156958e-16, 0.8348991263097012),
+             1.2499999999999996),
+            (Exponents(1.5, 1.1), ParamPoint(5.305999832035473e-16, 0.7880427309890956),
+             2.999999999999999),
+        ],
+        ids=["p5-a", "p5-b", "p5-c", "p5-d", "p10-a", "p10-b", "p10-c", "p5-e", "p1.5"],
+    )
+    def test_root_an_ulp_below_upper_endpoint(self, e, pt, expected):
+        # t an ulp or two below p/(p-1): rounding gives the explicit equation
+        # the wrong sign at the u bracket's lower end at p10-b, p10-c, p5-e
+        # and p1.5, and X(u)^(1/(p-q)) rounds up to p/(p-1) at the last
+        # three; the reference values come from the earlier t-space iteration
+        assert has_root(e, pt)
+        sol = solve_t(e, pt)
+        assert 1.0 < sol.t < e.p_conj
+        assert sol.t == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     def test_no_root_near_lower_boundary(self):
         # residual is single-signed here: operationally outside the region
@@ -212,47 +259,42 @@ class TestHasRoot:
         assert (self._solve_outcome(e, pt) == "ok") is expected
 
 
-class TestOmegaNear:
+class TestUBracket:
+    @staticmethod
+    def g(u):
+        return u - 0.3
+
+    def test_valid_ends_are_kept(self):
+        assert _u_bracket(self.g, 0.2, 0.5) == (0.2, 0.5, self.g(0.2), self.g(0.5))
+
+    @pytest.mark.parametrize(
+        "u_a,u_b,expected",
+        [(0.4, 0.5, (0.2, 0.5)), (0.1, 0.25, (0.1, 0.5)), (0.1, -0.5, (0.1, 0.4))],
+        ids=["low-end-halved", "high-end-doubled", "high-end-below-low-end"],
+    )
+    def test_wrong_signed_end_steps_outward(self, u_a, u_b, expected):
+        a, b, g_a, g_b = _u_bracket(self.g, u_a, u_b)
+        assert (a, b) == expected
+        assert g_a < 0.0 < g_b
+
+    def test_no_positive_end_up_to_one_raises(self):
+        with pytest.raises(ConvergenceError):
+            _u_bracket(lambda u: u - 2.0, 0.1, 0.5)
+
+
+class TestOmegaCertificate:
     Q = 1.5
     TAU = 0.6
 
-    def _near(self, *entries):
-        known = sorted([*_omega_ends(self.Q), *entries])
-        return _omega_near(self.Q, self.TAU, known)
-
-    def _natural(self):
+    def test_close_estimate_is_refined_in_its_bracket(self):
         w = omega(self.Q, self.TAU)
-        return w, h_eval(self.Q, w)
+        got = _omega_certificate(self.Q, self.TAU, w + 2e-15)
+        assert abs(got - w) <= 1e-15 * 3.0
+        assert abs(h_eval(self.Q, got) - self.TAU) <= 1e-15
 
-    def test_strict_neighbours_narrow_the_bracket(self):
-        below, above = omega(self.Q, 0.59), omega(self.Q, 0.61)
-        w, h = self._near(
-            (0.59, below, h_eval(self.Q, below)), (0.61, above, h_eval(self.Q, above))
-        )
-        assert above < w < below
-        assert abs(w - omega(self.Q, self.TAU)) <= 1e-15 * 3.0
-        assert h == h_eval(self.Q, w)
-
-    def test_stored_h_equal_to_tau_is_reused(self):
-        assert self._near((0.59, 2.0, 0.6), (0.61, 1.9, 0.7)) == (2.0, 0.6)
-        assert self._near((0.59, 2.0, 0.5), (0.61, 1.9, 0.6)) == (1.9, 0.6)
-
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            [(0.59, 2.0, 0.65), (0.61, 1.9, 0.65)],  # equal H on both sides
-            [(0.59, 1.9, 0.55), (0.61, 2.0, 0.65)],  # w order inverted
-            [(0.59, 2.0, 0.65), (0.61, 1.9, 0.55)],  # H order inverted
-            [(0.6, 1.9, 0.5999999999999999)],  # equal tau, H rounded below it
-        ],
-        ids=["equal-h", "w-inverted", "h-inverted", "equal-tau"],
-    )
-    def test_no_strict_bracket_falls_back_to_natural(self, entries):
-        assert self._near(*entries) == self._natural()
-
-    @pytest.mark.parametrize("tau,expected", [(0.0, 3.0), (1.0, 1.0)])
-    def test_exact_ends(self, tau, expected):
-        assert _omega_near(self.Q, tau, _omega_ends(self.Q)) == (expected, tau)
+    @pytest.mark.parametrize("estimate", [1.0, 2.5, 3.0], ids=["low", "high", "top"])
+    def test_bracket_missing_the_root_falls_back_to_natural(self, estimate):
+        assert _omega_certificate(self.Q, self.TAU, estimate) == omega(self.Q, self.TAU)
 
 
 class TestSolutionRecord:
