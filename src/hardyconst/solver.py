@@ -21,6 +21,22 @@ root.  Hence residual(lo) < 0 < residual(hi) on the endpoint bracket
 a root exists; the bracketed kernel ``special._bracketed_root`` finds hi as
 the root of tau(t) - 1.
 
+The left end's sign needs no inversion when tau(lo) < H_q(p') = threshold:
+omega_q falls, so w = omega_q(tau) > p', the left factor w^(q-1) (p -
+(p-1) w) is negative, and residual(lo) < -(p-q) s1 alpha < 0.  The test is
+tau(lo) < threshold - d with d = max(1e-9 threshold, 2e-12 q q'^(q-1)),
+q' = q/(q-1).  The relative part covers the rounding of tau and of the
+threshold.  As |H_q'| <= q q'^(q-2) on [1, q'], the absolute part keeps w
+at least 2e-12 q' above p', 2000 times omega's bracket width, so rounding
+in omega or in the left factor cannot flip the sign the inversion would
+give.  Otherwise omega_q is inverted at lo as at hi.  The test holds at
+every point of the benchmark's pairs; with q near p, e.g. (20, 19), some
+points fall back.
+
+alpha(s2) is the same for every point of a row of fixed s2: ``scan``, the
+``verify`` rows and ``dt_ds1``'s stencil pass it in through
+``_solve_with_alpha`` instead of inverting omega_q(s2) per point.
+
 The root is found without inverting omega_q.  With u = p - (p-1) w in
 (0, 1], the left factor is w^(q-1) u, and for a given w the equation gives
 t explicitly: X(u) = t^(p-q) = s1/s2 + K / (w^(q-1) u), K = (p-q) s1 alpha/q.
@@ -56,7 +72,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .domain import Membership, ParamPoint, in_domain
+from .domain import Membership, ParamPoint, in_domain, threshold
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -69,6 +85,14 @@ from .special import _BRACKET_REL_TOL, Exponents, _bracketed_root, _omega_betwee
 
 #: margin by which the bracket's left end stays above t = 1
 _ENDPOINT_MARGIN = 1e-12
+#: the closed-form test at the bracket's left end needs tau below H_q(p')
+#: by this much relative to H_q(p'), which covers the rounding of tau and
+#: of the threshold ...
+_LO_CUT_REL = 1e-9
+#: ... and by at least this times q q'^(q-1): as |H_q'| <= q q'^(q-2) on
+#: [1, q'], omega_q(tau) then lies at least 2e-12 q' above p', 2000 times
+#: omega's bracket width
+_LO_CUT_ABS = 2e-12
 #: final width of the tau-feasibility top's bracket in t
 _BRACKET_WIDTH = 1e-15
 #: u bracket width relative to u_a <= u*, not u_b: 1e-15 u_b left t up to
@@ -166,7 +190,15 @@ def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> flo
     )[0]
 
 
-def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float]:
+def _lo_cut(e: Exponents) -> float:
+    """The tau below which residual(1 + 1e-12) < 0 holds without inverting omega_q."""
+    thr = threshold(e)
+    return thr - max(_LO_CUT_REL * thr, _LO_CUT_ABS * e.q * e.q_conj ** (e.q - 1.0))
+
+
+def _endpoint_bracket(
+    e: Exponents, pt: ParamPoint, a2: float | None = None
+) -> tuple[float, float, float]:
     """(hi, omega_q(tau(hi)), alpha(s2)) of a solvable point.
 
     The bracket is [1 + 1e-12, hi], where hi is the largest float below
@@ -174,8 +206,11 @@ def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float
     The residual is negative below an upper t-interval and strictly
     increasing on it (module docstring), so a root exists exactly when the
     residual is negative at the left end and positive at the right one.
-    Both ends invert omega_q on its natural bracket, so the decision does
-    not depend on the order of evaluation.
+    The left end's sign is decided in closed form when tau(lo) is clearly
+    below H_q(p/(p-1)) (module docstring); otherwise, and always at the
+    right end, omega_q is inverted on its natural bracket, so the decision
+    does not depend on the order of evaluation.  a2 is alpha(s2) when the
+    caller holds it for a row of points sharing s2.
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
     NoRootError when that sign change is missing (the point lies in the
     no-root band along the lower curve, where the root would need tau >= 1).
@@ -185,17 +220,28 @@ def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float
         raise OutsideDomainError(
             f"({pt.s1}, {pt.s2}) is {verdict.value} for p={e.p}, q={e.q}"
         )
-    a2 = alpha_eval(e, pt.s2)
+    if a2 is None:
+        a2 = alpha_eval(e, pt.s2)
     lo = 1.0 + _ENDPOINT_MARGIN
     hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
-    res_lo = _evaluate(e, pt, lo, a2)[0]
+    lo_negative = tau_eval(e, pt, lo) < _lo_cut(e) or _evaluate(e, pt, lo, a2)[0] < 0.0
     res_hi, w_hi = _evaluate(e, pt, hi, a2)
-    if not res_lo < 0.0 < res_hi:
+    if not (lo_negative and res_hi > 0.0):
         raise NoRootError(
             f"residual has no sign change on [{lo}, {hi}] at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
     return hi, w_hi, a2
+
+
+def _bracket_or_none(
+    e: Exponents, pt: ParamPoint, a2: float | None = None
+) -> tuple[float, float, float] | None:
+    """``_endpoint_bracket``, or None where the point has no constant."""
+    try:
+        return _endpoint_bracket(e, pt, a2)
+    except (OutsideDomainError, NoRootError):
+        return None
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
@@ -205,11 +251,16 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     ``in_domain`` is its closed-form, geometric part, and the sign test
     decides the no-root cutoff exactly.
     """
-    try:
-        _endpoint_bracket(e, pt)
-    except (OutsideDomainError, NoRootError):
-        return False
-    return True
+    return _bracket_or_none(e, pt) is not None
+
+
+def _row_alpha(e: Exponents, s2: float) -> float | None:
+    """alpha(s2) for a row of points sharing s2, or None where it is undefined.
+
+    None (s2 outside (0, 1)) leaves the point's own solve to raise what it
+    raises for that s2.
+    """
+    return alpha_eval(e, s2) if 0.0 < s2 < 1.0 else None
 
 
 def _u_equation(
@@ -266,7 +317,19 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     bracket gives, and t = X(u)^(1/(p-q)) (module docstring).  Raises
     OutsideDomainError or NoRootError exactly when ``has_root`` is false.
     """
-    hi, w_hi, a2 = _endpoint_bracket(e, pt)
+    return _refine(e, pt, _endpoint_bracket(e, pt))
+
+
+def _solve_with_alpha(e: Exponents, pt: ParamPoint, a2: float | None) -> BellmanSolution:
+    """``solve_t`` with alpha(s2) given, for a row of points sharing s2."""
+    return _refine(e, pt, _endpoint_bracket(e, pt, a2))
+
+
+def _refine(
+    e: Exponents, pt: ParamPoint, bracket: tuple[float, float, float]
+) -> BellmanSolution:
+    """``solve_t`` from the point's ``_endpoint_bracket``, already computed."""
+    hi, w_hi, a2 = bracket
     p, q = e.p, e.q
     k = (p - q) * pt.s1 * a2 / q
     g, t_of = _u_equation(e, pt, k)

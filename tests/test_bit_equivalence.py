@@ -1,0 +1,170 @@
+"""Bit-for-bit equivalence of the root kernel and of the endpoint decision.
+
+``_reference_bracketed_root`` is a verbatim copy of the ITP kernel before
+its per-step arithmetic was streamlined (running projection scale,
+comparisons in place of ``abs``/``max``, the side of f(b) hoisted).  The
+streamlined kernel must return the same floats on every input, so every
+verdict and every CSV byte of the package stays the same.  Writing
+``(b - a) ** 2`` as a product changes omega_r on some inputs, mostly at
+r = 1.05 and 1.1, so the random brackets below include those exponents.
+"""
+
+import math
+from collections.abc import Callable
+from functools import partial
+
+import numpy as np
+import pytest
+
+import hardyconst.solver
+import hardyconst.special
+from hardyconst import Exponents, Membership, ParamPoint, alpha_eval, has_root, in_domain, solve_t
+from hardyconst.errors import NoRootError
+from hardyconst.solver import _evaluate, _lo_cut, _tau_feasible_top, tau_eval
+from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h
+
+#: R_SET of test_special.py, plus exponents near 1 where the pow trap showed
+R_KERNEL = [1.001, 1.05, 1.1, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
+#: the benchmark's pairs, then pairs with q near p and a few stiffer ones
+PAIRS = [
+    (2.0, 1.5), (3.0, 2.0), (2.5, 1.3), (5.0, 1.2), (2.5, 1.5), (10.0, 1.05),
+    (1.5, 1.1), (1.5, 1.45), (20.0, 19.0), (2.0, 1.999),
+]
+FIELDS = ("t", "tau", "omega_q_tau", "residual", "bracket_width", "alpha")
+
+
+def _reference_bracketed_root(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    xtol: float,
+    y: float = 0.0,
+    k1: float | None = None,
+) -> tuple[float, float, float, float]:
+    """ITP search for x in (a, b) with f(x) = y.
+
+    fa = f(a) and fb = f(b) lie on opposite sides of y; the caller may know
+    them exactly, and either may equal y.  Iterates
+    until the bracket is at most xtol wide, or its ends are adjacent floats,
+    or f hits y exactly.  Returns the final bracket (a, b), whose ends keep
+    the sides of fa and fb, the evaluated interior point x with the smallest
+    |f(x) - y| and f(x) as f returned it; when the bracket needed no
+    evaluation, the initial midpoint and nan.  ITP's parameters are
+    k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most three
+    evaluations more than bisection to reach xtol.  With n0 = 1 a few slow
+    regula falsi steps early on use up the slack and the rest is plain
+    bisection (50 evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
+    """
+    if k1 is None:
+        k1 = 0.2 / (b - a)
+    fa, fb = fa - y, fb - y
+    n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
+    best_x, best_f, best_g = 0.5 * (a + b), math.nan, math.inf
+    j = 0
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        # Projection radius: keeps the step close enough to the midpoint
+        # that the bracket reaches xtol within n_max evaluations.
+        radius = max(xtol * 2.0 ** (n_max - j - 1) - 0.5 * (b - a), 0.0)
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = 1.0 if mid >= x_f else -1.0
+        delta = k1 * (b - a) ** 2
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        if not a < x < b:
+            x = mid
+        fx = f(x)
+        g = fx - y
+        j += 1
+        if abs(g) < abs(best_g):
+            best_x, best_f, best_g = x, fx, g
+        if g == 0.0:
+            return x, x, x, fx
+        if (g > 0.0) == (fb > 0.0):
+            b, fb = x, g
+        else:
+            a, fa = x, g
+    return a, b, best_x, best_f
+
+
+
+def _points(e: Exponents, n: int, seed: int) -> list[ParamPoint]:
+    """n points below the lower-curve abscissa, half of them at s1/s1_top
+    log-uniform down to 1e-9, a few past it."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for i in range(n):
+        s2 = float(rng.uniform(0.01, 0.999))
+        top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+        frac = 10.0 ** rng.uniform(-9.0, 0.0) if i % 2 else rng.uniform(0.0, 1.05)
+        pts.append(ParamPoint(float(min(max(top * frac, 1e-300), 0.999999)), s2))
+    return pts
+
+
+@pytest.mark.parametrize("r", R_KERNEL)
+def test_kernel_matches_reference_on_omega_brackets(r):
+    rng = np.random.default_rng(int(r * 1000))
+    top = r / (r - 1.0)
+    xtol, k1 = _BRACKET_REL_TOL * top, 0.2 / (top - 1.0)
+    f = partial(_h, r)
+    for _ in range(300):
+        s = float(rng.uniform(0.0, 1.0))
+        z = sorted(rng.uniform(1.0, top, 2)) if rng.uniform() < 0.5 else (1.0, top)
+        z_lo, z_hi = float(z[0]), float(z[1])
+        h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
+        if not h_lo > s > h_hi:
+            z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
+        args = (f, z_lo, z_hi, h_lo, h_hi, xtol, s, k1)
+        new, ref = _bracketed_root(*args), _reference_bracketed_root(*args)
+        # nan != nan, so compare the floats' bit patterns
+        assert [x.hex() for x in new] == [x.hex() for x in ref], (r, s, z_lo, z_hi)
+
+
+def test_kernel_matches_reference_with_default_k1():
+    # the tau-feasibility top's call: k1 from the bracket, y = 0
+    for c in np.linspace(0.01, 0.99, 50):
+        f = lambda x, c=float(c): x**3 - c  # noqa: E731
+        args = (f, 0.0, 1.0, -float(c), 1.0 - float(c), 1e-15)
+        assert _bracketed_root(*args) == _reference_bracketed_root(*args)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_solve_matches_reference_kernel(monkeypatch, pair):
+    e = Exponents(*pair)
+    pts = [pt for pt in _points(e, 80, 7) if has_root(e, pt)]
+    assert len(pts) >= 10
+    sols = [solve_t(e, pt) for pt in pts]
+    monkeypatch.setattr(hardyconst.special, "_bracketed_root", _reference_bracketed_root)
+    monkeypatch.setattr(hardyconst.solver, "_bracketed_root", _reference_bracketed_root)
+    for pt, sol in zip(pts, sols):
+        ref = solve_t(e, pt)
+        assert [getattr(sol, f).hex() for f in FIELDS] == [getattr(ref, f).hex() for f in FIELDS]
+
+
+def _both_ends_inverted(e: Exponents, pt: ParamPoint) -> bool:
+    """The endpoint decision with omega_q inverted at both ends."""
+    if in_domain(e, pt) is not Membership.INSIDE:
+        return False
+    a2, lo = alpha_eval(e, pt.s2), 1.0 + 1e-12
+    try:
+        hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
+    except NoRootError:
+        return False
+    return _evaluate(e, pt, lo, a2)[0] < 0.0 < _evaluate(e, pt, hi, a2)[0]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_closed_form_lo_test_keeps_the_decision(pair):
+    e = Exponents(*pair)
+    lo = 1.0 + 1e-12
+    fired = 0
+    for pt in _points(e, 120, 11):
+        assert has_root(e, pt) == _both_ends_inverted(e, pt), pt
+        if in_domain(e, pt) is Membership.INSIDE and tau_eval(e, pt, lo) < _lo_cut(e):
+            fired += 1
+            assert _evaluate(e, pt, lo, alpha_eval(e, pt.s2))[0] < 0.0, pt
+    assert fired > 0

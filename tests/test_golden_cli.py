@@ -1,0 +1,73 @@
+"""Golden CLI outputs: the sha256 of stdout and the exit code of fixed requests.
+
+The digests were taken before the root kernel's per-step arithmetic was
+streamlined, the left end's residual sign was decided in closed form and
+alpha(s2) was computed once per row; those changes keep every float, so
+every byte of output, the same.  A digest that moves means some computed
+float moved: find out which, and why, before re-pinning it.
+"""
+
+import hashlib
+
+import pytest
+
+from hardyconst.cli import main
+
+#: the benchmark's scan pairs: one 24-point row at s2 = 0.7, from 1e-3 to
+#: 0.999 of the lower-curve abscissa
+SCAN = {
+    (2.0, 1.5): "98a1560ae889f62286d810b077502f7f8b06a3e7f5c069afc87cdcfe31d68318",
+    (3.0, 2.0): "dfd6715e63411aac3d77e3263262e26a5b2e1557f4a4b3de621c8823a39bc134",
+    (2.5, 1.3): "b02f5527e3d7655e49044c914f88bccd94a02e2f7c4c054f12d8eb2fbed0fc05",
+    (5.0, 1.2): "424d753488d7c80b57bd285d99108c1440fd9b95eeb18b9f382d48139c139238",
+}
+#: verify --grid 10 on the benchmark's verify pairs
+VERIFY = {
+    (2.0, 1.5): "642e1822cb144b25b4b2cf341f753a303d8d7c6e6e1a2bd3c873ae28bd8d8ac8",
+    (3.0, 2.0): "eb0bf518bb344b17cd2338e051accad6b3187963e3bed3ee3ac4138b31a95942",
+    (2.5, 1.5): "1abc371e8457435b04304197fa5b78008be0e79a4f10bb9932b5d79e8775ca81",
+}
+#: hardy --samples 4 (default seed) with 2 and 32 steps on the scan pairs
+HARDY = {
+    (2.0, 1.5, 2): "709f77d9bcd705877e55e3644b9b1a715294075fe587043c58ae30595d131a53",
+    (2.0, 1.5, 32): "4414f9b2cd27fe0016d61dcfc929efdcb01362ef5e7bdc361bd5afc1eb9c4971",
+    (3.0, 2.0, 2): "233df996c7a03c5a0ab246f6c213f29e47fc80eaf0e88f3da30776685434a434",
+    (3.0, 2.0, 32): "d12c6a9338ab5dbfa3e557d0094403313f917a729b67d75d1768a70f6bb8e7f9",
+    (2.5, 1.3, 2): "96696fbc272f86edff5dd294459cd6e407759026da4621ea0c19059aea6c2a8e",
+    (2.5, 1.3, 32): "26f301fec190add636b029419b7271d8056c9a46793b4ddaf9e99933ec8494a5",
+    (5.0, 1.2, 2): "6265844e827815b4daa89a4f718338585d40e5314bc4cc1f09ddb19b0c9a01f2",
+    (5.0, 1.2, 32): "7d316b16abc37fe1b2fc0988cdc81895da1dd03624dd6775549a8e69ea2422bd",
+}
+
+
+def _digest(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, hashlib.sha256(captured.out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pair", list(SCAN), ids=str)
+def test_scan_row(capsys, pair):
+    p, q = pair
+    s2 = 0.7
+    top = s2 ** ((p - 1.0) / (q - 1.0))
+    argv = [
+        "scan", "--p", repr(p), "--q", repr(q), "--s2", repr(s2),
+        "--s1-min", repr(1e-3 * top), "--s1-max", repr(0.999 * top), "--n", "24",
+    ]
+    assert _digest(capsys, argv) == (0, SCAN[pair])
+
+
+@pytest.mark.parametrize("pair", list(VERIFY), ids=str)
+def test_verify(capsys, pair):
+    p, q = pair
+    argv = ["verify", "--p", repr(p), "--q", repr(q), "--grid", "10"]
+    assert _digest(capsys, argv) == (0, VERIFY[pair])
+
+
+@pytest.mark.parametrize("case", list(HARDY), ids=str)
+def test_hardy(capsys, case):
+    p, q, steps = case
+    argv = ["hardy", "--p", repr(p), "--q", repr(q), "--samples", "4", "--steps", str(steps)]
+    assert _digest(capsys, argv) == (0, HARDY[case])

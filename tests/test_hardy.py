@@ -88,9 +88,9 @@ class TestStepMoments:
         hc = StepFunction(kappa=h.kappa, breakpoints=h.breakpoints,
                           values=tuple(c * v for v in h.values))
         mc = step_moments(hc, E2)
-        assert mc.x == pytest.approx(c * m.x, rel=1e-13)
-        assert mc.y == pytest.approx(c**E2.q * m.y, rel=1e-13)
-        assert mc.z == pytest.approx(c**E2.p * m.z, rel=1e-13)
+        assert mc.x == pytest.approx(c * m.x, rel=1e-13, abs=0.0)
+        assert mc.y == pytest.approx(c**E2.q * m.y, rel=1e-13, abs=0.0)
+        assert mc.z == pytest.approx(c**E2.p * m.z, rel=1e-13, abs=0.0)
 
 
 class TestMomentsToParams:
@@ -113,8 +113,8 @@ class TestMomentsToParams:
             hc = StepFunction(kappa=h.kappa, breakpoints=h.breakpoints,
                               values=tuple(c * v for v in h.values))
             ptc = moments_to_params(step_moments(hc, E2), E2)
-            assert ptc.s1 == pytest.approx(pt.s1, rel=1e-12)
-            assert ptc.s2 == pytest.approx(pt.s2, rel=1e-12)
+            assert ptc.s1 == pytest.approx(pt.s1, rel=1e-12, abs=0.0)
+            assert ptc.s2 == pytest.approx(pt.s2, rel=1e-12, abs=0.0)
 
     def test_inconsistent_moments_rejected(self):
         m = MomentTriple(x=10.0, y=1.0, z=1.0, kappa=1.0)
@@ -170,7 +170,7 @@ class TestVerifyHardy:
         rep = verify_hardy(TWO_STEP, E2)
         assert rep.passed
         assert rep.t**2 >= 2.6306471805599453 / 1.75
-        assert rep.ratio == pytest.approx(rep.lhs / 1.75, rel=1e-12)
+        assert rep.ratio == pytest.approx(rep.lhs / 1.75, rel=1e-12, abs=0.0)
         assert rep.lhs <= rep.rhs
 
     def test_constant_is_boundary_case(self):
@@ -217,7 +217,7 @@ class TestRearrangement:
             hc = StepFunction(kappa=h.kappa, breakpoints=h.breakpoints,
                               values=tuple(c * v for v in h.values))
             ratio = hardy_lhs(hc, E2)[0] / step_moments(hc, E2).z
-            assert ratio == pytest.approx(base, rel=1e-10)
+            assert ratio == pytest.approx(base, rel=1e-10, abs=0.0)
 
 
 class TestSampleStep:

@@ -1,5 +1,5 @@
 """Work-count guards: H_r and explicit-equation evaluations for one scan row
-and for one solve.
+and for one solve, and alpha(s2) evaluations per scan row.
 
 Counts are deterministic, unlike wall times on a shared host, so they are
 the gate for the solver's cost.  Each limit is 1.2x the count measured when
@@ -9,38 +9,48 @@ checks.  Inverting omega_q inside the refinement again, as the t-space
 iteration did (1973 H_r per row, 81 per solve), would exceed the H_r limits,
 and so, on the stiff pair, would a certificate that inverted omega_q on its
 natural bracket; the limits on g, the explicit equation in u, catch a
-costlier u solve.
+costlier u solve.  Inverting omega_q at the endpoint bracket's left end
+where its residual sign is certain (834 H_r per row, 32 per solve, 34 on
+the stiff pair), or alpha(s2) once per point of a row instead of once per
+row, would exceed them too.
 """
 
 import pytest
 
 import hardyconst.solver
 import hardyconst.special
-from hardyconst import Exponents, ParamPoint, solve_t
+from hardyconst import Exponents, ParamPoint, has_root, solve_t, tau_eval
 from hardyconst.cli import main
+from hardyconst.solver import _lo_cut
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
 S1_TOP = S2 ** ((E3.p - 1.0) / (E3.q - 1.0))
 
 #: H_r evaluations measured for the row and the solve below
-ROW_CALLS = 834
-SOLVE_CALLS = 32
+ROW_CALLS = 374
+SOLVE_CALLS = 22
 #: evaluations of the explicit equation g(u) for the same row and solve
 ROW_G_CALLS = 275
 SOLVE_G_CALLS = 11
 #: H_r and g evaluations for one solve on a stiff pair, where the natural
 #: omega_q bracket costs the certificate 10 H_r evaluations more
-STIFF_CALLS = 34
+STIFF_CALLS = 25
 STIFF_G_CALLS = 10
+#: H_r and g evaluations for one solve with q near p, at a point where the
+#: left end's residual sign is not decided in closed form, so omega_q is
+#: inverted there too
+NEAR_CALLS = 54
+NEAR_G_CALLS = 13
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of H_r and of g evaluations made so far, as a dict."""
-    counts = {"h": 0, "g": 0}
+    """Counts of H_r, g and alpha(s2) evaluations made so far, as a dict."""
+    counts = {"h": 0, "g": 0, "alpha": 0}
     h = hardyconst.special._h
     u_equation = hardyconst.solver._u_equation
+    alpha_eval = hardyconst.solver.alpha_eval
 
     def counted_h(r, z):
         counts["h"] += 1
@@ -55,8 +65,13 @@ def calls(monkeypatch):
 
         return counted_g, t_of
 
+    def counted_alpha_eval(e, s2):
+        counts["alpha"] += 1
+        return alpha_eval(e, s2)
+
     monkeypatch.setattr(hardyconst.special, "_h", counted_h)
     monkeypatch.setattr(hardyconst.solver, "_u_equation", counted_u_equation)
+    monkeypatch.setattr(hardyconst.solver, "alpha_eval", counted_alpha_eval)
     return counts
 
 
@@ -71,6 +86,7 @@ def test_scan_row(calls, capsys):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 24
     assert calls["h"] <= 1.2 * ROW_CALLS
     assert calls["g"] <= 1.2 * ROW_G_CALLS
+    assert calls["alpha"] == 1
 
 
 def test_solve(calls):
@@ -84,3 +100,15 @@ def test_solve_stiff_pair(calls):
     solve_t(e, ParamPoint(0.3 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2))
     assert calls["h"] <= 1.2 * STIFF_CALLS
     assert calls["g"] <= 1.2 * STIFF_G_CALLS
+
+
+def test_solve_q_near_p_inverts_at_the_left_end(calls):
+    e, s2 = Exponents(20.0, 19.0), 0.5
+    pt = ParamPoint(0.9 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
+    assert not tau_eval(e, pt, 1.0 + 1e-12) < _lo_cut(e)
+    assert has_root(e, pt)
+    for key in calls:
+        calls[key] = 0
+    solve_t(e, pt)
+    assert calls["h"] <= 1.2 * NEAR_CALLS
+    assert calls["g"] <= 1.2 * NEAR_G_CALLS
