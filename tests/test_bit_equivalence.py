@@ -7,6 +7,10 @@ streamlined kernel must return the same floats on every input, so every
 verdict and every CSV byte of the package stays the same.  Writing
 ``(b - a) ** 2`` as a product changes omega_r on some inputs, mostly at
 r = 1.05 and 1.1, so the random brackets below include those exponents.
+
+``_omega_lanes`` and ``_h_lanes``, the lane-wise twins that invert whole
+grids in ``verify``, must equal ``omega`` and ``_h`` bit for bit too, on the
+suite's grid and on every exponent a tested ``verify`` pair brings in.
 """
 
 import math
@@ -19,9 +23,16 @@ import pytest
 import hardyconst.solver
 import hardyconst.special
 from hardyconst import Exponents, Membership, ParamPoint, alpha_eval, has_root, in_domain, solve_t
-from hardyconst.errors import NoRootError
+from hardyconst.errors import DomainError, NoRootError
 from hardyconst.solver import _evaluate, _lo_cut, _tau_feasible_top, tau_eval
-from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h
+from hardyconst.special import (
+    _BRACKET_REL_TOL,
+    _bracketed_root,
+    _h,
+    _h_lanes,
+    _omega_lanes,
+    omega,
+)
 
 #: R_SET of test_special.py, plus exponents near 1 where the pow trap showed
 R_KERNEL = [1.001, 1.05, 1.1, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
@@ -30,6 +41,9 @@ PAIRS = [
     (2.0, 1.5), (3.0, 2.0), (2.5, 1.3), (5.0, 1.2), (2.5, 1.5), (10.0, 1.05),
     (1.5, 1.1), (1.5, 1.45), (20.0, 19.0), (2.0, 1.999),
 ]
+#: R_KERNEL plus the exponents that the tested verify pairs bring into
+#: inverse_suite: (2.5, 1.3), (5, 1.2) and (4.023..., 1.8959...)
+R_LANES = R_KERNEL + [1.2, 2.5, 4.023077022296251, 1.8959193885654708]
 FIELDS = ("t", "tau", "omega_q_tau", "residual", "bracket_width", "alpha")
 
 
@@ -168,3 +182,53 @@ def test_closed_form_lo_test_keeps_the_decision(pair):
             fired += 1
             assert _evaluate(e, pt, lo, alpha_eval(e, pt.s2))[0] < 0.0, pt
     assert fired > 0
+
+
+def _bits(x) -> list[int]:
+    """The IEEE bit patterns of an array of floats, so nan and -0.0 compare too."""
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def _lane_targets(seed: int) -> np.ndarray:
+    """inverse_suite's grid, seeded uniform s, s down to the smallest subnormal
+    and s within a few ulp of 1."""
+    rng = np.random.default_rng(seed)
+    near_0 = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 1e-17]
+    near_1 = [1.0 - k * 2.0**-53 for k in (1, 2, 3, 5, 8)]
+    near_1 += [1.0 - k * 2.0**-52 for k in (1, 2, 3)]
+    grid = np.linspace(0.0, 1.0, 1000)
+    return np.concatenate([grid, rng.uniform(0.0, 1.0, 2000), near_0, near_1])
+
+
+@pytest.mark.parametrize("r", R_LANES)
+def test_omega_lanes_match_scalar_omega(r):
+    s = _lane_targets(int(r * 1000))
+    assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])
+
+
+@pytest.mark.parametrize("r", R_LANES)
+def test_h_lanes_match_scalar_h(r):
+    rng = np.random.default_rng(int(r * 1000) + 1)
+    top = r / (r - 1.0)
+    z = np.concatenate([
+        [1.0, top, math.nextafter(top, 0.0)],
+        _omega_lanes(r, _lane_targets(int(r * 1000))),
+        rng.uniform(1.0, top, 2000),
+    ])
+    assert _bits(_h_lanes(r, z)) == _bits([_h(r, float(x)) for x in z])
+
+
+def test_omega_lanes_on_a_bracket_within_tolerance():
+    # r' - 1 is below omega's bracket tolerance: omega returns the midpoint
+    s = np.linspace(0.0, 1.0, 11)
+    for r in (4e15, 1e16, 1e300):
+        assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, -math.inf])
+def test_omega_lanes_reject_what_omega_rejects(bad):
+    with pytest.raises(DomainError) as scalar:
+        omega(2.0, bad)
+    with pytest.raises(DomainError) as lanes:
+        _omega_lanes(2.0, np.array([0.5, bad, 0.25]))
+    assert str(lanes.value) == str(scalar.value)

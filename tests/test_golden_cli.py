@@ -21,11 +21,14 @@ SCAN = {
     (2.5, 1.3): "b02f5527e3d7655e49044c914f88bccd94a02e2f7c4c054f12d8eb2fbed0fc05",
     (5.0, 1.2): "424d753488d7c80b57bd285d99108c1440fd9b95eeb18b9f382d48139c139238",
 }
-#: verify --grid 10 on the benchmark's verify pairs
+#: verify --grid 10 on the benchmark's verify pairs, then on the stiff scan
+#: pairs, which bring the exponents 1.2 and 2.5 into inverse_suite
 VERIFY = {
     (2.0, 1.5): "642e1822cb144b25b4b2cf341f753a303d8d7c6e6e1a2bd3c873ae28bd8d8ac8",
     (3.0, 2.0): "eb0bf518bb344b17cd2338e051accad6b3187963e3bed3ee3ac4138b31a95942",
     (2.5, 1.5): "1abc371e8457435b04304197fa5b78008be0e79a4f10bb9932b5d79e8775ca81",
+    (2.5, 1.3): "1abc371e8457435b04304197fa5b78008be0e79a4f10bb9932b5d79e8775ca81",
+    (5.0, 1.2): "946f4f4d2695ac1bb1a681881c4289272598bf69d49ebd98e90b9b625391de0f",
 }
 #: hardy --samples 4 (default seed) with 2 and 32 steps on the scan pairs
 HARDY = {

@@ -1,5 +1,6 @@
 """Verification suites skip only points without a constant, never defects."""
 
+import numpy as np
 import pytest
 
 import hardyconst.sensitivity
@@ -7,7 +8,7 @@ import hardyconst.solver
 import hardyconst.verify
 from hardyconst import Exponents
 from hardyconst.errors import ConvergenceError
-from hardyconst.verify import fd_suite, sign_suite
+from hardyconst.verify import SuiteResult, fd_suite, sign_suite
 
 E2 = Exponents(2.0, 1.5)
 
@@ -47,3 +48,21 @@ def test_fd_suite_raises_solver_defect(monkeypatch, name):
     )
     with pytest.raises(ConvergenceError):
         fd_suite(E2, 12)
+
+
+def test_check_many_matches_check_lane_by_lane():
+    ok = np.ones(40, dtype=bool)
+    ok[[3, 7, 8, 20, 21, 22, 39]] = False
+    for prior in ([], [True, False], [False] * 6):
+        one, many = SuiteResult("one"), SuiteResult("many")
+        for res in (one, many):
+            for i, flag in enumerate(prior):
+                res.check(flag, f"prior {i}")
+        for i, flag in enumerate(ok):
+            one.check(bool(flag), f"lane {i}")
+        formatted, reported = [], len(many.failures)
+        many.check_many(ok, lambda i: formatted.append(i) or f"lane {i}")
+        assert many.checks == one.checks and many.failed == one.failed
+        assert many.failures == one.failures
+        # only the failures that are reported get a message
+        assert formatted == [3, 7, 8, 20, 21][: len(many.failures) - reported]

@@ -13,8 +13,14 @@ costlier u solve.  Inverting omega_q at the endpoint bracket's left end
 where its residual sign is certain (834 H_r per row, 32 per solve, 34 on
 the stiff pair), or alpha(s2) once per point of a row instead of once per
 row, would exceed them too.
+
+``verify``'s round-trip grids are inverted lane by lane.  The twin must do
+exactly the scalar kernel's evaluations, in as many lock-step passes as the
+costliest single inversion takes; a fallback to one inversion per point
+would show as many more passes.
 """
 
+import numpy as np
 import pytest
 
 import hardyconst.solver
@@ -22,6 +28,8 @@ import hardyconst.special
 from hardyconst import Exponents, ParamPoint, has_root, solve_t, tau_eval
 from hardyconst.cli import main
 from hardyconst.solver import _lo_cut
+from hardyconst.special import _omega_lanes, omega
+from hardyconst.verify import inverse_suite
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
@@ -112,3 +120,28 @@ def test_solve_q_near_p_inverts_at_the_left_end(calls):
     solve_t(e, pt)
     assert calls["h"] <= 1.2 * NEAR_CALLS
     assert calls["g"] <= 1.2 * NEAR_G_CALLS
+
+
+def test_omega_lanes_do_the_scalar_kernels_work(calls, monkeypatch):
+    grid = np.linspace(0.0, 1.0, 1000)
+    per_call = []
+    for s in grid:
+        before = calls["h"]
+        omega(2.0, float(s))
+        per_call.append(calls["h"] - before)
+    lanes = []
+    h_lanes = hardyconst.special._h_lanes
+
+    def counted_h_lanes(r, z):
+        lanes.append(z.size)
+        return h_lanes(r, z)
+
+    monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
+    _omega_lanes(2.0, grid)
+    assert sum(lanes) == sum(per_call)
+    assert len(lanes) <= max(per_call) + 1
+
+
+def test_inverse_suite_makes_no_scalar_inversion(calls):
+    assert inverse_suite(E3).passed
+    assert calls["h"] == 0
