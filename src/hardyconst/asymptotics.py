@@ -46,9 +46,14 @@ class EndgameConstants:
     f_at_threshold: float
 
 
+def _big_a(e: Exponents) -> float:
+    """a = ((p-1)/(q-1)) * (p/(p-1))^q."""
+    return (e.p - 1.0) / (e.q - 1.0) * e.p_conj**e.q
+
+
 def endgame_constants(e: Exponents) -> EndgameConstants:
     return EndgameConstants(
-        a=(e.p - 1.0) / (e.q - 1.0) * e.p_conj**e.q,
+        a=_big_a(e),
         threshold=threshold(e),
         f_at_threshold=(e.p / (e.p - e.q) - 1.0) * (1.0 - (e.p - 1.0) / (e.q - 1.0)),
     )
@@ -62,15 +67,13 @@ def _check_s2(e: Exponents, s2: float) -> None:
 def big_f(e: Exponents, s2: float) -> float:
     """The gamma limit F(s2); diverges to -infinity as s2 -> 0."""
     _check_s2(e, s2)
-    a = (e.p - 1.0) / (e.q - 1.0) * e.p_conj**e.q
-    return (omega(e.q, s2) ** e.q - a) / s2 - 1.0 + (e.p - 1.0) / (e.q - 1.0)
+    return (omega(e.q, s2) ** e.q - _big_a(e)) / s2 - 1.0 + (e.p - 1.0) / (e.q - 1.0)
 
 
 def big_f_deriv(e: Exponents, s2: float) -> float:
     """Exact derivative of F, including the 1/s2^2 factor: (a - G(s2))/s2^2."""
     _check_s2(e, s2)
-    a = (e.p - 1.0) / (e.q - 1.0) * e.p_conj**e.q
-    return (a - big_g(e, s2)) / s2**2
+    return (_big_a(e) - big_g(e, s2)) / s2**2
 
 
 def big_g(e: Exponents, s2: float) -> float:

@@ -27,9 +27,9 @@ from .errors import (
     NoRootError,
     OutsideDomainError,
 )
-from .hardy import _sample_and_verify
+from .hardy import sample_step, verify_hardy
 from .sensitivity import delta_eval, gamma_eval
-from .solver import _row_alpha, _solve_with_alpha
+from .solver import solve_t
 from .special import Exponents
 from .verify import run_all_suites
 
@@ -70,8 +70,8 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _ok_row(e: Exponents, pt: ParamPoint, a2: float | None = None) -> str:
-    sol = _solve_with_alpha(e, pt, a2)
+def _ok_row(e: Exponents, pt: ParamPoint) -> str:
+    sol = solve_t(e, pt)
     gamma = gamma_eval(e, pt, sol)
     delta = delta_eval(e, pt, sol)
     dt = sol.t * gamma / delta
@@ -82,9 +82,9 @@ def _ok_row(e: Exponents, pt: ParamPoint, a2: float | None = None) -> str:
     )
 
 
-def _scan_row(e: Exponents, s1: float, s2: float, a2: float | None) -> str:
+def _scan_row(e: Exponents, s1: float, s2: float) -> str:
     try:
-        return _ok_row(e, ParamPoint(s1, s2), a2)
+        return _ok_row(e, ParamPoint(s1, s2))
     except (OutsideDomainError, NoRootError, InfeasibleTauError) as exc:
         nan = _fmt(math.nan)
         return (
@@ -115,9 +115,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     e = Exponents(cfg.p, cfg.q)
     lines = [CSV_HEADER]
     for s2 in cfg.s2:
-        a2 = _row_alpha(e, s2)
         for s1 in np.linspace(cfg.s1_min, cfg.s1_max, cfg.n):
-            lines.append(_scan_row(e, float(s1), float(s2), a2))
+            lines.append(_scan_row(e, float(s1), float(s2)))
     text = "\n".join(lines) + "\n"
     if cfg.output_path is None:
         sys.stdout.write(text)
@@ -149,7 +148,7 @@ def cmd_hardy(args: argparse.Namespace) -> int:
     max_ratio = -math.inf
     for i in range(args.samples):
         kappa = _SAMPLE_KAPPAS[i % len(_SAMPLE_KAPPAS)]
-        rep = _sample_and_verify(args.seed + i, args.steps, kappa, e)
+        rep = verify_hardy(sample_step(args.seed + i, args.steps, kappa, e), e)
         normalized = rep.lhs / rep.rhs
         max_ratio = max(max_ratio, normalized)
         if not rep.passed:

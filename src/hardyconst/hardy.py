@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     InconsistentMomentsError,
 )
-from .solver import BellmanSolution, _bracket_or_none, _refine, solve_t
+from .solver import has_root, solve_t
 from .special import Exponents
 
 _GL_ORDER = 16
@@ -180,7 +180,8 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     Constant functions (and anything else landing on the region boundary)
     are rejected with BoundaryCaseError: the bound there is the trivial
     lhs = z <= t^p z for any t >= 1 and the solver is not applicable.
-    Solver no-root errors propagate.
+    Solver no-root errors propagate.  Right after ``sample_step``, the solve
+    reuses the endpoint bracket that its ``has_root`` test kept.
     """
     m = step_moments(h, e)
     pt = moments_to_params(m, e)
@@ -190,13 +191,7 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
             f"induced point ({pt.s1}, {pt.s2}) is {verdict.value}; for the "
             "boundary the trivial bound lhs <= t^p z (any t >= 1) applies"
         )
-    return _report(h, e, m, pt, solve_t(e, pt))
-
-
-def _report(
-    h: StepFunction, e: Exponents, m: MomentTriple, pt: ParamPoint, sol: BellmanSolution
-) -> VerificationReport:
-    """``verify_hardy``'s report for h, given its moments, point and solution."""
+    sol = solve_t(e, pt)
     lhs, est = hardy_lhs(h, e)
     rhs = sol.t**e.p * m.z
     budget = est + 1e-9 * rhs
@@ -221,15 +216,9 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     whose induced point has no root (``has_root``): beyond the no-root
     cutoff, the band along the lower curve at large s2 where the root would
     need tau >= 1, the constant is not characterized by the equation solved
-    here, so such samples are rejected rather than guessed at.
+    here, so such samples are rejected rather than guessed at; the solver
+    keeps the accepted point's bracket for ``verify_hardy``.
     """
-    return _sample(seed, k, kappa, e)[0]
-
-
-def _sample(
-    seed: int, k: int, kappa: float, e: Exponents
-) -> tuple[StepFunction, MomentTriple, ParamPoint, tuple[float, float, float]]:
-    """``sample_step``'s step function with its moments, point and endpoint bracket."""
     if k < 2:
         raise DomainError(f"need at least 2 pieces, got k={k}")
     if not (math.isfinite(kappa) and kappa > 0.0):
@@ -242,29 +231,16 @@ def _sample(
             continue
         values = rng.uniform(0.05, 4.0, size=k)
         h = StepFunction(kappa=kappa, breakpoints=tuple(pts), values=tuple(values))
-        m = step_moments(h, e)
-        pt = moments_to_params(m, e)
+        pt = moments_to_params(step_moments(h, e), e)
         margin = min(
             pt.s1,
             1.0 - pt.s1,
             1.0 - pt.s2,
             pt.s2 - lower_curve(e, pt.s1),
         )
-        if margin >= _SAMPLE_BOUNDARY_MARGIN:
-            bracket = _bracket_or_none(e, pt)
-            if bracket is not None:
-                return h, m, pt, bracket
+        if margin >= _SAMPLE_BOUNDARY_MARGIN and has_root(e, pt):
+            return h
     raise ConvergenceError("step-function sampling failed to find an interior sample")
-
-
-def _sample_and_verify(seed: int, k: int, kappa: float, e: Exponents) -> VerificationReport:
-    """``verify_hardy(sample_step(seed, k, kappa, e), e)``, solving the sample once.
-
-    The accepted sample's moments, point and endpoint bracket carry over
-    into its solve; the sample is inside the region, as its bracket shows.
-    """
-    h, m, pt, bracket = _sample(seed, k, kappa, e)
-    return _report(h, e, m, pt, _refine(e, pt, bracket))
 
 
 def decreasing_rearrangement(h: StepFunction) -> StepFunction:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .domain import ParamPoint
 from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
-from .solver import BellmanSolution, _solve_with_alpha, solve_t
+from .solver import BellmanSolution, solve_t
 from .special import Exponents
 
 #: relative finite-difference step; balances solver noise against truncation
@@ -77,8 +77,8 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
 
     The central difference uses h = 1e-6 * max(s1, 1e-3); the stencil points
     must themselves be interior and solvable, otherwise StencilError is
-    raised and the caller may retry with a smaller step.  The stencil solves
-    reuse the centre's alpha(s2).
+    raised and the caller may retry with a smaller step.  The stencil shares
+    the centre's s2, so its solves reuse the centre's alpha(s2) (``solver``).
     """
     sol = solve_t(e, pt)
     gamma = gamma_eval(e, pt, sol)
@@ -91,9 +91,8 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
         raise StencilError(f"stencil point s1={lo} is not positive")
     ts = []
     for s1 in (hi, lo):
-        stencil_pt = ParamPoint(s1, pt.s2)
         try:
-            ts.append(_solve_with_alpha(e, stencil_pt, sol.alpha).t)
+            ts.append(solve_t(e, ParamPoint(s1, pt.s2)).t)
         except (OutsideDomainError, NoRootError) as exc:
             raise StencilError(f"stencil point s1={s1} has no constant: {exc}") from exc
     fd = (ts[0] - ts[1]) / (2.0 * h)

@@ -33,9 +33,13 @@ give.  Otherwise omega_q is inverted at lo as at hi.  The test holds at
 every point of the benchmark's pairs; with q near p, e.g. (20, 19), some
 points fall back.
 
-alpha(s2) is the same for every point of a row of fixed s2: ``scan``, the
-``verify`` rows and ``dt_ds1``'s stencil pass it in through
-``_solve_with_alpha`` instead of inverting omega_q(s2) per point.
+alpha(s2) and the endpoint bracket are kept in one-entry memos, keyed on
+(q, s2) and (p, q, s1, s2), so callers need only ``solve_t`` and
+``has_root``.  One entry suffices: a row's points (``scan``, the ``verify``
+rows) and ``dt_ds1``'s stencil share s2, and ``hardy`` solves the point its
+``has_root`` has just accepted.  Each memo is one (key, value) tuple, read
+and replaced whole, so a thread sees a key only with its own value; an
+exception is never kept.
 
 The root is found without inverting omega_q.  With u = p - (p-1) w in
 (0, 1], the left factor is w^(q-1) u, and for a given w the equation gives
@@ -101,6 +105,10 @@ _U_REL_WIDTH = 1e-15
 #: certificate bracket half-width relative to q/(q-1): at 0.5 omega
 #: tolerances 18 % of solves fell back to the natural bracket, at 4 0.3 %
 _NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
+#: the one-entry memos of alpha(s2) and of the endpoint bracket (module
+#: docstring); the key () matches no point
+_NO_MEMO: tuple = ((), None)
+_alpha_memo = _bracket_memo = _NO_MEMO
 
 
 @dataclass(frozen=True)
@@ -196,9 +204,7 @@ def _lo_cut(e: Exponents) -> float:
     return thr - max(_LO_CUT_REL * thr, _LO_CUT_ABS * e.q * e.q_conj ** (e.q - 1.0))
 
 
-def _endpoint_bracket(
-    e: Exponents, pt: ParamPoint, a2: float | None = None
-) -> tuple[float, float, float]:
+def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float]:
     """(hi, omega_q(tau(hi)), alpha(s2)) of a solvable point.
 
     The bracket is [1 + 1e-12, hi], where hi is the largest float below
@@ -209,19 +215,27 @@ def _endpoint_bracket(
     The left end's sign is decided in closed form when tau(lo) is clearly
     below H_q(p/(p-1)) (module docstring); otherwise, and always at the
     right end, omega_q is inverted on its natural bracket, so the decision
-    does not depend on the order of evaluation.  a2 is alpha(s2) when the
-    caller holds it for a row of points sharing s2.
+    does not depend on the order of evaluation.  The last bracket and
+    alpha(s2) computed are kept (module docstring).
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
     NoRootError when that sign change is missing (the point lies in the
     no-root band along the lower curve, where the root would need tau >= 1).
     """
+    global _alpha_memo, _bracket_memo
+    key = (e.p, e.q, pt.s1, pt.s2)
+    memo_key, bracket = _bracket_memo
+    if memo_key == key:
+        return bracket
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
         raise OutsideDomainError(
             f"({pt.s1}, {pt.s2}) is {verdict.value} for p={e.p}, q={e.q}"
         )
-    if a2 is None:
+    alpha_key = (e.q, pt.s2)
+    memo_key, a2 = _alpha_memo
+    if memo_key != alpha_key:
         a2 = alpha_eval(e, pt.s2)
+        _alpha_memo = (alpha_key, a2)
     lo = 1.0 + _ENDPOINT_MARGIN
     hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
     lo_negative = tau_eval(e, pt, lo) < _lo_cut(e) or _evaluate(e, pt, lo, a2)[0] < 0.0
@@ -231,17 +245,15 @@ def _endpoint_bracket(
             f"residual has no sign change on [{lo}, {hi}] at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    return hi, w_hi, a2
+    bracket = (hi, w_hi, a2)
+    _bracket_memo = (key, bracket)
+    return bracket
 
 
-def _bracket_or_none(
-    e: Exponents, pt: ParamPoint, a2: float | None = None
-) -> tuple[float, float, float] | None:
-    """``_endpoint_bracket``, or None where the point has no constant."""
-    try:
-        return _endpoint_bracket(e, pt, a2)
-    except (OutsideDomainError, NoRootError):
-        return None
+def _clear_memos() -> None:
+    """Forget the kept alpha(s2) and endpoint bracket."""
+    global _alpha_memo, _bracket_memo
+    _alpha_memo = _bracket_memo = _NO_MEMO
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
@@ -251,16 +263,11 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     ``in_domain`` is its closed-form, geometric part, and the sign test
     decides the no-root cutoff exactly.
     """
-    return _bracket_or_none(e, pt) is not None
-
-
-def _row_alpha(e: Exponents, s2: float) -> float | None:
-    """alpha(s2) for a row of points sharing s2, or None where it is undefined.
-
-    None (s2 outside (0, 1)) leaves the point's own solve to raise what it
-    raises for that s2.
-    """
-    return alpha_eval(e, s2) if 0.0 < s2 < 1.0 else None
+    try:
+        _endpoint_bracket(e, pt)
+    except (OutsideDomainError, NoRootError):
+        return False
+    return True
 
 
 def _u_equation(
@@ -317,19 +324,7 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     bracket gives, and t = X(u)^(1/(p-q)) (module docstring).  Raises
     OutsideDomainError or NoRootError exactly when ``has_root`` is false.
     """
-    return _refine(e, pt, _endpoint_bracket(e, pt))
-
-
-def _solve_with_alpha(e: Exponents, pt: ParamPoint, a2: float | None) -> BellmanSolution:
-    """``solve_t`` with alpha(s2) given, for a row of points sharing s2."""
-    return _refine(e, pt, _endpoint_bracket(e, pt, a2))
-
-
-def _refine(
-    e: Exponents, pt: ParamPoint, bracket: tuple[float, float, float]
-) -> BellmanSolution:
-    """``solve_t`` from the point's ``_endpoint_bracket``, already computed."""
-    hi, w_hi, a2 = bracket
+    hi, w_hi, a2 = _endpoint_bracket(e, pt)
     p, q = e.p, e.q
     k = (p - q) * pt.s1 * a2 / q
     g, t_of = _u_equation(e, pt, k)

@@ -18,13 +18,7 @@ from .asymptotics import big_f, big_f_deriv, big_g, endgame_constants
 from .domain import ParamPoint, threshold
 from .errors import NoRootError, StencilError
 from .sensitivity import delta_eval, dt_ds1, gamma_eval, lambda_eval
-from .solver import (
-    _bracket_or_none,
-    _row_alpha,
-    _solve_with_alpha,
-    alpha_eval,
-    solve_t,
-)
+from .solver import has_root, solve_t
 from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
 
 _MAX_REPORTED_FAILURES = 5
@@ -78,17 +72,12 @@ def feasible_s1_grid(
     """n solvable s1 values for fixed s2, evenly drawn from a denser scan.
 
     Candidates span (lo_frac, hi_frac) times the lower-boundary abscissa
-    s2^((p-1)/(q-1)); candidates without a root (``has_root``'s test, with
-    alpha(s2) computed once for the row) are dropped and the surviving list
-    is subsampled back to n evenly spaced entries.
+    s2^((p-1)/(q-1)); candidates without a root (``has_root``) are dropped
+    and the surviving list is subsampled back to n evenly spaced entries.
     """
     s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
     cands = np.linspace(lo_frac * s1_top, hi_frac * s1_top, max(oversample * n, n))
-    a2 = _row_alpha(e, s2)
-    good = [
-        float(s1) for s1 in cands
-        if _bracket_or_none(e, ParamPoint(float(s1), s2), a2) is not None
-    ]
+    good = [float(s1) for s1 in cands if has_root(e, ParamPoint(float(s1), s2))]
     if len(good) < n:
         raise NoRootError(
             f"only {len(good)} of {n} requested feasible s1 values exist "
@@ -144,11 +133,10 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     for s2 in np.linspace(0.15, 0.97, n):
         s2 = float(s2)
         s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
-        a2 = alpha_eval(e, s2)
         for s1 in np.linspace(0.02 * s1_top, 0.98 * s1_top, n):
             pt = ParamPoint(float(s1), s2)
             try:
-                sol = _solve_with_alpha(e, pt, a2)
+                sol = solve_t(e, pt)
             except NoRootError:
                 res.skipped += 1
                 continue
@@ -241,11 +229,9 @@ def limit_suite(e: Exponents) -> SuiteResult:
             res.skipped += 1
             continue
         prev = None
-        a2 = alpha_eval(e, s2)
         for s1 in np.geomspace(hi, lo, 4):
             s1 = float(s1)
-            pt = ParamPoint(s1, s2)
-            sol = _solve_with_alpha(e, pt, a2)
+            sol = solve_t(e, ParamPoint(s1, s2))
             t = sol.t
             res.check(t < top, f"t({s1}, {s2}) = {t} not below {top}")
             if prev is not None:

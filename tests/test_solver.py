@@ -1,5 +1,9 @@
 """Implicit-equation residual and the root solve for the constant."""
 
+import sys
+import threading
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -22,7 +26,7 @@ from hardyconst.errors import (
     OutsideDomainError,
     SingularityError,
 )
-from hardyconst.solver import _omega_certificate, _residual_at, _u_bracket
+from hardyconst.solver import _clear_memos, _omega_certificate, _residual_at, _u_bracket
 from hardyconst.special import h_eval
 
 E2 = Exponents(2.0, 1.5)
@@ -257,6 +261,78 @@ class TestHasRoot:
     def test_edge_points(self, e, pt, expected):
         assert has_root(e, pt) is expected
         assert (self._solve_outcome(e, pt) == "ok") is expected
+
+
+class TestMemos:
+    """The kept alpha(s2) and endpoint bracket never change a result."""
+
+    E = Exponents(3.0, 2.0)
+    ROWS = (0.5, 0.6, 0.7, 0.8)
+
+    def _row(self, s2):
+        s1_top = s2 ** ((self.E.p - 1.0) / (self.E.q - 1.0))
+        return [ParamPoint(float(s1), s2) for s1 in np.linspace(0.05, 0.95, 6) * s1_top]
+
+    @staticmethod
+    def _bits(sol):
+        return [x.hex() for x in astuple(sol)]
+
+    def _cold(self, e, pt):
+        _clear_memos()
+        return self._bits(solve_t(e, pt))
+
+    def test_after_has_root_on_the_same_point(self):
+        for pt in self._row(0.7):
+            cold = self._cold(self.E, pt)
+            _clear_memos()
+            assert has_root(self.E, pt)
+            assert self._bits(solve_t(self.E, pt)) == cold
+
+    def test_after_a_different_point(self):
+        row, other_row = self._row(0.7), self._row(0.5)
+        # the same point under another p, or another q: the keys must tell
+        # them apart
+        others = (self.E, Exponents(2.5, 2.0), Exponents(3.0, 2.5))
+        for pt, before in zip(row, [*row[1:], other_row[0]]):
+            cold = self._cold(self.E, pt)
+            for e_before in others:
+                _clear_memos()
+                if has_root(e_before, before):
+                    solve_t(e_before, before)
+                has_root(e_before, pt)
+                assert self._bits(solve_t(self.E, pt)) == cold
+
+    def test_threads_over_interleaved_rows(self):
+        rows = [self._row(s2) for s2 in self.ROWS]
+        cold = {pt: self._cold(self.E, pt) for row in rows for pt in row}
+        _clear_memos()
+        got, errors = {}, []
+
+        def work(i):
+            # thread i walks the rows starting from row i, testing each point
+            # before it solves it, as sample_step and verify_hardy do
+            try:
+                for j in range(len(rows)):
+                    for pt in rows[(i + j) % len(rows)]:
+                        assert has_root(self.E, pt)
+                        got[(i, pt)] = self._bits(solve_t(self.E, pt))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(got) == 4 * len(cold)
+        assert all(bits == cold[pt] for (_, pt), bits in got.items())
 
 
 class TestUBracket:

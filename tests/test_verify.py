@@ -17,34 +17,28 @@ def _failing_at_call(solve, n):
     """solve, except that the n-th call (1-based) raises ConvergenceError."""
     calls = [0]
 
-    def wrapped(e, pt, *alpha):
+    def wrapped(e, pt):
         calls[0] += 1
         if calls[0] == n:
             raise ConvergenceError(f"injected at ({pt.s1}, {pt.s2})")
-        return solve(e, pt, *alpha)
+        return solve(e, pt)
 
     return wrapped
 
 
 def test_sign_suite_raises_solver_defect(monkeypatch):
-    # sign_suite solves each row's points with the row's alpha(s2)
     monkeypatch.setattr(
-        hardyconst.verify,
-        "_solve_with_alpha",
-        _failing_at_call(hardyconst.solver._solve_with_alpha, 5),
+        hardyconst.verify, "solve_t", _failing_at_call(hardyconst.solver.solve_t, 5)
     )
     with pytest.raises(ConvergenceError):
         sign_suite(E2, 10)
 
 
-@pytest.mark.parametrize(
-    "name", ["solve_t", "_solve_with_alpha"], ids=["centre", "stencil"]
-)
-def test_fd_suite_raises_solver_defect(monkeypatch, name):
-    # dt_ds1 solves the centre with solve_t and the stencil points with the
-    # centre's alpha(s2)
+@pytest.mark.parametrize("n", [1, 2], ids=["centre", "stencil"])
+def test_fd_suite_raises_solver_defect(monkeypatch, n):
+    # dt_ds1's first solve is the centre, its second the stencil's upper point
     monkeypatch.setattr(
-        hardyconst.sensitivity, name, _failing_at_call(getattr(hardyconst.solver, name), 1)
+        hardyconst.sensitivity, "solve_t", _failing_at_call(hardyconst.solver.solve_t, n)
     )
     with pytest.raises(ConvergenceError):
         fd_suite(E2, 12)

@@ -18,6 +18,11 @@ row, would exceed them too.
 exactly the scalar kernel's evaluations, in as many lock-step passes as the
 costliest single inversion takes; a fallback to one inversion per point
 would show as many more passes.
+
+The solver keeps the last alpha(s2) and endpoint bracket: a solve right
+after ``has_root`` on the same point inverts only for its certificate, and
+``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one s2, evaluates
+alpha(s2) once.
 """
 
 import numpy as np
@@ -27,9 +32,10 @@ import hardyconst.solver
 import hardyconst.special
 from hardyconst import Exponents, ParamPoint, has_root, solve_t, tau_eval
 from hardyconst.cli import main
-from hardyconst.solver import _lo_cut
+from hardyconst.sensitivity import dt_ds1
+from hardyconst.solver import _clear_memos, _lo_cut
 from hardyconst.special import _omega_lanes, omega
-from hardyconst.verify import inverse_suite
+from hardyconst.verify import feasible_s1_grid, inverse_suite
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
@@ -50,6 +56,9 @@ STIFF_G_CALLS = 10
 #: inverted there too
 NEAR_CALLS = 54
 NEAR_G_CALLS = 13
+#: H_r evaluations for the solve below when ``has_root`` has just tested its
+#: point: the certificate's, none for the endpoint bracket
+AFTER_HAS_ROOT_CALLS = 4
 
 
 @pytest.fixture
@@ -103,6 +112,29 @@ def test_solve(calls):
     assert calls["g"] <= 1.2 * SOLVE_G_CALLS
 
 
+def test_solve_after_has_root_reuses_the_bracket(calls):
+    pt = ParamPoint(0.2, S2)
+    assert has_root(E3, pt)
+    for key in calls:
+        calls[key] = 0
+    solve_t(E3, pt)
+    assert calls["h"] <= 1.2 * AFTER_HAS_ROOT_CALLS
+    assert calls["g"] <= 1.2 * SOLVE_G_CALLS
+    assert calls["alpha"] == 0
+
+
+def test_dt_ds1_evaluates_alpha_once(calls):
+    dt_ds1(E3, ParamPoint(0.2, S2))
+    assert calls["alpha"] == 1
+
+
+def test_dt_ds1_row_evaluates_alpha_once(calls):
+    # fd_suite's pattern: the row's feasible points, then dt_ds1 at each
+    for s1 in feasible_s1_grid(E3, S2, 6):
+        dt_ds1(E3, ParamPoint(s1, S2))
+    assert calls["alpha"] == 1
+
+
 def test_solve_stiff_pair(calls):
     e, s2 = Exponents(10.0, 1.05), 0.9
     solve_t(e, ParamPoint(0.3 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2))
@@ -115,6 +147,8 @@ def test_solve_q_near_p_inverts_at_the_left_end(calls):
     pt = ParamPoint(0.9 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
     assert not tau_eval(e, pt, 1.0 + 1e-12) < _lo_cut(e)
     assert has_root(e, pt)
+    # a cold solve: with has_root's bracket kept, it would not invert at all
+    _clear_memos()
     for key in calls:
         calls[key] = 0
     solve_t(e, pt)
