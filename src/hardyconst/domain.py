@@ -9,7 +9,8 @@ i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
 is necessary but not sufficient for solvability.  The constant also has a
 no-root cutoff: a band along the lower curve at large s2 where the root
 would need tau >= 1.  ``solver.has_root`` decides that exactly, with the
-same endpoint-bracket test ``solve_t`` makes.
+same test ``solve_t`` makes: the sign of one explicit equation just below
+tau = 1.
 
 Two more curves matter: the equal-omega curve s2 = H_q(omega_p(s1)), on
 which the constant is omega_p(s1) in closed form, and the horizontal

@@ -36,12 +36,13 @@ class InfeasibleTauError(HardyConstError):
 
 
 class NoRootError(HardyConstError):
-    """The implicit equation has no root in the open bracket.
+    """The implicit equation has no root with 1 < t < p/(p-1) and tau < 1.
 
     Treated as a domain exclusion, not a solver defect: beyond the no-root
-    cutoff, the band along the lower curve at large s2 where the root would
-    need tau >= 1, the residual is single-signed.  ``solver.has_root``
-    decides the cutoff exactly.
+    cutoff, the band along the lower curve at large s2, a root would need
+    tau >= 1.  ``solver.has_root`` decides the cutoff exactly, as the sign
+    of the explicit equation g(u) just below u = 1 (tau = 1); a root within
+    1e-14 p/(p-q) of tau = 1, where tau rounds to 1, counts as none.
     """
 
     name = "no-root"

@@ -181,7 +181,7 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     are rejected with BoundaryCaseError: the bound there is the trivial
     lhs = z <= t^p z for any t >= 1 and the solver is not applicable.
     Solver no-root errors propagate.  Right after ``sample_step``, the solve
-    reuses the endpoint bracket that its ``has_root`` test kept.
+    reuses the alpha(s2) that its ``has_root`` test kept.
     """
     m = step_moments(h, e)
     pt = moments_to_params(m, e)
@@ -214,10 +214,10 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     degenerate geometry (segments shorter than 1e-3 * kappa), samples whose
     induced (s1, s2) comes within 1e-6 of the region boundary, and samples
     whose induced point has no root (``has_root``): beyond the no-root
-    cutoff, the band along the lower curve at large s2 where the root would
+    cutoff, the band along the lower curve at large s2 where a root would
     need tau >= 1, the constant is not characterized by the equation solved
     here, so such samples are rejected rather than guessed at; the solver
-    keeps the accepted point's bracket for ``verify_hardy``.
+    keeps the accepted point's alpha(s2) for ``verify_hardy``.
     """
     if k < 2:
         raise DomainError(f"need at least 2 pieces, got k={k}")

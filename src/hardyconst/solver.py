@@ -16,30 +16,7 @@ multiple of lambda(t) = q t^p - p t^q s1/s2 + (p-q) s1 > 0), so the region
 where the left factor p*w^(q-1) - (p-1)*w^q is positive, i.e. where
 tau > H_q(p/(p-1)), is an upper t-interval; the residual is strictly
 negative below it and strictly increasing on it, so there is at most one
-root.  Hence residual(lo) < 0 < residual(hi) on the endpoint bracket
-[lo, hi] (hi the largest t below p/(p-1) with tau(t) <= 1) holds exactly when
-a root exists; the bracketed kernel ``special._bracketed_root`` finds hi as
-the root of tau(t) - 1.
-
-The left end's sign needs no inversion when tau(lo) < H_q(p') = threshold:
-omega_q falls, so w = omega_q(tau) > p', the left factor w^(q-1) (p -
-(p-1) w) is negative, and residual(lo) < -(p-q) s1 alpha < 0.  The test is
-tau(lo) < threshold - d with d = max(1e-9 threshold, 2e-12 q q'^(q-1)),
-q' = q/(q-1).  The relative part covers the rounding of tau and of the
-threshold.  As |H_q'| <= q q'^(q-2) on [1, q'], the absolute part keeps w
-at least 2e-12 q' above p', 2000 times omega's bracket width, so rounding
-in omega or in the left factor cannot flip the sign the inversion would
-give.  Otherwise omega_q is inverted at lo as at hi.  The test holds at
-every point of the benchmark's pairs; with q near p, e.g. (20, 19), some
-points fall back.
-
-alpha(s2) and the endpoint bracket are kept in one-entry memos, keyed on
-(q, s2) and (p, q, s1, s2), so callers need only ``solve_t`` and
-``has_root``.  One entry suffices: a row's points (``scan``, the ``verify``
-rows) and ``dt_ds1``'s stencil share s2, and ``hardy`` solves the point its
-``has_root`` has just accepted.  Each memo is one (key, value) tuple, read
-and replaced whole, so a thread sees a key only with its own value; an
-exception is never kept.
+root.
 
 The root is found without inverting omega_q.  With u = p - (p-1) w in
 (0, 1], the left factor is w^(q-1) u, and for a given w the equation gives
@@ -50,19 +27,56 @@ and divided by w^(q-1), that leaves one explicit equation in u:
     g(u) = q - (q-1) w - c u (X^(p/(p-q)) - s1) = 0,    c = q / (p s1 alpha),
 
 whose sign is that of H_q(w) - tau(t(u)).  As u grows, H_q(w) rises and
-t(u), so tau, falls: g changes sign once, at u* with t(u*) the constant.  u
-keeps full relative precision as s1 -> 0, where u* is of the order of s1.
-t^p is X^(p/(p-q)) in one pow: t**p would let p amplify t's rounding.
+t(u), so tau, falls: g changes sign once, at u* with t(u*) the constant, and
+g -> -inf as u -> 0.  u keeps full relative precision as s1 -> 0, where u*
+is of the order of s1.  t^p is X^(p/(p-q)) in one pow: t**p would let p
+amplify t's rounding.
 
-The u bracket comes from the endpoint bracket.  At u_t = p - (p-1)
-omega_q(tau(t)), g(u_t) has the sign of residual(t), so u_b = u_hi has
-g > 0.  As w^(q-1) <= p'^(q-1) (p' = p/(p-1)), u_a = K / (p'^(q-1)
-(hi^(p-q) - s1/s2)) has t(u_a) >= hi, so g < 0; it is tighter than u_t at
-lo, which is seldom positive.  Rounding defeats an end's sign only where t
-is an ulp or two below p/(p-1) (seen at s1 < 1e-14 on (5, 1.2), (10, 1.05)
-and (1.5, 1.1)); that end is stepped outward.  g's rounding bounds t to a
-few ulp: up to 1.0e-15 relative against a 40-digit oracle on (1.5, 1.1),
-where X is near 1, and more as p - q shrinks (t = X^(1/(p-q))).
+Solvability is decided in u (``has_root``; ``solve_t`` makes the same test
+first).  u = 1 is w = 1, i.e. tau = 1, so a root with tau < 1 exists
+exactly when g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) - s1) > 0, explicit once
+alpha is known.  Two refinements:
+
+- The frontier.  Where tau at the root is within rounding of 1, tau(t)
+  rounds to 1 or above, omega_q(tau) to 1, and the bracket factor of
+  ``sensitivity`` is singular there.  So g is tested at u_top, where
+  H_q(w) = 1 - eps to second order (H_q(1 + d) = 1 - q (q-1) d^2 / 2 + ...),
+  eps = 1e-14 p/(p-q): tau(t) carries X's rounding times about p/(p-q).  A
+  root within eps of tau = 1 counts as no root.  On 3180 points within 1e-3
+  relative of the g(1) = 0 frontier over ten pairs, has_root disagreed with
+  a usable solve (0 < tau < 1 < omega_q(tau), gamma and delta finite) at 1
+  point with 1e-16 in place of 1e-14 and at none with 1e-15.
+- The left end.  g(1) > 0 does not give t(u*) > 1, so the residual must
+  also be negative at lo = 1 + 1e-12.  That needs no inversion when
+  tau(lo) < H_q(p') = threshold: omega_q falls, so w = omega_q(tau) > p',
+  the left factor w^(q-1) (p - (p-1) w) is negative, and residual(lo) <
+  -(p-q) s1 alpha < 0.  The test is tau(lo) < threshold - d with d =
+  max(1e-9 threshold, 2e-12 q q'^(q-1)), q' = q/(q-1).  The relative part
+  covers the rounding of tau and of the threshold.  As |H_q'| <= q q'^(q-2)
+  on [1, q'], the absolute part keeps w at least 2e-12 q' above p', 2000
+  times omega's bracket width, so rounding in omega or in the left factor
+  cannot flip the sign the inversion would give.  Otherwise omega_q is
+  inverted at lo.  The test holds at every point of the benchmark's pairs;
+  with q near p, e.g. (20, 19), some points fall back.
+
+The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1) (p' = p/(p-1)),
+u_0 = K / (p'^(q-1) (cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest
+float below p'.  u_a repeats that with w(u_0) in place of p': it keeps
+u_a <= u* and t(u_a) >= cap, and saves 0.7 evaluations of g per solve on
+(3, 2), 2.3 on (20, 19).  Where g(u_a) >= 0 the root lies at t >= cap,
+within an ulp of p', and t is cap: the top cap.  Otherwise the kernel
+solves g = 0 on [u_a, u_top] and t = min(t(u*), cap).  K is floored at
+1e-290: below it s1 and s1/s2 are below ~1e-280, the root lies far less
+than an ulp below p', and the floor keeps c and the width 1e-15 u_a normal
+floats.  g's rounding bounds t to a few ulp: up to 1.0e-15 relative against
+a 40-digit oracle on (1.5, 1.1), where X is near 1, and more as p - q
+shrinks (t = X^(1/(p-q))).
+
+alpha(s2) is kept in a one-entry memo keyed on (q, s2): a row's points
+(``scan``, the ``verify`` rows) and ``dt_ds1``'s stencil share s2, and
+``hardy`` solves the point its ``has_root`` has just accepted.  The memo is
+one (key, value) tuple, read and replaced whole, so a thread sees a key
+only with its own value; an exception is never kept.
 
 The certificate stays in t-space, so that it checks t independently of g:
 tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
@@ -78,7 +92,6 @@ from dataclasses import dataclass
 
 from .domain import Membership, ParamPoint, in_domain, threshold
 from .errors import (
-    ConvergenceError,
     DomainError,
     InfeasibleTauError,
     NoRootError,
@@ -97,18 +110,21 @@ _LO_CUT_REL = 1e-9
 #: [1, q'], omega_q(tau) then lies at least 2e-12 q' above p', 2000 times
 #: omega's bracket width
 _LO_CUT_ABS = 2e-12
-#: final width of the tau-feasibility top's bracket in t
-_BRACKET_WIDTH = 1e-15
+#: g decides solvability where H_q(w) = 1 - eps, eps = this times p/(p-q)
+#: (module docstring)
+_TAU_MARGIN = 1e-14
+#: floor of K = (p-q) s1 alpha/q: below it t is the top cap
+_K_MIN = 1e-290
 #: u bracket width relative to u_a <= u*, not u_b: 1e-15 u_b left t up to
 #: 7.7e-15 off where u_b was 60 u*
 _U_REL_WIDTH = 1e-15
 #: certificate bracket half-width relative to q/(q-1): at 0.5 omega
 #: tolerances 18 % of solves fell back to the natural bracket, at 4 0.3 %
 _NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
-#: the one-entry memos of alpha(s2) and of the endpoint bracket (module
-#: docstring); the key () matches no point
+#: the one-entry memo of alpha(s2) (module docstring); the key () matches
+#: no point
 _NO_MEMO: tuple = ((), None)
-_alpha_memo = _bracket_memo = _NO_MEMO
+_alpha_memo = _NO_MEMO
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,8 @@ class BellmanSolution:
     tau           tau(t), the reparameterized argument fed to omega_q, in (0, 1)
     omega_q_tau   omega_q(tau), inverted by special._omega_between
     residual      the implicit-equation residual at (t, omega_q_tau)
-    bracket_width |t(u_a) - t(u_b)| over the final root bracket [u_a, u_b]
+    bracket_width |t(a) - t(b)| over the kernel's final u bracket [a, b];
+                  p/(p-1) - t at the top cap
     alpha         alpha(s2), the value the residual used
     """
 
@@ -179,53 +196,28 @@ def _evaluate(e: Exponents, pt: ParamPoint, t: float, a2: float) -> tuple[float,
     return _residual_at(e, pt, t, w, a2), w
 
 
-def _tau_feasible_top(e: Exponents, pt: ParamPoint, lo: float, hi: float) -> float:
-    """Largest t in [lo, hi] with tau(t) <= 1, to within the bracket width.
-
-    tau is increasing in t, so this is hi itself or the left end of the
-    kernel's bracket on tau(t) - 1, where tau <= 1 holds.
-    """
-    tau_hi = tau_eval(e, pt, hi)
-    if tau_hi <= 1.0:
-        return hi
-    tau_lo = tau_eval(e, pt, lo)
-    if tau_lo > 1.0:
-        raise NoRootError(
-            f"tau exceeds 1 on the whole bracket at (s1={pt.s1}, s2={pt.s2})"
-        )
-    return _bracketed_root(
-        lambda t: tau_eval(e, pt, t) - 1.0, lo, hi, tau_lo - 1.0, tau_hi - 1.0, _BRACKET_WIDTH
-    )[0]
-
-
 def _lo_cut(e: Exponents) -> float:
     """The tau below which residual(1 + 1e-12) < 0 holds without inverting omega_q."""
     thr = threshold(e)
     return thr - max(_LO_CUT_REL * thr, _LO_CUT_ABS * e.q * e.q_conj ** (e.q - 1.0))
 
 
-def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float]:
-    """(hi, omega_q(tau(hi)), alpha(s2)) of a solvable point.
+def _u_top(e: Exponents) -> float:
+    """The u at which H_q(w) = 1 - 1e-14 p/(p-q), to second order."""
+    eps = _TAU_MARGIN * e.p / (e.p - e.q)
+    return 1.0 - (e.p - 1.0) * math.sqrt(2.0 * eps / (e.q * (e.q - 1.0)))
 
-    The bracket is [1 + 1e-12, hi], where hi is the largest float below
-    p/(p-1), lowered to the tau-feasibility top when tau exceeds 1 there.
-    The residual is negative below an upper t-interval and strictly
-    increasing on it (module docstring), so a root exists exactly when the
-    residual is negative at the left end and positive at the right one.
-    The left end's sign is decided in closed form when tau(lo) is clearly
-    below H_q(p/(p-1)) (module docstring); otherwise, and always at the
-    right end, omega_q is inverted on its natural bracket, so the decision
-    does not depend on the order of evaluation.  The last bracket and
-    alpha(s2) computed are kept (module docstring).
+
+def _decide(e: Exponents, pt: ParamPoint) -> tuple[
+    float, float, Callable[[float], float], Callable[[float], float], float, float
+]:
+    """(alpha, K, g, t(u), u_top, g(u_top)) of a solvable point.
+
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
-    NoRootError when that sign change is missing (the point lies in the
-    no-root band along the lower curve, where the root would need tau >= 1).
+    NoRootError unless the residual is negative at t = 1 + 1e-12 and
+    g(u_top) > 0 (module docstring).
     """
-    global _alpha_memo, _bracket_memo
-    key = (e.p, e.q, pt.s1, pt.s2)
-    memo_key, bracket = _bracket_memo
-    if memo_key == key:
-        return bracket
+    global _alpha_memo
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
         raise OutsideDomainError(
@@ -237,34 +229,39 @@ def _endpoint_bracket(e: Exponents, pt: ParamPoint) -> tuple[float, float, float
         a2 = alpha_eval(e, pt.s2)
         _alpha_memo = (alpha_key, a2)
     lo = 1.0 + _ENDPOINT_MARGIN
-    hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
-    lo_negative = tau_eval(e, pt, lo) < _lo_cut(e) or _evaluate(e, pt, lo, a2)[0] < 0.0
-    res_hi, w_hi = _evaluate(e, pt, hi, a2)
-    if not (lo_negative and res_hi > 0.0):
+    tau_lo = tau_eval(e, pt, lo)
+    if not (tau_lo < _lo_cut(e) or tau_lo <= 1.0 and _evaluate(e, pt, lo, a2)[0] < 0.0):
         raise NoRootError(
-            f"residual has no sign change on [{lo}, {hi}] at "
+            f"residual is not negative at t = {lo} at (s1={pt.s1}, s2={pt.s2}); "
+            "point is operationally outside"
+        )
+    k = max((e.p - e.q) * pt.s1 * a2 / e.q, _K_MIN)
+    g, t_of = _u_equation(e, pt, k)
+    u_top = _u_top(e)
+    g_top = g(u_top)
+    if not g_top > 0.0:
+        raise NoRootError(
+            f"g(u) = {g_top} is not positive at u = {u_top} at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    bracket = (hi, w_hi, a2)
-    _bracket_memo = (key, bracket)
-    return bracket
+    return a2, k, g, t_of, u_top, g_top
 
 
 def _clear_memos() -> None:
-    """Forget the kept alpha(s2) and endpoint bracket."""
-    global _alpha_memo, _bracket_memo
-    _alpha_memo = _bracket_memo = _NO_MEMO
+    """Forget the kept alpha(s2)."""
+    global _alpha_memo
+    _alpha_memo = _NO_MEMO
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
     """True exactly when ``solve_t(e, pt)`` returns a constant.
 
-    The same endpoint-bracket test ``solve_t`` makes, without refining it:
-    ``in_domain`` is its closed-form, geometric part, and the sign test
-    decides the no-root cutoff exactly.
+    The test ``solve_t`` makes before it solves: ``in_domain``, the
+    residual's sign at t = 1 + 1e-12 and the sign of g(u_top), where tau is
+    1 - 1e-14 p/(p-q) (module docstring).
     """
     try:
-        _endpoint_bracket(e, pt)
+        _decide(e, pt)
     except (OutsideDomainError, NoRootError):
         return False
     return True
@@ -288,24 +285,6 @@ def _u_equation(
     return g, t_of
 
 
-def _u_bracket(
-    g: Callable[[float], float], u_a: float, u_b: float
-) -> tuple[float, float, float, float]:
-    """(u_a, u_b, g(u_a), g(u_b)) with g(u_a) < 0 < g(u_b) in floats.
-
-    An end whose float sign rounding defeated is stepped outward: u_a
-    halved (g -> -inf as u -> 0), u_b doubled up to u = 1.
-    """
-    while not (g_a := g(u_a)) < 0.0:
-        u_a *= 0.5
-    u_b = max(u_b, u_a)
-    while not (g_b := g(u_b)) > 0.0:
-        if u_b == 1.0:
-            raise ConvergenceError(f"g(u) = {g_b} is not positive at u = 1")
-        u_b = min(2.0 * u_b, 1.0)
-    return u_a, u_b, g_a, g_b
-
-
 def _omega_certificate(q: float, tau: float, w: float) -> float:
     """omega_q(tau), from a bracket around w if H_q there brackets tau strictly."""
     top = q / (q - 1.0)
@@ -320,23 +299,26 @@ def _omega_certificate(q: float, tau: float, w: float) -> float:
 def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     """Solve the implicit equation for the constant at an interior point.
 
-    ``_bracketed_root`` solves g(u) = 0 on the u bracket that the endpoint
-    bracket gives, and t = X(u)^(1/(p-q)) (module docstring).  Raises
-    OutsideDomainError or NoRootError exactly when ``has_root`` is false.
+    ``_bracketed_root`` solves g(u) = 0 on [u_a, u_top] and t =
+    X(u)^(1/(p-q)), capped at the largest float below p/(p-1) (module
+    docstring).  Raises OutsideDomainError or NoRootError exactly when
+    ``has_root`` is false.
     """
-    hi, w_hi, a2 = _endpoint_bracket(e, pt)
-    p, q = e.p, e.q
-    k = (p - q) * pt.s1 * a2 / q
-    g, t_of = _u_equation(e, pt, k)
-    u_enclosed = k / (e.p_conj ** (q - 1.0) * (hi ** (p - q) - pt.s1 / pt.s2))
-    u_a, u_b, g_a, g_b = _u_bracket(g, u_enclosed, p - (p - 1.0) * w_hi)
-    a, b, u, _ = _bracketed_root(g, u_a, u_b, g_a, g_b, _U_REL_WIDTH * u_a)
-    # the root lies below hi, but X(u)^(1/(p-q)) can round up to p/(p-1)
-    # (307 of 12,981 solves at s1 < 1e-11 on six pairs)
-    t = min(t_of(u), hi)
+    a2, k, g, t_of, u_top, g_top = _decide(e, pt)
+    p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
+    d = cap ** (p - q) - pt.s1 / pt.s2
+    u = k / (e.p_conj ** (q - 1.0) * d)
+    u = k / (((p - u) / (p - 1.0)) ** (q - 1.0) * d)
+    g_a = g(u)
+    if g_a < 0.0:
+        a, b, u, _ = _bracketed_root(g, u, u_top, g_a, g_top, _U_REL_WIDTH * u)
+        t, width = min(t_of(u), cap), abs(t_of(a) - t_of(b))
+    else:
+        # the root lies at or above t(u) >= cap, within an ulp of p/(p-1)
+        t, width = cap, e.p_conj - cap
     tau = tau_eval(e, pt, t)
     w = _omega_certificate(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
         t=t, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
-        bracket_width=abs(t_of(a) - t_of(b)), alpha=a2,
+        bracket_width=width, alpha=a2,
     )

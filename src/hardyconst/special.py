@@ -11,8 +11,7 @@ where r' = r/(r-1) is the Hoelder conjugate of r.  Its inverse
 
 underpins everything else in this package.  Every root in the package is
 found by one bracketed kernel, ``_bracketed_root``: omega_r here, and the
-tau-feasibility top and the explicit equation for the constant in
-``solver``.  The kernel is the ITP
+explicit equation for the constant in ``solver``.  The kernel is the ITP
 method (Oliveira and Takahashi, ACM TOMS 2020): a regula falsi step,
 truncated toward the midpoint and projected into a ball around it that
 shrinks like bisection, so it keeps a sign-change bracket, converges

@@ -3,7 +3,7 @@
 Each suite samples a claim on a grid and reports a ``SuiteResult``; the CLI
 ``verify`` subcommand runs all of them and fails if any check fails.  Grid
 points beyond the no-root cutoff are skipped, not failed: the cutoff is the
-band along the lower curve at large s2 where the root would need tau >= 1,
+band along the lower curve at large s2 where a root would need tau >= 1,
 and ``solver.has_root`` decides it exactly.
 """
 

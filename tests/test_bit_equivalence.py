@@ -1,4 +1,4 @@
-"""Bit-for-bit equivalence of the root kernel and of the endpoint decision.
+"""Bit-for-bit equivalence of the root kernel, and the solvability decision.
 
 ``_reference_bracketed_root`` is a verbatim copy of the ITP kernel before
 its per-step arithmetic was streamlined (running projection scale,
@@ -11,6 +11,9 @@ r = 1.05 and 1.1, so the random brackets below include those exponents.
 ``_omega_lanes`` and ``_h_lanes``, the lane-wise twins that invert whole
 grids in ``verify``, must equal ``omega`` and ``_h`` bit for bit too, on the
 suite's grid and on every exponent a tested ``verify`` pair brings in.
+
+``has_root``'s closed-form test at the left end must decide as inverting
+omega_q there would, and its sign test on g as the mpmath oracle does.
 """
 
 import math
@@ -19,12 +22,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from mp_oracle import g_at
 
 import hardyconst.solver
 import hardyconst.special
 from hardyconst import Exponents, Membership, ParamPoint, alpha_eval, has_root, in_domain, solve_t
-from hardyconst.errors import DomainError, NoRootError
-from hardyconst.solver import _evaluate, _lo_cut, _tau_feasible_top, tau_eval
+from hardyconst.errors import DomainError
+from hardyconst.solver import _evaluate, _lo_cut, _u_top, tau_eval
 from hardyconst.special import (
     _BRACKET_REL_TOL,
     _bracketed_root,
@@ -139,7 +143,7 @@ def test_kernel_matches_reference_on_omega_brackets(r):
 
 
 def test_kernel_matches_reference_with_default_k1():
-    # the tau-feasibility top's call: k1 from the bracket, y = 0
+    # solve_t's call for the u equation: k1 from the bracket, y = 0
     for c in np.linspace(0.01, 0.99, 50):
         f = lambda x, c=float(c): x**3 - c  # noqa: E731
         args = (f, 0.0, 1.0, -float(c), 1.0 - float(c), 1e-15)
@@ -161,29 +165,39 @@ def test_solve_matches_reference_kernel(monkeypatch, pair):
         assert [getattr(sol, f).hex() for f in FIELDS] == [getattr(ref, f).hex() for f in FIELDS]
 
 
-def _both_ends_inverted(e: Exponents, pt: ParamPoint) -> bool:
-    """The endpoint decision with omega_q inverted at both ends."""
+def _left_end_inverted(e: Exponents, pt: ParamPoint) -> bool | None:
+    """The left-end test with omega_q inverted at 1 + 1e-12, or None outside."""
     if in_domain(e, pt) is not Membership.INSIDE:
-        return False
-    a2, lo = alpha_eval(e, pt.s2), 1.0 + 1e-12
-    try:
-        hi = _tau_feasible_top(e, pt, lo, math.nextafter(e.p_conj, 0.0))
-    except NoRootError:
-        return False
-    return _evaluate(e, pt, lo, a2)[0] < 0.0 < _evaluate(e, pt, hi, a2)[0]
+        return None
+    lo = 1.0 + 1e-12
+    return tau_eval(e, pt, lo) <= 1.0 and _evaluate(e, pt, lo, alpha_eval(e, pt.s2))[0] < 0.0
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=str)
 def test_closed_form_lo_test_keeps_the_decision(pair):
+    # has_root is in_domain, the left-end test and g(u_top) > 0: with the
+    # left end inverted and g's sign from the 40-digit oracle (mp_oracle, at
+    # every third point, as it costs ~1 ms), it must decide the same
     e = Exponents(*pair)
-    lo = 1.0 + 1e-12
-    fired = 0
-    for pt in _points(e, 120, 11):
-        assert has_root(e, pt) == _both_ends_inverted(e, pt), pt
-        if in_domain(e, pt) is Membership.INSIDE and tau_eval(e, pt, lo) < _lo_cut(e):
+    lo, u_top = 1.0 + 1e-12, _u_top(e)
+    fired = oracle_checks = 0
+    for i, pt in enumerate(_points(e, 120, 11)):
+        left = _left_end_inverted(e, pt)
+        if left is None:
+            assert not has_root(e, pt), pt
+            continue
+        if not left:
+            assert not has_root(e, pt), pt
+        elif i % 3 == 0:
+            g_top = g_at(e.p, e.q, pt.s1, pt.s2, u_top)
+            assert abs(g_top) > 1e-12, pt
+            assert has_root(e, pt) == (g_top > 0), pt
+            oracle_checks += 1
+        if tau_eval(e, pt, lo) < _lo_cut(e):
             fired += 1
             assert _evaluate(e, pt, lo, alpha_eval(e, pt.s2))[0] < 0.0, pt
     assert fired > 0
+    assert oracle_checks >= 20
 
 
 def _bits(x) -> list[int]:

@@ -65,6 +65,18 @@ class TestScan:
         assert len(ts) == 8
         assert all(b < a for a, b in zip(ts, ts[1:]))
 
+    def test_row_ending_on_the_no_root_frontier(self, capsys):
+        # s1-max lies within rounding of g(1) = 0, where tau at a root would
+        # round to 1 and gamma's bracket factor is singular: the last row is
+        # no-root, not an error
+        code, out, err = run(capsys, [
+            "scan", "--p", "3", "--q", "2", "--s2", "0.9",
+            "--s1-min", "0.5", "--s1-max", "0.7827607782008289", "--n", "3",
+        ])
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "no-root"]
+
     def test_status_rows_for_infeasible_points(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
         # s1 beyond the lower boundary of s2=0.5 is outside the region
@@ -144,11 +156,13 @@ class TestVerify:
         assert "7/7 suites passed" in out
 
     def test_skip_counts_pinned(self, capsys):
-        # only no-root grid points and unsolvable stencils are skipped
+        # only no-root grid points and unsolvable stencils are skipped; the
+        # ten s2 = 0.15 points whose root lies less than an ulp below p' are
+        # solvable (tests/test_oracle.py)
         code, out, _ = run(capsys, ["verify", "--p", "5", "--q", "1.2", "--grid", "10"])
         assert code == 0
         lines = out.splitlines()
-        assert "[PASS] sign suite (gamma<0, delta>0, lambda>0): 267 checks, 11 skipped" in lines
+        assert "[PASS] sign suite (gamma<0, delta>0, lambda>0): 297 checks, 1 skipped" in lines
         assert "[PASS] derivative identity vs finite differences: 16 checks, 4 skipped" in lines
 
     def test_grid_too_small_rejected(self, capsys):

@@ -1,5 +1,6 @@
 """Implicit-equation residual and the root solve for the constant."""
 
+import math
 import sys
 import threading
 from dataclasses import astuple
@@ -19,14 +20,14 @@ from hardyconst import (
     tau_eval,
 )
 from hardyconst.errors import (
-    ConvergenceError,
     DomainError,
     InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
     SingularityError,
 )
-from hardyconst.solver import _clear_memos, _omega_certificate, _residual_at, _u_bracket
+from hardyconst.sensitivity import delta_eval, gamma_eval
+from hardyconst.solver import _clear_memos, _omega_certificate, _residual_at
 from hardyconst.special import h_eval
 
 E2 = Exponents(2.0, 1.5)
@@ -263,6 +264,63 @@ class TestHasRoot:
         assert (self._solve_outcome(e, pt) == "ok") is expected
 
 
+def _g_at_one(e, s1, s2, a2):
+    """g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) - s1), written out afresh."""
+    p, q = e.p, e.q
+    k = (p - q) * s1 * a2 / q
+    return 1.0 - q / (p * s1 * a2) * ((s1 / s2 + k) ** (p / (p - q)) - s1)
+
+
+def _frontier(e, s2):
+    """The s1 where g(1) changes sign on the row, by bisection, or None."""
+    a2 = alpha_eval(e, s2)
+    s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+    lo, hi = 1e-6 * s1_top, (1.0 - 1e-9) * s1_top
+    if not _g_at_one(e, lo, s2, a2) > 0.0 > _g_at_one(e, hi, s2, a2):
+        return None
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _g_at_one(e, mid, s2, a2) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestFrontier:
+    """has_root near the g(1) = 0 frontier, where tau at the root nears 1."""
+
+    @staticmethod
+    def _usable(e, pt):
+        try:
+            sol = solve_t(e, pt)
+        except (NoRootError, OutsideDomainError):
+            return False
+        assert 0.0 < sol.tau < 1.0 < sol.omega_q_tau, (pt, sol)
+        assert math.isfinite(gamma_eval(e, pt, sol) + delta_eval(e, pt, sol)), (pt, sol)
+        return True
+
+    @pytest.mark.parametrize(
+        "pair", [(2.0, 1.5), (3.0, 2.0), (2.5, 1.3), (5.0, 1.2), (20.0, 19.0), (1.5, 1.1)], ids=str
+    )
+    def test_has_root_exactly_where_the_solve_is_usable(self, pair):
+        # s1 from 1e-16 to 1e-3 relative on either side of the frontier
+        e = Exponents(*pair)
+        seen, rows = set(), 0
+        for s2 in (0.45, 0.85, 0.97):
+            f = _frontier(e, s2)
+            if f is None:
+                continue
+            rows += 1
+            for d in np.logspace(-16.0, -3.0, 27):
+                for s1 in (f * (1.0 - d), f * (1.0 + d)):
+                    pt = ParamPoint(float(s1), s2)
+                    usable = self._usable(e, pt)
+                    assert has_root(e, pt) == usable, pt
+                    seen.add(usable)
+        assert rows >= 1
+        assert seen == {True, False}
+
+
 class TestMemos:
     """The kept alpha(s2) and endpoint bracket never change a result."""
 
@@ -333,29 +391,6 @@ class TestMemos:
         assert errors == []
         assert len(got) == 4 * len(cold)
         assert all(bits == cold[pt] for (_, pt), bits in got.items())
-
-
-class TestUBracket:
-    @staticmethod
-    def g(u):
-        return u - 0.3
-
-    def test_valid_ends_are_kept(self):
-        assert _u_bracket(self.g, 0.2, 0.5) == (0.2, 0.5, self.g(0.2), self.g(0.5))
-
-    @pytest.mark.parametrize(
-        "u_a,u_b,expected",
-        [(0.4, 0.5, (0.2, 0.5)), (0.1, 0.25, (0.1, 0.5)), (0.1, -0.5, (0.1, 0.4))],
-        ids=["low-end-halved", "high-end-doubled", "high-end-below-low-end"],
-    )
-    def test_wrong_signed_end_steps_outward(self, u_a, u_b, expected):
-        a, b, g_a, g_b = _u_bracket(self.g, u_a, u_b)
-        assert (a, b) == expected
-        assert g_a < 0.0 < g_b
-
-    def test_no_positive_end_up_to_one_raises(self):
-        with pytest.raises(ConvergenceError):
-            _u_bracket(lambda u: u - 2.0, 0.1, 0.5)
 
 
 class TestOmegaCertificate:

@@ -5,22 +5,23 @@ Counts are deterministic, unlike wall times on a shared host, so they are
 the gate for the solver's cost.  Each limit is 1.2x the count measured when
 the guard was set.  H_r is counted at ``special._h``, which every H_r
 evaluation goes through: the root kernel's, and ``h_eval``'s after its
-checks.  Inverting omega_q inside the refinement again, as the t-space
-iteration did (1973 H_r per row, 81 per solve), would exceed the H_r limits,
-and so, on the stiff pair, would a certificate that inverted omega_q on its
-natural bracket; the limits on g, the explicit equation in u, catch a
-costlier u solve.  Inverting omega_q at the endpoint bracket's left end
-where its residual sign is certain (834 H_r per row, 32 per solve, 34 on
-the stiff pair), or alpha(s2) once per point of a row instead of once per
-row, would exceed them too.
+checks.  Deciding solvability in t again, with a tau-feasibility solve and
+omega_q inverted at the bracket's top (374 H_r per row, 22 per solve, 25 on
+the stiff pair), would exceed the H_r limits, and so, on the stiff pair,
+would a certificate that inverted omega_q on its natural bracket; the
+limits on g, the explicit equation in u, catch a costlier u solve.
+Inverting omega_q at the left end where its residual sign is certain, or
+alpha(s2) once per point of a row instead of once per row, would exceed
+them too.
 
 ``verify``'s round-trip grids are inverted lane by lane.  The twin must do
 exactly the scalar kernel's evaluations, in as many lock-step passes as the
 costliest single inversion takes; a fallback to one inversion per point
 would show as many more passes.
 
-The solver keeps the last alpha(s2) and endpoint bracket: a solve right
-after ``has_root`` on the same point inverts only for its certificate, and
+The solver keeps the last alpha(s2): ``has_root`` on a point of a row whose
+alpha is known inverts nothing where the left end's sign is decided in
+closed form, a solve right after it inverts only for its certificate, and
 ``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one s2, evaluates
 alpha(s2) once.
 """
@@ -42,22 +43,22 @@ S2 = 0.7
 S1_TOP = S2 ** ((E3.p - 1.0) / (E3.q - 1.0))
 
 #: H_r evaluations measured for the row and the solve below
-ROW_CALLS = 374
-SOLVE_CALLS = 22
+ROW_CALLS = 101
+SOLVE_CALLS = 13
 #: evaluations of the explicit equation g(u) for the same row and solve
 ROW_G_CALLS = 275
 SOLVE_G_CALLS = 11
 #: H_r and g evaluations for one solve on a stiff pair, where the natural
 #: omega_q bracket costs the certificate 10 H_r evaluations more
-STIFF_CALLS = 25
+STIFF_CALLS = 11
 STIFF_G_CALLS = 10
 #: H_r and g evaluations for one solve with q near p, at a point where the
 #: left end's residual sign is not decided in closed form, so omega_q is
 #: inverted there too
-NEAR_CALLS = 54
+NEAR_CALLS = 45
 NEAR_G_CALLS = 13
 #: H_r evaluations for the solve below when ``has_root`` has just tested its
-#: point: the certificate's, none for the endpoint bracket
+#: point: the certificate's, none for the decision
 AFTER_HAS_ROOT_CALLS = 4
 
 
@@ -123,6 +124,19 @@ def test_solve_after_has_root_reuses_the_bracket(calls):
     assert calls["alpha"] == 0
 
 
+def test_has_root_on_a_row_inverts_nothing(calls):
+    # alpha(s2) is known from the row's first point; at the next one the
+    # closed-form left-end test fires, and g(u_top) needs no inversion
+    row = [ParamPoint(f * S1_TOP, S2) for f in (0.1, 0.4)]
+    assert has_root(E3, row[0])
+    for key in calls:
+        calls[key] = 0
+    assert tau_eval(E3, row[1], 1.0 + 1e-12) < _lo_cut(E3)
+    assert has_root(E3, row[1])
+    assert calls["h"] == 0
+    assert calls["alpha"] == 0
+
+
 def test_dt_ds1_evaluates_alpha_once(calls):
     dt_ds1(E3, ParamPoint(0.2, S2))
     assert calls["alpha"] == 1
@@ -147,7 +161,7 @@ def test_solve_q_near_p_inverts_at_the_left_end(calls):
     pt = ParamPoint(0.9 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
     assert not tau_eval(e, pt, 1.0 + 1e-12) < _lo_cut(e)
     assert has_root(e, pt)
-    # a cold solve: with has_root's bracket kept, it would not invert at all
+    # a cold solve, alpha(s2) included
     _clear_memos()
     for key in calls:
         calls[key] = 0
