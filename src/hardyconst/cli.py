@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -23,7 +22,6 @@ from .domain import ParamPoint
 from .errors import (
     DomainError,
     HardyConstError,
-    InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
 )
@@ -41,29 +39,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _SAMPLE_KAPPAS = (0.5, 1.0, 3.0)
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """A validated scan request: an s1 grid crossed with fixed s2 values."""
-
-    p: float
-    q: float
-    s2: tuple[float, ...]
-    s1_min: float
-    s1_max: float
-    n: int
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.s1_min < self.s1_max < 1.0:
-            raise DomainError(
-                f"need 0 < s1-min < s1-max < 1, got {self.s1_min}, {self.s1_max}"
-            )
-        if self.n < 2:
-            raise DomainError(f"need a grid of at least 2 points, got n={self.n}")
-        if not self.s2:
-            raise DomainError("need at least one s2 value")
 
 
 def _fmt(x: float) -> str:
@@ -85,7 +60,7 @@ def _ok_row(e: Exponents, pt: ParamPoint) -> str:
 def _scan_row(e: Exponents, s1: float, s2: float) -> str:
     try:
         return _ok_row(e, ParamPoint(s1, s2))
-    except (OutsideDomainError, NoRootError, InfeasibleTauError) as exc:
+    except (OutsideDomainError, NoRootError) as exc:
         nan = _fmt(math.nan)
         return (
             f"{_fmt(e.p)},{_fmt(e.q)},{_fmt(s1)},{_fmt(s2)},"
@@ -103,32 +78,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = ScanConfig(
-        p=args.p,
-        q=args.q,
-        s2=tuple(args.s2),
-        s1_min=args.s1_min,
-        s1_max=args.s1_max,
-        n=args.n,
-        output_path=args.out,
-    )
-    e = Exponents(cfg.p, cfg.q)
+    if not 0.0 < args.s1_min < args.s1_max < 1.0:
+        raise DomainError(
+            f"need 0 < s1-min < s1-max < 1, got {args.s1_min}, {args.s1_max}"
+        )
+    if args.n < 2:
+        raise DomainError(f"need a grid of at least 2 points, got n={args.n}")
+    e = Exponents(args.p, args.q)
     lines = [CSV_HEADER]
-    for s2 in cfg.s2:
-        for s1 in np.linspace(cfg.s1_min, cfg.s1_max, cfg.n):
+    for s2 in args.s2:
+        for s1 in np.linspace(args.s1_min, args.s1_max, args.n):
             lines.append(_scan_row(e, float(s1), float(s2)))
     text = "\n".join(lines) + "\n"
-    if cfg.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="ascii", newline="") as fh:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run every suite, exit 1 if one fails; tol > 0 bounds dt/ds1's FD error."""
     if args.grid < 10:
         raise DomainError(f"grid must be at least 10, got {args.grid}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {args.tol}")
     e = Exponents(args.p, args.q)
     results = run_all_suites(e, grid_n=args.grid, tol=args.tol)
     for res in results:
@@ -139,6 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hardy(args: argparse.Namespace) -> int:
+    """Check the inequality on sample i = sample_step(seed + i, ...), seed >= 0."""
     if args.samples < 1:
         raise DomainError(f"need at least 1 sample, got {args.samples}")
     if args.steps < 2:
@@ -195,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--grid", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=1e-5)
+    sp.add_argument("--tol", type=float, default=1e-5, help="max FD relative error of dt/ds1")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("hardy", help="verify the inequality on random step functions")
@@ -203,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--steps", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--seed", type=int, default=7, help="sample i uses seed + i, seed >= 0")
     sp.set_defaults(func=cmd_hardy)
     return parser
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Membership, ParamPoint, in_domain, lower_curve
+from .domain import ParamPoint, lower_curve
 from .errors import (
     BoundaryCaseError,
     ConvergenceError,
     DomainError,
     InconsistentMomentsError,
+    OutsideDomainError,
 )
 from .solver import has_root, solve_t
 from .special import Exponents
@@ -178,20 +179,19 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     """Check lhs <= t(s1, s2)^p * z for one step function.
 
     Constant functions (and anything else landing on the region boundary)
-    are rejected with BoundaryCaseError: the bound there is the trivial
+    are rejected with BoundaryCaseError, raised from the OutsideDomainError
+    of ``solve_t``'s domain test: the bound there is the trivial
     lhs = z <= t^p z for any t >= 1 and the solver is not applicable.
     Solver no-root errors propagate.  Right after ``sample_step``, the solve
     reuses the alpha(s2) that its ``has_root`` test kept.
     """
     m = step_moments(h, e)
     pt = moments_to_params(m, e)
-    verdict = in_domain(e, pt)
-    if verdict is not Membership.INSIDE:
-        raise BoundaryCaseError(
-            f"induced point ({pt.s1}, {pt.s2}) is {verdict.value}; for the "
-            "boundary the trivial bound lhs <= t^p z (any t >= 1) applies"
-        )
-    sol = solve_t(e, pt)
+    try:
+        sol = solve_t(e, pt)
+    except OutsideDomainError as exc:
+        msg = f"induced point {exc}; the trivial bound lhs <= t^p z (any t >= 1) applies"
+        raise BoundaryCaseError(msg) from exc
     lhs, est = hardy_lhs(h, e)
     rhs = sol.t**e.p * m.z
     budget = est + 1e-9 * rhs
@@ -210,7 +210,8 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
 def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     """Deterministic pseudo-random step function with k pieces.
 
-    Draws breakpoints and positive values from a seeded generator, rejecting
+    Draws breakpoints and positive values from a generator seeded with
+    seed >= 0 (a negative seed is a DomainError), rejecting
     degenerate geometry (segments shorter than 1e-3 * kappa), samples whose
     induced (s1, s2) comes within 1e-6 of the region boundary, and samples
     whose induced point has no root (``has_root``): beyond the no-root
@@ -219,6 +220,8 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     here, so such samples are rejected rather than guessed at; the solver
     keeps the accepted point's alpha(s2) for ``verify_hardy``.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if k < 2:
         raise DomainError(f"need at least 2 pieces, got k={k}")
     if not (math.isfinite(kappa) and kappa > 0.0):

@@ -172,7 +172,7 @@ def alpha_eval(e: Exponents, s2: float) -> float:
 
 def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     """Implicit-equation residual at t; zero exactly at the constant."""
-    return _evaluate(e, pt, t, alpha_eval(e, pt.s2))[0]
+    return _evaluate(e, pt, t, alpha_eval(e, pt.s2))
 
 
 def _residual_at(e: Exponents, pt: ParamPoint, t: float, w: float, a2: float) -> float:
@@ -185,15 +185,14 @@ def _residual_at(e: Exponents, pt: ParamPoint, t: float, w: float, a2: float) ->
     return lhs - (e.p - e.q) * pt.s1 * a2
 
 
-def _evaluate(e: Exponents, pt: ParamPoint, t: float, a2: float) -> tuple[float, float]:
-    """(residual, w) at t, with w = omega_q(tau(t)) inverted on its natural bracket."""
+def _evaluate(e: Exponents, pt: ParamPoint, t: float, a2: float) -> float:
+    """The residual at t, with omega_q(tau(t)) inverted on its natural bracket."""
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
         raise InfeasibleTauError(
             f"tau={tau} left [0, 1] at t={t}; omega_q is undefined there"
         )
-    w = omega(e.q, tau)
-    return _residual_at(e, pt, t, w, a2), w
+    return _residual_at(e, pt, t, omega(e.q, tau), a2)
 
 
 def _lo_cut(e: Exponents) -> float:
@@ -230,7 +229,7 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
         _alpha_memo = (alpha_key, a2)
     lo = 1.0 + _ENDPOINT_MARGIN
     tau_lo = tau_eval(e, pt, lo)
-    if not (tau_lo < _lo_cut(e) or tau_lo <= 1.0 and _evaluate(e, pt, lo, a2)[0] < 0.0):
+    if not (tau_lo < _lo_cut(e) or tau_lo <= 1.0 and _evaluate(e, pt, lo, a2) < 0.0):
         raise NoRootError(
             f"residual is not negative at t = {lo} at (s1={pt.s1}, s2={pt.s2}); "
             "point is operationally outside"
@@ -292,7 +291,7 @@ def _omega_certificate(q: float, tau: float, w: float) -> float:
     z_lo, z_hi = max(1.0, w - d), min(top, w + d)
     h_lo, h_hi = h_eval(q, z_lo), h_eval(q, z_hi)
     if h_lo > tau > h_hi:
-        return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)[0]
+        return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)
     return omega(q, tau)
 
 

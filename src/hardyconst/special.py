@@ -19,8 +19,8 @@ superlinearly on smooth functions, and never needs more than three
 evaluations beyond bisection.
 
 ``omega`` is a thin wrapper over one bracketed inversion,
-``_omega_between``, which returns (z, H_r(z)) for the root z inside a given
-bracket [z_lo, z_hi] whose H values are known.  ``omega`` passes the
+``_omega_between``, which returns the root z inside a given bracket
+[z_lo, z_hi] whose H values are known.  ``omega`` passes the
 natural bracket [1, r'] with the exact values 1 and 0; ``solver``'s
 certificate passes a narrow one around its estimate of the root once the H
 values at its ends bracket the target.  ITP's k1 always comes from
@@ -223,14 +223,13 @@ def _bracketed_root(
 
 def _omega_between(
     r: float, s: float, z_lo: float, h_lo: float, z_hi: float, h_hi: float
-) -> tuple[float, float]:
-    """(z, H_r(z)) for the root z of H_r(z) = s inside [z_lo, z_hi].
+) -> float:
+    """The root z of H_r(z) = s inside [z_lo, z_hi].
 
     h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), as evaluated earlier or known
-    exactly; [1, r'] with (1, 0) is omega's natural bracket.  The H returned
-    is ``h_eval``'s value at z, bit for bit.  r is validated here, once per
-    inversion, and the kernel evaluates H_r through ``_h`` without
-    ``h_eval``'s per-evaluation checks.  ITP's k1 comes from the
+    exactly; [1, r'] with (1, 0) is omega's natural bracket.  r is validated
+    here, once per inversion, and the kernel evaluates H_r through ``_h``
+    without ``h_eval``'s per-evaluation checks.  ITP's k1 comes from the
     natural bracket, 0.2/(r'-1), on every bracket: scaled to a narrowed one
     it truncates the regula falsi step far more and costs more evaluations.
     A bracket already within the tolerance returns its midpoint.
@@ -239,12 +238,10 @@ def _omega_between(
     top = r / (r - 1.0)
     xtol = _BRACKET_REL_TOL * top
     if z_hi - z_lo <= xtol:
-        z = 0.5 * (z_lo + z_hi)
-        return z, _h(r, z)
-    _, _, z, h = _bracketed_root(
+        return 0.5 * (z_lo + z_hi)
+    return _bracketed_root(
         partial(_h, r), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
-    )
-    return z, h
+    )[2]
 
 
 def omega(r: float, s: float) -> float:
@@ -263,7 +260,7 @@ def omega(r: float, s: float) -> float:
         return 1.0
     if s == 0.0:
         return top
-    return _omega_between(r, s, 1.0, 1.0, top, 0.0)[0]
+    return _omega_between(r, s, 1.0, 1.0, top, 0.0)
 
 
 def _h_lanes(r: float, z: np.ndarray) -> np.ndarray:

@@ -67,16 +67,15 @@ def feasible_s1_grid(
     n: int,
     lo_frac: float = 0.02,
     hi_frac: float = 0.98,
-    oversample: int = 2,
 ) -> list[float]:
-    """n solvable s1 values for fixed s2, evenly drawn from a denser scan.
+    """n solvable s1 values for fixed s2, evenly drawn from a scan of 2n.
 
     Candidates span (lo_frac, hi_frac) times the lower-boundary abscissa
     s2^((p-1)/(q-1)); candidates without a root (``has_root``) are dropped
     and the surviving list is subsampled back to n evenly spaced entries.
     """
     s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
-    cands = np.linspace(lo_frac * s1_top, hi_frac * s1_top, max(oversample * n, n))
+    cands = np.linspace(lo_frac * s1_top, hi_frac * s1_top, 2 * n)
     good = [float(s1) for s1 in cands if has_root(e, ParamPoint(float(s1), s2))]
     if len(good) < n:
         raise NoRootError(
@@ -87,15 +86,16 @@ def feasible_s1_grid(
     return [good[i] for i in idx]
 
 
-def inverse_suite(e: Exponents, n: int = 1000) -> SuiteResult:
-    """Round trips H_r(omega_r(s)) = s and the r = 2 closed form 1 + sqrt(1-s).
+def inverse_suite(e: Exponents) -> SuiteResult:
+    """Round trips H_r(omega_r(s)) = s and the r = 2 closed form 1 + sqrt(1-s),
+    on 1000 evenly spaced s in [0, 1].
 
     Each exponent's grid is inverted in one lane-wise pass, bit for bit the
     floats ``omega`` returns; the closed-form check reuses the r = 2 pass.
     """
     res = SuiteResult("inverse round-trip")
     exps = sorted({1.3, 1.5, 2.0, 3.0, 5.0, e.p, e.q})
-    grid = np.linspace(0.0, 1.0, n)
+    grid = np.linspace(0.0, 1.0, 1000)
     inverted = {r: _omega_lanes(r, grid) for r in exps}
     for r, z in inverted.items():
         err = np.abs(_h_lanes(r, z) - grid)
@@ -149,22 +149,22 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     return res
 
 
-def inequality_star_suite(e: Exponents, n: int = 200) -> SuiteResult:
-    """p s1^((p-q)/(p-1)) < (p-q) s1 + q on (0, 1)."""
+def inequality_star_suite(e: Exponents) -> SuiteResult:
+    """p s1^((p-q)/(p-1)) < (p-q) s1 + q at 200 evenly spaced s1 in (0, 1)."""
     res = SuiteResult("inequality (*)")
-    for s1 in np.linspace(0.0, 1.0, n + 2)[1:-1]:
+    for s1 in np.linspace(0.0, 1.0, 202)[1:-1]:
         lhs = e.p * s1 ** ((e.p - e.q) / (e.p - 1.0))
         rhs = (e.p - e.q) * s1 + e.q
         res.check(lhs < rhs, f"{lhs} >= {rhs} at s1={s1}")
     return res
 
 
-def endgame_suite(e: Exponents, n: int = 100) -> SuiteResult:
-    """F < 0 and F' > 0 below the threshold; G strictly increasing; a dominates."""
+def endgame_suite(e: Exponents) -> SuiteResult:
+    """F < 0, F' > 0 at 100 points below the threshold; G strictly increasing; a dominates."""
     res = SuiteResult("limit-profile suite (F, G, a)")
     consts = endgame_constants(e)
     thr = consts.threshold
-    interior = thr * np.arange(1, n + 1) / (n + 1)
+    interior = thr * np.arange(1, 101) / 101
     for s2 in interior:
         s2 = float(s2)
         f, df = big_f(e, s2), big_f_deriv(e, s2)

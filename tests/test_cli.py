@@ -111,13 +111,26 @@ class TestScan:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
-    def test_bad_grid_exit_code(self, capsys):
-        code, _, err = run(capsys, [
+    @pytest.mark.parametrize("s1_min, s1_max, n, message", [
+        ("0.4", "0.2", "5", "need 0 < s1-min < s1-max < 1, got 0.4, 0.2"),
+        ("0", "0.2", "5", "need 0 < s1-min < s1-max < 1, got 0.0, 0.2"),
+        ("0.2", "1.0", "5", "need 0 < s1-min < s1-max < 1, got 0.2, 1.0"),
+        ("0.2", "0.4", "1", "need a grid of at least 2 points, got n=1"),
+    ], ids=["min-above-max", "min-zero", "max-one", "one-point"])
+    def test_bad_grid_exit_code(self, capsys, s1_min, s1_max, n, message):
+        code, out, err = run(capsys, [
             "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
-            "--s1-min", "0.4", "--s1-max", "0.2", "--n", "5",
+            "--s1-min", s1_min, "--s1-max", s1_max, "--n", n,
         ])
         assert code == 2
-        assert "error:" in err
+        assert err == f"error: domain-error: {message}\n"
+        assert out == ""
+
+    def test_empty_s2_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--p", "2", "--q", "1.5", "--s2",
+                  "--s1-min", "0.2", "--s1-max", "0.4", "--n", "2"])
+        assert exc.value.code == 2
 
     def test_unwritable_path_exit_code(self, capsys):
         code, _, err = run(capsys, [
@@ -170,6 +183,13 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_rejected(self, capsys, tol):
+        code, out, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--tol", tol])
+        assert code == 2
+        assert err == f"error: domain-error: tol must be finite and positive, got {float(tol)}\n"
+        assert out == ""
+
 
 class TestHardyCmd:
     def test_batch_passes(self, capsys):
@@ -198,6 +218,12 @@ class TestHardyCmd:
         code, _, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--samples", "0"])
         assert code == 2
         assert "error:" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--seed", "-1"])
+        assert code == 2
+        assert err == "error: domain-error: seed must be nonnegative, got -1\n"
+        assert out == ""
 
 
 class TestParser:

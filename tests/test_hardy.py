@@ -21,6 +21,7 @@ from hardyconst.errors import (
     BoundaryCaseError,
     DomainError,
     InconsistentMomentsError,
+    OutsideDomainError,
 )
 
 E2 = Exponents(2.0, 1.5)
@@ -178,6 +179,12 @@ class TestVerifyHardy:
         with pytest.raises(BoundaryCaseError):
             verify_hardy(h, E2)
 
+    def test_boundary_case_comes_from_the_solver_domain_test(self):
+        h = StepFunction(kappa=1.0, breakpoints=(0.0, 1.0), values=(2.0,))
+        with pytest.raises(BoundaryCaseError, match=r"\(1\.0, 1\.0\) is on-lower-boundary") as exc:
+            verify_hardy(h, E2)
+        assert isinstance(exc.value.__cause__, OutsideDomainError)
+
     @pytest.mark.parametrize("e", [E2, E3], ids=["p2q1.5", "p3q2"])
     def test_random_samples_pass(self, e):
         for seed in range(100):
@@ -241,3 +248,7 @@ class TestSampleStep:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             sample_step(0, 1, 1.0, E2)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            sample_step(-1, 4, 1.0, E2)
