@@ -40,9 +40,10 @@ class NoRootError(HardyConstError):
 
     Treated as a domain exclusion, not a solver defect: beyond the no-root
     cutoff, the band along the lower curve at large s2, a root would need
-    tau >= 1.  ``solver.has_root`` decides the cutoff exactly, as the sign
-    of the explicit equation g(u) just below u = 1 (tau = 1); a root within
-    1e-14 p/(p-q) of tau = 1, where tau rounds to 1, counts as none.
+    tau >= 1.  ``solver.has_root`` decides it exactly, as one sign of the
+    explicit equation g(u), taken at the lower of u_lo, where t = 1 + 1e-12,
+    and u_top, just below u = 1 (tau = 1).  A root within 1e-14 p/(p-q) of
+    tau = 1, where tau rounds to 1, counts as none.
     """
 
     name = "no-root"

@@ -12,8 +12,10 @@ r = 1.05 and 1.1, so the random brackets below include those exponents.
 grids in ``verify``, must equal ``omega`` and ``_h`` bit for bit too, on the
 suite's grid and on every exponent a tested ``verify`` pair brings in.
 
-``has_root``'s closed-form test at the left end must decide as inverting
-omega_q there would, and its sign test on g as the mpmath oracle does.
+``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
+must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
+there, would, and elsewhere as the mpmath oracle's sign of g(u_top) does.
+That holds with the left end moved up to where it rejects points, too.
 """
 
 import math
@@ -28,7 +30,7 @@ import hardyconst.solver
 import hardyconst.special
 from hardyconst import Exponents, Membership, ParamPoint, alpha_eval, has_root, in_domain, solve_t
 from hardyconst.errors import DomainError
-from hardyconst.solver import _evaluate, _lo_cut, _u_top, tau_eval
+from hardyconst.solver import _K_MIN, _u_equation, _u_top, residual, tau_eval
 from hardyconst.special import (
     _BRACKET_REL_TOL,
     _bracketed_root,
@@ -165,22 +167,31 @@ def test_solve_matches_reference_kernel(monkeypatch, pair):
         assert [getattr(sol, f).hex() for f in FIELDS] == [getattr(ref, f).hex() for f in FIELDS]
 
 
-def _left_end_inverted(e: Exponents, pt: ParamPoint) -> bool | None:
-    """The left-end test with omega_q inverted at 1 + 1e-12, or None outside."""
+def _left_end_inverted(e: Exponents, pt: ParamPoint, lo: float = 1.0 + 1e-12) -> bool | None:
+    """residual(lo) < 0, with omega_q inverted at lo, or None outside."""
     if in_domain(e, pt) is not Membership.INSIDE:
         return None
-    lo = 1.0 + 1e-12
-    return tau_eval(e, pt, lo) <= 1.0 and _evaluate(e, pt, lo, alpha_eval(e, pt.s2)) < 0.0
+    return tau_eval(e, pt, lo) <= 1.0 and residual(e, pt, lo) < 0.0
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=str)
-def test_closed_form_lo_test_keeps_the_decision(pair):
-    # has_root is in_domain, the left-end test and g(u_top) > 0: with the
-    # left end inverted and g's sign from the 40-digit oracle (mp_oracle, at
-    # every third point, as it costs ~1 ms), it must decide the same
+def test_closed_form_lo_test_keeps_the_decision(monkeypatch, pair):
+    # has_root is in_domain and g > 0 at min(u_lo, u_top): with the left end
+    # inverted in t-space and g(u_top)'s sign from the 40-digit oracle
+    # (mp_oracle, at every third point, as it costs ~1 ms), it must decide
+    # the same, and the test point must be u_lo at some points
     e = Exponents(*pair)
-    lo, u_top = 1.0 + 1e-12, _u_top(e)
-    fired = oracle_checks = 0
+    u_top = _u_top(e)
+    u_lo = hardyconst.solver._u_lo
+    at_u_lo = oracle_checks = 0
+
+    def spied_u_lo(*args):
+        nonlocal at_u_lo
+        u = u_lo(*args)
+        at_u_lo += u < u_top
+        return u
+
+    monkeypatch.setattr(hardyconst.solver, "_u_lo", spied_u_lo)
     for i, pt in enumerate(_points(e, 120, 11)):
         left = _left_end_inverted(e, pt)
         if left is None:
@@ -193,11 +204,43 @@ def test_closed_form_lo_test_keeps_the_decision(pair):
             assert abs(g_top) > 1e-12, pt
             assert has_root(e, pt) == (g_top > 0), pt
             oracle_checks += 1
-        if tau_eval(e, pt, lo) < _lo_cut(e):
-            fired += 1
-            assert _evaluate(e, pt, lo, alpha_eval(e, pt.s2)) < 0.0, pt
-    assert fired > 0
+    assert at_u_lo > 0
     assert oracle_checks >= 20
+
+
+def _corner_points(e: Exponents, n: int, seed: int) -> list[ParamPoint]:
+    """n points near the corner (1, 1), where t* -> 1: s2 = 1 - 10^U(-7, -0.5),
+    s1 = s1_top (1 - 10^U(-10, 0))."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(n):
+        s2 = 1.0 - 10.0 ** rng.uniform(-7.0, -0.5)
+        top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+        pts.append(ParamPoint(float(top * (1.0 - 10.0 ** rng.uniform(-10.0, 0.0))), float(s2)))
+    return pts
+
+
+@pytest.mark.parametrize("margin", [0.05, 0.2])
+@pytest.mark.parametrize("pair", [(2.0, 1.5), (3.0, 2.0), (5.0, 1.2), (20.0, 19.0)], ids=str)
+def test_left_end_decides_where_it_binds(monkeypatch, pair, margin):
+    # at 1e-12 the left end has rejected no sampled point: t* - 1 is only
+    # small near the corner (1, 1).  Moved up to 1 + margin, it rejects
+    # there, and must do so as the t-space test does: residual(lo) < 0 with
+    # omega_q inverted at lo, beside g(u_top) > 0 on the right
+    monkeypatch.setattr(hardyconst.solver, "_ENDPOINT_MARGIN", margin)
+    e = Exponents(*pair)
+    u_top = _u_top(e)
+    left_alone = 0
+    for pt in _corner_points(e, 250, 13):
+        left = _left_end_inverted(e, pt, 1.0 + margin)
+        if left is None:
+            assert not has_root(e, pt), pt
+            continue
+        k = max((e.p - e.q) * pt.s1 * alpha_eval(e, pt.s2) / e.q, _K_MIN)
+        right = _u_equation(e, pt, k)[0](u_top) > 0.0
+        assert has_root(e, pt) == (left and right), pt
+        left_alone += right and not left
+    assert left_alone > 0
 
 
 def _bits(x) -> list[int]:

@@ -138,6 +138,12 @@ class TestSolveT:
         sol = solve_t(Exponents(1.5, 1.1), ParamPoint(7.656332914888871e-06, 0.9983599468268123))
         assert sol.t == pytest.approx(2.9999907044774363, rel=2e-15, abs=0.0)
 
+    def test_q_within_1e_11_of_p_keeps_t_above_1(self):
+        # X = t^(p-q) resolves t only to ~2e-5 here, and t(u*) rounds to 1.0
+        e = Exponents(1.01, 1.00999999999)
+        sol = solve_t(e, ParamPoint(0.999999999, 0.9999999999999999))
+        assert 1.0 < sol.t < 1.0 + sol.bracket_width
+
     def test_q_near_p(self):
         # omega_q(tau(1 + 1e-12)) < p/(p-1) here, unlike on the pairs above;
         # the reference value is a 40-digit mpmath solve
@@ -256,8 +262,10 @@ class TestHasRoot:
             (Exponents(5.0, 1.2), ParamPoint(4.9e-13, 0.3424), True),
             (E2, ParamPoint(0.81, 0.5), False),
             (E3, ParamPoint(0.98 * 0.85**2, 0.85), False),
+            # q - 1 so small that H_q > 1 - 1e-14 p/(p-q) on all of [1, p']
+            (Exponents(50.0, 1.000000000049), ParamPoint(0.125, 1.0 - 1e-12), False),
         ],
-        ids=["root-3e-13-below-top", "beyond-lower-curve", "no-root-band"],
+        ids=["root-3e-13-below-top", "beyond-lower-curve", "no-root-band", "u-top-negative"],
     )
     def test_edge_points(self, e, pt, expected):
         assert has_root(e, pt) is expected

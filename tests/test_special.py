@@ -134,7 +134,7 @@ class TestOmegaBetween:
         return out
 
     @pytest.mark.parametrize("r", R_SET)
-    def test_agrees_with_omega_and_returns_h_eval(self, r):
+    def test_agrees_with_omega_inside_the_bracket(self, r):
         rng = np.random.default_rng(int(100 * r))
         top = conjugate(r)
         for s, z_lo, z_hi in self._sub_brackets(r, rng):

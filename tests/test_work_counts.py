@@ -10,7 +10,7 @@ omega_q inverted at the bracket's top (374 H_r per row, 22 per solve, 25 on
 the stiff pair), would exceed the H_r limits, and so, on the stiff pair,
 would a certificate that inverted omega_q on its natural bracket; the
 limits on g, the explicit equation in u, catch a costlier u solve.
-Inverting omega_q at the left end where its residual sign is certain, or
+Inverting omega_q at the left end (10 H_r per decision with q near p), or
 alpha(s2) once per point of a row instead of once per row, would exceed
 them too.
 
@@ -19,11 +19,11 @@ exactly the scalar kernel's evaluations, in as many lock-step passes as the
 costliest single inversion takes; a fallback to one inversion per point
 would show as many more passes.
 
-The solver keeps the last alpha(s2): ``has_root`` on a point of a row whose
-alpha is known inverts nothing where the left end's sign is decided in
-closed form, a solve right after it inverts only for its certificate, and
-``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one s2, evaluates
-alpha(s2) once.
+The solver keeps the last alpha(s2), and decides solvability by one sign of
+g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
+nothing, with q near p too, a solve right after it inverts only for its
+certificate, and ``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one
+s2, evaluates alpha(s2) once.
 """
 
 import numpy as np
@@ -31,10 +31,10 @@ import pytest
 
 import hardyconst.solver
 import hardyconst.special
-from hardyconst import Exponents, ParamPoint, has_root, solve_t, tau_eval
+from hardyconst import Exponents, ParamPoint, has_root, solve_t
 from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
-from hardyconst.solver import _clear_memos, _lo_cut
+from hardyconst.solver import _clear_memos
 from hardyconst.special import _omega_lanes, omega
 from hardyconst.verify import feasible_s1_grid, inverse_suite
 
@@ -52,10 +52,9 @@ SOLVE_G_CALLS = 11
 #: omega_q bracket costs the certificate 10 H_r evaluations more
 STIFF_CALLS = 11
 STIFF_G_CALLS = 10
-#: H_r and g evaluations for one solve with q near p, at a point where the
-#: left end's residual sign is not decided in closed form, so omega_q is
-#: inverted there too
-NEAR_CALLS = 45
+#: H_r and g evaluations for one cold solve with q near p: alpha(s2) and the
+#: certificate
+NEAR_CALLS = 35
 NEAR_G_CALLS = 13
 #: H_r evaluations for the solve below when ``has_root`` has just tested its
 #: point: the certificate's, none for the decision
@@ -126,12 +125,11 @@ def test_solve_after_has_root_reuses_the_bracket(calls):
 
 def test_has_root_on_a_row_inverts_nothing(calls):
     # alpha(s2) is known from the row's first point; at the next one the
-    # closed-form left-end test fires, and g(u_top) needs no inversion
+    # decision is one evaluation of g, which needs no inversion
     row = [ParamPoint(f * S1_TOP, S2) for f in (0.1, 0.4)]
     assert has_root(E3, row[0])
     for key in calls:
         calls[key] = 0
-    assert tau_eval(E3, row[1], 1.0 + 1e-12) < _lo_cut(E3)
     assert has_root(E3, row[1])
     assert calls["h"] == 0
     assert calls["alpha"] == 0
@@ -156,18 +154,29 @@ def test_solve_stiff_pair(calls):
     assert calls["g"] <= 1.2 * STIFF_G_CALLS
 
 
-def test_solve_q_near_p_inverts_at_the_left_end(calls):
-    e, s2 = Exponents(20.0, 19.0), 0.5
-    pt = ParamPoint(0.9 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
-    assert not tau_eval(e, pt, 1.0 + 1e-12) < _lo_cut(e)
-    assert has_root(e, pt)
+E_NEAR, S2_NEAR = Exponents(20.0, 19.0), 0.5
+PT_NEAR = ParamPoint(0.9 * S2_NEAR ** ((E_NEAR.p - 1.0) / (E_NEAR.q - 1.0)), S2_NEAR)
+
+
+def test_solve_q_near_p_inverts_for_alpha_and_the_certificate(calls):
+    assert has_root(E_NEAR, PT_NEAR)
     # a cold solve, alpha(s2) included
     _clear_memos()
     for key in calls:
         calls[key] = 0
-    solve_t(e, pt)
+    solve_t(E_NEAR, PT_NEAR)
     assert calls["h"] <= 1.2 * NEAR_CALLS
     assert calls["g"] <= 1.2 * NEAR_G_CALLS
+
+
+def test_has_root_q_near_p_inverts_nothing(calls):
+    # q near p is where a left-end test in t-space inverted omega_q (10 H_r)
+    assert has_root(E_NEAR, PT_NEAR)
+    for key in calls:
+        calls[key] = 0
+    assert has_root(E_NEAR, PT_NEAR)
+    assert calls["h"] == 0
+    assert calls["g"] == 1
 
 
 def test_omega_lanes_do_the_scalar_kernels_work(calls, monkeypatch):
