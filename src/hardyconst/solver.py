@@ -76,11 +76,10 @@ floats.  g's rounding bounds t to a few ulp: up to 1.0e-15 relative against
 a 40-digit oracle on (1.5, 1.1), where X is near 1, and more as p - q
 shrinks (t = X^(1/(p-q))).
 
-alpha(s2) is kept in a one-entry memo keyed on (q, s2): a row's points
-(``scan``, the ``verify`` rows) and ``dt_ds1``'s stencil share s2, and
-``hardy`` solves the point its ``has_root`` has just accepted.  The memo is
-one (key, value) tuple, read and replaced whole, so a thread sees a key
-only with its own value; an exception is never kept.
+The last alpha(s2) is kept by ``functools.lru_cache(maxsize=1)``, keyed on
+(e, s2): a row's points (``scan``, the ``verify`` rows) and ``dt_ds1``'s
+stencil share s2, and ``hardy`` solves the point its ``has_root`` has just
+accepted.  The cache is thread-safe and never keeps an exception.
 
 The certificate stays in t-space, so that it checks t independently of g:
 tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
@@ -90,6 +89,7 @@ tau strictly, and from the natural bracket otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -117,10 +117,6 @@ _U_REL_WIDTH = 1e-15
 #: certificate bracket half-width relative to q/(q-1): at 0.5 omega
 #: tolerances 18 % of solves fell back to the natural bracket, at 4 0.3 %
 _NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
-#: the one-entry memo of alpha(s2) (module docstring); the key () matches
-#: no point
-_NO_MEMO: tuple = ((), None)
-_alpha_memo = _NO_MEMO
 
 
 @dataclass(frozen=True)
@@ -164,6 +160,12 @@ def alpha_eval(e: Exponents, s2: float) -> float:
     if not (math.isfinite(s2) and 0.0 < s2 < 1.0):
         raise DomainError(f"alpha needs s2 in (0, 1), got {s2}")
     return omega(e.q, s2) ** e.q / s2 - 1.0
+
+
+@functools.lru_cache(maxsize=1)
+def _alpha(e: Exponents, s2: float) -> float:
+    """alpha(s2), kept for the next point of the row (module docstring)."""
+    return alpha_eval(e, s2)
 
 
 def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
@@ -216,7 +218,6 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
     NoRootError unless g(u_b) > 0 (module docstring).
     """
-    global _alpha_memo
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
         raise OutsideDomainError(
@@ -228,11 +229,7 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
             f"u_top = {u_top} is not positive for p={e.p}, q={e.q}: tau at any "
             "root is within rounding of 1; point is operationally outside"
         )
-    alpha_key = (e.q, pt.s2)
-    memo_key, a2 = _alpha_memo
-    if memo_key != alpha_key:
-        a2 = alpha_eval(e, pt.s2)
-        _alpha_memo = (alpha_key, a2)
+    a2 = _alpha(e, pt.s2)
     k = max((e.p - e.q) * pt.s1 * a2 / e.q, _K_MIN)
     g, t_of = _u_equation(e, pt, k)
     u_b = min(_u_lo(e, pt, k), u_top)
@@ -243,12 +240,6 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
     return a2, k, g, t_of, u_b, g_b
-
-
-def _clear_memos() -> None:
-    """Forget the kept alpha(s2)."""
-    global _alpha_memo
-    _alpha_memo = _NO_MEMO
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
@@ -311,7 +302,7 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     if g_a < 0.0:
         u_top = _u_top(e)
         g_top = g_b if u_b == u_top else g(u_top)
-        a, b, u, _ = _bracketed_root(g, u, u_top, g_a, g_top, _U_REL_WIDTH * u)
+        a, b, u = _bracketed_root(g, u, u_top, g_a, g_top, _U_REL_WIDTH * u)
         t, width = min(max(t_of(u), 1.0 + _ENDPOINT_MARGIN), cap), abs(t_of(a) - t_of(b))
     else:
         # the root lies at or above t(u) >= cap, within an ulp of p/(p-1)

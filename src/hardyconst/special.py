@@ -140,19 +140,18 @@ def _bracketed_root(
     xtol: float,
     y: float = 0.0,
     k1: float | None = None,
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float]:
     """ITP search for x in (a, b) with f(x) = y.
 
     fa = f(a) and fb = f(b) lie on opposite sides of y; the caller may know
-    them exactly, and either may equal y.  Iterates
-    until the bracket is at most xtol wide, or its ends are adjacent floats,
-    or f hits y exactly.  Returns the final bracket (a, b), whose ends keep
-    the sides of fa and fb, the evaluated interior point x with the smallest
-    |f(x) - y| and f(x) as f returned it; when the bracket needed no
-    evaluation, the initial midpoint and nan.  ITP's parameters are
-    k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most three
-    evaluations more than bisection to reach xtol.  With n0 = 1 a few slow
-    regula falsi steps early on use up the slack and the rest is plain
+    them exactly, and either may equal y.  Iterates until the bracket is at
+    most xtol wide, or its ends are adjacent floats, or f hits y exactly.
+    Returns the final bracket (a, b), whose ends keep the sides of fa and
+    fb, and the evaluated interior point x with the smallest |f(x) - y|, or
+    the initial midpoint when the bracket needed no evaluation.  ITP's
+    parameters are k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most
+    three evaluations more than bisection to reach xtol.  With n0 = 1 a few
+    slow regula falsi steps early on use up the slack and the rest is plain
     bisection (50 evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
     """
     if k1 is None:
@@ -165,7 +164,7 @@ def _bracketed_root(
     scale = xtol * 2.0 ** (n_max - 1)
     # b only ever takes points on fb's side
     b_pos = fb > 0.0
-    best_x, best_f, best_abs = 0.5 * (a + b), math.nan, math.inf
+    best_x, best_abs = 0.5 * (a + b), math.inf
     w = b - a
     while w > xtol:
         mid = 0.5 * (a + b)
@@ -199,11 +198,10 @@ def _bracketed_root(
                 x = mid
         else:
             x = mid
-        fx = f(x)
-        g = fx - y
+        g = f(x) - y
         if g > 0.0:
             if g < best_abs:
-                best_x, best_f, best_abs = x, fx, g
+                best_x, best_abs = x, g
             if b_pos:
                 b, fb = x, g
             else:
@@ -211,14 +209,14 @@ def _bracketed_root(
         else:
             if -g < best_abs:
                 if g == 0.0:
-                    return x, x, x, fx
-                best_x, best_f, best_abs = x, fx, -g
+                    return x, x, x
+                best_x, best_abs = x, -g
             if b_pos:
                 a, fa = x, g
             else:
                 b, fb = x, g
         w = b - a
-    return a, b, best_x, best_f
+    return a, b, best_x
 
 
 def _omega_between(

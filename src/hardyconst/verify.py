@@ -248,10 +248,10 @@ def limit_suite(e: Exponents) -> SuiteResult:
     return res
 
 
-def run_all_suites(e: Exponents, grid_n: int = 30, tol: float = 1e-5) -> list[SuiteResult]:
+def run_all_suites(e: Exponents, grid_n: int, tol: float) -> list[SuiteResult]:
     return [
         inverse_suite(e),
-        equal_omega_suite(e, max(grid_n, 10)),
+        equal_omega_suite(e, grid_n),
         sign_suite(e, grid_n),
         inequality_star_suite(e),
         endgame_suite(e),

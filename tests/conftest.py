@@ -6,7 +6,7 @@ import hardyconst.solver
 
 
 @pytest.fixture(autouse=True)
-def _fresh_solver_memos():
-    """Start every test with the solver's one-entry memos empty, so work counts
-    and injected failures do not depend on which test ran before."""
-    hardyconst.solver._clear_memos()
+def _fresh_alpha_cache():
+    """Start every test with the solver's cached alpha(s2) cleared, so work
+    counts and injected failures do not depend on which test ran before."""
+    hardyconst.solver._alpha.cache_clear()

@@ -1,5 +1,6 @@
 """Module layering: the solver's stages stay behind its public functions,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and none rebinds module-level
+state by hand."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,13 @@ def test_unused_import_check_sees_each_kind():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_global_or_nonlocal_statement(path):
+    # state a module keeps between calls goes through functools' caches
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rebinds = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert rebinds == []

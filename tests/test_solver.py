@@ -8,6 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import hardyconst.solver
 from hardyconst import (
     Exponents,
     ParamPoint,
@@ -27,7 +28,7 @@ from hardyconst.errors import (
     SingularityError,
 )
 from hardyconst.sensitivity import delta_eval, gamma_eval
-from hardyconst.solver import _clear_memos, _omega_certificate, _residual_at
+from hardyconst.solver import _alpha, _omega_certificate, _residual_at
 from hardyconst.special import h_eval
 
 E2 = Exponents(2.0, 1.5)
@@ -330,7 +331,7 @@ class TestFrontier:
 
 
 class TestMemos:
-    """The kept alpha(s2) and endpoint bracket never change a result."""
+    """The kept alpha(s2) never changes a result."""
 
     E = Exponents(3.0, 2.0)
     ROWS = (0.5, 0.6, 0.7, 0.8)
@@ -344,13 +345,13 @@ class TestMemos:
         return [x.hex() for x in astuple(sol)]
 
     def _cold(self, e, pt):
-        _clear_memos()
+        _alpha.cache_clear()
         return self._bits(solve_t(e, pt))
 
     def test_after_has_root_on_the_same_point(self):
         for pt in self._row(0.7):
             cold = self._cold(self.E, pt)
-            _clear_memos()
+            _alpha.cache_clear()
             assert has_root(self.E, pt)
             assert self._bits(solve_t(self.E, pt)) == cold
 
@@ -362,16 +363,30 @@ class TestMemos:
         for pt, before in zip(row, [*row[1:], other_row[0]]):
             cold = self._cold(self.E, pt)
             for e_before in others:
-                _clear_memos()
+                _alpha.cache_clear()
                 if has_root(e_before, before):
                     solve_t(e_before, before)
                 has_root(e_before, pt)
                 assert self._bits(solve_t(self.E, pt)) == cold
 
+    def test_a_failed_alpha_is_not_kept(self, monkeypatch):
+        pt = self._row(0.7)[2]
+        cold = self._cold(self.E, pt)
+        _alpha.cache_clear()
+
+        def failing_alpha_eval(e, s2):
+            raise DomainError("injected")
+
+        with monkeypatch.context() as m:
+            m.setattr(hardyconst.solver, "alpha_eval", failing_alpha_eval)
+            with pytest.raises(DomainError, match="injected"):
+                solve_t(self.E, pt)
+        assert self._bits(solve_t(self.E, pt)) == cold
+
     def test_threads_over_interleaved_rows(self):
         rows = [self._row(s2) for s2 in self.ROWS]
         cold = {pt: self._cold(self.E, pt) for row in rows for pt in row}
-        _clear_memos()
+        _alpha.cache_clear()
         got, errors = {}, []
 
         def work(i):

@@ -34,7 +34,7 @@ import hardyconst.special
 from hardyconst import Exponents, ParamPoint, has_root, solve_t
 from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
-from hardyconst.solver import _clear_memos
+from hardyconst.solver import _alpha
 from hardyconst.special import _omega_lanes, omega
 from hardyconst.verify import feasible_s1_grid, inverse_suite
 
@@ -161,7 +161,7 @@ PT_NEAR = ParamPoint(0.9 * S2_NEAR ** ((E_NEAR.p - 1.0) / (E_NEAR.q - 1.0)), S2_
 def test_solve_q_near_p_inverts_for_alpha_and_the_certificate(calls):
     assert has_root(E_NEAR, PT_NEAR)
     # a cold solve, alpha(s2) included
-    _clear_memos()
+    _alpha.cache_clear()
     for key in calls:
         calls[key] = 0
     solve_t(E_NEAR, PT_NEAR)
