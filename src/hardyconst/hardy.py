@@ -14,12 +14,17 @@ the averaging functional obeys
 per-segment Gauss-Legendre quadrature: the running average is
 (A_i + v_i (t - b_{i-1})) / t on segment i, smooth within each segment,
 so a 16-point rule plus one halving refinement is ample; the difference
-between the two passes serves as the quadrature error estimate.
+between the two passes serves as the quadrature error estimate.  All
+segments' rules are one numpy expression, with every sum in a fixed order
+(no BLAS call, whose order follows the CPU) and ``**`` rather than
+``np.float_power``, so the floats equal a per-segment loop's bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +119,23 @@ class VerificationReport:
     quadrature_error_estimate: float
 
 
+def _finite_sum(name: str, terms: Iterator[float]) -> float:
+    """sum(terms), or a DomainError naming the moment if it leaves float range."""
+    try:
+        total = sum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"moment {name} overflows a float")
+    return total
+
+
 def step_moments(h: StepFunction, e: Exponents) -> MomentTriple:
     """Exact closed-form moments: sums of v^r * segment length for r in {1, q, p}."""
     lengths = h.lengths
-    x = sum(v * d for v, d in zip(h.values, lengths))
-    y = sum(v**e.q * d for v, d in zip(h.values, lengths))
-    z = sum(v**e.p * d for v, d in zip(h.values, lengths))
+    x = _finite_sum("int h", (v * d for v, d in zip(h.values, lengths)))
+    y = _finite_sum("int h^q", (v**e.q * d for v, d in zip(h.values, lengths)))
+    z = _finite_sum("int h^p", (v**e.p * d for v, d in zip(h.values, lengths)))
     return MomentTriple(x=x, y=y, z=z, kappa=h.kappa)
 
 
@@ -143,36 +159,43 @@ def moments_to_params(m: MomentTriple, e: Exponents) -> ParamPoint:
     return ParamPoint(min(s1, 1.0), min(s2, 1.0))
 
 
-def _piece_quad(p: float, v: float, c: float, lo: float, hi: float) -> float:
-    """Gauss-Legendre integral of (v + c/t)^p over (lo, hi), 0 < lo < hi.
-
-    v + c/t is the running average on a segment whose accumulated integral
-    at its left breakpoint b0 is A: there c = A - v*b0, and the numerator
-    A + v*(t - b0) = c + v*t stays nonnegative.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    t = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, (v + c / t) ** p))
+@functools.lru_cache(maxsize=1)
+def _induced(h: StepFunction, e: Exponents) -> tuple[MomentTriple, ParamPoint]:
+    """The moments of h and its induced point, kept for the last h: the
+    sample ``sample_step`` accepts is the one ``verify_hardy`` then checks.
+    A raised error is not kept."""
+    m = step_moments(h, e)
+    return m, moments_to_params(m, e)
 
 
 def hardy_lhs(h: StepFunction, e: Exponents) -> tuple[float, float]:
     """The averaging functional int ((1/t) int_0^t h)^p dt with an error estimate.
 
     Returns (value, error_estimate): value from the per-segment halved rule,
-    error estimate as |halved - unhalved|.  On the first segment the running
-    average is exactly the constant v_1 (c = 0), so the rule is exact there.
+    error estimate as |halved - unhalved|; beyond float range, a DomainError.
+    The running average on a segment (b0, b1] is v + c/t, c = int_0^b0 h -
+    v*b0; c = 0 on the first, where the rule is exact.  Rows 0-2 of the node
+    array are each segment and its left and right halves.  Each rule sums
+    its 16 products in four strided partial sums, as (s0 + s2) + (s1 + s3),
+    the order of OpenBLAS's Haswell dot; c and the totals add left to right.
     """
-    coarse = 0.0
-    refined = 0.0
-    accum = 0.0
-    for v, b0, b1 in zip(h.values, h.breakpoints, h.breakpoints[1:]):
-        c = accum - v * b0
+    v = np.array(h.values)
+    b = np.array(h.breakpoints)
+    b0, b1 = b[:-1], b[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.concatenate(([0.0], np.cumsum(v * (b1 - b0))[:-1])) - v * b0
         mid = 0.5 * (b0 + b1)
-        coarse += _piece_quad(e.p, v, c, b0, b1)
-        refined += _piece_quad(e.p, v, c, b0, mid) + _piece_quad(e.p, v, c, mid, b1)
-        accum += v * (b1 - b0)
-    return refined, abs(refined - coarse)
+        lo, hi = np.stack((b0, b0, mid)), np.stack((b1, mid, b1))
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
+        products = (v[:, None] + c[:, None] / t) ** e.p * _GL_WEIGHTS
+        s = products.reshape(3, len(v), 4, 4).sum(axis=-2)
+        quad = half * ((s[..., 0] + s[..., 2]) + (s[..., 1] + s[..., 3]))
+        coarse, refined = np.cumsum((quad[0], quad[1] + quad[2]), axis=1)[:, -1].tolist()
+    est = abs(refined - coarse)
+    if not math.isfinite(est):
+        raise DomainError("int ((1/t) int_0^t h)^p overflows a float")
+    return refined, est
 
 
 def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
@@ -182,11 +205,11 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     are rejected with BoundaryCaseError, raised from the OutsideDomainError
     of ``solve_t``'s domain test: the bound there is the trivial
     lhs = z <= t^p z for any t >= 1 and the solver is not applicable.
-    Solver no-root errors propagate.  Right after ``sample_step``, the solve
-    reuses the alpha(s2) that its ``has_root`` test kept.
+    Solver no-root errors propagate.  Right after ``sample_step``, the
+    moments, the induced point and the solve's alpha(s2) are the ones its
+    draw computed.
     """
-    m = step_moments(h, e)
-    pt = moments_to_params(m, e)
+    m, pt = _induced(h, e)
     try:
         sol = solve_t(e, pt)
     except OutsideDomainError as exc:
@@ -196,14 +219,8 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     rhs = sol.t**e.p * m.z
     budget = est + 1e-9 * rhs
     return VerificationReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / m.z,
-        t=sol.t,
-        s1=pt.s1,
-        s2=pt.s2,
-        passed=lhs <= rhs + budget,
-        quadrature_error_estimate=est,
+        lhs=lhs, rhs=rhs, ratio=lhs / m.z, t=sol.t, s1=pt.s1, s2=pt.s2,
+        passed=lhs <= rhs + budget, quadrature_error_estimate=est,
     )
 
 
@@ -217,8 +234,9 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     whose induced point has no root (``has_root``): beyond the no-root
     cutoff, the band along the lower curve at large s2 where a root would
     need tau >= 1, the constant is not characterized by the equation solved
-    here, so such samples are rejected rather than guessed at; the solver
-    keeps the accepted point's alpha(s2) for ``verify_hardy``.
+    here, so such samples are rejected rather than guessed at.  The accepted
+    sample's moments and induced point, and the solver's alpha(s2), stay
+    cached for ``verify_hardy``.
     """
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
@@ -234,13 +252,8 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
             continue
         values = rng.uniform(0.05, 4.0, size=k)
         h = StepFunction(kappa=kappa, breakpoints=tuple(pts), values=tuple(values))
-        pt = moments_to_params(step_moments(h, e), e)
-        margin = min(
-            pt.s1,
-            1.0 - pt.s1,
-            1.0 - pt.s2,
-            pt.s2 - lower_curve(e, pt.s1),
-        )
+        pt = _induced(h, e)[1]
+        margin = min(pt.s1, 1.0 - pt.s1, 1.0 - pt.s2, pt.s2 - lower_curve(e, pt.s1))
         if margin >= _SAMPLE_BOUNDARY_MARGIN and has_root(e, pt):
             return h
     raise ConvergenceError("step-function sampling failed to find an interior sample")

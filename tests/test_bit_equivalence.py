@@ -16,6 +16,11 @@ suite's grid and on every exponent a tested ``verify`` pair brings in.
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
 there, would, and elsewhere as the mpmath oracle's sign of g(u_top) does.
 That holds with the left end moved up to where it rejects points, too.
+
+``hardy_lhs`` evaluates every segment's quadrature in one array expression
+with its sums in a fixed order.  ``_reference_hardy_lhs`` is a verbatim copy
+of the per-segment loop it replaced, whose node sums went through
+``np.dot``; both returned floats must be equal.
 """
 
 import math
@@ -28,7 +33,17 @@ from mp_oracle import g_at
 
 import hardyconst.solver
 import hardyconst.special
-from hardyconst import Exponents, Membership, ParamPoint, alpha_eval, has_root, in_domain, solve_t
+from hardyconst import (
+    Exponents,
+    Membership,
+    ParamPoint,
+    StepFunction,
+    alpha_eval,
+    hardy_lhs,
+    has_root,
+    in_domain,
+    solve_t,
+)
 from hardyconst.errors import DomainError
 from hardyconst.solver import _K_MIN, _u_equation, _u_top, residual, tau_eval
 from hardyconst.special import (
@@ -293,3 +308,66 @@ def test_omega_lanes_reject_what_omega_rejects(bad):
     with pytest.raises(DomainError) as lanes:
         _omega_lanes(2.0, np.array([0.5, bad, 0.25]))
     assert str(lanes.value) == str(scalar.value)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _piece_quad(p: float, v: float, c: float, lo: float, hi: float) -> float:
+    """Gauss-Legendre integral of (v + c/t)^p over (lo, hi), 0 < lo < hi.
+
+    v + c/t is the running average on a segment whose accumulated integral
+    at its left breakpoint b0 is A: there c = A - v*b0, and the numerator
+    A + v*(t - b0) = c + v*t stays nonnegative.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = mid + half * _GL_NODES
+    return half * float(np.dot(_GL_WEIGHTS, (v + c / t) ** p))
+
+
+def _reference_hardy_lhs(h: StepFunction, e: Exponents) -> tuple[float, float]:
+    """The averaging functional int ((1/t) int_0^t h)^p dt with an error estimate.
+
+    Returns (value, error_estimate): value from the per-segment halved rule,
+    error estimate as |halved - unhalved|.  On the first segment the running
+    average is exactly the constant v_1 (c = 0), so the rule is exact there.
+    """
+    coarse = 0.0
+    refined = 0.0
+    accum = 0.0
+    for v, b0, b1 in zip(h.values, h.breakpoints, h.breakpoints[1:]):
+        c = accum - v * b0
+        mid = 0.5 * (b0 + b1)
+        coarse += _piece_quad(e.p, v, c, b0, b1)
+        refined += _piece_quad(e.p, v, c, b0, mid) + _piece_quad(e.p, v, c, mid, b1)
+        accum += v * (b1 - b0)
+    return refined, abs(refined - coarse)
+
+
+#: the benchmark's hardy pairs, then a pair near p = 1 and a large p
+HARDY_PAIRS = [(2.0, 1.5), (3.0, 2.0), (2.5, 1.3), (5.0, 1.2), (1.05, 1.01), (50.0, 1.5)]
+
+
+def _step_functions(n: int, seed: int) -> list[StepFunction]:
+    """n step functions with 1, 64 or 2..63 pieces, about a quarter of the
+    values 0, and kappa log-uniform in each of 1e-100.., 1e-3.., 1.. and 1e3..
+    up to 1e100 in turn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        k = (1, 64)[i % 2] if i % 5 < 2 else int(rng.integers(2, 64))
+        lo, hi = ((-100.0, -3.0), (-3.0, 0.0), (0.0, 3.0), (3.0, 100.0))[i % 4]
+        kappa = 10.0 ** rng.uniform(lo, hi)
+        cuts = np.sort(rng.uniform(0.0, kappa, k - 1))
+        values = np.where(rng.uniform(size=k) < 0.25, 0.0, rng.uniform(0.0, 4.0, k))
+        values[rng.integers(k)] = rng.uniform(0.05, 4.0)
+        out.append(StepFunction(kappa, (0.0, *cuts, kappa), tuple(values)))
+    return out
+
+
+@pytest.mark.parametrize("pair", HARDY_PAIRS, ids=lambda pq: f"p{pq[0]:g}q{pq[1]:g}")
+def test_hardy_lhs_matches_the_per_segment_loop(pair):
+    e = Exponents(*pair)
+    for h in _step_functions(50, int(pair[0] * 100 + pair[1] * 10)):
+        assert hardy_lhs(h, e) == _reference_hardy_lhs(h, e)

@@ -1,6 +1,7 @@
 """Step functions, moments, quadrature, and the averaging inequality."""
 
 import math
+import re
 
 import pytest
 
@@ -28,6 +29,20 @@ E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
 
 TWO_STEP = StepFunction(kappa=1.0, breakpoints=(0.0, 0.25, 1.0), values=(2.0, 1.0))
+
+#: step functions whose moments leave float range: v^p overflows and raises
+#: in Python; v^q overflows; v * length rounds to inf silently; and so does
+#: the running integral, whose c = A - v*b0 is then inf - inf
+OVERFLOWS = [
+    pytest.param(Exponents(5.0, 1.2), StepFunction(1.0, (0.0, 0.5, 1.0), (1e70, 1.0)),
+                 "int h^p", id="h^p-raises"),
+    pytest.param(Exponents(1.05, 1.01), StepFunction(1e10, (0.0, 5e9, 1e10), (1e290, 1e298)),
+                 "int h^q", id="h^q-raises"),
+    pytest.param(E2, StepFunction(1e10, (0.0, 5e9, 1e10), (1e300, 1.0)),
+                 "int h", id="h-rounds-to-inf"),
+    pytest.param(E2, StepFunction(1e10, (0.0, 5e9, 1e10), (1e300, 1e300)),
+                 "int h", id="c-is-nan"),
+]
 
 
 def lhs_closed_form_p2(h: StepFunction) -> float:
@@ -92,6 +107,11 @@ class TestStepMoments:
         assert mc.x == pytest.approx(c * m.x, rel=1e-13, abs=0.0)
         assert mc.y == pytest.approx(c**E2.q * m.y, rel=1e-13, abs=0.0)
         assert mc.z == pytest.approx(c**E2.p * m.z, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("e, h, name", OVERFLOWS)
+    def test_overflow_names_the_moment(self, e, h, name):
+        with pytest.raises(DomainError, match=rf"^moment {re.escape(name)} overflows"):
+            step_moments(h, e)
 
 
 class TestMomentsToParams:
@@ -165,6 +185,12 @@ class TestHardyLhs:
             val2, _ = hardy_lhs(finer, E3)
             assert abs(val2 - val) <= max(est, 1e-12)
 
+    @pytest.mark.parametrize("e, h, name", OVERFLOWS)
+    def test_overflow_is_a_domain_error(self, e, h, name):
+        # numpy's overflow warning would fail the test: warnings are errors
+        with pytest.raises(DomainError, match=r"int \(\(1/t\) int_0\^t h\)\^p overflows"):
+            hardy_lhs(h, e)
+
 
 class TestVerifyHardy:
     def test_two_step_passes_with_margin(self):
@@ -191,6 +217,11 @@ class TestVerifyHardy:
             h = sample_step(1000 + seed, 2 + seed % 7, (0.5, 1.0, 3.0)[seed % 3], e)
             rep = verify_hardy(h, e)
             assert rep.passed, f"violation at seed {1000 + seed}"
+
+    @pytest.mark.parametrize("e, h, name", OVERFLOWS)
+    def test_overflow_names_the_moment(self, e, h, name):
+        with pytest.raises(DomainError, match=rf"^moment {re.escape(name)} overflows"):
+            verify_hardy(h, e)
 
     def test_nonincreasing_samples_pass(self):
         for seed in range(100):

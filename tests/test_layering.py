@@ -1,6 +1,6 @@
 """Module layering: the solver's stages stay behind its public functions,
-no module imports a name it never uses, and none rebinds module-level
-state by hand."""
+no module imports a name it never uses, none rebinds module-level state by
+hand, and none sums through BLAS, whose order depends on the CPU."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,40 @@ def test_no_global_or_nonlocal_statement(path):
         node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert rebinds == []
+
+
+#: numpy calls whose summation order follows the BLAS kernel picked at run
+#: time (OpenBLAS's DYNAMIC_ARCH), so their floats could depend on the CPU
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """Uses of BLAS_CALLS, as ``np.dot``, ``a.dot`` or an import from numpy,
+    and ``@`` operators, each as name:line."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS:
+            uses.append(f"{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            uses += [f"{a.name}:{node.lineno}" for a in node.names if a.name in BLAS_CALLS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append(f"@:{node.lineno}")
+    return sorted(uses)
+
+
+def test_blas_check_sees_each_kind():
+    source = (
+        "import numpy as np\n"
+        "from numpy import inner, sum\n"
+        "a = np.dot(x, y)\n"
+        "b = x @ y\n"
+        "b @= y\n"
+        "f = numpy.einsum\n"
+        "c = x.vdot(y) + np.sum(x) + np.polynomial.legendre.leggauss(4)[0] * y\n"
+    )
+    assert blas_uses(source) == ["@:4", "@:5", "dot:3", "einsum:6", "inner:2", "vdot:7"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_blas_ordered_reduction(path):
+    assert blas_uses(path.read_text(encoding="utf-8")) == []

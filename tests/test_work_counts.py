@@ -24,14 +24,21 @@ g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
 nothing, with q near p too, a solve right after it inverts only for its
 certificate, and ``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one
 s2, evaluates alpha(s2) once.
+
+``hardy`` keeps the moments of the last step function: ``sample_step``
+computes them once per draw, ``verify_hardy`` on its sample computes none,
+and a raised moment error is not kept.
 """
 
 import numpy as np
 import pytest
 
+import hardyconst.hardy
 import hardyconst.solver
 import hardyconst.special
-from hardyconst import Exponents, ParamPoint, has_root, solve_t
+from hardyconst import Exponents, ParamPoint, StepFunction, has_root, solve_t
+from hardyconst.errors import DomainError
+from hardyconst.hardy import sample_step, verify_hardy
 from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
@@ -202,3 +209,36 @@ def test_omega_lanes_do_the_scalar_kernels_work(calls, monkeypatch):
 def test_inverse_suite_makes_no_scalar_inversion(calls):
     assert inverse_suite(E3).passed
     assert calls["h"] == 0
+
+
+@pytest.fixture
+def moment_calls(monkeypatch):
+    """The step functions ``hardy.step_moments`` has been called on, in order."""
+    seen = []
+    step_moments = hardyconst.hardy.step_moments
+
+    def counted_step_moments(h, e):
+        seen.append(h)
+        return step_moments(h, e)
+
+    monkeypatch.setattr(hardyconst.hardy, "step_moments", counted_step_moments)
+    return seen
+
+
+def test_verify_hardy_reuses_the_sampled_moments(moment_calls):
+    # seed 0 with 8 pieces rejects its first draw on (3, 2): two draws
+    h = sample_step(0, 8, 1.0, E3)
+    drawn = list(moment_calls)
+    assert len(drawn) == len(set(drawn)) == 2
+    assert drawn[-1] == h
+    assert verify_hardy(h, E3).passed
+    assert moment_calls == drawn
+
+
+def test_a_moment_error_is_not_kept(moment_calls):
+    e = Exponents(5.0, 1.2)
+    h = StepFunction(1.0, (0.0, 0.5, 1.0), (1e70, 1.0))
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"int h\^p overflows"):
+            verify_hardy(h, e)
+    assert moment_calls == [h, h]
