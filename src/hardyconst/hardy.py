@@ -184,10 +184,10 @@ def hardy_lhs(h: StepFunction, e: Exponents) -> tuple[float, float]:
     b0, b1 = b[:-1], b[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.concatenate(([0.0], np.cumsum(v * (b1 - b0))[:-1])) - v * b0
-        mid = 0.5 * (b0 + b1)
+        mid = 0.5 * b0 + 0.5 * b1
         lo, hi = np.stack((b0, b0, mid)), np.stack((b1, mid, b1))
         half = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[..., None] + half[..., None] * _GL_NODES
+        t = (0.5 * lo + 0.5 * hi)[..., None] + half[..., None] * _GL_NODES
         products = (v[:, None] + c[:, None] / t) ** e.p * _GL_WEIGHTS
         s = products.reshape(3, len(v), 4, 4).sum(axis=-2)
         quad = half * ((s[..., 0] + s[..., 2]) + (s[..., 1] + s[..., 3]))

@@ -4,12 +4,15 @@ Differentiating the implicit equation gives the identity
 
     dt/ds1 * delta(s1, s2) = t * gamma(s1, s2)
 
-with, writing w = omega_q(tau) and B(w) = ((p-1) q w - p (q-1)) / (p (q-1) (w-1)),
+with w = omega_q(tau) = (p - u)/(p-1) at the solve's root u (``BellmanSolution.u``),
 
-    gamma(s1, s2) = alpha(s2) - B(w) * (t^q / s2 - 1)
-    delta(s1, s2) = B(w) * lambda(t) + (p-q) * s1 * alpha(s2)
-    lambda(t)     = q t^p - p t^q s1/s2 + (p-q) s1.
+    gamma(s1, s2) = alpha(s2) - B * (t^q / s2 - 1)
+    delta(s1, s2) = B * lambda(t) + (p-q) * s1 * alpha(s2)
+    lambda(t)     = q t^p - p t^q s1/s2 + (p-q) s1
+    B             = (p-1) (p - q u) / (p (q-1) (1 - u)).
 
+Written in u, B is exact and finite, as u <= u_top < 1; written in w, its
+w - 1 would carry omega_q(tau)'s square-root conditioning as tau -> 1.
 delta and lambda are strictly positive on the whole region, gamma is
 strictly negative, hence the constant strictly decreases in s1.  All of
 this is checked numerically by the verification suites; ``dt_ds1`` also
@@ -48,22 +51,20 @@ def lambda_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
     return e.q * t**e.p - e.p * t**e.q * (pt.s1 / pt.s2) + (e.p - e.q) * pt.s1
 
 
-def _bracket_factor(e: Exponents, w: float) -> float:
-    """B(w) = ((p-1) q w - p (q-1)) / (p (q-1) (w - 1)); singular at w = 1."""
-    if w == 1.0:
-        raise SingularityError("bracket factor is singular at omega_q(tau) = 1")
-    return ((e.p - 1.0) * e.q * w - e.p * (e.q - 1.0)) / (e.p * (e.q - 1.0) * (w - 1.0))
+def _bracket_factor(e: Exponents, u: float) -> float:
+    """B = (p-1) (p - q u) / (p (q-1) (1 - u)) at u = p - (p-1) w, u < 1."""
+    return (e.p - 1.0) * (e.p - e.q * u) / (e.p * (e.q - 1.0) * (1.0 - u))
 
 
 def gamma_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
-    """gamma = alpha(s2) - B(omega_q(tau)) * (t^q / s2 - 1); negative in the region."""
-    b = _bracket_factor(e, sol.omega_q_tau)
+    """gamma = alpha(s2) - B(u) * (t^q / s2 - 1); negative in the region."""
+    b = _bracket_factor(e, sol.u)
     return sol.alpha - b * (sol.t**e.q / pt.s2 - 1.0)
 
 
 def delta_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
-    """delta = B(omega_q(tau)) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
-    b = _bracket_factor(e, sol.omega_q_tau)
+    """delta = B(u) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
+    b = _bracket_factor(e, sol.u)
     return b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * sol.alpha
 
 
@@ -98,13 +99,8 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     fd = (ts[0] - ts[1]) / (2.0 * h)
 
     return SensitivityReport(
-        t=sol.t,
-        tau=sol.tau,
-        lambda_val=lambda_eval(e, pt, sol.t),
-        gamma_val=gamma,
-        delta_val=delta,
-        dt_ds1=analytic,
-        dt_ds1_fd=fd,
+        t=sol.t, tau=sol.tau, lambda_val=lambda_eval(e, pt, sol.t), gamma_val=gamma,
+        delta_val=delta, dt_ds1=analytic, dt_ds1_fd=fd,
         fd_rel_err=abs(analytic - fd) / max(abs(analytic), 1e-12),
     )
 

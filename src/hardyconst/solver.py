@@ -38,16 +38,16 @@ root with tau < 1 exists exactly when g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) -
 s1) > 0, explicit once alpha is known.  Two refinements:
 
 - The frontier.  Where tau at the root is within rounding of 1, tau(t)
-  rounds to 1 or above, omega_q(tau) to 1, and the bracket factor of
-  ``sensitivity`` is singular there.  So g is tested at u_top, where
-  H_q(w) = 1 - eps to second order (H_q(1 + d) = 1 - q (q-1) d^2 / 2 + ...),
-  eps = 1e-14 p/(p-q): tau(t) carries X's rounding times about p/(p-q).  A
-  root within eps of tau = 1 counts as no root.  On 3180 points within 1e-3
-  relative of the g(1) = 0 frontier over ten pairs, has_root disagreed with
-  a usable solve (0 < tau < 1 < omega_q(tau), gamma and delta finite) at 1
-  point with 1e-16 in place of 1e-14 and at none with 1e-15.  Where
-  u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, H_q(w) > 1 - eps on all of
-  [1, p'] and no point of the pair has a root that counts.
+  rounds to 1 or above and the certificate's omega_q(tau) is undefined
+  (``sensitivity`` reads the solve's own u < 1).  So g is tested at u_top,
+  where H_q(w) = 1 - eps to second order (H_q(1 + d) = 1 - q (q-1) d^2 / 2
+  + ...), eps = 1e-14 p/(p-q): tau(t) carries X's rounding times about
+  p/(p-q).  A root within eps of tau = 1 counts as no root.  On 3180 points
+  within 1e-3 relative of the g(1) = 0 frontier over ten pairs, has_root
+  disagreed with a usable solve (0 < tau < 1 < omega_q(tau), gamma and
+  delta finite) at 1 point with 1e-16 in place of 1e-14 and at none with
+  1e-15.  Where u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, H_q(w) > 1 - eps
+  on all of [1, p'] and no point of the pair has a root that counts.
 - The left end.  The root must also lie above lo = 1 + 1e-12.  phi(u) =
   w^(q-1) u is increasing and concave on (0, 1] (phi' = w^(q-2) (p - q u)
   /(p-1), phi'' = -(q-1) w^(q-3) (2p - q u)/(p-1)^2) and t(u) falls, so
@@ -127,6 +127,7 @@ class BellmanSolution:
     are recomputed from t in t-space, so they check it independently.
 
     t             the constant, in (1, p/(p-1))
+    u             the u whose t(u) gave t; u_a at the top cap
     tau           tau(t), the reparameterized argument fed to omega_q, in (0, 1)
     omega_q_tau   omega_q(tau), inverted by special._omega_between
     residual      the implicit-equation residual at (t, omega_q_tau)
@@ -136,6 +137,7 @@ class BellmanSolution:
     """
 
     t: float
+    u: float
     tau: float
     omega_q_tau: float
     residual: float
@@ -310,6 +312,6 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     tau = tau_eval(e, pt, t)
     w = _omega_certificate(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
-        t=t, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
+        t=t, u=u, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
         bracket_width=width, alpha=a2,
     )

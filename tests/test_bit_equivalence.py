@@ -65,7 +65,7 @@ PAIRS = [
 #: R_KERNEL plus the exponents that the tested verify pairs bring into
 #: inverse_suite: (2.5, 1.3), (5, 1.2) and (4.023..., 1.8959...)
 R_LANES = R_KERNEL + [1.2, 2.5, 4.023077022296251, 1.8959193885654708]
-FIELDS = ("t", "tau", "omega_q_tau", "residual", "bracket_width", "alpha")
+FIELDS = ("t", "u", "tau", "omega_q_tau", "residual", "bracket_width", "alpha")
 
 
 def _reference_bracketed_root(

@@ -191,6 +191,14 @@ class TestHardyLhs:
         with pytest.raises(DomainError, match=r"int \(\(1/t\) int_0\^t h\)\^p overflows"):
             hardy_lhs(h, e)
 
+    def test_kappa_near_the_float_maximum(self):
+        # h = 1 on (0, 1.7e308]: the functional is kappa; b0 + b1 overflows,
+        # so midpoints and node centres halve each end before adding
+        h = StepFunction(1.7e308, (0.0, 1e308, 1.7e308), (1.0, 1.0))
+        value, est = hardy_lhs(h, E2)
+        assert value == pytest.approx(1.7e308, rel=1e-15, abs=0.0)
+        assert est == 0.0
+
 
 class TestVerifyHardy:
     def test_two_step_passes_with_margin(self):

@@ -1,18 +1,24 @@
-"""The constant against the independent mpmath oracle in ``mp_oracle``.
+"""The constant and its s1-derivative against the independent mpmath oracle
+in ``mp_oracle``.
 
 t must lie within 2 ulp of the oracle's, or be the top cap (the largest
 float below p/(p-1)) where the oracle's root lies less than an ulp below
-p/(p-1).
+p/(p-1).  gamma, delta and dt/ds1 must match the oracle's to 1e-13 relative
+at interior and small-s1 points.  At the has_root frontier, where tau is
+within ~3e-14 of 1 and 1 - u* is ~1e-7, the rounding of u* leaves gamma and
+delta ~1e-8 off, and bounds of 1e-7 and 1e-12 (dt/ds1, whose B cancels)
+apply; with B formed from omega_q(tau) they were up to 1.5e-2 and 4.1e-8
+off at these points.
 """
 
 import math
 
 import numpy as np
 import pytest
-from mp_oracle import reference_t
+from mp_oracle import reference_sensitivity, reference_t
 
 from hardyconst import Exponents, ParamPoint, has_root, solve_t
-from hardyconst.sensitivity import delta_eval, gamma_eval
+from hardyconst.sensitivity import delta_eval, dt_ds1_analytic, gamma_eval
 
 
 def _top_cap(e: Exponents) -> float:
@@ -76,3 +82,45 @@ def test_tiny_s1(pair, s1):
     assert 0.0 < sol.tau < 1.0 < sol.omega_q_tau
     assert math.isfinite(gamma_eval(e, pt, sol)) and math.isfinite(delta_eval(e, pt, sol))
     assert _check_against_oracle(e, pt) < 1e-200
+
+
+#: the pairs whose derivative the oracle checks
+DERIVATIVE_PAIRS = [(2.0, 1.5), (3.0, 2.0), (2.5, 1.3), (5.0, 1.2)]
+
+
+def _derivative_errors(e: Exponents, pt: ParamPoint) -> list[float]:
+    """Relative errors of gamma, delta and dt/ds1 against the oracle."""
+    sol = solve_t(e, pt)
+    got = (gamma_eval(e, pt, sol), delta_eval(e, pt, sol), dt_ds1_analytic(e, pt, sol))
+    ref = reference_sensitivity(e.p, e.q, pt.s1, pt.s2)
+    assert ref is not None, pt
+    return [float(abs((x - r) / r)) for x, r in zip(got, ref)]
+
+
+def _has_root_frontier(e: Exponents, s2: float) -> ParamPoint:
+    """The largest s1 of the row at which has_root holds, bisected to an ulp."""
+    lo, hi = 1e-3 * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2 ** ((e.p - 1.0) / (e.q - 1.0))
+    assert has_root(e, ParamPoint(lo, s2)) and not has_root(e, ParamPoint(hi, s2))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if has_root(e, ParamPoint(mid, s2)) else (lo, mid)
+    return ParamPoint(lo, s2)
+
+
+@pytest.mark.parametrize("s2", [0.97, 0.99])
+@pytest.mark.parametrize("pair", DERIVATIVE_PAIRS, ids=str)
+def test_derivative_at_the_has_root_frontier(pair, s2):
+    e = Exponents(*pair)
+    pt = _has_root_frontier(e, s2)
+    assert 1.0 - solve_t(e, pt).tau < 1e-13, pt
+    gamma, delta, dt = _derivative_errors(e, pt)
+    assert gamma <= 1e-7 and delta <= 1e-7 and dt <= 1e-12, (pt, gamma, delta, dt)
+
+
+@pytest.mark.parametrize("frac", [1e-20, 1e-8, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("pair", DERIVATIVE_PAIRS, ids=str)
+def test_derivative_inside(pair, frac):
+    e = Exponents(*pair)
+    for s2 in (0.4, 0.8):
+        pt = ParamPoint(frac * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
+        assert has_root(e, pt), pt
+        assert max(_derivative_errors(e, pt)) <= 1e-13, pt

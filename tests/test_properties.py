@@ -5,7 +5,10 @@ f in (1e-13, 1 - 1e-9), so that q - 1 reaches below 2e-14 (p-1)^2, where no
 root counts (``solver``), and points with s1 down to the smallest subnormal, s2 near 0 and near 1,
 and s2 within 1e-11 relative of the lower curve.  ``has_root`` must be true
 exactly when ``solve_t`` returns; a returned constant lies in (1, p/(p-1))
-with a finite residual, and every other outcome is a ``HardyConstError``.
+with a finite residual and finite gamma and delta, delta > 0, and every
+other outcome is a ``HardyConstError``.  gamma < 0 is not asserted: near the
+corner (1, 1) with p - q tiny, t resolves only to ~1e-16/(p-q) and the float
+gamma can come out positive.
 """
 
 import math
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from hardyconst import Exponents, ParamPoint, has_root, solve_t
 from hardyconst.errors import HardyConstError
+from hardyconst.sensitivity import delta_eval, gamma_eval
 
 UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 #: s1 uniform on (0, 1) with subnormals, and log-uniform down to 1e-323
@@ -58,3 +62,5 @@ def test_has_root_exactly_when_solve_t_returns(case):
     assert root
     assert 1.0 < sol.t < e.p_conj
     assert math.isfinite(sol.residual)
+    gamma, delta = gamma_eval(e, pt, sol), delta_eval(e, pt, sol)
+    assert math.isfinite(gamma) and math.isfinite(delta) and delta > 0.0, (gamma, delta)

@@ -86,7 +86,7 @@ class TestGammaDelta:
         ids=["p2q1.5", "p3q2", "p2.5q1.3", "p5q1.2"],
     )
     def test_solution_alpha_matches_alpha_eval(self, e):
-        # the formulas with alpha(s2) recomputed, bit for bit
+        # the formulas with alpha(s2) recomputed and B at the solve's u, bit for bit
         for s2 in (0.3, 0.6, 0.9):
             s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
             for frac in (1e-9, 1e-4, 0.1, 0.5, 0.9):
@@ -95,7 +95,7 @@ class TestGammaDelta:
                     continue
                 sol = solve_t(e, pt)
                 a2 = alpha_eval(e, s2)
-                b = _bracket_factor(e, sol.omega_q_tau)
+                b = _bracket_factor(e, sol.u)
                 assert gamma_eval(e, pt, sol) == a2 - b * (sol.t**e.q / s2 - 1.0)
                 assert delta_eval(e, pt, sol) == (
                     b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * a2
