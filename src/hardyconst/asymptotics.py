@@ -67,19 +67,31 @@ def _check_s2(e: Exponents, s2: float) -> None:
 def big_f(e: Exponents, s2: float) -> float:
     """The gamma limit F(s2); diverges to -infinity as s2 -> 0."""
     _check_s2(e, s2)
-    return (omega(e.q, s2) ** e.q - _big_a(e)) / s2 - 1.0 + (e.p - 1.0) / (e.q - 1.0)
+    return _f_at(e, s2, omega(e.q, s2))
 
 
 def big_f_deriv(e: Exponents, s2: float) -> float:
     """Exact derivative of F, including the 1/s2^2 factor: (a - G(s2))/s2^2."""
     _check_s2(e, s2)
-    return (_big_a(e) - big_g(e, s2)) / s2**2
+    return _f_deriv_at(e, s2, omega(e.q, s2))
 
 
 def big_g(e: Exponents, s2: float) -> float:
     """G(s2) = omega_q(s2) s2 / ((q-1)(omega_q(s2) - 1)) + omega_q(s2)^q."""
     _check_s2(e, s2)
-    w = omega(e.q, s2)
+    return _g_at(e, s2, omega(e.q, s2))
+
+
+# F, F' and G at a checked s2 from a known w = omega_q(s2)
+def _f_at(e: Exponents, s2: float, w: float) -> float:
+    return (w**e.q - _big_a(e)) / s2 - 1.0 + (e.p - 1.0) / (e.q - 1.0)
+
+
+def _f_deriv_at(e: Exponents, s2: float, w: float) -> float:
+    return (_big_a(e) - _g_at(e, s2, w)) / s2**2
+
+
+def _g_at(e: Exponents, s2: float, w: float) -> float:
     if w == 1.0:
         raise SingularityError("G is singular where omega_q(s2) = 1 (s2 -> 1)")
     return w * s2 / ((e.q - 1.0) * (w - 1.0)) + w**e.q

@@ -37,9 +37,12 @@ ten exponents, 400 of them at r = 1.05 and 1.1, because the C library's
 pow(x, 2) is not always rounded like x * x.
 
 ``_omega_lanes`` is omega's lane-wise twin for batched grids: one
-lock-step ITP pass over an array of targets, equal to ``omega`` bit for
-bit, beside ``_h_lanes`` for ``_h``.  Single inversions keep the scalar
-kernel, because a one-lane call costs ~0.6 ms against ~13 us for ``omega``.
+lock-step ITP pass over an array of targets, with one r or one r per lane,
+equal to ``omega`` bit for bit, beside ``_h_lanes`` for ``_h``.  A pass
+costs ~70 us however few lanes are left, and the last ten of a grid's
+20-30 passes carry few, so lanes pay only for hundreds of targets in one
+call (a one-lane call costs ~0.6 ms against ~13 us for ``omega``).  Peak
+memory is about 21 floats per lane: ~1.2 MB for 7,000 lanes.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
@@ -261,77 +264,82 @@ def omega(r: float, s: float) -> float:
     return _omega_between(r, s, 1.0, 1.0, top, 0.0)
 
 
-def _h_lanes(r: float, z: np.ndarray) -> np.ndarray:
-    """``_h`` on an array of z, bit for bit (powers through float_power)."""
+def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``_h`` on an array of z and one r or one r per lane, bit for bit."""
     val = np.float_power(z, r - 1.0) * (r - (r - 1.0) * z)
     val[(-1e-13 < val) & (val < 0.0)] = 0.0
     return val
 
 
-def _omega_lanes(r: float, s: np.ndarray) -> np.ndarray:
-    """``omega`` on a 1-D array of s, bit for bit, in one lock-step ITP pass.
+def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
+    bit, in one lock-step ITP pass.
 
-    Every lane runs ``_bracketed_root``'s steps on omega's natural bracket
-    [1, r'] with the same xtol, k1, n_max and projection scale: the same
-    truncation and projection branch, the same side updated, the same best
-    point, an early stop where H_r hits s exactly and a stop where the
-    bracket's ends are adjacent floats.  Lanes leave the working arrays as
-    they finish.  s = 1 and s = 0 give 1 and r' exactly; an s outside
-    [0, 1] raises omega's DomainError.
+    Every lane runs ``_bracketed_root``'s steps on its natural bracket
+    [1, r'] with its r's xtol, k1, n_max and projection scale, kept in a
+    table over the distinct r: the same truncation and projection branch,
+    the same side updated, the same best point, an early stop where H_r
+    hits s exactly and a stop where the bracket's ends are adjacent floats.
+    Lanes leave the working arrays as they finish.  s = 1 and s = 0 give 1
+    and r' exactly; an s outside [0, 1] raises omega's DomainError.
     """
-    _check_exponent(r)
     s = np.asarray(s, dtype=float)
-    bad = ~((0.0 <= s) & (s <= 1.0))
-    if bad.any():
-        raise DomainError(f"omega_{r} is defined on [0, 1], got s={float(s[bad][0])}")
-    top = r / (r - 1.0)
-    z = np.where(s == 1.0, 1.0, top)
-    idx = np.flatnonzero((0.0 < s) & (s < 1.0))
+    exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
+    for x in exps.tolist():
+        _check_exponent(x)
+    ok = (0.0 <= s) & (s <= 1.0)
+    if not ok.all():
+        i = ok.argmin()
+        raise DomainError(f"omega_{exps[k[i]]} is defined on [0, 1], got s={s[i]}")
+    top = exps / (exps - 1.0)
     xtol = _BRACKET_REL_TOL * top
-    if top - 1.0 <= xtol:
-        z[idx] = 0.5 * (1.0 + top)
-        return z
-    k1 = 0.2 / (top - 1.0)
-    n_max = max(math.ceil(math.log2((top - 1.0) / xtol)), 0) + 3
-    scale = xtol * 2.0 ** (n_max - 1)
-    y = s[idx]
-    a, b = np.full(idx.size, 1.0), np.full(idx.size, top)
+    # where r' - 1 <= xtol the lane stops before k1 or the scale is read
+    span = np.maximum(top - 1.0, xtol)
+    k1 = 0.2 / span
+    # xtol * 2^(n_max - 1), halved once per pass for every lane alike
+    scale = xtol * [2.0 ** (max(math.ceil(math.log2(v)), 0) + 2) for v in span / xtol]
+    z = np.where(s == 1.0, 1.0, top[k])
+    idx = np.flatnonzero((0.0 < s) & (s < 1.0))
+    k, y = k[idx], s[idx]
+    a, b = np.ones(idx.size), top[k]
     # b keeps the points with H_r(x) <= s, as in the scalar kernel
     fa, fb = 1.0 - y, 0.0 - y
-    best_x, best_abs = np.full(idx.size, 0.5 * (1.0 + top)), np.full(idx.size, np.inf)
-    w = b - a
+    best_x, best_abs = 0.5 * (a + b), np.full(idx.size, np.inf)
     while True:
         mid = 0.5 * (a + b)
-        live = (w > xtol) & (a < mid) & (mid < b)
+        live = (b - a > xtol[k]) & (a < mid) & (mid < b)
         if not live.all():
             z[idx[~live]] = best_x[~live]
-            idx, y, a, b, fa, fb, best_x, best_abs, w, mid = (
-                v[live] for v in (idx, y, a, b, fa, fb, best_x, best_abs, w, mid)
+            idx, k, y, a, b, fa, fb, best_x, best_abs, mid = (
+                v[live] for v in (idx, k, y, a, b, fa, fb, best_x, best_abs, mid)
             )
         if not idx.size:
             return z
-        radius = np.maximum(scale - 0.5 * w, 0.0)
+        w = b - a
+        radius = np.maximum(scale[k] - 0.5 * w, 0.0)
         scale *= 0.5
         x_f = (fb * a - fa * b) / (fb - fa)
-        delta = k1 * np.float_power(w, 2.0)
+        delta = k1[k] * np.float_power(w, 2.0)
         # the scalar kernel's two signed branches, with sigma = 1 where
         # x_f is at or below mid; negating a difference is exact
         sigma = np.where(mid >= x_f, 1.0, -1.0)
         x = x_f + sigma * delta
         x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)
         x = np.where((delta <= sigma * (mid - x_f)) & (a < x) & (x < b), x, mid)
-        g = _h_lanes(r, x) - y
+        # spent arrays go now: with thousands of lanes they set the peak memory
+        del w, mid, radius, x_f, delta, sigma
+        g = _h_lanes(exps[k], x) - y
         g_abs = np.abs(g)
         better = g_abs < best_abs
         best_x[better] = x[better]
         best_abs[better] = g_abs[better]
         pos = g > 0.0
         # a lane with g == 0 collapses its bracket onto x, its best point
-        a = np.where(pos | (g == 0.0), x, a)
-        b = np.where(pos, b, x)
-        fa = np.where(pos, g, fa)
-        fb = np.where(pos, fb, g)
-        w = b - a
+        np.copyto(a, x, where=pos | (g == 0.0))
+        np.copyto(b, x, where=~pos)
+        np.copyto(fa, g, where=pos)
+        np.copyto(fb, g, where=~pos)
+        del x, g, g_abs
 
 
 def omega_deriv(r: float, s: float) -> float:

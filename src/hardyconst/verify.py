@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import big_f, big_f_deriv, big_g, endgame_constants
+from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, threshold
 from .errors import NoRootError, StencilError
 from .sensitivity import delta_eval, dt_ds1, gamma_eval, lambda_eval
@@ -36,12 +36,13 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failed == 0 and self.checks > 0
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message_of: Callable[[], str]) -> None:
+        """One check; message_of() formats its message if it is reported."""
         self.checks += 1
         if not ok:
             self.failed += 1
             if len(self.failures) < _MAX_REPORTED_FAILURES:
-                self.failures.append(message)
+                self.failures.append(message_of())
 
     def check_many(self, ok: np.ndarray, message_of: Callable[[int], str]) -> None:
         """``check`` for each lane of ok in turn; message_of(i) is lane i's
@@ -90,19 +91,20 @@ def inverse_suite(e: Exponents) -> SuiteResult:
     """Round trips H_r(omega_r(s)) = s and the r = 2 closed form 1 + sqrt(1-s),
     on 1000 evenly spaced s in [0, 1].
 
-    Each exponent's grid is inverted in one lane-wise pass, bit for bit the
-    floats ``omega`` returns; the closed-form check reuses the r = 2 pass.
+    All exponents' grids are inverted in one lane-wise pass with one r per
+    lane, bit for bit the floats ``omega`` returns, and checked exponent by
+    exponent in ascending order; the closed-form check reuses the r = 2 lanes.
     """
     res = SuiteResult("inverse round-trip")
     exps = sorted({1.3, 1.5, 2.0, 3.0, 5.0, e.p, e.q})
     grid = np.linspace(0.0, 1.0, 1000)
-    inverted = {r: _omega_lanes(r, grid) for r in exps}
-    for r, z in inverted.items():
-        err = np.abs(_h_lanes(r, z) - grid)
-        res.check_many(
-            err <= 1e-12, lambda i: f"round trip off by {err[i]} at r={r}, s={grid[i]}"
-        )
-    err = np.abs(inverted[2.0] - (1.0 + np.sqrt(1.0 - grid)))
+    r, s = np.repeat(exps, grid.size), np.tile(grid, len(exps))
+    z = _omega_lanes(r, s)
+    err = np.abs(_h_lanes(r, z) - s)
+    res.check_many(
+        err <= 1e-12, lambda i: f"round trip off by {err[i]} at r={r[i]}, s={s[i]}"
+    )
+    err = np.abs(z.reshape(len(exps), -1)[exps.index(2.0)] - (1.0 + np.sqrt(1.0 - grid)))
     res.check_many(
         err <= 1e-13, lambda i: f"omega_2 closed form off by {err[i]} at s={grid[i]}"
     )
@@ -119,10 +121,10 @@ def equal_omega_suite(e: Exponents, n: int = 50) -> SuiteResult:
         sol = solve_t(e, ParamPoint(s1, s2))
         res.check(
             abs(sol.t - w) <= 1e-8,
-            f"|t - omega_p(s1)| = {abs(sol.t - w)} at s1={s1}",
+            lambda: f"|t - omega_p(s1)| = {abs(sol.t - w)} at s1={s1}",
         )
         res.check(
-            abs(sol.tau - s2) <= 1e-8, f"|tau - s2| = {abs(sol.tau - s2)} at s1={s1}"
+            abs(sol.tau - s2) <= 1e-8, lambda: f"|tau - s2| = {abs(sol.tau - s2)} at s1={s1}"
         )
     return res
 
@@ -143,45 +145,48 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
             g = gamma_eval(e, pt, sol)
             d = delta_eval(e, pt, sol)
             lam = lambda_eval(e, pt, sol.t)
-            res.check(g < 0.0, f"gamma = {g} >= 0 at ({s1}, {s2})")
-            res.check(d > 0.0, f"delta = {d} <= 0 at ({s1}, {s2})")
-            res.check(lam > 0.0, f"lambda = {lam} <= 0 at ({s1}, {s2})")
+            res.check(g < 0.0, lambda: f"gamma = {g} >= 0 at ({s1}, {s2})")
+            res.check(d > 0.0, lambda: f"delta = {d} <= 0 at ({s1}, {s2})")
+            res.check(lam > 0.0, lambda: f"lambda = {lam} <= 0 at ({s1}, {s2})")
     return res
 
 
 def inequality_star_suite(e: Exponents) -> SuiteResult:
     """p s1^((p-q)/(p-1)) < (p-q) s1 + q at 200 evenly spaced s1 in (0, 1)."""
     res = SuiteResult("inequality (*)")
-    for s1 in np.linspace(0.0, 1.0, 202)[1:-1]:
-        lhs = e.p * s1 ** ((e.p - e.q) / (e.p - 1.0))
-        rhs = (e.p - e.q) * s1 + e.q
-        res.check(lhs < rhs, f"{lhs} >= {rhs} at s1={s1}")
+    s1 = np.linspace(0.0, 1.0, 202)[1:-1]
+    lhs = e.p * np.float_power(s1, (e.p - e.q) / (e.p - 1.0))
+    rhs = (e.p - e.q) * s1 + e.q
+    res.check_many(lhs < rhs, lambda i: f"{lhs[i]} >= {rhs[i]} at s1={s1[i]}")
     return res
 
 
 def endgame_suite(e: Exponents) -> SuiteResult:
-    """F < 0, F' > 0 at 100 points below the threshold; G strictly increasing; a dominates."""
+    """F < 0, F' > 0 at 100 points below the threshold; G strictly increasing; a dominates.
+
+    Every s2 read is inverted once, all in one lane-wise pass, and F, F' and
+    G are formed from those omega_q(s2) as ``big_f`` and kin form them."""
     res = SuiteResult("limit-profile suite (F, G, a)")
     consts = endgame_constants(e)
     thr = consts.threshold
-    interior = thr * np.arange(1, 101) / 101
-    for s2 in interior:
-        s2 = float(s2)
-        f, df = big_f(e, s2), big_f_deriv(e, s2)
-        res.check(f < 0.0, f"F({s2}) = {f} >= 0")
-        res.check(df > 0.0, f"F'({s2}) = {df} <= 0")
-    err = abs(big_f(e, thr) - consts.f_at_threshold)
-    res.check(err <= 1e-10, f"F(threshold) off closed form by {err}")
+    interior = (thr * np.arange(1, 101) / 101).tolist()
+    g_grid = np.arange(0.02, 0.98 + 1e-12, 5e-3).tolist()
+    w = _omega_lanes(e.q, np.array([*interior, thr, *g_grid])).tolist()
+    for s2, w_s2 in zip(interior, w):
+        f, df = _f_at(e, s2, w_s2), _f_deriv_at(e, s2, w_s2)
+        res.check(f < 0.0, lambda: f"F({s2}) = {f} >= 0")
+        res.check(df > 0.0, lambda: f"F'({s2}) = {df} <= 0")
+    err = abs(_f_at(e, thr, w[len(interior)]) - consts.f_at_threshold)
+    res.check(err <= 1e-10, lambda: f"F(threshold) off closed form by {err}")
     res.check(
         (e.q / (e.q - 1.0)) ** e.q < consts.a,
-        f"(q/(q-1))^q = {(e.q / (e.q - 1.0)) ** e.q} not below a = {consts.a}",
+        lambda: f"(q/(q-1))^q = {(e.q / (e.q - 1.0)) ** e.q} not below a = {consts.a}",
     )
-    g_grid = np.arange(0.02, 0.98 + 1e-12, 5e-3)
-    g_vals = [big_g(e, float(s2)) for s2 in g_grid]
+    g_vals = [_g_at(e, s2, w_s2) for s2, w_s2 in zip(g_grid, w[len(interior) + 1 :])]
     for i in range(len(g_vals) - 1):
         res.check(
             g_vals[i + 1] > g_vals[i],
-            f"G not increasing between {g_grid[i]} and {g_grid[i + 1]}",
+            lambda: f"G not increasing between {g_grid[i]} and {g_grid[i + 1]}",
         )
     return res
 
@@ -206,9 +211,9 @@ def fd_suite(e: Exponents, n: int = 30, tol: float = 1e-5) -> SuiteResult:
                 continue
             res.check(
                 rep.fd_rel_err <= tol,
-                f"FD relative error {rep.fd_rel_err} at ({s1}, {s2})",
+                lambda: f"FD relative error {rep.fd_rel_err} at ({s1}, {s2})",
             )
-            res.check(rep.dt_ds1 < 0.0, f"dt/ds1 = {rep.dt_ds1} >= 0 at ({s1}, {s2})")
+            res.check(rep.dt_ds1 < 0.0, lambda: f"dt/ds1 = {rep.dt_ds1} >= 0 at ({s1}, {s2})")
     return res
 
 
@@ -233,18 +238,20 @@ def limit_suite(e: Exponents) -> SuiteResult:
             s1 = float(s1)
             sol = solve_t(e, ParamPoint(s1, s2))
             t = sol.t
-            res.check(t < top, f"t({s1}, {s2}) = {t} not below {top}")
+            res.check(t < top, lambda: f"t({s1}, {s2}) = {t} not below {top}")
             if prev is not None:
                 res.check(
-                    t > prev, f"t not increasing toward the limit at s1={s1}, s2={s2}"
+                    t > prev,
+                    lambda: f"t not increasing toward the limit at s1={s1}, s2={s2}",
                 )
             prev = t
         res.check(
-            abs(top - prev) <= 1e-3, f"t({lo}, {s2}) = {prev} further than 1e-3 from {top}"
+            abs(top - prev) <= 1e-3,
+            lambda: f"t({lo}, {s2}) = {prev} further than 1e-3 from {top}",
         )
         # geomspace returns lo exactly as its last rung, so sol solves at lo
         g, f = gamma_eval(e, ParamPoint(lo, s2), sol), big_f(e, s2)
-        res.check(abs(g - f) <= 5e-2, f"gamma({lo}, {s2}) = {g} vs F = {f}")
+        res.check(abs(g - f) <= 5e-2, lambda: f"gamma({lo}, {s2}) = {g} vs F = {f}")
     return res
 
 

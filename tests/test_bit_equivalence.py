@@ -10,7 +10,8 @@ r = 1.05 and 1.1, so the random brackets below include those exponents.
 
 ``_omega_lanes`` and ``_h_lanes``, the lane-wise twins that invert whole
 grids in ``verify``, must equal ``omega`` and ``_h`` bit for bit too, on the
-suite's grid and on every exponent a tested ``verify`` pair brings in.
+suite's grid and on every exponent a tested ``verify`` pair brings in, with
+one exponent per call and with a different exponent in each lane.
 
 ``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
@@ -301,12 +302,46 @@ def test_omega_lanes_on_a_bracket_within_tolerance():
         assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])
 
 
+#: exponents of one mixed call: R_LANES' range, then exponents whose bracket
+#: [1, r'] is within omega's tolerance
+R_MIXED = [1.05, 1.3, 2.5, 5.0, 20.0, 4e15, 1e16, 1e300]
+
+
+def _mixed_lanes(exps: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every exponent's ``_lane_targets``, one lane each, in a seeded shuffle."""
+    r = np.concatenate([np.full(_lane_targets(i).size, x) for i, x in enumerate(exps)])
+    s = np.concatenate([_lane_targets(i) for i in range(len(exps))])
+    order = np.random.default_rng(17).permutation(r.size)
+    return r[order], s[order]
+
+
+def test_omega_lanes_with_one_exponent_per_lane_match_scalar_omega():
+    r, s = _mixed_lanes(R_MIXED)
+    expected = [omega(float(x), float(y)) for x, y in zip(r, s)]
+    assert _bits(_omega_lanes(r, s)) == _bits(expected)
+
+
+def test_h_lanes_with_one_exponent_per_lane_match_scalar_h():
+    r, s = _mixed_lanes(R_LANES)
+    z = _omega_lanes(r, s)
+    assert _bits(_h_lanes(r, z)) == _bits([_h(float(x), float(y)) for x, y in zip(r, z)])
+
+
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, -math.inf])
 def test_omega_lanes_reject_what_omega_rejects(bad):
     with pytest.raises(DomainError) as scalar:
         omega(2.0, bad)
     with pytest.raises(DomainError) as lanes:
         _omega_lanes(2.0, np.array([0.5, bad, 0.25]))
+    assert str(lanes.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, -math.inf])
+def test_omega_lanes_name_the_exponent_of_the_rejected_lane(bad):
+    with pytest.raises(DomainError) as scalar:
+        omega(3.0, bad)
+    with pytest.raises(DomainError) as lanes:
+        _omega_lanes(np.array([2.0, 5.0, 3.0, 2.0]), np.array([0.5, 0.25, bad, -1.0]))
     assert str(lanes.value) == str(scalar.value)
 
 

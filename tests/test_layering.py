@@ -1,6 +1,7 @@
 """Module layering: the solver's stages stay behind its public functions,
 no module imports a name it never uses, none rebinds module-level state by
-hand, and none sums through BLAS, whose order depends on the CPU."""
+hand, none sums through BLAS, whose order depends on the CPU, and none
+calls ``np.power``, which may round unlike the C library's pow."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,38 @@ def test_blas_check_sees_each_kind():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_blas_ordered_reduction(path):
     assert blas_uses(path.read_text(encoding="utf-8")) == []
+
+
+def power_uses(source: str) -> list[str]:
+    """Uses of numpy's ``power``, as ``np.power``, ``numpy.power`` or an
+    import from numpy, each as name:line.  ``special`` documents the trap:
+    on arrays it may run SIMD routines that round unlike ``float_power``."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "power"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            uses.append(f"{node.value.id}.power:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            uses += [f"power:{node.lineno}" for a in node.names if a.name == "power"]
+    return sorted(uses)
+
+
+def test_power_check_sees_each_kind():
+    source = (
+        "import numpy as np\n"
+        "from numpy import power, sqrt\n"
+        "from numpy import power as pw\n"
+        "a = np.power(x, 2)\n"
+        "f = numpy.power\n"
+        "c = np.float_power(x, 2) + x ** 2 + x.power(2) + math.pow(x, 2)\n"
+    )
+    assert power_uses(source) == ["np.power:4", "numpy.power:5", "power:2", "power:3"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_numpy_power(path):
+    assert power_uses(path.read_text(encoding="utf-8")) == []

@@ -51,12 +51,13 @@ def test_check_many_matches_check_lane_by_lane():
         one, many = SuiteResult("one"), SuiteResult("many")
         for res in (one, many):
             for i, flag in enumerate(prior):
-                res.check(flag, f"prior {i}")
+                res.check(flag, lambda: f"prior {i}")
+        formatted_one, reported = [], len(one.failures)
         for i, flag in enumerate(ok):
-            one.check(bool(flag), f"lane {i}")
-        formatted, reported = [], len(many.failures)
+            one.check(bool(flag), lambda: formatted_one.append(i) or f"lane {i}")
+        formatted = []
         many.check_many(ok, lambda i: formatted.append(i) or f"lane {i}")
         assert many.checks == one.checks and many.failed == one.failed
         assert many.failures == one.failures
-        # only the failures that are reported get a message
-        assert formatted == [3, 7, 8, 20, 21][: len(many.failures) - reported]
+        # only the failures that are reported get a message, from either
+        assert formatted == formatted_one == [3, 7, 8, 20, 21][: len(many.failures) - reported]

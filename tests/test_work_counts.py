@@ -17,7 +17,10 @@ them too.
 ``verify``'s round-trip grids are inverted lane by lane.  The twin must do
 exactly the scalar kernel's evaluations, in as many lock-step passes as the
 costliest single inversion takes; a fallback to one inversion per point
-would show as many more passes.
+would show as many more passes.  ``inverse_suite`` inverts all of its
+exponents' grids in one call, and ``endgame_suite`` every s2 it reads in
+one call, once each, and forms F, F' and G from those values exactly as
+``big_f``, ``big_f_deriv`` and ``big_g`` do.
 
 The solver keeps the last alpha(s2), and decides solvability by one sign of
 g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
@@ -36,14 +39,16 @@ import pytest
 import hardyconst.hardy
 import hardyconst.solver
 import hardyconst.special
+import hardyconst.verify
 from hardyconst import Exponents, ParamPoint, StepFunction, has_root, solve_t
 from hardyconst.errors import DomainError
 from hardyconst.hardy import sample_step, verify_hardy
 from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
+from hardyconst.asymptotics import big_f, big_f_deriv, big_g
 from hardyconst.special import _omega_lanes, omega
-from hardyconst.verify import feasible_s1_grid, inverse_suite
+from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
@@ -209,6 +214,65 @@ def test_omega_lanes_do_the_scalar_kernels_work(calls, monkeypatch):
 def test_inverse_suite_makes_no_scalar_inversion(calls):
     assert inverse_suite(E3).passed
     assert calls["h"] == 0
+
+
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """The (r, s) of each ``_omega_lanes`` call ``verify`` makes, and the lane
+    count of each ``_h_lanes`` call the lane kernel makes, in order."""
+    seen = {"omega": [], "h": []}
+    omega_lanes = hardyconst.verify._omega_lanes
+    h_lanes = hardyconst.special._h_lanes
+
+    def counted_omega_lanes(r, s):
+        seen["omega"].append((r, s))
+        return omega_lanes(r, s)
+
+    def counted_h_lanes(r, z):
+        seen["h"].append(z.size)
+        return h_lanes(r, z)
+
+    monkeypatch.setattr(hardyconst.verify, "_omega_lanes", counted_omega_lanes)
+    monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
+    return seen
+
+
+def test_inverse_suite_inverts_every_exponent_in_one_call(calls, lane_calls):
+    e = Exponents(4.023077022296251, 1.8959193885654708)
+    assert inverse_suite(e).passed
+    ((r, s),) = lane_calls["omega"]
+    assert sorted(set(r.tolist())) == sorted({1.3, 1.5, 2.0, 3.0, 5.0, e.p, e.q})
+    assert calls["h"] == 0
+    for x, y in zip(r.tolist(), s.tolist()):
+        omega(x, y)
+    assert sum(lane_calls["h"]) == calls["h"]
+
+
+def test_endgame_suite_inverts_each_target_once(calls, lane_calls):
+    assert endgame_suite(E3).passed
+    assert calls["h"] == 0
+    ((r, s),) = lane_calls["omega"]
+    assert r == E3.q
+    # 100 interior points, the threshold and G's 193-point grid, all distinct
+    assert s.size == np.unique(s).size == 294
+
+
+@pytest.mark.parametrize("pair", [(2.0, 1.5), (2.5, 1.3), (5.0, 1.2)])
+def test_endgame_suite_forms_f_and_g_as_the_public_functions(pair, monkeypatch):
+    e = Exponents(*pair)
+    formed = {"_f_at": [], "_f_deriv_at": [], "_g_at": []}
+    for name, seen in formed.items():
+        helper = getattr(hardyconst.verify, name)
+
+        def recorded(e, s2, w, helper=helper, seen=seen):
+            seen.append((s2, helper(e, s2, w)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(hardyconst.verify, name, recorded)
+    endgame_suite(e)
+    assert [len(v) for v in formed.values()] == [101, 100, 193]
+    for name, public in (("_f_at", big_f), ("_f_deriv_at", big_f_deriv), ("_g_at", big_g)):
+        assert formed[name] == [(s2, public(e, s2)) for s2, _ in formed[name]]
 
 
 @pytest.fixture
