@@ -1,8 +1,11 @@
 """Command-line front end: solve, scan, verify and hardy subcommands.
 
 All numeric output is CSV with the fixed header below, reals serialized
-with 17 significant digits, so reruns with identical configuration are
-byte-identical.  Diagnostics go to stderr as "error: <name>: <detail>".
+with 17 significant digits (``format(x, ".17g")``), so reruns with identical
+configuration are byte-identical.  ``solve`` and ``scan`` share one row
+formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
+once per s2, so a row formats only its own seven floats.  Diagnostics go to
+stderr as "error: <name>: <detail>".
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
 2 usage or domain error, 3 I/O error.
@@ -41,37 +44,22 @@ EXIT_IO = 3
 _SAMPLE_KAPPAS = (0.5, 1.0, 3.0)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _ok_row(e: Exponents, pt: ParamPoint) -> str:
+def _ok_row(e: Exponents, pt: ParamPoint, head: str, mid: str) -> str:
+    """The CSV row of a solved point, given head = "p,q," and mid = ",s2,"."""
     sol = solve_t(e, pt)
     gamma = gamma_eval(e, pt, sol)
     delta = delta_eval(e, pt, sol)
-    dt = sol.t * gamma / delta
     return (
-        f"{_fmt(e.p)},{_fmt(e.q)},{_fmt(pt.s1)},{_fmt(pt.s2)},"
-        f"{_fmt(sol.t)},{_fmt(sol.tau)},{_fmt(gamma)},{_fmt(delta)},"
-        f"{_fmt(dt)},{_fmt(sol.residual)},ok"
+        f"{head}{pt.s1:.17g}{mid}{sol.t:.17g},{sol.tau:.17g},{gamma:.17g},{delta:.17g},"
+        f"{sol.t * gamma / delta:.17g},{sol.residual:.17g},ok"
     )
-
-
-def _scan_row(e: Exponents, s1: float, s2: float) -> str:
-    try:
-        return _ok_row(e, ParamPoint(s1, s2))
-    except (OutsideDomainError, NoRootError) as exc:
-        nan = _fmt(math.nan)
-        return (
-            f"{_fmt(e.p)},{_fmt(e.q)},{_fmt(s1)},{_fmt(s2)},"
-            f"{nan},{nan},{nan},{nan},{nan},{nan},{exc.name}"
-        )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     e = Exponents(args.p, args.q)
     pt = ParamPoint(args.s1, args.s2)
-    row = _ok_row(e, pt)  # domain/solver errors propagate for the exit code
+    # domain/solver errors propagate for the exit code
+    row = _ok_row(e, pt, f"{e.p:.17g},{e.q:.17g},", f",{pt.s2:.17g},")
     print(CSV_HEADER)
     print(row)
     return EXIT_OK
@@ -85,10 +73,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise DomainError(f"need a grid of at least 2 points, got n={args.n}")
     e = Exponents(args.p, args.q)
+    try:
+        grid = np.linspace(args.s1_min, args.s1_max, args.n).tolist()
+    except MemoryError:
+        raise DomainError(f"an s1 grid of --n {args.n} points does not fit in memory") from None
+    head = f"{e.p:.17g},{e.q:.17g},"
     lines = [CSV_HEADER]
     for s2 in args.s2:
-        for s1 in np.linspace(args.s1_min, args.s1_max, args.n):
-            lines.append(_scan_row(e, float(s1), float(s2)))
+        mid = f",{s2:.17g},"
+        for s1 in grid:
+            try:
+                lines.append(_ok_row(e, ParamPoint(s1, s2), head, mid))
+            except (OutsideDomainError, NoRootError) as exc:
+                lines.append(f"{head}{s1:.17g}{mid}nan,nan,nan,nan,nan,nan,{exc.name}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -129,11 +126,11 @@ def cmd_hardy(args: argparse.Namespace) -> int:
         max_ratio = max(max_ratio, normalized)
         if not rep.passed:
             violations += 1
-        print(f"sample {i}: ratio={_fmt(normalized)} {'ok' if rep.passed else 'VIOLATION'}")
+        print(f"sample {i}: ratio={normalized:.17g} {'ok' if rep.passed else 'VIOLATION'}")
     # sample_step returns only solvable samples; the field keeps the format
     print(
         f"samples={args.samples} violations={violations} "
-        f"solver_failures=0 max_ratio={_fmt(max_ratio)}"
+        f"solver_failures=0 max_ratio={max_ratio:.17g}"
     )
     return EXIT_OK if violations == 0 else EXIT_INVARIANT
 

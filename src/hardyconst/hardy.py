@@ -40,8 +40,16 @@ from .errors import (
 from .solver import has_root, solve_t
 from .special import Exponents
 
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+#: the 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) bit for
+#: bit; nodes and weights are symmetric about 0, so the upper half is written
+_GL_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499])
+_GL_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                  0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate((-_GL_X[::-1], _GL_X))
+_GL_WEIGHTS = np.concatenate((_GL_W[::-1], _GL_W))
 
 #: multiplicative slack for power-mean comparisons (pure rounding allowance)
 _CHAIN_SLACK = 1e-12
@@ -246,12 +254,11 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
         raise DomainError(f"kappa must be positive, got {kappa}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
-        cuts = np.sort(rng.uniform(0.0, kappa, size=k - 1))
-        pts = np.concatenate(([0.0], cuts, [kappa]))
-        if np.min(np.diff(pts)) < 1e-3 * kappa:
+        pts = (0.0, *sorted(rng.uniform(0.0, kappa, size=k - 1).tolist()), kappa)
+        if min(b - a for a, b in zip(pts, pts[1:])) < 1e-3 * kappa:
             continue
-        values = rng.uniform(0.05, 4.0, size=k)
-        h = StepFunction(kappa=kappa, breakpoints=tuple(pts), values=tuple(values))
+        values = tuple(rng.uniform(0.05, 4.0, size=k).tolist())
+        h = StepFunction(kappa=kappa, breakpoints=pts, values=values)
         pt = _induced(h, e)[1]
         margin = min(pt.s1, 1.0 - pt.s1, 1.0 - pt.s2, pt.s2 - lower_curve(e, pt.s1))
         if margin >= _SAMPLE_BOUNDARY_MARGIN and has_root(e, pt):

@@ -102,7 +102,7 @@ from .errors import (
     OutsideDomainError,
     SingularityError,
 )
-from .special import _BRACKET_REL_TOL, Exponents, _bracketed_root, _omega_between, h_eval, omega
+from .special import _BRACKET_REL_TOL, Exponents, _bracketed_root, _h, _omega_between, omega
 
 #: margin by which the root must lie above t = 1
 _ENDPOINT_MARGIN = 1e-12
@@ -213,9 +213,9 @@ def _u_lo(e: Exponents, pt: ParamPoint, k: float) -> float:
 
 
 def _decide(e: Exponents, pt: ParamPoint) -> tuple[
-    float, float, Callable[[float], float], Callable[[float], float], float, float
+    float, float, Callable[[float], float], Callable[[float], float], float, float, float
 ]:
-    """(alpha, K, g, t(u), u_b, g(u_b)) of a solvable point, u_b = min(u_lo, u_top).
+    """(alpha, K, g, t(u), u_b, g(u_b), u_top) of a solvable point, u_b = min(u_lo, u_top).
 
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
     NoRootError unless g(u_b) > 0 (module docstring).
@@ -241,7 +241,7 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
             f"g(u) = {g_b} is not positive at u = {u_b} at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    return a2, k, g, t_of, u_b, g_b
+    return a2, k, g, t_of, u_b, g_b, u_top
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
@@ -277,11 +277,15 @@ def _u_equation(
 
 
 def _omega_certificate(q: float, tau: float, w: float) -> float:
-    """omega_q(tau), from a bracket around w if H_q there brackets tau strictly."""
+    """omega_q(tau), from a bracket around w if H_q there brackets tau strictly.
+
+    q was validated when the point was decided, and the ends lie in [1, q'],
+    so H_q is evaluated through ``_h``, without ``h_eval``'s checks.
+    """
     top = q / (q - 1.0)
     d = _NEAR_HALF_WIDTH * top
     z_lo, z_hi = max(1.0, w - d), min(top, w + d)
-    h_lo, h_hi = h_eval(q, z_lo), h_eval(q, z_hi)
+    h_lo, h_hi = _h(q, z_lo), _h(q, z_hi)
     if h_lo > tau > h_hi:
         return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)
     return omega(q, tau)
@@ -295,14 +299,13 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     docstring).  Raises OutsideDomainError or NoRootError exactly when
     ``has_root`` is false.
     """
-    a2, k, g, t_of, u_b, g_b = _decide(e, pt)
+    a2, k, g, t_of, u_b, g_b, u_top = _decide(e, pt)
     p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
     d = cap ** (p - q) - pt.s1 / pt.s2
     u = k / (e.p_conj ** (q - 1.0) * d)
     u = k / (((p - u) / (p - 1.0)) ** (q - 1.0) * d)
     g_a = g(u)
     if g_a < 0.0:
-        u_top = _u_top(e)
         g_top = g_b if u_b == u_top else g(u_top)
         a, b, u = _bracketed_root(g, u, u_top, g_a, g_top, _U_REL_WIDTH * u)
         t, width = min(max(t_of(u), 1.0 + _ENDPOINT_MARGIN), cap), abs(t_of(a) - t_of(b))

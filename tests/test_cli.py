@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hardyconst.cli import CSV_HEADER, _build_parser, main
@@ -103,6 +104,25 @@ class TestScan:
         assert run(capsys, [*args, "--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("p, q, s2s, s1_min", [
+        ("3", "2", ["0.6", "0.9"], "1e-300"),
+        ("5", "1.2", ["0.95", "0.97"], "1e-12"),
+    ], ids=["3-2", "5-1.2"])
+    def test_ok_rows_equal_solve_rows(self, capsys, p, q, s2s, s1_min):
+        code, out, _ = run(capsys, [
+            "scan", "--p", p, "--q", q, "--s2", *s2s,
+            "--s1-min", s1_min, "--s1-max", "0.35", "--n", "9",
+        ])
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 18
+        for row in rows:
+            assert row.endswith(",ok")
+            s1, s2 = row.split(",")[2:4]
+            code, out, _ = run(capsys, ["solve", "--p", p, "--q", q, "--s1", s1, "--s2", s2])
+            assert code == 0
+            assert out == f"{CSV_HEADER}\n{row}\n"
+
     def test_minimal_grid(self, capsys):
         code, out, _ = run(capsys, [
             "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
@@ -124,6 +144,22 @@ class TestScan:
         ])
         assert code == 2
         assert err == f"error: domain-error: {message}\n"
+        assert out == ""
+
+    def test_grid_too_large_for_memory(self, capsys, monkeypatch):
+        # numpy raises MemoryError for a grid it cannot allocate; none is made here
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        code, out, err = run(capsys, [
+            "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
+            "--s1-min", "1e-3", "--s1-max", "0.5", "--n", "100000000000",
+        ])
+        assert code == 2
+        assert err == (
+            "error: domain-error: an s1 grid of --n 100000000000 points does not fit in memory\n"
+        )
         assert out == ""
 
     def test_empty_s2_is_a_usage_error(self, capsys):

@@ -36,6 +36,13 @@ VERIFY = {
     (2.5, 1.3): "1abc371e8457435b04304197fa5b78008be0e79a4f10bb9932b5d79e8775ca81",
     (5.0, 1.2): "d952fae7e852e0cd930f729cd346e2629b5c0e205be14a4bf3e87b60ad6b8a8b",
 }
+#: scan over two s2 rows of (3, 2) whose statuses include ok, no-root (s1 =
+#: 0.8 at s2 = 0.9, above the g(1) = 0 frontier) and outside-domain
+MIXED_SCAN = (
+    ["--p", "3", "--q", "2", "--s2", "0.5", "0.9", "--s1-min", "0.05", "--s1-max", "0.85",
+     "--n", "17"],
+    "32b8b76fee8348ded95edb90d673866ccd93a4701c236342cef99de44262ce99",
+)
 #: hardy --samples 4 (default seed) with 2 and 32 steps on the scan pairs
 HARDY = {
     (2.0, 1.5, 2): "709f77d9bcd705877e55e3644b9b1a715294075fe587043c58ae30595d131a53",
@@ -66,6 +73,11 @@ def test_scan_row(capsys, pair):
         "--s1-min", repr(1e-3 * top), "--s1-max", repr(0.999 * top), "--n", "24",
     ]
     assert _digest(capsys, argv) == (0, SCAN[pair])
+
+
+def test_scan_rows_of_every_status(capsys):
+    argv, digest = MIXED_SCAN
+    assert _digest(capsys, ["scan", *argv]) == (0, digest)
 
 
 @pytest.mark.parametrize("pair", list(VERIFY), ids=str)

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hardyconst import (
@@ -24,6 +25,7 @@ from hardyconst.errors import (
     InconsistentMomentsError,
     OutsideDomainError,
 )
+from hardyconst.hardy import _GL_NODES, _GL_WEIGHTS
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -291,3 +293,11 @@ class TestSampleStep:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             sample_step(-1, 4, 1.0, E2)
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # the rule is written as float literals, which import no numpy.polynomial
+    # and need no eigenvalue solve; they are numpy's 16-point rule bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()

@@ -4,8 +4,9 @@ and for one solve, and alpha(s2) evaluations per scan row.
 Counts are deterministic, unlike wall times on a shared host, so they are
 the gate for the solver's cost.  Each limit is 1.2x the count measured when
 the guard was set.  H_r is counted at ``special._h``, which every H_r
-evaluation goes through: the root kernel's, and ``h_eval``'s after its
-checks.  Deciding solvability in t again, with a tau-feasibility solve and
+evaluation goes through: the root kernel's, ``h_eval``'s after its checks,
+and the certificate's at its bracket ends, which ``solver`` calls through
+its own binding of ``_h``.  Deciding solvability in t again, with a tau-feasibility solve and
 omega_q inverted at the bracket's top (374 H_r per row, 22 per solve, 25 on
 the stiff pair), would exceed the H_r limits, and so, on the stiff pair,
 would a certificate that inverted omega_q on its natural bracket; the
@@ -99,6 +100,7 @@ def calls(monkeypatch):
         return alpha_eval(e, s2)
 
     monkeypatch.setattr(hardyconst.special, "_h", counted_h)
+    monkeypatch.setattr(hardyconst.solver, "_h", counted_h)
     monkeypatch.setattr(hardyconst.solver, "_u_equation", counted_u_equation)
     monkeypatch.setattr(hardyconst.solver, "alpha_eval", counted_alpha_eval)
     return counts
@@ -157,6 +159,28 @@ def test_dt_ds1_row_evaluates_alpha_once(calls):
     for s1 in feasible_s1_grid(E3, S2, 6):
         dt_ds1(E3, ParamPoint(s1, S2))
     assert calls["alpha"] == 1
+
+
+def test_certificate_validates_the_exponent_once(monkeypatch):
+    # q was validated when the point was decided: the certificate checks it
+    # only in _omega_between, not again in h_eval at each bracket end
+    check, certificate = hardyconst.special._check_exponent, hardyconst.solver._omega_certificate
+    checks, per_certificate = [], []
+
+    def counted_check(r):
+        checks.append(r)
+        check(r)
+
+    def counted_certificate(q, tau, w):
+        before = len(checks)
+        result = certificate(q, tau, w)
+        per_certificate.append(len(checks) - before)
+        return result
+
+    monkeypatch.setattr(hardyconst.special, "_check_exponent", counted_check)
+    monkeypatch.setattr(hardyconst.solver, "_omega_certificate", counted_certificate)
+    solve_t(E3, ParamPoint(0.2, S2))
+    assert per_certificate == [1]
 
 
 def test_solve_stiff_pair(calls):
