@@ -4,8 +4,11 @@ All numeric output is CSV with the fixed header below, reals serialized
 with 17 significant digits (``format(x, ".17g")``), so reruns with identical
 configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
-once per s2, so a row formats only its own seven floats.  Diagnostics go to
-stderr as "error: <name>: <detail>".
+once per s2, so a row formats only its own seven floats.  ``hardy`` runs
+its quadrature once per chunk of samples (``hardy._verified_samples``) and
+prints each sample's line as its chunk comes out; on an error it prints
+the lines of the samples before the failing one, exactly as checking one
+sample at a time would.  Diagnostics go to stderr as "error: <name>: <detail>".
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
 2 usage or domain error, 3 I/O error.
@@ -28,7 +31,7 @@ from .errors import (
     NoRootError,
     OutsideDomainError,
 )
-from .hardy import sample_step, verify_hardy
+from .hardy import _verified_samples
 from .sensitivity import delta_eval, gamma_eval
 from .solver import solve_t
 from .special import Exponents
@@ -117,11 +120,12 @@ def cmd_hardy(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise DomainError(f"need at least 2 steps, got {args.steps}")
     e = Exponents(args.p, args.q)
+    draws = (
+        (args.seed + i, _SAMPLE_KAPPAS[i % len(_SAMPLE_KAPPAS)]) for i in range(args.samples)
+    )
     violations = 0
     max_ratio = -math.inf
-    for i in range(args.samples):
-        kappa = _SAMPLE_KAPPAS[i % len(_SAMPLE_KAPPAS)]
-        rep = verify_hardy(sample_step(args.seed + i, args.steps, kappa, e), e)
+    for i, rep in enumerate(_verified_samples(e, args.steps, draws)):
         normalized = rep.lhs / rep.rhs
         max_ratio = max(max_ratio, normalized)
         if not rep.passed:

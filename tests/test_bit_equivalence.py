@@ -21,7 +21,9 @@ That holds with the left end moved up to where it rejects points, too.
 ``hardy_lhs`` evaluates every segment's quadrature in one array expression
 with its sums in a fixed order.  ``_reference_hardy_lhs`` is a verbatim copy
 of the per-segment loop it replaced, whose node sums went through
-``np.dot``; both returned floats must be equal.
+``np.dot``; both returned floats must be equal.  ``_lhs_rows``, the pass
+over a whole chunk of step functions that ``hardy_lhs`` is one row of, must
+give each row the floats of its own one-row pass and of the loop.
 """
 
 import math
@@ -46,6 +48,7 @@ from hardyconst import (
     solve_t,
 )
 from hardyconst.errors import DomainError
+from hardyconst.hardy import _lhs_rows
 from hardyconst.solver import _K_MIN, _u_equation, _u_top, residual, tau_eval
 from hardyconst.special import (
     _BRACKET_REL_TOL,
@@ -406,3 +409,30 @@ def test_hardy_lhs_matches_the_per_segment_loop(pair):
     e = Exponents(*pair)
     for h in _step_functions(50, int(pair[0] * 100 + pair[1] * 10)):
         assert hardy_lhs(h, e) == _reference_hardy_lhs(h, e)
+
+
+def _equal_pieces(k: int, n: int, seed: int) -> list[StepFunction]:
+    """n step functions of k pieces each, about a quarter of the values 0,
+    kappa 0.5, 1 or 3 for every other one and log-uniform in 1e-100..1e100
+    for the rest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        kappa = (0.5, 1.0, 3.0)[i // 2 % 3] if i % 2 else 10.0 ** rng.uniform(-100.0, 100.0)
+        cuts = np.sort(rng.uniform(0.0, kappa, k - 1))
+        values = np.where(rng.uniform(size=k) < 0.25, 0.0, rng.uniform(0.0, 4.0, k))
+        values[rng.integers(k)] = rng.uniform(0.05, 4.0)
+        out.append(StepFunction(kappa, (0.0, *cuts, kappa), tuple(values)))
+    return out
+
+
+@pytest.mark.parametrize("pair", HARDY_PAIRS, ids=lambda pq: f"p{pq[0]:g}q{pq[1]:g}")
+def test_lhs_rows_match_one_row_passes_and_the_loop(pair):
+    e = Exponents(*pair)
+    for k in (1, 2, 64):
+        for size in (1, 4, 100):
+            hs = _equal_pieces(k, size, int(pair[0] * 100 + pair[1] * 10) + 1000 * k + size)
+            rows = [(v.hex(), err.hex()) for v, err in _lhs_rows(hs, e)]
+            one_row = [tuple(x.hex() for x in hardy_lhs(h, e)) for h in hs]
+            loop = [tuple(x.hex() for x in _reference_hardy_lhs(h, e)) for h in hs]
+            assert rows == one_row == loop, (k, size)

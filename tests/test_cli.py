@@ -1,11 +1,15 @@
 """CLI contract: CSV schema, exit codes, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import hardyconst.hardy
+from hardyconst import StepFunction
 from hardyconst.cli import CSV_HEADER, _build_parser, main
+from hardyconst.errors import ConvergenceError
 
 ANCHOR_ARGS = ["--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
 
@@ -227,6 +231,32 @@ class TestVerify:
         assert out == ""
 
 
+#: four pieces whose moments and solve are finite, but whose quadrature's
+#: 16-node sums overflow on the first piece; and a constant, which maps to
+#: the corner (1, 1)
+OVERFLOWING = StepFunction(1.0, (0.0, 0.25, 0.5, 0.75, 1.0), (1.3e154, 1e153, 2e153, 3e153))
+CONSTANT = StepFunction(1.0, (0.0, 0.25, 0.5, 0.75, 1.0), (2.0, 2.0, 2.0, 2.0))
+DRAW_FAILS = ConvergenceError("step-function sampling failed to find an interior sample")
+OVERFLOW_ERR = "error: domain-error: int ((1/t) int_0^t h)^p overflows a float\n"
+#: (p, q), {sample: error raised or step function drawn}, stdout lines, their
+#: sha256, and stderr, for hardy --samples 8 --steps 4 (one quadrature chunk)
+#: with those samples replaced, as a sample-by-sample loop printed them
+PARTIAL = [
+    (("3", "2"), {5: DRAW_FAILS}, 5,
+     "3a75a9553ab8910d27bd91b39b70328be2eb293fbf96c99bedf573882e82a133",
+     "error: internal: step-function sampling failed to find an interior sample\n"),
+    (("2", "1.5"), {2: OVERFLOWING, 5: DRAW_FAILS}, 2,
+     "21062607456d0457f75c1b301df3dc41ba77e5833238f6e7a319239db6d61c1d", OVERFLOW_ERR),
+    (("2", "1.5"), {3: CONSTANT, 5: DRAW_FAILS}, 3,
+     "798b853636778daea07202eb9838c743a15e28efed9094f58b319cdb5a81ada2",
+     "error: boundary-case: induced point (1.0, 1.0) is on-lower-boundary for p=2.0, "
+     "q=1.5; the trivial bound lhs <= t^p z (any t >= 1) applies\n"),
+    (("2", "1.5"), {6: OVERFLOWING}, 6,
+     "894e3720f6f79c1c4ae91ad6701272f11e306c9099c297a28c06cfcc7ff6b1c5", OVERFLOW_ERR),
+]
+PARTIAL_IDS = ["draw-fails", "overflow-then-draw-fails", "solve-fails", "overflow"]
+
+
 class TestHardyCmd:
     def test_batch_passes(self, capsys):
         code, out, _ = run(capsys, [
@@ -260,6 +290,38 @@ class TestHardyCmd:
         assert code == 2
         assert err == "error: domain-error: seed must be nonnegative, got -1\n"
         assert out == ""
+
+    def test_more_steps_than_fit_rejected(self, capsys):
+        # no 5000 pieces can each be 1e-3 * kappa long: a domain error at
+        # once, not an internal error after 1000 draws
+        code, out, err = run(capsys, [
+            "hardy", "--p", "3", "--q", "2", "--steps", "5000", "--samples", "1",
+        ])
+        assert code == 2
+        assert err == (
+            "error: domain-error: need at most 1000 pieces of at least 1e-3 * kappa, got k=5000\n"
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize("pair, failures, lines, digest, err", PARTIAL, ids=PARTIAL_IDS)
+    def test_partial_output(self, capsys, monkeypatch, pair, failures, lines, digest, err):
+        # a failing sample prints the lines of the samples before it, then
+        # its error; a quadrature overflow at an earlier sample comes first
+        draw = hardyconst.hardy.sample_step
+
+        def failing_draw(seed, k, kappa, e):
+            failure = failures.get(seed - 7)
+            if isinstance(failure, Exception):
+                raise failure
+            return failure or draw(seed, k, kappa, e)
+
+        monkeypatch.setattr(hardyconst.hardy, "sample_step", failing_draw)
+        code, out, got_err = run(capsys, [
+            "hardy", "--p", pair[0], "--q", pair[1], "--samples", "8", "--steps", "4",
+        ])
+        assert (code, got_err) == (2, err)
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

@@ -10,7 +10,8 @@ were re-pinned when gamma and delta came to take the bracket factor B from
 the solve's own u instead of the certificate's omega_q(tau): 15 to 23 of the
 24 rows per pair moved, by at most 7.2e-14 relative, in the gamma, delta and
 dt_ds1 columns only, and tests/test_oracle.py checks those three against the
-mpmath oracle.
+mpmath oracle.  The hardy digests over several quadrature chunks were pinned
+on the sample-by-sample loop that the chunked pass replaced.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import hashlib
 import pytest
 
 from hardyconst.cli import main
+from hardyconst.hardy import _CHUNK_SEGMENTS
 
 #: the benchmark's scan pairs: one 24-point row at s2 = 0.7, from 1e-3 to
 #: 0.999 of the lower-curve abscissa
@@ -53,6 +55,12 @@ HARDY = {
     (2.5, 1.3, 32): "f767cbca284cf88fe6ccd592f1db1a7401716de40b102d3447ebb2b0fb426ccd",
     (5.0, 1.2, 2): "6265844e827815b4daa89a4f718338585d40e5314bc4cc1f09ddb19b0c9a01f2",
     (5.0, 1.2, 32): "39503c1495211fe9ad80b9aa303470155bf2ec83a5c98a61d4d3f3e0474ec5df",
+}
+
+#: hardy on (3, 2) over at least three quadrature chunks: (steps, samples)
+HARDY_CHUNKED = {
+    (2, 1100): "38053450174b66b8a8027ba3b08959212db4734c13a1f1dd18c5a4e8651625ad",
+    (33, 70): "8ece3b0284ed05712a9881354fa8b77fde04e6111aeacb877e71d770b425a44a",
 }
 
 
@@ -92,3 +100,11 @@ def test_hardy(capsys, case):
     p, q, steps = case
     argv = ["hardy", "--p", repr(p), "--q", repr(q), "--samples", "4", "--steps", str(steps)]
     assert _digest(capsys, argv) == (0, HARDY[case])
+
+
+@pytest.mark.parametrize("case", list(HARDY_CHUNKED), ids=str)
+def test_hardy_over_several_chunks(capsys, case):
+    steps, samples = case
+    assert samples > 2 * (_CHUNK_SEGMENTS // steps)
+    argv = ["hardy", "--p", "3", "--q", "2", "--samples", str(samples), "--steps", str(steps)]
+    assert _digest(capsys, argv) == (0, HARDY_CHUNKED[case])

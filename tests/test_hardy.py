@@ -25,7 +25,7 @@ from hardyconst.errors import (
     InconsistentMomentsError,
     OutsideDomainError,
 )
-from hardyconst.hardy import _GL_NODES, _GL_WEIGHTS
+from hardyconst.hardy import _GL_NODES, _GL_WEIGHTS, _lhs_rows
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -193,6 +193,14 @@ class TestHardyLhs:
         with pytest.raises(DomainError, match=r"int \(\(1/t\) int_0\^t h\)\^p overflows"):
             hardy_lhs(h, e)
 
+    def test_rows_before_an_overflow_come_first(self):
+        # a chunk yields its rows in order; the first that overflows raises
+        h = OVERFLOWS[2].values[1]
+        rows = _lhs_rows([TWO_STEP, TWO_STEP, h, TWO_STEP], E2)
+        assert [next(rows), next(rows)] == [hardy_lhs(TWO_STEP, E2)] * 2
+        with pytest.raises(DomainError, match=r"int \(\(1/t\) int_0\^t h\)\^p overflows"):
+            next(rows)
+
     def test_kappa_near_the_float_maximum(self):
         # h = 1 on (0, 1.7e308]: the functional is kappa; b0 + b1 overflows,
         # so midpoints and node centres halve each end before adding
@@ -289,6 +297,16 @@ class TestSampleStep:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             sample_step(0, 1, 1.0, E2)
+
+    @pytest.mark.parametrize("k", [1001, 5000])
+    def test_rejects_more_pieces_than_fit(self, monkeypatch, k):
+        # no k > 1000 pieces can each be 1e-3 * kappa long, so no draw is made
+        def no_draw(seed):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(DomainError, match=rf"^need at most 1000 pieces .*, got k={k}$"):
+            sample_step(0, k, 1.0, E2)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be nonnegative"):

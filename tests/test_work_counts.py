@@ -31,7 +31,10 @@ s2, evaluates alpha(s2) once.
 
 ``hardy`` keeps the moments of the last step function: ``sample_step``
 computes them once per draw, ``verify_hardy`` on its sample computes none,
-and a raised moment error is not kept.
+and a raised moment error is not kept.  The ``hardy`` command solves each
+sample right after its draw, so it computes moments and alpha(s2) once per
+draw, as a sample-by-sample loop did, and runs the quadrature once per
+chunk; drawing a whole chunk before solving it would miss both caches.
 """
 
 import numpy as np
@@ -330,3 +333,25 @@ def test_a_moment_error_is_not_kept(moment_calls):
         with pytest.raises(DomainError, match=r"int h\^p overflows"):
             verify_hardy(h, e)
     assert moment_calls == [h, h]
+
+
+@pytest.mark.parametrize("samples, steps, draws, chunks", [(8, 4, 8, 1), (300, 8, 320, 3)])
+def test_hardy_command_draws_and_solves_once_per_sample(
+    calls, moment_calls, monkeypatch, capsys, samples, steps, draws, chunks
+):
+    # draws: the sample-by-sample loop's count on (3, 2) with the default
+    # seed; 300 samples of 8 pieces take 128 + 128 + 44 per chunk
+    passes = []
+    lhs_rows = hardyconst.hardy._lhs_rows
+
+    def counted_lhs_rows(hs, e):
+        passes.append(len(hs))
+        return lhs_rows(hs, e)
+
+    monkeypatch.setattr(hardyconst.hardy, "_lhs_rows", counted_lhs_rows)
+    argv = ["hardy", "--p", "3", "--q", "2", "--samples", str(samples), "--steps", str(steps)]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == samples + 1
+    assert len(moment_calls) == calls["alpha"] == draws
+    assert len(passes) == chunks
+    assert sum(passes) == samples
