@@ -167,7 +167,8 @@ def moments_to_params(m: MomentTriple, e: Exponents) -> ParamPoint:
 
     Validates the power-mean chain (x/k) <= (y/k)^(1/q) <= (z/k)^(1/p) up to
     rounding; genuine moments always satisfy it, with equality only for
-    constant h, which maps to the corner (1, 1).
+    constant h, which maps to the corner (1, 1).  Where a power in s1 or s2
+    leaves float range, a DomainError names the ratio.
     """
     m1 = m.x / m.kappa
     mq = (m.y / m.kappa) ** (1.0 / e.q)
@@ -176,10 +177,24 @@ def moments_to_params(m: MomentTriple, e: Exponents) -> ParamPoint:
         raise InconsistentMomentsError(
             f"power-mean chain violated: mean={m1}, q-mean={mq}, p-mean={mp}"
         )
-    s1 = m.x**e.p / (m.kappa ** (e.p - 1.0) * m.z)
-    s2 = m.x**e.q / (m.kappa ** (e.q - 1.0) * m.y)
+    s1 = _moment_ratio("s1 = x^p / (kappa^(p-1) z)", m.x, e.p, m.kappa, m.z)
+    s2 = _moment_ratio("s2 = x^q / (kappa^(q-1) y)", m.x, e.q, m.kappa, m.y)
     # The chain bounds both by 1; shave off any last-bit float excess.
     return ParamPoint(min(s1, 1.0), min(s2, 1.0))
+
+
+def _moment_ratio(name: str, x: float, r: float, kappa: float, moment: float) -> float:
+    """x^r / (kappa^(r-1) moment), or a DomainError naming the ratio when a
+    power or the denominator leaves float range, although the ratio is at
+    most 1: Python's pow raises OverflowError, a product rounds to inf and
+    a denominator that underflows to 0 would divide by zero."""
+    try:
+        den = kappa ** (r - 1.0) * moment
+        if 0.0 < den < math.inf:
+            return x**r / den
+    except OverflowError:
+        pass
+    raise DomainError(f"induced {name} leaves float range")
 
 
 @functools.lru_cache(maxsize=1)

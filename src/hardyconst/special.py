@@ -36,13 +36,18 @@ written as (b - a) * (b - a) it changed omega on 434 of 40,000 inputs over
 ten exponents, 400 of them at r = 1.05 and 1.1, because the C library's
 pow(x, 2) is not always rounded like x * x.
 
-``_omega_lanes`` is omega's lane-wise twin for batched grids: one
-lock-step ITP pass over an array of targets, with one r or one r per lane,
-equal to ``omega`` bit for bit, beside ``_h_lanes`` for ``_h``.  A pass
-costs ~70 us however few lanes are left, and the last ten of a grid's
-20-30 passes carry few, so lanes pay only for hundreds of targets in one
-call (a one-lane call costs ~0.6 ms against ~13 us for ``omega``).  Peak
-memory is about 21 floats per lane: ~1.2 MB for 7,000 lanes.
+``_omega_lanes`` is omega's lane-wise twin for batched grids: lock-step
+ITP passes over an array of targets, with one r or one r per lane, equal
+to ``omega`` bit for bit, beside ``_h_lanes`` for ``_h``.  A pass costs
+~70 us however few lanes are left, and the last 10-20 of a grid's 20-30
+passes carry fewer than a hundred.  So once at most ``_STRAGGLER_LANES``
+lanes are live, each finishes in ``_bracketed_root``, which takes the
+lane's state as resume arguments and so steps exactly as the passes
+would; a call with no more targets than that is ``omega`` lane by lane,
+so lanes never cost much more than scalar calls.  Only ``_omega_lanes``
+passes those resume arguments: ``omega``, ``solver``'s certificate and
+its u solve all start the kernel from scratch.  Peak memory is about 21
+floats per lane: ~1.2 MB for 7,000 lanes.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
@@ -64,6 +69,13 @@ from .errors import DomainError, SingularityError
 #: final width of omega's root bracket, relative to r'; an absolute width
 #: this small would be below the float spacing near r' once r' >= 8
 _BRACKET_REL_TOL = 1e-15
+#: live lanes at or below which ``_omega_lanes`` stops its lock-step passes
+#: and finishes each lane in the scalar kernel.  inverse_suite plus
+#: endgame_suite took 11.3 ms per verify pair with no hand-off, and 10.2,
+#: 9.8, 10.2 and 10.4 ms handing off at 32, 64, 128 and 200 lanes (min of
+#: 12 interleaved rounds over (2, 1.5), (3, 2) and (2.5, 1.5), process CPU
+#: time, 2 shared x86-64 vCPUs)
+_STRAGGLER_LANES = 64
 
 
 def conjugate(r: float) -> float:
@@ -143,6 +155,9 @@ def _bracketed_root(
     xtol: float,
     y: float = 0.0,
     k1: float | None = None,
+    scale: float | None = None,
+    best_x: float | None = None,
+    best_abs: float = math.inf,
 ) -> tuple[float, float, float]:
     """ITP search for x in (a, b) with f(x) = y.
 
@@ -156,18 +171,26 @@ def _bracketed_root(
     three evaluations more than bisection to reach xtol.  With n0 = 1 a few
     slow regula falsi steps early on use up the slack and the rest is plain
     bisection (50 evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
+
+    scale, best_x and best_abs resume a run part-way: the projection scale
+    xtol * 2^(n_max - j - 1) at the next step j, and the best point so far
+    with its |f - y|.  They default to a fresh run's: the scale at j = 0,
+    the initial midpoint and inf.  A resumed run passes its bracket and end
+    values as they stand, with the k1 and xtol it started with.
     """
     if k1 is None:
         k1 = 0.2 / (b - a)
     fa, fb = fa - y, fb - y
-    n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
-    # xtol * 2^(n_max - j - 1) at step j; halving a power-of-two multiple
-    # of xtol is exact while it is at least xtol, and below that the
-    # projection radius is 0 either way
-    scale = xtol * 2.0 ** (n_max - 1)
+    if scale is None:
+        n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
+        # xtol * 2^(n_max - j - 1) at step j; halving a power-of-two multiple
+        # of xtol is exact while it is at least xtol, and below that the
+        # projection radius is 0 either way
+        scale = xtol * 2.0 ** (n_max - 1)
     # b only ever takes points on fb's side
     b_pos = fb > 0.0
-    best_x, best_abs = 0.5 * (a + b), math.inf
+    if best_x is None:
+        best_x = 0.5 * (a + b)
     w = b - a
     while w > xtol:
         mid = 0.5 * (a + b)
@@ -273,17 +296,25 @@ def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
-    bit, in one lock-step ITP pass.
+    bit, in lock-step ITP passes.
 
     Every lane runs ``_bracketed_root``'s steps on its natural bracket
     [1, r'] with its r's xtol, k1, n_max and projection scale, kept in a
     table over the distinct r: the same truncation and projection branch,
     the same side updated, the same best point, an early stop where H_r
     hits s exactly and a stop where the bracket's ends are adjacent floats.
-    Lanes leave the working arrays as they finish.  s = 1 and s = 0 give 1
-    and r' exactly; an s outside [0, 1] raises omega's DomainError.
+    Lanes leave the working arrays as they finish.  Once at most
+    ``_STRAGGLER_LANES`` are left, each finishes in ``_bracketed_root``,
+    resumed from its bracket, end values, k1, xtol, projection scale and
+    best point, so it takes the steps the passes would have taken; a call
+    with no more targets than that is ``omega`` lane by lane.  s = 1 and
+    s = 0 give 1 and r' exactly; a bad r or an s outside [0, 1] raises the
+    DomainError ``omega`` raises for one such lane.
     """
     s = np.asarray(s, dtype=float)
+    if s.size <= _STRAGGLER_LANES:
+        r_of = np.broadcast_to(r, s.shape).tolist()
+        return np.array([omega(x, y) for x, y in zip(r_of, s.tolist())], dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
     for x in exps.tolist():
         _check_exponent(x)
@@ -313,8 +344,8 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
             idx, k, y, a, b, fa, fb, best_x, best_abs, mid = (
                 v[live] for v in (idx, k, y, a, b, fa, fb, best_x, best_abs, mid)
             )
-        if not idx.size:
-            return z
+        if idx.size <= _STRAGGLER_LANES:
+            break
         w = b - a
         radius = np.maximum(scale[k] - 0.5 * w, 0.0)
         scale *= 0.5
@@ -340,6 +371,18 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
         np.copyto(fa, g, where=pos)
         np.copyto(fb, g, where=~pos)
         del x, g, g_abs
+    # the stragglers resume in the scalar kernel at the step they reached;
+    # their end values have y subtracted, and (fa + y) - y need not round
+    # back to fa, so each solves _h - y = 0
+    r_of, xtol_of, k1_of, scale_of = (v.tolist() for v in (exps, xtol, k1, scale))
+    for i, j, y_i, a_i, b_i, fa_i, fb_i, x_i, abs_i in zip(
+        *(v.tolist() for v in (idx, k, y, a, b, fa, fb, best_x, best_abs))
+    ):
+        z[i] = _bracketed_root(
+            lambda x, r=r_of[j], y=y_i: _h(r, x) - y,
+            a_i, b_i, fa_i, fb_i, xtol_of[j], 0.0, k1_of[j], scale_of[j], x_i, abs_i,
+        )[2]
+    return z
 
 
 def omega_deriv(r: float, s: float) -> float:

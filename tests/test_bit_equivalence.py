@@ -11,7 +11,12 @@ r = 1.05 and 1.1, so the random brackets below include those exponents.
 ``_omega_lanes`` and ``_h_lanes``, the lane-wise twins that invert whole
 grids in ``verify``, must equal ``omega`` and ``_h`` bit for bit too, on the
 suite's grid and on every exponent a tested ``verify`` pair brings in, with
-one exponent per call and with a different exponent in each lane.
+one exponent per call and with a different exponent in each lane.  So
+must their hand-off to the scalar kernel, which finishes the last few lanes
+from the state they reached: on calls of 1, N - 1, N and N + 1 targets, N
+the straggler threshold, and with the threshold at 0 (every lane runs its
+lock-step passes to the end) and above the lane count (every lane is
+``omega``'s).
 
 ``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
@@ -52,6 +57,7 @@ from hardyconst.hardy import _lhs_rows
 from hardyconst.solver import _K_MIN, _u_equation, _u_top, residual, tau_eval
 from hardyconst.special import (
     _BRACKET_REL_TOL,
+    _STRAGGLER_LANES,
     _bracketed_root,
     _h,
     _h_lanes,
@@ -318,10 +324,48 @@ def _mixed_lanes(exps: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return r[order], s[order]
 
 
-def test_omega_lanes_with_one_exponent_per_lane_match_scalar_omega():
+@pytest.fixture(scope="module")
+def mixed_lanes() -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``_mixed_lanes(R_MIXED)`` and the bits of ``omega`` on each lane."""
     r, s = _mixed_lanes(R_MIXED)
-    expected = [omega(float(x), float(y)) for x, y in zip(r, s)]
-    assert _bits(_omega_lanes(r, s)) == _bits(expected)
+    return r, s, _bits([omega(float(x), float(y)) for x, y in zip(r, s)])
+
+
+def test_omega_lanes_with_one_exponent_per_lane_match_scalar_omega(mixed_lanes):
+    r, s, expected = mixed_lanes
+    assert _bits(_omega_lanes(r, s)) == expected
+
+
+@pytest.mark.parametrize(
+    "n", [1, _STRAGGLER_LANES - 1, _STRAGGLER_LANES, _STRAGGLER_LANES + 1]
+)
+def test_omega_lanes_match_scalar_omega_across_the_hand_off(mixed_lanes, n):
+    # up to _STRAGGLER_LANES targets are omega lane by lane; one more runs a
+    # lock-step pass first, or with s = 0 and 1 among them, hands its
+    # interior lanes to the scalar kernel before any pass
+    for i, x in enumerate(R_MIXED):
+        t = _lane_targets(i)
+        s = t[np.random.default_rng(n + i).choice(t.size, n, replace=False)]
+        cases = [s, np.concatenate([[0.0, 1.0], s[2:]])] if n > 2 else [s]
+        for s in cases:
+            assert _bits(_omega_lanes(x, s)) == _bits([omega(x, float(y)) for y in s])
+    r, s, expected = mixed_lanes
+    assert _bits(_omega_lanes(r[:n], s[:n])) == expected[:n]
+
+
+@pytest.mark.parametrize("handoff", ["pure lanes", "pure scalar"])
+def test_omega_lanes_match_scalar_omega_at_either_end_of_the_hand_off(
+    monkeypatch, mixed_lanes, handoff
+):
+    # the straggler threshold at 0 runs every lane to its end in lock-step
+    # passes; above the lane count every lane is omega's
+    r, s, expected = mixed_lanes
+    lanes = 0 if handoff == "pure lanes" else r.size + 1
+    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    assert _bits(_omega_lanes(r, s)) == expected
+    for x in (1.05, 2.5, 4.023077022296251):
+        t = _lane_targets(int(x * 1000))
+        assert _bits(_omega_lanes(x, t)) == _bits([omega(x, float(y)) for y in t])
 
 
 def test_h_lanes_with_one_exponent_per_lane_match_scalar_h():

@@ -241,6 +241,20 @@ class TestVerifyHardy:
         with pytest.raises(DomainError, match=rf"^moment {re.escape(name)} overflows"):
             verify_hardy(h, e)
 
+    @pytest.mark.parametrize("h", [
+        # finite moments, z = 1.37e308, but x^3 raises and kappa^2 z rounds to inf
+        StepFunction(3.0, (0.0, 1.5, 3.0), (4e102, 3e102)),
+        # kappa^2 underflows to 0
+        StepFunction(1e-200, (0.0, 1e-200), (1.0,)),
+        StepFunction(1e-200, (0.0, 5e-201, 1e-200), (1.0, 2.0)),
+    ], ids=["x^p-overflows", "constant-underflows", "two-steps-underflow"])
+    def test_induced_point_beyond_float_range_is_a_domain_error(self, h):
+        pattern = r"^induced s1 = x\^p / \(kappa\^\(p-1\) z\) leaves float range"
+        with pytest.raises(DomainError, match=pattern):
+            verify_hardy(h, E3)
+        with pytest.raises(DomainError, match=pattern):
+            moments_to_params(step_moments(h, E3), E3)
+
     def test_nonincreasing_samples_pass(self):
         for seed in range(100):
             h = decreasing_rearrangement(sample_step(2000 + seed, 5, 1.0, E2))

@@ -1,7 +1,10 @@
 """Module layering: the solver's stages stay behind its public functions,
 no module imports a name it never uses, none rebinds module-level state by
 hand, none sums through BLAS, whose order depends on the CPU, and none
-calls ``np.power``, which may round unlike the C library's pow."""
+calls ``np.power``, which may round unlike the C library's pow.  Only
+``special._omega_lanes`` resumes the root kernel part-way: a resumed
+schedule anywhere else would move the floats of ``omega``, the solver's
+certificate or its u solve."""
 
 import ast
 from pathlib import Path
@@ -144,3 +147,59 @@ def test_power_check_sees_each_kind():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_numpy_power(path):
     assert power_uses(path.read_text(encoding="utf-8")) == []
+
+
+#: ``_bracketed_root``'s arguments that resume a run part-way, and the
+#: number of arguments before them
+RESUME_ARGS = {"scale", "best_x", "best_abs"}
+FRESH_ARGS = 8
+
+
+def resume_callers(source: str) -> list[str]:
+    """Calls of ``_bracketed_root`` that pass a resume argument, by position
+    or keyword, or may pass one through ``*`` or ``**``, each as the
+    innermost enclosing function's name:line."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "_bracketed_root"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "_bracketed_root"
+        ):
+            if (
+                len(node.args) > FRESH_ARGS
+                or any(isinstance(a, ast.Starred) for a in node.args)
+                or any(kw.arg is None or kw.arg in RESUME_ARGS for kw in node.keywords)
+            ):
+                found.append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_resume_check_sees_each_kind():
+    source = (
+        "def fresh():\n"
+        "    _bracketed_root(f, a, b, fa, fb, xtol, y, k1)\n"
+        "    special._bracketed_root(f, a, b, fa, fb, xtol, k1=k1)\n"
+        "def by_position():\n"
+        "    _bracketed_root(f, a, b, fa, fb, xtol, y, k1, scale)\n"
+        "def by_keyword():\n"
+        "    return special._bracketed_root(f, a, b, fa, fb, xtol, best_x=x)\n"
+        "def unpacked(args, kw):\n"
+        "    g = lambda: _bracketed_root(*args, **kw)\n"
+    )
+    assert resume_callers(source) == ["by_keyword:7", "by_position:5", "unpacked:9"]
+
+
+def test_only_the_lane_kernel_resumes_the_root_kernel():
+    callers = [
+        f"{path.stem}.{use.split(':')[0]}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for use in resume_callers(path.read_text(encoding="utf-8"))
+    ]
+    assert callers == ["special._omega_lanes"]

@@ -15,13 +15,15 @@ Inverting omega_q at the left end (10 H_r per decision with q near p), or
 alpha(s2) once per point of a row instead of once per row, would exceed
 them too.
 
-``verify``'s round-trip grids are inverted lane by lane.  The twin must do
-exactly the scalar kernel's evaluations, in as many lock-step passes as the
-costliest single inversion takes; a fallback to one inversion per point
-would show as many more passes.  ``inverse_suite`` inverts all of its
-exponents' grids in one call, and ``endgame_suite`` every s2 it reads in
-one call, once each, and forms F, F' and G from those values exactly as
-``big_f``, ``big_f_deriv`` and ``big_g`` do.
+``verify``'s round-trip grids are inverted lane by lane.  The twin's
+lock-step passes and the stragglers it finishes in the scalar kernel must
+together do exactly the scalar kernel's evaluations, in no more passes than
+the costliest single inversion's evaluations.  ``inverse_suite`` inverts
+all of its exponents' grids in one call, and ``endgame_suite`` every s2 it
+reads in one call, once each, with no scalar ``omega`` or
+``_omega_between`` call (counted at every binding, so a fallback to one
+inversion per point shows), and forms F, F' and G from those values
+exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.
 
 The solver keeps the last alpha(s2), and decides solvability by one sign of
 g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
@@ -40,6 +42,7 @@ chunk; drawing a whole chunk before solving it would miss both caches.
 import numpy as np
 import pytest
 
+import hardyconst.asymptotics
 import hardyconst.hardy
 import hardyconst.solver
 import hardyconst.special
@@ -51,7 +54,7 @@ from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
 from hardyconst.asymptotics import big_f, big_f_deriv, big_g
-from hardyconst.special import _omega_lanes, omega
+from hardyconst.special import omega
 from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite
 
 E3 = Exponents(3.0, 2.0)
@@ -218,70 +221,109 @@ def test_has_root_q_near_p_inverts_nothing(calls):
     assert calls["g"] == 1
 
 
-def test_omega_lanes_do_the_scalar_kernels_work(calls, monkeypatch):
-    grid = np.linspace(0.0, 1.0, 1000)
+def _scalar_work(r, s, calls) -> list[int]:
+    """H_r evaluations of scalar ``omega`` at each lane's (r, s), in order."""
     per_call = []
-    for s in grid:
+    for x, y in zip(np.broadcast_to(r, s.shape).tolist(), s.tolist()):
         before = calls["h"]
-        omega(2.0, float(s))
+        omega(x, y)
         per_call.append(calls["h"] - before)
-    lanes = []
-    h_lanes = hardyconst.special._h_lanes
-
-    def counted_h_lanes(r, z):
-        lanes.append(z.size)
-        return h_lanes(r, z)
-
-    monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
-    _omega_lanes(2.0, grid)
-    assert sum(lanes) == sum(per_call)
-    assert len(lanes) <= max(per_call) + 1
-
-
-def test_inverse_suite_makes_no_scalar_inversion(calls):
-    assert inverse_suite(E3).passed
-    assert calls["h"] == 0
+    return per_call
 
 
 @pytest.fixture
-def lane_calls(monkeypatch):
-    """The (r, s) of each ``_omega_lanes`` call ``verify`` makes, and the lane
-    count of each ``_h_lanes`` call the lane kernel makes, in order."""
-    seen = {"omega": [], "h": []}
-    omega_lanes = hardyconst.verify._omega_lanes
+def lane_calls(monkeypatch, calls):
+    """The (r, s) of each ``_omega_lanes`` call, at ``special`` and in
+    ``verify``, the lane count of each ``_h_lanes`` call, i.e. of each
+    lock-step pass, and the scalar H_r evaluations of the stragglers that
+    each ``_omega_lanes`` call finishes in the scalar kernel."""
+    seen = {"omega": [], "h": [], "stragglers": []}
+    omega_lanes = hardyconst.special._omega_lanes
     h_lanes = hardyconst.special._h_lanes
 
     def counted_omega_lanes(r, s):
         seen["omega"].append((r, s))
-        return omega_lanes(r, s)
+        before = calls["h"]
+        z = omega_lanes(r, s)
+        seen["stragglers"].append(calls["h"] - before)
+        return z
 
     def counted_h_lanes(r, z):
         seen["h"].append(z.size)
         return h_lanes(r, z)
 
+    monkeypatch.setattr(hardyconst.special, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.verify, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
     return seen
 
 
-def test_inverse_suite_inverts_every_exponent_in_one_call(calls, lane_calls):
+@pytest.fixture
+def scalar_inversions(monkeypatch):
+    """The (r, s) of each scalar ``omega`` and ``_omega_between`` call, at
+    every module binding of either."""
+    seen = []
+    for module in (hardyconst.special, hardyconst.solver, hardyconst.verify, hardyconst.asymptotics):
+        for name in ("omega", "_omega_between"):
+            if hasattr(module, name):
+
+                def counted(r, s, *rest, inner=getattr(module, name)):
+                    seen.append((r, s))
+                    return inner(r, s, *rest)
+
+                monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_omega_lanes_do_the_scalar_kernels_work(calls, lane_calls):
+    # the lock-step passes and the stragglers that finish in the scalar
+    # kernel evaluate H_r exactly as often as one omega call per point does,
+    # in fewer passes than the costliest single inversion's evaluations
+    grid = np.linspace(0.0, 1.0, 1000)
+    per_call = _scalar_work(2.0, grid, calls)
+    hardyconst.special._omega_lanes(2.0, grid)
+    (stragglers,) = lane_calls["stragglers"]
+    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
+    assert len(lane_calls["h"]) <= max(per_call)
+    assert stragglers > 0
+
+
+def test_inverse_suite_makes_no_scalar_inversion(calls, lane_calls, scalar_inversions):
+    assert inverse_suite(E3).passed
+    assert len(lane_calls["omega"]) == 1
+    assert scalar_inversions == []
+    # every H_r evaluation of the suite is the lane call's
+    assert calls["h"] == lane_calls["stragglers"][0]
+
+
+def test_inverse_suite_inverts_every_exponent_in_one_call(
+    calls, lane_calls, scalar_inversions
+):
     e = Exponents(4.023077022296251, 1.8959193885654708)
     assert inverse_suite(e).passed
     ((r, s),) = lane_calls["omega"]
     assert sorted(set(r.tolist())) == sorted({1.3, 1.5, 2.0, 3.0, 5.0, e.p, e.q})
-    assert calls["h"] == 0
-    for x, y in zip(r.tolist(), s.tolist()):
-        omega(x, y)
-    assert sum(lane_calls["h"]) == calls["h"]
+    assert scalar_inversions == []
+    # every H_r evaluation of the suite is the lane call's
+    (stragglers,) = lane_calls["stragglers"]
+    assert calls["h"] == stragglers
+    per_call = _scalar_work(r, s, calls)
+    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
+    assert len(lane_calls["h"]) <= max(per_call)
 
 
-def test_endgame_suite_inverts_each_target_once(calls, lane_calls):
+def test_endgame_suite_inverts_each_target_once(calls, lane_calls, scalar_inversions):
     assert endgame_suite(E3).passed
-    assert calls["h"] == 0
     ((r, s),) = lane_calls["omega"]
+    assert scalar_inversions == []
     assert r == E3.q
     # 100 interior points, the threshold and G's 193-point grid, all distinct
     assert s.size == np.unique(s).size == 294
+    (stragglers,) = lane_calls["stragglers"]
+    assert calls["h"] == stragglers
+    per_call = _scalar_work(r, s, calls)
+    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
+    assert len(lane_calls["h"]) <= max(per_call)
 
 
 @pytest.mark.parametrize("pair", [(2.0, 1.5), (2.5, 1.3), (5.0, 1.2)])
