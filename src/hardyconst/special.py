@@ -43,8 +43,9 @@ to ``omega`` bit for bit, beside ``_h_lanes`` for ``_h``.  A pass costs
 passes carry fewer than a hundred.  So once at most ``_STRAGGLER_LANES``
 lanes are live, each finishes in ``_bracketed_root``, which takes the
 lane's state as resume arguments and so steps exactly as the passes
-would; a call with no more targets than that is ``omega`` lane by lane,
-so lanes never cost much more than scalar calls.  Only ``_omega_lanes``
+would; a call with no more targets than that finishes entirely in the
+scalar kernel before any pass, so lanes never cost much more than scalar
+calls.  Only ``_omega_lanes``
 passes those resume arguments: ``omega``, ``solver``'s certificate and
 its u solve all start the kernel from scratch.  Peak memory is about 21
 floats per lane: ~1.2 MB for 7,000 lanes.
@@ -307,14 +308,12 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     ``_STRAGGLER_LANES`` are left, each finishes in ``_bracketed_root``,
     resumed from its bracket, end values, k1, xtol, projection scale and
     best point, so it takes the steps the passes would have taken; a call
-    with no more targets than that is ``omega`` lane by lane.  s = 1 and
+    with no more targets than that finishes entirely in the scalar kernel,
+    before any pass.  s = 1 and
     s = 0 give 1 and r' exactly; a bad r or an s outside [0, 1] raises the
     DomainError ``omega`` raises for one such lane.
     """
     s = np.asarray(s, dtype=float)
-    if s.size <= _STRAGGLER_LANES:
-        r_of = np.broadcast_to(r, s.shape).tolist()
-        return np.array([omega(x, y) for x, y in zip(r_of, s.tolist())], dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
     for x in exps.tolist():
         _check_exponent(x)

@@ -340,9 +340,9 @@ def test_omega_lanes_with_one_exponent_per_lane_match_scalar_omega(mixed_lanes):
     "n", [1, _STRAGGLER_LANES - 1, _STRAGGLER_LANES, _STRAGGLER_LANES + 1]
 )
 def test_omega_lanes_match_scalar_omega_across_the_hand_off(mixed_lanes, n):
-    # up to _STRAGGLER_LANES targets are omega lane by lane; one more runs a
-    # lock-step pass first, or with s = 0 and 1 among them, hands its
-    # interior lanes to the scalar kernel before any pass
+    # up to _STRAGGLER_LANES targets finish in the scalar kernel before any
+    # pass; one more runs a lock-step pass first, or with s = 0 and 1 among
+    # them, hands its interior lanes to the scalar kernel before any pass
     for i, x in enumerate(R_MIXED):
         t = _lane_targets(i)
         s = t[np.random.default_rng(n + i).choice(t.size, n, replace=False)]
