@@ -38,6 +38,14 @@ VERIFY = {
     (2.5, 1.3): "1abc371e8457435b04304197fa5b78008be0e79a4f10bb9932b5d79e8775ca81",
     (5.0, 1.2): "d952fae7e852e0cd930f729cd346e2629b5c0e205be14a4bf3e87b60ad6b8a8b",
 }
+#: verify at the CLI default --grid 30, where sign_suite solves 900 points
+#: per pair, pinned on the point-by-point loop that the lane solve replaced
+VERIFY_GRID_30 = {
+    (2.0, 1.5): "28b0fe3f7e11468257b45ea2a202cbd42f345f9ea0c9277003cf6d0b6ee44662",
+    (3.0, 2.0): "33833694695e019f16a849dec06ce68512bd32aedcd3767e3f7af7ee0220f7ef",
+    (2.5, 1.5): "afad1c75a5bc94b550417e08953de33a3f101cf8634ddf08d550cc7c27261c26",
+    (5.0, 1.2): "538b18e068e0e06a159ffb5571088842c96225ebd07d26861451f3479bcd2e82",
+}
 #: scan over two s2 rows of (3, 2) whose statuses include ok, no-root (s1 =
 #: 0.8 at s2 = 0.9, above the g(1) = 0 frontier) and outside-domain
 MIXED_SCAN = (
@@ -93,6 +101,13 @@ def test_verify(capsys, pair):
     p, q = pair
     argv = ["verify", "--p", repr(p), "--q", repr(q), "--grid", "10"]
     assert _digest(capsys, argv) == (0, VERIFY[pair])
+
+
+@pytest.mark.parametrize("pair", list(VERIFY_GRID_30), ids=str)
+def test_verify_at_the_default_grid(capsys, pair):
+    p, q = pair
+    argv = ["verify", "--p", repr(p), "--q", repr(q)]
+    assert _digest(capsys, argv) == (0, VERIFY_GRID_30[pair])
 
 
 @pytest.mark.parametrize("case", list(HARDY), ids=str)

@@ -1,4 +1,10 @@
-"""Verification suites skip only points without a constant, never defects."""
+"""Verification suites skip only points without a constant, never defects.
+
+``_reference_sign_suite`` is a verbatim copy of ``sign_suite``'s
+point-by-point loop before the suite came to solve its grid in lanes: the
+lane suite must report the same checks, failures, skips and failure
+messages, in the same order.
+"""
 
 import numpy as np
 import pytest
@@ -6,11 +12,53 @@ import pytest
 import hardyconst.sensitivity
 import hardyconst.solver
 import hardyconst.verify
-from hardyconst import Exponents
-from hardyconst.errors import ConvergenceError
+from hardyconst import Exponents, ParamPoint
+from hardyconst.errors import ConvergenceError, NoRootError
+from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
+from hardyconst.solver import solve_t
 from hardyconst.verify import SuiteResult, fd_suite, sign_suite
 
 E2 = Exponents(2.0, 1.5)
+
+
+def _reference_sign_suite(e: Exponents, n: int = 30, solve=solve_t) -> SuiteResult:
+    """gamma < 0, delta > 0 and lambda(t) > 0 across a feasible (s1, s2) grid."""
+    res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
+    for s2 in np.linspace(0.15, 0.97, n):
+        s2 = float(s2)
+        s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+        for s1 in np.linspace(0.02 * s1_top, 0.98 * s1_top, n):
+            pt = ParamPoint(float(s1), s2)
+            try:
+                sol = solve(e, pt)
+            except NoRootError:
+                res.skipped += 1
+                continue
+            g = gamma_eval(e, pt, sol)
+            d = delta_eval(e, pt, sol)
+            lam = lambda_eval(e, pt, sol.t)
+            res.check(g < 0.0, lambda: f"gamma = {g} >= 0 at ({s1}, {s2})")
+            res.check(d > 0.0, lambda: f"delta = {d} <= 0 at ({s1}, {s2})")
+            res.check(lam > 0.0, lambda: f"lambda = {lam} <= 0 at ({s1}, {s2})")
+    return res
+
+
+def _fields(res: SuiteResult) -> tuple:
+    return res.name, res.checks, res.failed, res.skipped, res.failures
+
+
+#: the benchmark's verify pairs, then the stiff scan pairs, a stiffer one and
+#: one with q near p
+SIGN_PAIRS = [
+    (2.0, 1.5), (3.0, 2.0), (2.5, 1.5), (2.5, 1.3), (5.0, 1.2), (10.0, 1.05), (20.0, 19.0),
+]
+
+
+@pytest.mark.parametrize("n", [10, 30])
+@pytest.mark.parametrize("pair", SIGN_PAIRS, ids=str)
+def test_sign_suite_matches_the_point_by_point_loop(pair, n):
+    e = Exponents(*pair)
+    assert _fields(sign_suite(e, n)) == _fields(_reference_sign_suite(e, n))
 
 
 def _failing_at_call(solve, n):
