@@ -85,6 +85,16 @@ The certificate stays in t-space, so that it checks t independently of g:
 tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
 inverted from a narrow bracket around w(u*) when H_q at its ends brackets
 tau strictly, and from the natural bracket otherwise.
+
+``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
+to it bit for bit on every field and verdict: the same pipeline on numpy
+arrays, with both root solves in ``special._root_lanes`` and alpha once per
+run of equal s2.  A call costs ~0.7 ms with one lane against ~0.05 ms for
+``solve_t``, breaks even near 100 lanes of scattered points, and takes
+~8 ms for 1,000 against ~26 ms (process CPU time on (3, 2), 2 shared
+x86-64 vCPUs), so ``verify.sign_suite`` solves its grid with it and
+callers of single points keep ``solve_t``.  It is public in this module,
+not in the package: ``verify`` may import no private solver name.
 """
 
 from __future__ import annotations
@@ -94,7 +104,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .domain import Membership, ParamPoint, in_domain
+import numpy as np
+
+from .domain import BOUNDARY_TOL, Membership, ParamPoint, in_domain
 from .errors import (
     DomainError,
     InfeasibleTauError,
@@ -102,7 +114,18 @@ from .errors import (
     OutsideDomainError,
     SingularityError,
 )
-from .special import _BRACKET_REL_TOL, Exponents, _bracketed_root, _h, _omega_between, omega
+from .special import (
+    _BRACKET_REL_TOL,
+    Exponents,
+    _bracketed_root,
+    _h,
+    _h_lanes,
+    _omega_between,
+    _omega_lanes,
+    _root_lanes,
+    _scale_lanes,
+    omega,
+)
 
 #: margin by which the root must lie above t = 1
 _ENDPOINT_MARGIN = 1e-12
@@ -318,3 +341,188 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
         t=t, u=u, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
         bracket_width=width, alpha=a2,
     )
+
+
+@dataclass(frozen=True)
+class LaneSolutions:
+    """``solve_lanes``' result: each lane's verdict, and ``BellmanSolution``'s
+    fields as arrays, nan where the lane has no constant.
+
+    ok        solve_t returns a constant
+    outside   solve_t raises OutsideDomainError; a lane neither ok nor
+              outside is one where it raises NoRootError
+
+    The other fields follow ``BellmanSolution``'s, in its order.
+    """
+
+    ok: np.ndarray
+    outside: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+    tau: np.ndarray
+    omega_q_tau: np.ndarray
+    residual: np.ndarray
+    bracket_width: np.ndarray
+    alpha: np.ndarray
+
+
+def _g_lanes(e: Exponents, ratio, k, c, s1, u: np.ndarray) -> np.ndarray:
+    """g(u) of ``_u_equation`` on lanes with their own s1/s2, K and c."""
+    p, q = e.p, e.q
+    w = (p - u) / (p - 1.0)
+    x = ratio + k / (np.float_power(w, q - 1.0) * u)
+    return q - (q - 1.0) * w - c * u * (np.float_power(x, p / (p - q)) - s1)
+
+
+def _t_lanes(e: Exponents, ratio, k, u: np.ndarray) -> np.ndarray:
+    """t(u) of ``_u_equation`` on lanes."""
+    p, q = e.p, e.q
+    w = (p - u) / (p - 1.0)
+    return np.float_power(ratio + k / (np.float_power(w, q - 1.0) * u), 1.0 / (p - q))
+
+
+def _lane_powers(e: Exponents) -> tuple[float, float, float]:
+    """The scalar powers that ``_u_lo`` and ``solve_t`` take once per pair:
+    (1 + 1e-12)^(p-q), p'^(q-1) and cap^(p-q), cap the largest float below p'."""
+    cap = math.nextafter(e.p_conj, 0.0)
+    return (1.0 + _ENDPOINT_MARGIN) ** (e.p - e.q), e.p_conj ** (e.q - 1.0), cap ** (e.p - e.q)
+
+
+def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
+    """``solve_t`` on 1-D arrays of s1 and s2, one point per lane, bit for bit.
+
+    Runs solve_t's pipeline lane-wise (``_inside_lanes``) and returns each
+    lane's verdict instead of raising OutsideDomainError or NoRootError.  A
+    lane whose arithmetic meets a non-finite value, or a tau where
+    ``tau_eval`` or ``omega`` would raise, is solved by ``solve_t``, so it
+    raises what solve_t raises; an invalid (s1, s2) raises ParamPoint's
+    DomainError before anything is solved.
+    """
+    s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
+    valid = (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
+    if not valid.all():
+        i = valid.argmin()
+        ParamPoint(float(s1[i]), float(s2[i]))
+    n, p, q = s1.size, e.p, e.q
+    fields = [np.full(n, np.nan) for _ in range(7)]
+    ok = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        # in_domain, lane-wise
+        lower = np.float_power(s1, (q - 1.0) / (p - 1.0))
+        outside = (np.abs(s2 - lower) <= BOUNDARY_TOL) | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)
+        idx = np.flatnonzero(~outside)
+        u_top = _u_top(e)
+        redo = []
+        if idx.size and u_top > 0.0:
+            done, redo, values = _inside_lanes(e, u_top, s1[idx], s2[idx])
+            ok[idx[done]] = True
+            for field, v in zip(fields, values):
+                field[idx[done]] = v
+            redo = idx[redo].tolist()
+    for i in redo:
+        try:
+            sol = solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
+        except NoRootError:
+            continue
+        ok[i] = True
+        for field, v in zip(fields, vars(sol).values()):
+            field[i] = v
+    return LaneSolutions(ok, outside, *fields)
+
+
+def _inside_lanes(
+    e: Exponents, u_top: float, s1: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """``solve_t`` on inside lanes, given u_top > 0: (the lanes with a
+    constant, the lanes for ``solve_t`` to redo, the constants' fields).
+
+    The decision: alpha once per run of equal s2 through ``_alpha``, where
+    the scalar loop computes it, K, ``_u_lo``'s Newton loop, masked, and
+    g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
+    through ``_root_lanes``, with each straggler on its own scalar g; t and
+    its width; tau; and omega_q(tau) through ``_root_lanes`` on the narrow
+    bracket, or ``_omega_lanes`` on the natural one, then the residual.
+    """
+    p, q = e.p, e.q
+    lane = np.arange(s1.size)
+    start = np.flatnonzero(np.r_[True, s2[1:] != s2[:-1]])
+    a2 = np.repeat([_alpha(e, x) for x in s2[start].tolist()], np.diff(np.r_[start, s2.size]))
+    k = np.maximum((p - q) * s1 * a2 / q, _K_MIN)
+    ratio, c = s1 / s2, (p - q) / (p * k)
+    lo_pow, pc_pow, cap_pow = _lane_powers(e)
+    r = k / (lo_pow - ratio)
+    u_lo = r / pc_pow
+    live = np.flatnonzero(u_lo < 1.0)
+    while live.size:
+        v = u_lo[live]
+        w = (p - v) / (p - 1.0)
+        w_q2 = np.float_power(w, q - 2.0)
+        step = v + (r[live] - w_q2 * w * v) * (p - 1.0) / (w_q2 * (p - q * v))
+        up = step > v
+        live = live[up]
+        u_lo[live] = step[up]
+        live = live[step[up] < 1.0]
+    u_b = np.where(u_top < u_lo, u_top, u_lo)
+    g_b = _g_lanes(e, ratio, k, c, s1, u_b)
+    redo = [lane[~np.isfinite(g_b)]]
+    keep = g_b > 0.0
+    lane, s1, s2, a2, k, ratio, c, u_b, g_b = (
+        v[keep] for v in (lane, s1, s2, a2, k, ratio, c, u_b, g_b)
+    )
+    d = cap_pow - ratio
+    u = k / (pc_pow * d)
+    u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
+    g_a = _g_lanes(e, ratio, k, c, s1, u)
+    # the top cap, unless g(u_a) < 0
+    cap = math.nextafter(e.p_conj, 0.0)
+    t, width = np.full(lane.size, cap), np.full(lane.size, e.p_conj - cap)
+    bad = ~np.isfinite(g_a)
+    j = np.flatnonzero(g_a < 0.0)
+    if j.size:
+        ra, rk, rc, rs1, lo = ratio[j], k[j], c[j], s1[j], u[j]
+        g_top, at = g_b[j], u_b[j] != u_top
+        g_top[at] = _g_lanes(e, ra[at], rk[at], rc[at], rs1[at], u_top)
+        xtol = _U_REL_WIDTH * lo
+
+        def minus_g(i: int) -> Callable[[float], float]:
+            g = _u_equation(e, ParamPoint(float(rs1[i]), float(s2[j[i]])), float(rk[i]))[0]
+            return lambda x: -g(x)
+
+        # g rises through its root: the kernel solves -g = 0
+        a, b, u[j] = _root_lanes(
+            lambda i, x: -_g_lanes(e, ra[i], rk[i], rc[i], rs1[i], x), minus_g,
+            lo, np.full(j.size, u_top), -g_a[j], -g_top, xtol,
+            0.2 / (u_top - lo), _scale_lanes(u_top - lo, xtol),
+        )
+        t_u = _t_lanes(e, ra, rk, u[j])
+        t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
+        width[j] = np.abs(_t_lanes(e, ra, rk, a) - _t_lanes(e, ra, rk, b))
+        bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width[j]))
+    denom = np.float_power(t, p - q) - ratio
+    tau = (p - q) / p * (np.float_power(t, p) - s1) / denom
+    # tau_eval raises where denom <= 0, omega where tau leaves [0, 1]
+    bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
+    redo.append(lane[bad])
+    lane, s1, a2, t, u, width, denom, tau = (
+        v[~bad] for v in (lane, s1, a2, t, u, width, denom, tau)
+    )
+    top = q / (q - 1.0)
+    half = _NEAR_HALF_WIDTH * top
+    w_u = (p - u) / (p - 1.0)
+    z_lo, z_hi = np.maximum(1.0, w_u - half), np.minimum(top, w_u + half)
+    h_lo, h_hi = _h_lanes(q, z_lo), _h_lanes(q, z_hi)
+    narrow = (h_lo > tau) & (tau > h_hi)
+    w = np.empty(lane.size)
+    y = tau[narrow]
+    xtol = np.full(y.size, _BRACKET_REL_TOL * top)
+    w[narrow] = _root_lanes(
+        lambda i, x: _h_lanes(q, x) - y[i],
+        lambda i: lambda x, y=float(y[i]): _h(q, x) - y,
+        z_lo[narrow], z_hi[narrow], h_lo[narrow] - y, h_hi[narrow] - y, xtol,
+        np.full(y.size, 0.2 / (top - 1.0)), _scale_lanes(z_hi[narrow] - z_lo[narrow], xtol),
+    )[2]
+    if not narrow.all():
+        w[~narrow] = _omega_lanes(q, tau[~narrow])
+    lhs = q * (p * np.float_power(w, q - 1.0) - (p - 1.0) * np.float_power(w, q)) * denom
+    res = lhs - (p - q) * s1 * a2
+    return lane, np.sort(np.concatenate(redo)), (t, u, tau, w, res, width, a2)

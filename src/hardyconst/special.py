@@ -36,24 +36,30 @@ written as (b - a) * (b - a) it changed omega on 434 of 40,000 inputs over
 ten exponents, 400 of them at r = 1.05 and 1.1, because the C library's
 pow(x, 2) is not always rounded like x * x.
 
-``_omega_lanes`` is omega's lane-wise twin for batched grids: lock-step
-ITP passes over an array of targets, with one r or one r per lane, equal
-to ``omega`` bit for bit, beside ``_h_lanes`` for ``_h``.  A pass costs
-~70 us however few lanes are left, and the last 10-20 of a grid's 20-30
-passes carry fewer than a hundred.  So once at most ``_STRAGGLER_LANES``
-lanes are live, each finishes in ``_bracketed_root``, which takes the
-lane's state as resume arguments and so steps exactly as the passes
-would; a call with no more targets than that finishes entirely in the
-scalar kernel before any pass, so lanes never cost much more than scalar
-calls.  Only ``_omega_lanes``
-passes those resume arguments: ``omega``, ``solver``'s certificate and
-its u solve all start the kernel from scratch.  Peak memory is about 21
-floats per lane: ~1.2 MB for 7,000 lanes.
+``_root_lanes`` is the kernel's lane-wise twin, the one lane step in the
+package: lock-step ITP passes over an array of brackets, each lane with
+its own function, tolerance, k1 and projection scale, equal to
+``_bracketed_root`` bit for bit.  It solves both roots in lanes:
+``_omega_lanes``, omega's twin for batched grids (one r or one r per lane,
+beside ``_h_lanes`` for ``_h``), is its setup plus one call, and so are
+``solver.solve_lanes``' u solve and certificate.  A pass costs ~70 us
+however few lanes are left, and the last 10-20 of a grid's 20-30 passes
+carry fewer than a hundred.  So once at most ``_STRAGGLER_LANES`` lanes are
+live, each finishes in ``_bracketed_root``, which takes the lane's state
+as resume arguments and so steps exactly as the passes would; a call with
+no more lanes than that finishes entirely in the scalar kernel before any
+pass, so lanes never cost much more than scalar calls.  Only
+``_root_lanes`` passes those resume arguments: ``omega`` and ``solver``'s
+scalar ``solve_t`` start the kernel from scratch.  Peak memory is about
+30 floats per lane in ``_omega_lanes`` (1.7 MB for inverse_suite's 7,000
+lanes) and 67 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
 Python's z ** (r - 1) on 10,285 of 200,000 uniform z at r = 2.5 and
 np.power(w, 2) from w ** 2 on 163 of 200,000 w; float_power matched on all.
+So no lane function (named ``*_lanes``) uses ``**``, not even on a scalar:
+scalar powers go through ``math.ldexp`` or a helper outside them.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from .errors import DomainError, SingularityError
 #: final width of omega's root bracket, relative to r'; an absolute width
 #: this small would be below the float spacing near r' once r' >= 8
 _BRACKET_REL_TOL = 1e-15
-#: live lanes at or below which ``_omega_lanes`` stops its lock-step passes
+#: live lanes at or below which ``_root_lanes`` stops its lock-step passes
 #: and finishes each lane in the scalar kernel.  inverse_suite plus
 #: endgame_suite took 11.3 ms per verify pair with no hand-off, and 10.2,
 #: 9.8, 10.2 and 10.4 ms handing off at 32, 64, 128 and 200 lanes (min of
@@ -295,23 +301,110 @@ def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
     return val
 
 
+def _scale_lanes(w: np.ndarray, xtol: np.ndarray) -> np.ndarray:
+    """``_bracketed_root``'s step-0 projection scale xtol * 2^(n_max - 1) on
+    lanes of bracket width w, n_max = max(ceil(log2(w / xtol)), 0) + 3.
+
+    ceil(log2(v)) is exact from frexp, except at or just above a power of
+    two, where math.log2 may round down onto it; there it is math.log2's.
+    """
+    v = np.maximum(w / xtol, 1.0)
+    m, n = np.frexp(v)
+    n = n.astype(float)
+    near = np.flatnonzero(m < 0.5 + 1e-12)
+    n[near] = [math.ceil(math.log2(x)) for x in v[near].tolist()]
+    return xtol * np.ldexp(1.0, n.astype(int) + 2)
+
+
+def _root_lanes(
+    f_lanes: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f_of_lane: Callable[[int], Callable[[float], float]],
+    a: np.ndarray,
+    b: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
+    xtol: np.ndarray,
+    k1: np.ndarray,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_bracketed_root`` on lanes, bit for bit, in lock-step ITP passes.
+
+    Lane i solves f_i(x) = 0 on [a_i, b_i], with end values fa_i > 0 >= fb_i
+    (y already subtracted), its own xtol, k1 and step-0 projection scale
+    (``_scale_lanes``); a caller whose f rises from a to b passes -f, which
+    takes the same steps, as negation is exact.  f_lanes(i, x) evaluates f
+    at x on the lanes i, an index array; f_of_lane(i) is lane i's scalar f.
+    Every lane takes the scalar kernel's steps: the same truncation and
+    projection branch, the same best point, b kept where f <= 0, an early
+    stop where f hits 0 (a, b and the best point are then x) and a stop
+    where the bracket's ends are adjacent floats.  Lanes leave the working arrays as they finish.
+    Once at most ``_STRAGGLER_LANES`` are left, each finishes in
+    ``_bracketed_root``, resumed from its bracket, end values, k1, xtol,
+    projection scale and best point, so it takes the steps the passes would
+    have taken; a call with no more lanes than that finishes entirely in the
+    scalar kernel.  Returns each lane's final (a, b, best point).
+    """
+    out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
+    idx = np.arange(a.size)
+    a, b, fa, fb, scale = (np.array(v, dtype=float) for v in (a, b, fa, fb, scale))
+    best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
+    while True:
+        mid = 0.5 * (a + b)
+        live = (b - a > xtol) & (a < mid) & (mid < b)
+        if not live.all():
+            done = idx[~live]
+            out_a[done], out_b[done], out_x[done] = a[~live], b[~live], best_x[~live]
+            idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs, mid = (
+                v[live] for v in (idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs, mid)
+            )
+        if idx.size <= _STRAGGLER_LANES:
+            break
+        w = b - a
+        radius = np.maximum(scale - 0.5 * w, 0.0)
+        scale *= 0.5
+        x_f = (fb * a - fa * b) / (fb - fa)
+        delta = k1 * np.float_power(w, 2.0)
+        # the scalar kernel's two signed branches, with sigma = 1 where
+        # x_f is at or below mid; negating a difference is exact
+        sigma = np.where(mid >= x_f, 1.0, -1.0)
+        x = x_f + sigma * delta
+        x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)
+        x = np.where((delta <= sigma * (mid - x_f)) & (a < x) & (x < b), x, mid)
+        # spent arrays go now: with thousands of lanes they set the peak memory
+        del w, mid, radius, x_f, delta, sigma
+        g = f_lanes(idx, x)
+        g_abs = np.abs(g)
+        better = g_abs < best_abs
+        np.copyto(best_x, x, where=better)
+        np.copyto(best_abs, g_abs, where=better)
+        pos = g > 0.0
+        neg = ~pos
+        # a lane with g == 0 collapses its bracket onto x, its best point
+        np.copyto(a, x, where=g >= 0.0)
+        np.copyto(b, x, where=neg)
+        np.copyto(fa, g, where=pos)
+        np.copyto(fb, g, where=neg)
+        del x, g, g_abs, better, pos, neg
+    for i, *state in zip(
+        *(v.tolist() for v in (idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs))
+    ):
+        a_i, b_i, fa_i, fb_i, xtol_i, k1_i, scale_i, x_i, abs_i = state
+        out_a[i], out_b[i], out_x[i] = _bracketed_root(
+            f_of_lane(i), a_i, b_i, fa_i, fb_i, xtol_i, 0.0, k1_i, scale_i, x_i, abs_i
+        )
+    return out_a, out_b, out_x
+
+
 def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
-    bit, in lock-step ITP passes.
+    bit, through ``_root_lanes``.
 
-    Every lane runs ``_bracketed_root``'s steps on its natural bracket
-    [1, r'] with its r's xtol, k1, n_max and projection scale, kept in a
-    table over the distinct r: the same truncation and projection branch,
-    the same side updated, the same best point, an early stop where H_r
-    hits s exactly and a stop where the bracket's ends are adjacent floats.
-    Lanes leave the working arrays as they finish.  Once at most
-    ``_STRAGGLER_LANES`` are left, each finishes in ``_bracketed_root``,
-    resumed from its bracket, end values, k1, xtol, projection scale and
-    best point, so it takes the steps the passes would have taken; a call
-    with no more targets than that finishes entirely in the scalar kernel,
-    before any pass.  s = 1 and
-    s = 0 give 1 and r' exactly; a bad r or an s outside [0, 1] raises the
-    DomainError ``omega`` raises for one such lane.
+    Every lane's natural bracket [1, r'], xtol, k1 and projection scale are
+    its r's, kept in a table over the distinct r.  A straggler solves
+    ``_h`` - s = 0: its end values have s subtracted, and (fa + s) - s need
+    not round back to fa.  s = 1 and s = 0 give 1 and r' exactly; a bad r or
+    an s outside [0, 1] raises the DomainError ``omega`` raises for one
+    such lane.
     """
     s = np.asarray(s, dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
@@ -325,62 +418,16 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     xtol = _BRACKET_REL_TOL * top
     # where r' - 1 <= xtol the lane stops before k1 or the scale is read
     span = np.maximum(top - 1.0, xtol)
-    k1 = 0.2 / span
-    # xtol * 2^(n_max - 1), halved once per pass for every lane alike
-    scale = xtol * [2.0 ** (max(math.ceil(math.log2(v)), 0) + 2) for v in span / xtol]
     z = np.where(s == 1.0, 1.0, top[k])
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
-    a, b = np.ones(idx.size), top[k]
-    # b keeps the points with H_r(x) <= s, as in the scalar kernel
-    fa, fb = 1.0 - y, 0.0 - y
-    best_x, best_abs = 0.5 * (a + b), np.full(idx.size, np.inf)
-    while True:
-        mid = 0.5 * (a + b)
-        live = (b - a > xtol[k]) & (a < mid) & (mid < b)
-        if not live.all():
-            z[idx[~live]] = best_x[~live]
-            idx, k, y, a, b, fa, fb, best_x, best_abs, mid = (
-                v[live] for v in (idx, k, y, a, b, fa, fb, best_x, best_abs, mid)
-            )
-        if idx.size <= _STRAGGLER_LANES:
-            break
-        w = b - a
-        radius = np.maximum(scale[k] - 0.5 * w, 0.0)
-        scale *= 0.5
-        x_f = (fb * a - fa * b) / (fb - fa)
-        delta = k1[k] * np.float_power(w, 2.0)
-        # the scalar kernel's two signed branches, with sigma = 1 where
-        # x_f is at or below mid; negating a difference is exact
-        sigma = np.where(mid >= x_f, 1.0, -1.0)
-        x = x_f + sigma * delta
-        x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)
-        x = np.where((delta <= sigma * (mid - x_f)) & (a < x) & (x < b), x, mid)
-        # spent arrays go now: with thousands of lanes they set the peak memory
-        del w, mid, radius, x_f, delta, sigma
-        g = _h_lanes(exps[k], x) - y
-        g_abs = np.abs(g)
-        better = g_abs < best_abs
-        best_x[better] = x[better]
-        best_abs[better] = g_abs[better]
-        pos = g > 0.0
-        # a lane with g == 0 collapses its bracket onto x, its best point
-        np.copyto(a, x, where=pos | (g == 0.0))
-        np.copyto(b, x, where=~pos)
-        np.copyto(fa, g, where=pos)
-        np.copyto(fb, g, where=~pos)
-        del x, g, g_abs
-    # the stragglers resume in the scalar kernel at the step they reached;
-    # their end values have y subtracted, and (fa + y) - y need not round
-    # back to fa, so each solves _h - y = 0
-    r_of, xtol_of, k1_of, scale_of = (v.tolist() for v in (exps, xtol, k1, scale))
-    for i, j, y_i, a_i, b_i, fa_i, fb_i, x_i, abs_i in zip(
-        *(v.tolist() for v in (idx, k, y, a, b, fa, fb, best_x, best_abs))
-    ):
-        z[i] = _bracketed_root(
-            lambda x, r=r_of[j], y=y_i: _h(r, x) - y,
-            a_i, b_i, fa_i, fb_i, xtol_of[j], 0.0, k1_of[j], scale_of[j], x_i, abs_i,
-        )[2]
+    r_of = exps[k]
+    z[idx] = _root_lanes(
+        lambda i, x: _h_lanes(r_of[i], x) - y[i],
+        lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
+        np.ones(idx.size), top[k], 1.0 - y, 0.0 - y,
+        xtol[k], (0.2 / span)[k], _scale_lanes(span, xtol)[k],
+    )[2]
     return z
 
 

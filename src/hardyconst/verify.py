@@ -5,6 +5,12 @@ Each suite samples a claim on a grid and reports a ``SuiteResult``; the CLI
 points beyond the no-root cutoff are skipped, not failed: the cutoff is the
 band along the lower curve at large s2 where a root would need tau >= 1,
 and ``solver.has_root`` decides it exactly.
+
+The suites with large grids solve them in lanes, bit for bit the floats of
+the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
+omega grids through ``special._omega_lanes``, and ``sign_suite`` solves its
+n x n grid through ``solver.solve_lanes``.  A grid too large for memory is
+a DomainError.
 """
 
 from __future__ import annotations
@@ -16,12 +22,26 @@ import numpy as np
 
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, threshold
-from .errors import NoRootError, StencilError
-from .sensitivity import delta_eval, dt_ds1, gamma_eval, lambda_eval
-from .solver import has_root, solve_t
+from .errors import DomainError, NoRootError, StencilError
+from .sensitivity import dt_ds1, gamma_eval
+from .solver import has_root, solve_lanes, solve_t
 from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
 
 _MAX_REPORTED_FAILURES = 5
+#: points per lane solve in sign_suite, in whole rows of its grid where a
+#: row fits, so that its memory does not grow with n.  sign_suite took 48,
+#: 28 and 38 ms at n = 100 with 1,024, 4,096 and 16,384 points per call
+#: (peak traced memory 0.6, 2.2 and 5.6 MB), and 145, 125 and 149 ms at
+#: n = 200 with 4,096, 16,384 and 65,536 (2.2, 9.0 and 22 MB); min of 3
+#: interleaved rounds over (2, 1.5), (3, 2) and (2.5, 1.5), process CPU
+#: time, 2 shared x86-64 vCPUs
+_SIGN_LANES = 4096
+#: sign_suite's failure messages: gamma, delta, lambda
+_SIGN_MESSAGES = (
+    "gamma = {} >= 0 at ({}, {})",
+    "delta = {} <= 0 at ({}, {})",
+    "lambda = {} <= 0 at ({}, {})",
+)
 
 
 @dataclass
@@ -60,6 +80,14 @@ class SuiteResult:
         if self.failed:
             line += f"; {self.failed} failed (first: {self.failures[0]})"
         return line
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n); a grid too large for memory is a DomainError."""
+    try:
+        return np.linspace(lo, hi, n)
+    except MemoryError:
+        raise DomainError(f"a verify grid of {n} points does not fit in memory") from None
 
 
 def feasible_s1_grid(
@@ -114,8 +142,7 @@ def inverse_suite(e: Exponents) -> SuiteResult:
 def equal_omega_suite(e: Exponents, n: int = 50) -> SuiteResult:
     """On s2 = H_q(omega_p(s1)) the constant is omega_p(s1) and tau = s2."""
     res = SuiteResult("equal-omega curve identity")
-    for s1 in np.linspace(0.05, 0.95, n):
-        s1 = float(s1)
+    for s1 in _grid(0.05, 0.95, n).tolist():
         w = omega(e.p, s1)
         s2 = h_eval(e.q, w)
         sol = solve_t(e, ParamPoint(s1, s2))
@@ -130,25 +157,54 @@ def equal_omega_suite(e: Exponents, n: int = 50) -> SuiteResult:
 
 
 def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
-    """gamma < 0, delta > 0 and lambda(t) > 0 across a feasible (s1, s2) grid."""
+    """gamma < 0, delta > 0 and lambda(t) > 0 across a feasible (s1, s2) grid.
+
+    n rows of n points, s2 from 0.15 to 0.97 and s1 from 0.02 to 0.98 of
+    the lower-curve abscissa, solved in lanes (``solve_lanes``), whole rows
+    and at most ``_SIGN_LANES`` points per call, bit for bit the floats
+    ``solve_t`` returns.  gamma, delta and lambda are formed from them as
+    arrays, with ``gamma_eval``, ``delta_eval`` and ``lambda_eval``'s
+    expressions, and checked point by point in grid order: gamma, delta,
+    lambda.  Points without a root are skipped; a point outside the region
+    raises the OutsideDomainError ``solve_t`` raises there.
+    """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
-    for s2 in np.linspace(0.15, 0.97, n):
-        s2 = float(s2)
-        s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
-        for s1 in np.linspace(0.02 * s1_top, 0.98 * s1_top, n):
-            pt = ParamPoint(float(s1), s2)
-            try:
-                sol = solve_t(e, pt)
-            except NoRootError:
-                res.skipped += 1
-                continue
-            g = gamma_eval(e, pt, sol)
-            d = delta_eval(e, pt, sol)
-            lam = lambda_eval(e, pt, sol.t)
-            res.check(g < 0.0, lambda: f"gamma = {g} >= 0 at ({s1}, {s2})")
-            res.check(d > 0.0, lambda: f"delta = {d} <= 0 at ({s1}, {s2})")
-            res.check(lam > 0.0, lambda: f"lambda = {lam} <= 0 at ({s1}, {s2})")
+    p, q = e.p, e.q
+    s2_grid = _grid(0.15, 0.97, n).tolist()
+    rows = max(_SIGN_LANES // n, 1)
+    for lo in range(0, n, rows):
+        s2_rows = s2_grid[lo : lo + rows]
+        s1 = np.concatenate(
+            [_grid(0.02 * top, 0.98 * top, n) for top in (s2 ** ((p - 1.0) / (q - 1.0)) for s2 in s2_rows)]
+        )
+        s2 = np.repeat(s2_rows, n)
+        for j in range(0, s1.size, _SIGN_LANES):
+            _check_signs(res, e, s1[j : j + _SIGN_LANES], s2[j : j + _SIGN_LANES])
     return res
+
+
+def _check_signs(res: SuiteResult, e: Exponents, s1: np.ndarray, s2: np.ndarray) -> None:
+    """``sign_suite``'s checks on one lane solve of the points (s1, s2)."""
+    sol = solve_lanes(e, s1, s2)
+    if sol.outside.any():
+        i = sol.outside.argmax()
+        # raises as solving that point alone does
+        solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
+    res.skipped += int((~sol.ok).sum())
+    p, q = e.p, e.q
+    s1, s2, t, u, a2 = (v[sol.ok] for v in (s1, s2, sol.t, sol.u, sol.alpha))
+    b = (p - 1.0) * (p - q * u) / (p * (q - 1.0) * (1.0 - u))
+    gamma = a2 - b * (np.float_power(t, q) / s2 - 1.0)
+    lam = q * np.float_power(t, p) - p * np.float_power(t, q) * (s1 / s2) + (p - q) * s1
+    delta = b * lam + (p - q) * s1 * a2
+    vals = np.stack([gamma, delta, lam], axis=1)
+    ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
+    res.check_many(
+        ok.ravel(),
+        lambda i: _SIGN_MESSAGES[i % 3].format(
+            float(vals.flat[i]), float(s1[i // 3]), float(s2[i // 3])
+        ),
+    )
 
 
 def inequality_star_suite(e: Exponents) -> SuiteResult:

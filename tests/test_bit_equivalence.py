@@ -18,6 +18,14 @@ the straggler threshold, and with the threshold at 0 (every lane runs its
 lock-step passes to the end) and above the lane count (every lane is
 ``omega``'s).
 
+``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` solves
+its grid with, must return ``solve_t``'s verdict and every field bit for
+bit, through the same hand-off and at either end of it, on top-cap points,
+s1 down to 5e-324, s2 within 1e-11 of the lower curve, rows of equal s2,
+no-root and outside points, certificates that fall back to omega_q's
+natural bracket and a pair with u_top <= 0; and raise what ``solve_t``
+raises where it raises something else.
+
 ``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
 there, would, and elsewhere as the mpmath oracle's sign of g(u_top) does.
@@ -52,9 +60,17 @@ from hardyconst import (
     in_domain,
     solve_t,
 )
-from hardyconst.errors import DomainError
+from hardyconst.errors import DomainError, NoRootError, OutsideDomainError
 from hardyconst.hardy import _lhs_rows
-from hardyconst.solver import _K_MIN, _u_equation, _u_top, residual, tau_eval
+from hardyconst.solver import (
+    _K_MIN,
+    _NEAR_HALF_WIDTH,
+    _u_equation,
+    _u_top,
+    residual,
+    solve_lanes,
+    tau_eval,
+)
 from hardyconst.special import (
     _BRACKET_REL_TOL,
     _STRAGGLER_LANES,
@@ -192,6 +208,147 @@ def test_solve_matches_reference_kernel(monkeypatch, pair):
     for pt, sol in zip(pts, sols):
         ref = solve_t(e, pt)
         assert [getattr(sol, f).hex() for f in FIELDS] == [getattr(ref, f).hex() for f in FIELDS]
+
+
+def _lane_points(e: Exponents, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points in rows of 8 at one s2 each: a quarter at s1/s1_top uniform in
+    (0, 1.05), a quarter log-uniform down to 1e-320 (the top cap) with
+    5e-324 among them, a quarter within 1e-11 relative below s1_top and a
+    quarter with s2 within 1e-11 of the lower curve."""
+    rng = np.random.default_rng(seed)
+    s2 = np.repeat(rng.uniform(0.01, 0.999, n // 8 + 1), 8)[:n]
+    top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+    kind = np.arange(n) % 4
+    frac = np.select(
+        [kind == 0, kind == 1],
+        [rng.uniform(0.0, 1.05, n), 10.0 ** rng.uniform(-320.0, 0.0, n)],
+        1.0 - 10.0 ** rng.uniform(-11.0, 0.0, n),
+    )
+    s1 = np.clip(top * frac, 5e-324, 0.999999)
+    s1[1] = 5e-324
+    near = kind == 3
+    lower = s1[near] ** ((e.q - 1.0) / (e.p - 1.0))
+    s2[near] = np.clip(lower + rng.uniform(-1e-11, 1e-11, near.sum()), 5e-324, 1.0)
+    return s1, s2
+
+
+def _solved(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> list[tuple[str, ...]]:
+    """``solve_t``'s verdict and the bits of its fields, point by point."""
+    out = []
+    for x, y in zip(s1.tolist(), s2.tolist()):
+        try:
+            sol = solve_t(e, ParamPoint(x, y))
+        except NoRootError:
+            out.append(("no-root",))
+        except OutsideDomainError:
+            out.append(("outside",))
+        else:
+            out.append(("ok", *(getattr(sol, f).hex() for f in FIELDS)))
+    return out
+
+
+def _solved_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> list[tuple[str, ...]]:
+    """``_solved`` from one ``solve_lanes`` call."""
+    sol = solve_lanes(e, s1, s2)
+    fields = [getattr(sol, f).tolist() for f in FIELDS]
+    return [
+        ("ok", *(v[i].hex() for v in fields)) if sol.ok[i]
+        else ("outside",) if sol.outside[i] else ("no-root",)
+        for i in range(s1.size)
+    ]
+
+
+@pytest.fixture(scope="module")
+def lane_cases() -> dict[tuple[float, float], tuple]:
+    """Each pair's ``_lane_points`` with ``_solved`` on them."""
+    cases = {}
+    for i, pair in enumerate(PAIRS):
+        e = Exponents(*pair)
+        s1, s2 = _lane_points(e, 320, 100 + i)
+        cases[pair] = s1, s2, _solved(e, s1, s2)
+    return cases
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_solve_lanes_match_solve_t(lane_cases, pair):
+    e = Exponents(*pair)
+    s1, s2, expected = lane_cases[pair]
+    assert _solved_lanes(e, s1, s2) == expected
+    verdicts = [v[0] for v in expected]
+    top_cap = (e.p_conj - math.nextafter(e.p_conj, 0.0)).hex()
+    assert {"ok", "outside"} <= set(verdicts)
+    assert sum(v[0] == "ok" and v[6] == top_cap for v in expected) >= 3
+
+
+@pytest.mark.parametrize(
+    "n", [1, _STRAGGLER_LANES - 1, _STRAGGLER_LANES, _STRAGGLER_LANES + 1]
+)
+def test_solve_lanes_match_solve_t_across_the_hand_off(lane_cases, n):
+    for pair in [(2.0, 1.5), (5.0, 1.2), (2.0, 1.999)]:
+        e = Exponents(*pair)
+        s1, s2, expected = lane_cases[pair]
+        # points with a root below the top cap, so that the u solve and the
+        # certificate's each see n lanes
+        top_cap = (e.p_conj - math.nextafter(e.p_conj, 0.0)).hex()
+        ok = np.flatnonzero([v[0] == "ok" and v[6] != top_cap for v in expected])[:n]
+        assert ok.size == n
+        assert _solved_lanes(e, s1[ok], s2[ok]) == [expected[i] for i in ok]
+
+
+@pytest.mark.parametrize("handoff", ["pure lanes", "pure scalar"])
+def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
+    monkeypatch, lane_cases, handoff
+):
+    lanes = 0 if handoff == "pure lanes" else 10**6
+    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    for pair in [(2.0, 1.5), (2.5, 1.3), (10.0, 1.05), (1.5, 1.45)]:
+        s1, s2, expected = lane_cases[pair]
+        assert _solved_lanes(Exponents(*pair), s1, s2) == expected
+
+
+def test_solve_lanes_match_solve_t_where_the_certificate_falls_back(monkeypatch, lane_cases):
+    # at half the omega tolerance about a fifth of certificates fall back to
+    # the natural bracket; both solves read the patched width
+    monkeypatch.setattr(hardyconst.solver, "_NEAR_HALF_WIDTH", _NEAR_HALF_WIDTH / 8.0)
+    fallbacks = []
+    omega_lanes = hardyconst.solver._omega_lanes
+
+    def counted(r, s):
+        fallbacks.append(s.size)
+        return omega_lanes(r, s)
+
+    monkeypatch.setattr(hardyconst.solver, "_omega_lanes", counted)
+    for pair in [(3.0, 2.0), (5.0, 1.2)]:
+        e = Exponents(*pair)
+        s1, s2, _ = lane_cases[pair]
+        assert _solved_lanes(e, s1, s2) == _solved(e, s1, s2)
+    assert sum(fallbacks) >= 50
+
+
+def test_solve_lanes_where_u_top_is_not_positive():
+    # q (q-1) < 2e-14 p/(p-q) (p-1)^2: no point of the pair has a root that
+    # counts; s2 near 1 keeps s1's top, s2^(2e7), above the float range's floor
+    e = Exponents(1e7, 1.5)
+    assert _u_top(e) <= 0.0
+    s2 = 1.0 - np.geomspace(1e-5, 1e-7, 40)
+    s1 = s2 ** ((e.p - 1.0) / (e.q - 1.0)) * np.linspace(0.01, 1.01, 40)
+    expected = _solved(e, s1, s2)
+    assert _solved_lanes(e, s1, s2) == expected
+    assert "no-root" in {v[0] for v in expected}
+
+
+def test_solve_lanes_raise_what_solve_t_raises():
+    # K is at its floor and (1 + 1e-12)^(p-q) ~ 1e35, so u_lo underflows to
+    # 0 and g(0) divides by zero: solve_t leaks ZeroDivisionError there
+    e = Exponents(1e14, 2e13)
+    s1, s2 = np.array([1e-100, 1e-300, 1e-200]), np.full(3, 0.5)
+    with pytest.raises(ZeroDivisionError) as scalar:
+        solve_t(e, ParamPoint(1e-300, 0.5))
+    with pytest.raises(ZeroDivisionError) as lanes:
+        solve_lanes(e, s1, s2)
+    assert str(lanes.value) == str(scalar.value)
+    with pytest.raises(DomainError, match="s1 must lie in"):
+        solve_lanes(Exponents(2.0, 1.5), np.array([0.1, 0.0]), np.array([0.5, 0.5]))
 
 
 def _left_end_inverted(e: Exponents, pt: ParamPoint, lo: float = 1.0 + 1e-12) -> bool | None:

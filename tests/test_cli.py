@@ -223,6 +223,25 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_grid_too_large_for_memory(self, capsys, monkeypatch):
+        # numpy raises MemoryError for a grid it cannot allocate; none is made here
+        linspace = np.linspace
+
+        def no_memory(start, stop, num, *args, **kwargs):
+            if num > 10**6:
+                raise MemoryError
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        code, out, err = run(
+            capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", "1000000000000"]
+        )
+        assert code == 2
+        assert err == (
+            "error: domain-error: a verify grid of 1000000000000 points does not fit in memory\n"
+        )
+        assert out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol_rejected(self, capsys, tol):
         code, out, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--tol", tol])

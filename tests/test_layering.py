@@ -1,10 +1,11 @@
 """Module layering: the solver's stages stay behind its public functions,
 no module imports a name it never uses, none rebinds module-level state by
 hand, none sums through BLAS, whose order depends on the CPU, and none
-calls ``np.power``, which may round unlike the C library's pow.  Only
-``special._omega_lanes`` resumes the root kernel part-way: a resumed
-schedule anywhere else would move the floats of ``omega``, the solver's
-certificate or its u solve."""
+calls ``np.power``, which may round unlike the C library's pow; nor does
+any lane function (named ``*_lanes``) use ``**``, which on arrays is
+``np.power``.  Only ``special._root_lanes``, the lane kernel, resumes the
+scalar root kernel part-way: a resumed schedule anywhere else would move the
+floats of ``omega``, the solver's certificate or its u solve."""
 
 import ast
 from pathlib import Path
@@ -149,6 +150,41 @@ def test_no_numpy_power(path):
     assert power_uses(path.read_text(encoding="utf-8")) == []
 
 
+def lane_pow_uses(source: str) -> list[str]:
+    """``**`` operators inside functions named ``*_lanes``, nested functions
+    and lambdas included, each as the lane function's name:line."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith(
+            "_lanes"
+        ):
+            uses += [
+                f"{node.name}:{inner.lineno}"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.Pow)
+            ]
+    return sorted(set(uses))
+
+
+def test_lane_pow_check_sees_each_kind():
+    source = (
+        "def _h_lanes(r, z):\n"
+        "    return np.float_power(z, r - 1.0) * z ** 2.0\n"
+        "def solve_lanes(x):\n"
+        "    x **= 2\n"
+        "    return _root_lanes(lambda i, u: u ** 0.5)\n"
+        "def _lane_powers(e):\n"
+        "    return e.p ** 2.0\n"
+        "y = x ** 2\n"
+    )
+    assert lane_pow_uses(source) == ["_h_lanes:2", "solve_lanes:4", "solve_lanes:5"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_pow_operator_in_lane_functions(path):
+    assert lane_pow_uses(path.read_text(encoding="utf-8")) == []
+
+
 #: ``_bracketed_root``'s arguments that resume a run part-way, and the
 #: number of arguments before them
 RESUME_ARGS = {"scale", "best_x", "best_abs"}
@@ -202,4 +238,4 @@ def test_only_the_lane_kernel_resumes_the_root_kernel():
         for path in sorted(PACKAGE.glob("*.py"))
         for use in resume_callers(path.read_text(encoding="utf-8"))
     ]
-    assert callers == ["special._omega_lanes"]
+    assert callers == ["special._root_lanes"]

@@ -6,11 +6,15 @@ lane suite must report the same checks, failures, skips and failure
 messages, in the same order.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import hardyconst.sensitivity
 import hardyconst.solver
+import hardyconst.special
 import hardyconst.verify
 from hardyconst import Exponents, ParamPoint
 from hardyconst.errors import ConvergenceError, NoRootError
@@ -61,22 +65,103 @@ def test_sign_suite_matches_the_point_by_point_loop(pair, n):
     assert _fields(sign_suite(e, n)) == _fields(_reference_sign_suite(e, n))
 
 
+@pytest.mark.parametrize("lanes", [7, 25])
+def test_sign_suite_matches_the_loop_over_several_lane_solves(monkeypatch, lanes):
+    # 25 lanes solve two whole rows of 10 per call and 7 split each row
+    monkeypatch.setattr(hardyconst.verify, "_SIGN_LANES", lanes)
+    e = Exponents(5.0, 1.2)
+    assert _fields(sign_suite(e, 10)) == _fields(_reference_sign_suite(e, 10))
+
+
+def _doctored(s1: float, s2: float, t: float, alpha: float) -> tuple[float, float]:
+    """(t, alpha) made to fail some of a point's checks: gamma alone, delta
+    alone, or all three with t = nan; most points are left as they are."""
+    kind = hash((s1, s2)) % 7
+    if kind == 0:
+        return t, 1e300
+    if kind == 1:
+        return t, -1e300
+    if kind == 2:
+        return math.nan, alpha
+    return t, alpha
+
+
+def test_sign_suite_reports_failures_in_the_loops_order(monkeypatch):
+    # per point in grid order, then gamma, delta, lambda; every failure counts
+    lanes = hardyconst.verify.solve_lanes
+
+    def doctored_lanes(e, s1, s2):
+        sol = lanes(e, s1, s2)
+        t, alpha = sol.t.copy(), sol.alpha.copy()
+        for i, (x, y) in enumerate(zip(s1.tolist(), s2.tolist())):
+            t[i], alpha[i] = _doctored(x, y, t[i], alpha[i])
+        return dataclasses.replace(sol, t=t, alpha=alpha)
+
+    def doctored_solve(e, pt):
+        sol = solve_t(e, pt)
+        t, alpha = _doctored(pt.s1, pt.s2, sol.t, sol.alpha)
+        return dataclasses.replace(sol, t=t, alpha=alpha)
+
+    monkeypatch.setattr(hardyconst.verify, "solve_lanes", doctored_lanes)
+    res = sign_suite(E2, 10)
+    assert _fields(res) == _fields(_reference_sign_suite(E2, 10, doctored_solve))
+    assert res.failed > 40
+    assert [m.split(" = ")[0] for m in res.failures] == [
+        "delta", "gamma", "gamma", "delta", "lambda"
+    ]
+
+
 def _failing_at_call(solve, n):
     """solve, except that the n-th call (1-based) raises ConvergenceError."""
     calls = [0]
 
-    def wrapped(e, pt):
+    def wrapped(e, *args):
         calls[0] += 1
         if calls[0] == n:
-            raise ConvergenceError(f"injected at ({pt.s1}, {pt.s2})")
-        return solve(e, pt)
+            raise ConvergenceError(f"injected at call {n}")
+        return solve(e, *args)
 
     return wrapped
 
 
+def _failing_g(u_equation):
+    """_u_equation, except that each g it returns raises ConvergenceError."""
+
+    def wrapped(e, pt, k):
+        def g(u):
+            raise ConvergenceError("injected in a straggler's g")
+
+        return g, u_equation(e, pt, k)[1]
+
+    return wrapped
+
+
+def _failing_h(r, z):
+    raise ConvergenceError("injected in a straggler's H_q")
+
+
 def test_sign_suite_raises_solver_defect(monkeypatch):
+    # sign_suite solves its grid in lanes, and only the stragglers of its u
+    # solve evaluate g through the solver's scalar _u_equation: the defect
+    # is injected there, and must propagate, not count as a skip
+    failing = _failing_g(hardyconst.solver._u_equation)
+    monkeypatch.setattr(hardyconst.solver, "_u_equation", failing)
+    with pytest.raises(ConvergenceError, match="injected in a straggler's g"):
+        sign_suite(E2, 10)
+
+
+def test_sign_suite_raises_a_certificate_stragglers_defect(monkeypatch):
+    # the stragglers of the certificate's inversion are sign_suite's only
+    # scalar H_q evaluations through the solver's binding of _h
+    monkeypatch.setattr(hardyconst.solver, "_h", _failing_h)
+    with pytest.raises(ConvergenceError, match="injected in a straggler's H_q"):
+        sign_suite(E2, 10)
+
+
+def test_sign_suite_raises_a_lock_step_pass_defect(monkeypatch):
+    # g's lane calls are g(u_b), g(u_a), g(u_top), then the u solve's passes
     monkeypatch.setattr(
-        hardyconst.verify, "solve_t", _failing_at_call(hardyconst.solver.solve_t, 5)
+        hardyconst.solver, "_g_lanes", _failing_at_call(hardyconst.solver._g_lanes, 4)
     )
     with pytest.raises(ConvergenceError):
         sign_suite(E2, 10)

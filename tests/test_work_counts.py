@@ -25,6 +25,12 @@ reads in one call, once each, with no scalar ``omega`` or
 inversion per point shows), and forms F, F' and G from those values
 exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.
 
+``sign_suite`` solves its grid through ``solve_lanes``, with no scalar
+``solve_t`` call: its lock-step passes and the stragglers it finishes on
+their own scalar g must together evaluate g exactly as often as one
+``solve_t`` per point does, and H_r exactly as often too, alpha(s2) and the
+certificate's inversions included.
+
 The solver keeps the last alpha(s2), and decides solvability by one sign of
 g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
 nothing, with q near p too, a solve right after it inverts only for its
@@ -43,6 +49,7 @@ import numpy as np
 import pytest
 
 import hardyconst.asymptotics
+import hardyconst.errors
 import hardyconst.hardy
 import hardyconst.solver
 import hardyconst.special
@@ -55,7 +62,7 @@ from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
 from hardyconst.asymptotics import big_f, big_f_deriv, big_g
 from hardyconst.special import omega
-from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite
+from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite, sign_suite
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
@@ -324,6 +331,51 @@ def test_endgame_suite_inverts_each_target_once(calls, lane_calls, scalar_invers
     per_call = _scalar_work(r, s, calls)
     assert sum(lane_calls["h"]) + stragglers == sum(per_call)
     assert len(lane_calls["h"]) <= max(per_call)
+
+
+def _sign_grid(e: Exponents, n: int) -> list[ParamPoint]:
+    """sign_suite's grid, row by row."""
+    pts = []
+    for s2 in np.linspace(0.15, 0.97, n).tolist():
+        top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+        pts += [ParamPoint(s1, s2) for s1 in np.linspace(0.02 * top, 0.98 * top, n).tolist()]
+    return pts
+
+
+@pytest.mark.parametrize("pair", [(3.0, 2.0), (5.0, 1.2), (20.0, 19.0)], ids=str)
+def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
+    e, n = Exponents(*pair), 12
+    _alpha.cache_clear()
+    for pt in _sign_grid(e, n):
+        try:
+            solve_t(e, pt)
+        except hardyconst.errors.NoRootError:
+            pass
+    scalar = dict(calls)
+    for key in calls:
+        calls[key] = 0
+    lanes = {"g": 0, "h": 0, "solve_t": 0}
+    for module, name, key in [
+        (hardyconst.solver, "_g_lanes", "g"),
+        (hardyconst.solver, "_h_lanes", "h"),
+        (hardyconst.special, "_h_lanes", "h"),
+        (hardyconst.solver, "solve_t", "solve_t"),
+        (hardyconst.verify, "solve_t", "solve_t"),
+    ]:
+
+        def counted(*args, inner=getattr(module, name), key=key):
+            out = inner(*args)
+            lanes[key] += np.size(out) if key != "solve_t" else 1
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+    _alpha.cache_clear()
+    sign_suite(e, n)
+    assert lanes["solve_t"] == 0
+    assert lanes["g"] > 0 and calls["g"] > 0
+    assert lanes["g"] + calls["g"] == scalar["g"]
+    assert lanes["h"] + calls["h"] == scalar["h"]
+    assert calls["alpha"] == scalar["alpha"] == n
 
 
 @pytest.mark.parametrize("pair", [(2.0, 1.5), (2.5, 1.3), (5.0, 1.2)])
