@@ -337,12 +337,13 @@ def _root_lanes(
     Every lane takes the scalar kernel's steps: the same truncation and
     projection branch, the same best point, b kept where f <= 0, an early
     stop where f hits 0 (a, b and the best point are then x) and a stop
-    where the bracket's ends are adjacent floats.  Lanes leave the working arrays as they finish.
-    Once at most ``_STRAGGLER_LANES`` are left, each finishes in
-    ``_bracketed_root``, resumed from its bracket, end values, k1, xtol,
-    projection scale and best point, so it takes the steps the passes would
-    have taken; a call with no more lanes than that finishes entirely in the
-    scalar kernel.  Returns each lane's final (a, b, best point).
+    where the bracket's ends are adjacent floats.  Lanes leave the working
+    arrays as they finish.  Once at most ``_STRAGGLER_LANES`` are left, each
+    finishes in ``_bracketed_root``, resumed from its bracket, end values,
+    k1, xtol, projection scale and best point, so it takes the steps the
+    passes would have taken; a call with no more lanes than that finishes
+    entirely in the scalar kernel.  Returns each lane's final (a, b, best
+    point).
     """
     out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     idx = np.arange(a.size)
@@ -422,8 +423,10 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
     r_of = exps[k]
+    # with one exponent, a scalar r spares every pass a gather
+    r_at = (lambda i: r_of[i]) if exps.size > 1 else (lambda i, r=exps[0]: r)
     z[idx] = _root_lanes(
-        lambda i, x: _h_lanes(r_of[i], x) - y[i],
+        lambda i, x: _h_lanes(r_at(i), x) - y[i],
         lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
         np.ones(idx.size), top[k], 1.0 - y, 0.0 - y,
         xtol[k], (0.2 / span)[k], _scale_lanes(span, xtol)[k],

@@ -169,14 +169,12 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
-    p, q = e.p, e.q
     s2_grid = _grid(0.15, 0.97, n).tolist()
     rows = max(_SIGN_LANES // n, 1)
     for lo in range(0, n, rows):
         s2_rows = s2_grid[lo : lo + rows]
-        s1 = np.concatenate(
-            [_grid(0.02 * top, 0.98 * top, n) for top in (s2 ** ((p - 1.0) / (q - 1.0)) for s2 in s2_rows)]
-        )
+        tops = [s2 ** ((e.p - 1.0) / (e.q - 1.0)) for s2 in s2_rows]
+        s1 = np.concatenate([_grid(0.02 * top, 0.98 * top, n) for top in tops])
         s2 = np.repeat(s2_rows, n)
         for j in range(0, s1.size, _SIGN_LANES):
             _check_signs(res, e, s1[j : j + _SIGN_LANES], s2[j : j + _SIGN_LANES])
