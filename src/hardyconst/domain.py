@@ -5,8 +5,9 @@ A point (s1, s2) is admissible for the constant-solve when
     0 < s1 < s2^((p-1)/(q-1))  and  s2 < 1,
 
 i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
-``in_domain`` decides this closed-form, geometric part of the region; it
-is necessary but not sufficient for solvability.  The constant also has a
+``in_domain`` decides this closed-form, geometric part of the region
+(``_outside_lanes`` on arrays of points, bit for bit); it is necessary but
+not sufficient for solvability.  The constant also has a
 no-root cutoff: a band along the lower curve at large s2 where the root
 would need tau >= 1.  ``solver.has_root`` decides that exactly, with the
 same test ``solve_t`` makes: one sign of one explicit equation in u, at the
@@ -24,6 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .special import Exponents, h_eval, omega
@@ -93,3 +96,10 @@ def in_domain(e: Exponents, pt: ParamPoint) -> Membership:
     if pt.s2 < lower or pt.s2 >= 1.0 or pt.s1 >= 1.0:
         return Membership.OUTSIDE
     return Membership.INSIDE
+
+
+def _outside_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``in_domain`` on lanes of valid points: True where it is not INSIDE."""
+    lower = np.float_power(s1, (e.q - 1.0) / (e.p - 1.0))
+    on_lower = np.abs(s2 - lower) <= BOUNDARY_TOL
+    return on_lower | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)

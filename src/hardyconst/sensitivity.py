@@ -17,11 +17,15 @@ delta and lambda are strictly positive on the whole region, gamma is
 strictly negative, hence the constant strictly decreases in s1.  All of
 this is checked numerically by the verification suites; ``dt_ds1`` also
 carries its own finite-difference cross-check of the analytic value.
+``_signs_lanes`` is gamma_eval, delta_eval and lambda_eval on arrays of
+solved points, bit for bit, for ``verify.sign_suite``'s lane solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import ParamPoint
 from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
@@ -66,6 +70,19 @@ def delta_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """delta = B(u) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
     b = _bracket_factor(e, sol.u)
     return b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * sol.alpha
+
+
+def _signs_lanes(
+    e: Exponents, s1: np.ndarray, s2: np.ndarray, t: np.ndarray, u: np.ndarray, a2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, delta, lambda) on lanes of solved points with their t, u and
+    alpha, bit for bit ``gamma_eval``, ``delta_eval`` and ``lambda_eval``."""
+    p, q = e.p, e.q
+    b = _bracket_factor(e, u)
+    t_q = np.float_power(t, q)
+    gamma = a2 - b * (t_q / s2 - 1.0)
+    lam = q * np.float_power(t, p) - p * t_q * (s1 / s2) + (p - q) * s1
+    return gamma, b * lam + (p - q) * s1 * a2, lam
 
 
 def dt_ds1_analytic(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:

@@ -106,7 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BOUNDARY_TOL, Membership, ParamPoint, in_domain
+from .domain import Membership, ParamPoint, _outside_lanes, in_domain
 from .errors import (
     DomainError,
     InfeasibleTauError,
@@ -403,13 +403,10 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     if not valid.all():
         i = valid.argmin()
         ParamPoint(float(s1[i]), float(s2[i]))
-    n, p, q = s1.size, e.p, e.q
-    fields = [np.full(n, np.nan) for _ in range(7)]
-    ok = np.zeros(n, dtype=bool)
+    fields = [np.full(s1.size, np.nan) for _ in range(7)]
+    ok = np.zeros(s1.size, dtype=bool)
     with np.errstate(all="ignore"):
-        # in_domain, lane-wise
-        lower = np.float_power(s1, (q - 1.0) / (p - 1.0))
-        outside = (np.abs(s2 - lower) <= BOUNDARY_TOL) | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)
+        outside = _outside_lanes(e, s1, s2)
         idx = np.flatnonzero(~outside)
         u_top = _u_top(e)
         redo = []

@@ -52,7 +52,8 @@ pass, so lanes never cost much more than scalar calls.  Only
 ``_root_lanes`` passes those resume arguments: ``omega`` and ``solver``'s
 scalar ``solve_t`` start the kernel from scratch.  Peak memory is about
 30 floats per lane in ``_omega_lanes`` (1.7 MB for inverse_suite's 7,000
-lanes) and 67 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
+lanes), reached at the first pass that drops finished lanes, and 66 in
+``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
@@ -342,12 +343,12 @@ def _root_lanes(
     finishes in ``_bracketed_root``, resumed from its bracket, end values,
     k1, xtol, projection scale and best point, so it takes the steps the
     passes would have taken; a call with no more lanes than that finishes
-    entirely in the scalar kernel.  Returns each lane's final (a, b, best
-    point).
+    entirely in the scalar kernel.  The passes work in place on a, b, fa,
+    fb and scale, so every caller passes fresh float arrays for them.
+    Returns each lane's final (a, b, best point).
     """
     out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     idx = np.arange(a.size)
-    a, b, fa, fb, scale = (np.array(v, dtype=float) for v in (a, b, fa, fb, scale))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
         mid = 0.5 * (a + b)
@@ -423,10 +424,8 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
     r_of = exps[k]
-    # with one exponent, a scalar r spares every pass a gather
-    r_at = (lambda i: r_of[i]) if exps.size > 1 else (lambda i, r=exps[0]: r)
     z[idx] = _root_lanes(
-        lambda i, x: _h_lanes(r_at(i), x) - y[i],
+        lambda i, x: _h_lanes(r_of[i], x) - y[i],
         lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
         np.ones(idx.size), top[k], 1.0 - y, 0.0 - y,
         xtol[k], (0.2 / span)[k], _scale_lanes(span, xtol)[k],

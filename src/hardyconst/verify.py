@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, threshold
 from .errors import DomainError, NoRootError, StencilError
-from .sensitivity import dt_ds1, gamma_eval
+from .sensitivity import _signs_lanes, dt_ds1, gamma_eval
 from .solver import has_root, solve_lanes, solve_t
 from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
 
@@ -163,8 +163,7 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     the lower-curve abscissa, solved in lanes (``solve_lanes``), whole rows
     and at most ``_SIGN_LANES`` points per call, bit for bit the floats
     ``solve_t`` returns.  gamma, delta and lambda are formed from them as
-    arrays, with ``gamma_eval``, ``delta_eval`` and ``lambda_eval``'s
-    expressions, and checked point by point in grid order: gamma, delta,
+    arrays (``sensitivity._signs_lanes``), and checked point by point in grid order: gamma, delta,
     lambda.  Points without a root are skipped; a point outside the region
     raises the OutsideDomainError ``solve_t`` raises there.
     """
@@ -189,12 +188,8 @@ def _check_signs(res: SuiteResult, e: Exponents, s1: np.ndarray, s2: np.ndarray)
         # raises as solving that point alone does
         solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
     res.skipped += int((~sol.ok).sum())
-    p, q = e.p, e.q
-    s1, s2, t, u, a2 = (v[sol.ok] for v in (s1, s2, sol.t, sol.u, sol.alpha))
-    b = (p - 1.0) * (p - q * u) / (p * (q - 1.0) * (1.0 - u))
-    gamma = a2 - b * (np.float_power(t, q) / s2 - 1.0)
-    lam = q * np.float_power(t, p) - p * np.float_power(t, q) * (s1 / s2) + (p - q) * s1
-    delta = b * lam + (p - q) * s1 * a2
+    s1, s2 = s1[sol.ok], s2[sol.ok]
+    gamma, delta, lam = _signs_lanes(e, s1, s2, sol.t[sol.ok], sol.u[sol.ok], sol.alpha[sol.ok])
     vals = np.stack([gamma, delta, lam], axis=1)
     ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
     res.check_many(

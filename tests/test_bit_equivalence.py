@@ -24,7 +24,10 @@ bit, through the same hand-off and at either end of it, on top-cap points,
 s1 down to 5e-324, s2 within 1e-11 of the lower curve, rows of equal s2,
 no-root and outside points, certificates that fall back to omega_q's
 natural bracket and a pair with u_top <= 0; and raise what ``solve_t``
-raises where it raises something else.
+raises where it raises something else.  Its lane twins of ``in_domain``
+(``domain._outside_lanes``) and of gamma, delta and lambda
+(``sensitivity._signs_lanes``) must equal the scalar functions bit for bit
+on the same points.
 
 ``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
@@ -60,8 +63,10 @@ from hardyconst import (
     in_domain,
     solve_t,
 )
+from hardyconst.domain import _outside_lanes
 from hardyconst.errors import DomainError, NoRootError, OutsideDomainError
 from hardyconst.hardy import _lhs_rows
+from hardyconst.sensitivity import _signs_lanes, delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import (
     _K_MIN,
     _NEAR_HALF_WIDTH,
@@ -349,6 +354,44 @@ def test_solve_lanes_raise_what_solve_t_raises():
     assert str(lanes.value) == str(scalar.value)
     with pytest.raises(DomainError, match="s1 must lie in"):
         solve_lanes(Exponents(2.0, 1.5), np.array([0.1, 0.0]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_outside_lanes_match_in_domain(lane_cases, pair):
+    e = Exponents(*pair)
+    s1, s2, _ = lane_cases[pair]
+    expected = [
+        in_domain(e, ParamPoint(x, y)) is not Membership.INSIDE
+        for x, y in zip(s1.tolist(), s2.tolist())
+    ]
+    assert _outside_lanes(e, s1, s2).tolist() == expected
+    assert set(expected) == {False, True}
+
+
+def test_outside_lanes_on_the_lower_boundary():
+    e = Exponents(2.5, 1.3)
+    s1 = np.array([0.3, 0.3, 0.3, 0.999999, 1.0, 0.2])
+    lower = 0.3 ** ((e.q - 1.0) / (e.p - 1.0))
+    s2 = np.array([lower + 5e-13, lower + 2e-12, lower - 2e-12, 0.99999999, 1.0, 1.0])
+    kinds = [in_domain(e, ParamPoint(x, y)) for x, y in zip(s1.tolist(), s2.tolist())]
+    assert Membership.ON_LOWER_BOUNDARY in kinds and Membership.INSIDE in kinds
+    assert _outside_lanes(e, s1, s2).tolist() == [k is not Membership.INSIDE for k in kinds]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=str)
+def test_signs_lanes_match_the_scalar_signs(lane_cases, pair):
+    e = Exponents(*pair)
+    s1, s2, expected = lane_cases[pair]
+    ok = np.array([v[0] == "ok" for v in expected])
+    s1, s2 = s1[ok], s2[ok]
+    sol = solve_lanes(e, s1, s2)
+    scalar = []
+    for x, y in zip(s1.tolist(), s2.tolist()):
+        pt = ParamPoint(x, y)
+        ref = solve_t(e, pt)
+        scalar.append((gamma_eval(e, pt, ref), delta_eval(e, pt, ref), lambda_eval(e, pt, ref.t)))
+    lanes = _signs_lanes(e, s1, s2, sol.t, sol.u, sol.alpha)
+    assert [_bits(v) for v in lanes] == [_bits(v) for v in zip(*scalar)]
 
 
 def _left_end_inverted(e: Exponents, pt: ParamPoint, lo: float = 1.0 + 1e-12) -> bool | None:
