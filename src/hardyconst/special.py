@@ -353,7 +353,7 @@ def _root_lanes(
     # until the call returns, and they halve glibc's heap trims: on
     # inverse_suite's 6,000 lanes, 303 page faults per call against 631 in
     # place, and verify_pairs' items_per_s 57.20 against 56.17 (median of
-    # 8 alternating 20-s pairs, 7 wins)
+    # 8 alternating 20-s pairs, 7 wins, 2 shared x86-64 vCPUs)
     a, b, fa, fb, scale = (np.array(v, dtype=float) for v in (a, b, fa, fb, scale))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
