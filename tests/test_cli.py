@@ -82,6 +82,16 @@ class TestScan:
         rows = out.strip().splitlines()[1:]
         assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "no-root"]
 
+    def test_no_root_rows_where_u_lo_underflows(self, capsys):
+        # at s1 = 1e-300, u_lo underflows to 0 and g(0) would divide by zero
+        code, out, err = run(capsys, [
+            "scan", "--p", "1e14", "--q", "2e13", "--s2", "0.5",
+            "--s1-min", "1e-300", "--s1-max", "1e-200", "--n", "2",
+        ])
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["no-root", "no-root"]
+
     def test_status_rows_for_infeasible_points(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
         # s1 beyond the lower boundary of s2=0.5 is outside the region
@@ -326,15 +336,15 @@ class TestHardyCmd:
     def test_partial_output(self, capsys, monkeypatch, pair, failures, lines, digest, err):
         # a failing sample prints the lines of the samples before it, then
         # its error; a quadrature overflow at an earlier sample comes first
-        draw = hardyconst.hardy.sample_step
+        draw, solved = hardyconst.hardy._draw, hardyconst.hardy._solved
 
         def failing_draw(seed, k, kappa, e):
             failure = failures.get(seed - 7)
             if isinstance(failure, Exception):
                 raise failure
-            return failure or draw(seed, k, kappa, e)
+            return solved(failure, e) if failure else draw(seed, k, kappa, e)
 
-        monkeypatch.setattr(hardyconst.hardy, "sample_step", failing_draw)
+        monkeypatch.setattr(hardyconst.hardy, "_draw", failing_draw)
         code, out, got_err = run(capsys, [
             "hardy", "--p", pair[0], "--q", pair[1], "--samples", "8", "--steps", "4",
         ])

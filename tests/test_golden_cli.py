@@ -11,14 +11,16 @@ the solve's own u instead of the certificate's omega_q(tau): 15 to 23 of the
 24 rows per pair moved, by at most 7.2e-14 relative, in the gamma, delta and
 dt_ds1 columns only, and tests/test_oracle.py checks those three against the
 mpmath oracle.  The hardy digests over several quadrature chunks were pinned
-on the sample-by-sample loop that the chunked pass replaced.
+on the sample-by-sample loop that the chunked pass replaced.  The command's
+lines must also be those of the public pair ``verify_hardy(sample_step(...))``.
 """
 
 import hashlib
 
 import pytest
 
-from hardyconst.cli import main
+from hardyconst import Exponents, sample_step, verify_hardy
+from hardyconst.cli import _SAMPLE_KAPPAS, main
 from hardyconst.hardy import _CHUNK_SEGMENTS
 
 #: the benchmark's scan pairs: one 24-point row at s2 = 0.7, from 1e-3 to
@@ -115,6 +117,23 @@ def test_hardy(capsys, case):
     p, q, steps = case
     argv = ["hardy", "--p", repr(p), "--q", repr(q), "--samples", "4", "--steps", str(steps)]
     assert _digest(capsys, argv) == (0, HARDY[case])
+
+
+@pytest.mark.parametrize("case", list(HARDY), ids=str)
+def test_public_pair_matches_the_hardy_command(capsys, case):
+    # verify_hardy(sample_step(...)) computes its moments and solve afresh;
+    # its ratio and verdict must be the command's, bit for bit
+    p, q, steps = case
+    argv = ["hardy", "--p", repr(p), "--q", repr(q), "--samples", "4", "--steps", str(steps)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    e = Exponents(p, q)
+    for i, line in enumerate(lines):
+        h = sample_step(7 + i, steps, _SAMPLE_KAPPAS[i % len(_SAMPLE_KAPPAS)], e)
+        rep = verify_hardy(h, e)
+        verdict = "ok" if rep.passed else "VIOLATION"
+        assert line == f"sample {i}: ratio={rep.lhs / rep.rhs:.17g} {verdict}"
+    assert len(lines) == 4
 
 
 @pytest.mark.parametrize("case", list(HARDY_CHUNKED), ids=str)

@@ -13,9 +13,12 @@ from hardyconst import (
     StepFunction,
     decreasing_rearrangement,
     hardy_lhs,
+    has_root,
     in_domain,
+    lower_curve,
     moments_to_params,
     sample_step,
+    solve_t,
     step_moments,
     verify_hardy,
 )
@@ -25,7 +28,7 @@ from hardyconst.errors import (
     InconsistentMomentsError,
     OutsideDomainError,
 )
-from hardyconst.hardy import _GL_NODES, _GL_WEIGHTS, _lhs_rows
+from hardyconst.hardy import _GL_NODES, _GL_WEIGHTS, _SAMPLE_BOUNDARY_MARGIN, _draw, _lhs_rows
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -325,6 +328,42 @@ class TestSampleStep:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             sample_step(-1, 4, 1.0, E2)
+
+
+def _candidates(seed, k, kappa, e):
+    """The step functions that ``_draw``'s generator yields for seed, in
+    order, which pass the geometry and margin tests, with their points:
+    its RNG calls replayed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        pts = (0.0, *sorted(rng.uniform(0.0, kappa, size=k - 1).tolist()), kappa)
+        if min(b - a for a, b in zip(pts, pts[1:])) < 1e-3 * kappa:
+            continue
+        h = StepFunction(kappa, pts, tuple(rng.uniform(0.05, 4.0, size=k).tolist()))
+        pt = moments_to_params(step_moments(h, e), e)
+        margin = min(pt.s1, 1.0 - pt.s1, 1.0 - pt.s2, pt.s2 - lower_curve(e, pt.s1))
+        if margin >= _SAMPLE_BOUNDARY_MARGIN:
+            yield h, pt
+
+
+@pytest.mark.parametrize("e", [E3, Exponents(5.0, 1.2)], ids=["p3q2", "p5q1.2"])
+def test_draw_rejects_exactly_where_has_root_is_false(e):
+    # _draw's solve is its decision: each candidate before the sample it
+    # returns has no root, and the sample has one, with that solve
+    rejected = 0
+    for seed in range(200):
+        for k in (2, 8, 32):
+            h, m, pt, sol = _draw(seed, k, (0.5, 1.0, 3.0)[seed % 3], e)
+            for candidate, cpt in _candidates(seed, k, h.kappa, e):
+                if candidate == h:
+                    break
+                assert not has_root(e, cpt), (seed, k)
+                rejected += 1
+            else:
+                pytest.fail(f"seed {seed}, k={k}: not among the replayed candidates")
+            assert (m, pt) == (step_moments(h, e), cpt)
+            assert has_root(e, pt) and sol == solve_t(e, pt)
+    assert rejected > 0
 
 
 def test_gauss_legendre_literals_are_leggauss():

@@ -272,6 +272,15 @@ class TestHasRoot:
         assert has_root(e, pt) is expected
         assert (self._solve_outcome(e, pt) == "ok") is expected
 
+    @pytest.mark.parametrize("s1", [1e-300, 1e-290])
+    def test_u_lo_underflowing_to_zero_is_no_root(self, s1):
+        # K is at its floor and (1 + 1e-12)^(p-q) ~ 1e35, so u_lo underflows
+        # to 0, where g -> -inf: with p' < 1 + 1e-12 no root counts
+        e, pt = Exponents(1e14, 2e13), ParamPoint(s1, 0.5)
+        assert not has_root(e, pt)
+        with pytest.raises(NoRootError, match=r"^g\(u\) = -inf is not positive at u = 0\.0 "):
+            solve_t(e, pt)
+
 
 def _g_at_one(e, s1, s2, a2):
     """g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) - s1), written out afresh."""
@@ -391,7 +400,7 @@ class TestMemos:
 
         def work(i):
             # thread i walks the rows starting from row i, testing each point
-            # before it solves it, as sample_step and verify_hardy do
+            # before it solves it
             try:
                 for j in range(len(rows)):
                     for pt in rows[(i + j) % len(rows)]:

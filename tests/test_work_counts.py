@@ -37,12 +37,13 @@ nothing, with q near p too, a solve right after it inverts only for its
 certificate, and ``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one
 s2, evaluates alpha(s2) once.
 
-``hardy`` keeps the moments of the last step function: ``sample_step``
-computes them once per draw, ``verify_hardy`` on its sample computes none,
-and a raised moment error is not kept.  The ``hardy`` command solves each
-sample right after its draw, so it computes moments and alpha(s2) once per
-draw, as a sample-by-sample loop did, and runs the quadrature once per
-chunk; drawing a whole chunk before solving it would miss both caches.
+``hardy`` keeps no moments: ``verify_hardy`` computes its step function's
+at every call, so a raised moment error is raised again.  The ``hardy``
+command draws, decides and solves each sample in one pass, so it computes
+moments and alpha(s2), and decides solvability, once per draw that reaches
+the decision, as a sample-by-sample loop computed them, and runs the
+quadrature once per chunk; a second decision per accepted sample, as
+``has_root`` before ``solve_t`` made, would show.
 """
 
 import numpy as np
@@ -56,7 +57,7 @@ import hardyconst.special
 import hardyconst.verify
 from hardyconst import Exponents, ParamPoint, StepFunction, has_root, solve_t
 from hardyconst.errors import DomainError
-from hardyconst.hardy import sample_step, verify_hardy
+from hardyconst.hardy import verify_hardy
 from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
@@ -410,16 +411,6 @@ def moment_calls(monkeypatch):
     return seen
 
 
-def test_verify_hardy_reuses_the_sampled_moments(moment_calls):
-    # seed 0 with 8 pieces rejects its first draw on (3, 2): two draws
-    h = sample_step(0, 8, 1.0, E3)
-    drawn = list(moment_calls)
-    assert len(drawn) == len(set(drawn)) == 2
-    assert drawn[-1] == h
-    assert verify_hardy(h, E3).passed
-    assert moment_calls == drawn
-
-
 def test_a_moment_error_is_not_kept(moment_calls):
     e = Exponents(5.0, 1.2)
     h = StepFunction(1.0, (0.0, 0.5, 1.0), (1e70, 1.0))
@@ -435,17 +426,22 @@ def test_hardy_command_draws_and_solves_once_per_sample(
 ):
     # draws: the sample-by-sample loop's count on (3, 2) with the default
     # seed; 300 samples of 8 pieces take 128 + 128 + 44 per chunk
-    passes = []
-    lhs_rows = hardyconst.hardy._lhs_rows
+    passes, decisions = [], []
+    lhs_rows, decide = hardyconst.hardy._lhs_rows, hardyconst.solver._decide
 
     def counted_lhs_rows(hs, e):
         passes.append(len(hs))
         return lhs_rows(hs, e)
 
+    def counted_decide(e, pt):
+        decisions.append(pt)
+        return decide(e, pt)
+
     monkeypatch.setattr(hardyconst.hardy, "_lhs_rows", counted_lhs_rows)
+    monkeypatch.setattr(hardyconst.solver, "_decide", counted_decide)
     argv = ["hardy", "--p", "3", "--q", "2", "--samples", str(samples), "--steps", str(steps)]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == samples + 1
-    assert len(moment_calls) == calls["alpha"] == draws
+    assert len(moment_calls) == calls["alpha"] == len(decisions) == draws
     assert len(passes) == chunks
     assert sum(passes) == samples
