@@ -82,8 +82,8 @@ stencil share s2.  The cache is thread-safe and never keeps an exception.
 
 The certificate stays in t-space, so that it checks t independently of g:
 tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
-inverted from a narrow bracket around w(u*) when H_q at its ends brackets
-tau strictly, and from the natural bracket otherwise.
+``special._omega_near`` around w(u*), the path ``omega`` takes from its own
+Newton estimate.
 
 ``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
 to it bit for bit on every field and verdict: the same pipeline on numpy
@@ -114,13 +114,10 @@ from .errors import (
     SingularityError,
 )
 from .special import (
-    _BRACKET_REL_TOL,
     Exponents,
     _bracketed_root,
-    _h,
-    _h_lanes,
-    _omega_between,
     _omega_lanes,
+    _omega_near,
     _root_lanes,
     _scale_lanes,
     omega,
@@ -136,9 +133,6 @@ _K_MIN = 1e-290
 #: u bracket width relative to u_a <= u*, not u_b: 1e-15 u_b left t up to
 #: 7.7e-15 off where u_b was 60 u*
 _U_REL_WIDTH = 1e-15
-#: certificate bracket half-width relative to q/(q-1): at 0.5 omega
-#: tolerances 18 % of solves fell back to the natural bracket, at 4 0.3 %
-_NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ class BellmanSolution:
     t             the constant, in (1, p/(p-1))
     u             the u whose t(u) gave t; u_a at the top cap
     tau           tau(t), the reparameterized argument fed to omega_q, in (0, 1)
-    omega_q_tau   omega_q(tau), inverted by special._omega_between
+    omega_q_tau   omega_q(tau), inverted by special._omega_near
     residual      the implicit-equation residual at (t, omega_q_tau)
     bracket_width |t(a) - t(b)| over the kernel's final u bracket [a, b];
                   p/(p-1) - t at the top cap
@@ -193,8 +187,8 @@ def _alpha(e: Exponents, s2: float) -> float:
 
 
 def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """Implicit-equation residual at t, with omega_q(tau(t)) inverted on its
-    natural bracket; zero exactly at the constant."""
+    """Implicit-equation residual at t, with omega_q(tau(t)) from ``omega``;
+    zero exactly at the constant."""
     a2 = alpha_eval(e, pt.s2)
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
@@ -299,21 +293,6 @@ def _u_equation(
     return g, t_of
 
 
-def _omega_certificate(q: float, tau: float, w: float) -> float:
-    """omega_q(tau), from a bracket around w if H_q there brackets tau strictly.
-
-    q was validated when the point was decided, and the ends lie in [1, q'],
-    so H_q is evaluated through ``_h``, without ``h_eval``'s checks.
-    """
-    top = q / (q - 1.0)
-    d = _NEAR_HALF_WIDTH * top
-    z_lo, z_hi = max(1.0, w - d), min(top, w + d)
-    h_lo, h_hi = _h(q, z_lo), _h(q, z_hi)
-    if h_lo > tau > h_hi:
-        return _omega_between(q, tau, z_lo, h_lo, z_hi, h_hi)
-    return omega(q, tau)
-
-
 def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     """Solve the implicit equation for the constant at an interior point.
 
@@ -336,7 +315,7 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
         # the root lies at or above t(u) >= cap, within an ulp of p/(p-1)
         t, width = cap, e.p_conj - cap
     tau = tau_eval(e, pt, t)
-    w = _omega_certificate(q, tau, (p - u) / (p - 1.0))
+    w = _omega_near(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
         t=t, u=u, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
         bracket_width=width, alpha=a2,
@@ -437,8 +416,8 @@ def _inside_lanes(
     the scalar loop computes it, K, ``_u_lo``'s Newton loop, masked, and
     g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
     through ``_root_lanes``, with each straggler on its own scalar g; t and
-    its width; tau; and omega_q(tau) through ``_root_lanes`` on the narrow
-    bracket, or ``_omega_lanes`` on the natural one, then the residual.
+    its width; tau; and omega_q(tau) through ``_omega_lanes`` around w(u),
+    then the residual.
     """
     p, q = e.p, e.q
     lane = np.arange(s1.size)
@@ -503,23 +482,7 @@ def _inside_lanes(
     lane, s1, a2, t, u, width, denom, tau = (
         v[~bad] for v in (lane, s1, a2, t, u, width, denom, tau)
     )
-    top = q / (q - 1.0)
-    half = _NEAR_HALF_WIDTH * top
-    w_u = (p - u) / (p - 1.0)
-    z_lo, z_hi = np.maximum(1.0, w_u - half), np.minimum(top, w_u + half)
-    h_lo, h_hi = _h_lanes(q, z_lo), _h_lanes(q, z_hi)
-    narrow = (h_lo > tau) & (tau > h_hi)
-    w = np.empty(lane.size)
-    y = tau[narrow]
-    xtol = np.full(y.size, _BRACKET_REL_TOL * top)
-    w[narrow] = _root_lanes(
-        lambda i, x: _h_lanes(q, x) - y[i],
-        lambda i: lambda x, y=float(y[i]): _h(q, x) - y,
-        z_lo[narrow], z_hi[narrow], h_lo[narrow] - y, h_hi[narrow] - y, xtol,
-        np.full(y.size, 0.2 / (top - 1.0)), _scale_lanes(z_hi[narrow] - z_lo[narrow], xtol),
-    )[2]
-    if not narrow.all():
-        w[~narrow] = _omega_lanes(q, tau[~narrow])
+    w = _omega_lanes(q, tau, (p - u) / (p - 1.0))
     lhs = q * (p * np.float_power(w, q - 1.0) - (p - 1.0) * np.float_power(w, q)) * denom
     res = lhs - (p - q) * s1 * a2
     return lane, np.sort(np.concatenate(redo)), (t, u, tau, w, res, width, a2)

@@ -18,14 +18,18 @@ shrinks like bisection, so it keeps a sign-change bracket, converges
 superlinearly on smooth functions, and never needs more than three
 evaluations beyond bisection.
 
-``omega`` is a thin wrapper over one bracketed inversion,
-``_omega_between``, which returns the root z inside a given bracket
-[z_lo, z_hi] whose H values are known.  ``omega`` passes the
-natural bracket [1, r'] with the exact values 1 and 0; ``solver``'s
-certificate passes a narrow one around its estimate of the root once the H
-values at its ends bracket the target.  ITP's k1 always comes from
-the natural bracket, 0.2/(r'-1), so a full-bracket call iterates exactly
-as a plain ITP run on [1, r'] does.
+``omega`` inverts in two stages.  ``_omega_start`` estimates the root by
+Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
+expansions at s = 1 and s = 0.  H_r'' = r (r-1) z^(r-3) ((r-2) - (r-1) z)
+< 0 on [1, r'], so H_r is concave and decreasing there: the first step
+lands right of the root and the rest fall to it monotonically.
+``_omega_near`` then runs the kernel (``_omega_between``) on [z - d, z + d],
+d = 4e-15 r', where H_r at its ends brackets s strictly, and on the natural
+bracket [1, r'] otherwise, as where 1 - s is below about 1e-6 H_r varies by
+less than rounding across the narrow one.  ``solver``'s certificate runs
+the second stage from its own estimate.  ITP's k1 always comes from the
+natural bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r 4.4 times per
+call, against 9.8 from the natural bracket, plus about 2 Newton steps.
 
 The kernel's step arithmetic is fixed bit for bit: every float that feeds
 the next point, the bracket ends or the best point must stay as it is, or
@@ -41,19 +45,18 @@ package: lock-step ITP passes over an array of brackets, each lane with
 its own function, tolerance, k1 and projection scale, equal to
 ``_bracketed_root`` bit for bit.  It solves both roots in lanes:
 ``_omega_lanes``, omega's twin for batched grids (one r or one r per lane,
-beside ``_h_lanes`` for ``_h``), is its setup plus one call, and so are
-``solver.solve_lanes``' u solve and certificate.  A pass costs ~70 us
-however few lanes are left, and the last 10-20 of a grid's 20-30 passes
-carry fewer than a hundred.  So once at most ``_STRAGGLER_LANES`` lanes are
+beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one call,
+and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us however
+few lanes are left, and the last 5-10 of the u solve's 10-15 passes carry
+fewer than a few hundred lanes; inverse_suite's ~6,000 lanes take 3 Newton
+passes, 2 bracket-end evaluations and 4 ITP passes, against 21 ITP passes
+from the natural bracket.  So once at most ``_STRAGGLER_LANES`` lanes are
 live, each finishes in ``_bracketed_root``, which takes the lane's state
 as resume arguments and so steps exactly as the passes would; a call with
-no more lanes than that finishes entirely in the scalar kernel before any
-pass, so lanes never cost much more than scalar calls.  Only
-``_root_lanes`` passes those resume arguments: ``omega`` and ``solver``'s
-scalar ``solve_t`` start the kernel from scratch.  Peak memory is about
-30 floats per lane in ``_omega_lanes`` (1.7 MB for inverse_suite's 7,000
-lanes), reached at the first pass that drops finished lanes, and 66 in
-``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
+no more lanes than that finishes entirely in the scalar kernel.  Peak
+memory is about 34 floats per lane in ``_omega_lanes`` (1.6 MB for
+inverse_suite's 6,000 lanes), reached at the first pass that drops
+finished lanes, and 69 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
@@ -77,6 +80,14 @@ from .errors import DomainError, SingularityError
 #: final width of omega's root bracket, relative to r'; an absolute width
 #: this small would be below the float spacing near r' once r' >= 8
 _BRACKET_REL_TOL = 1e-15
+#: half-width, relative to r', of the narrow bracket around an estimate of
+#: omega_r(s): at 0.5 bracket tolerances 18 % of certificates fell back to
+#: the natural bracket, at 4 0.3 %
+_NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
+#: ``_omega_start``'s Newton steps at most, and the move, relative to r',
+#: after which it stops: quadratic convergence leaves the estimate within
+#: rounding of the root, 2.5e-16 r' at most where 1 - s > 1e-3
+_NEWTON_STEPS, _NEWTON_REL_STOP = 8, 1e-9
 #: live lanes at or below which ``_root_lanes`` stops its lock-step passes
 #: and finishes each lane in the scalar kernel.  inverse_suite plus
 #: endgame_suite took 11.3 ms per verify pair with no hand-off, and 10.2,
@@ -151,7 +162,7 @@ def h_deriv(r: float, z: float) -> float:
     top = r / (r - 1.0)
     if not 1.0 <= z <= top:
         raise DomainError(f"H_{r}' is only used on [1, {top}], got z={z}")
-    return r * (r - 1.0) * z ** (r - 2.0) * (1.0 - z)
+    return _h_slope(r, z)[1]
 
 
 def _bracketed_root(
@@ -256,16 +267,12 @@ def _bracketed_root(
 def _omega_between(
     r: float, s: float, z_lo: float, h_lo: float, z_hi: float, h_hi: float
 ) -> float:
-    """The root z of H_r(z) = s inside [z_lo, z_hi].
+    """The root z of H_r(z) = s in ``_omega_near``'s bracket [z_lo, z_hi],
+    h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), validating r once per inversion.
 
-    h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), as evaluated earlier or known
-    exactly; [1, r'] with (1, 0) is omega's natural bracket.  r is validated
-    here, once per inversion, and the kernel evaluates H_r through ``_h``
-    without ``h_eval``'s per-evaluation checks.  ITP's k1 comes from the
-    natural bracket, 0.2/(r'-1), on every bracket: scaled to a narrowed one
-    it truncates the regula falsi step far more and costs more evaluations.
-    A bracket already within the tolerance returns its midpoint.
-    """
+    k1 is the natural bracket's, 0.2/(r'-1): scaled to a narrow one it
+    truncates the regula falsi step far more and costs more evaluations.  A
+    bracket already within the tolerance returns its midpoint."""
     _check_exponent(r)
     top = r / (r - 1.0)
     xtol = _BRACKET_REL_TOL * top
@@ -276,23 +283,72 @@ def _omega_between(
     )[2]
 
 
+def _h_slope(r: float, z: float) -> tuple[float, float]:
+    """(H_r(z), H_r'(z)) for Newton, from one pow: z^(r-2) serves both."""
+    z_r2 = z ** (r - 2.0)
+    return z_r2 * z * (r - (r - 1.0) * z), r * (r - 1.0) * z_r2 * (1.0 - z)
+
+
+def _start_poly(r: float) -> tuple[float, float, float, float, float]:
+    """The t^1 to t^5 coefficients of the quintic in t = sqrt(1-s) that
+    matches y = (r-1)(omega_r(s) - 1) to second order at both ends: y = a t +
+    b t^2 + ..., a = sqrt(2 (r-1)/r), b = 2 (2-r)/(3r), as s -> 1, and 1 - y =
+    s/c + (r-1)/r (s/c)^2 + ..., c = r'^(r-1), as s -> 0.  Exact for r = 2."""
+    m = r - 1.0
+    c = (r / m) ** m
+    a, b = math.sqrt(2.0 * m / r), 2.0 * (1.0 - m) / (3.0 * r)
+    v, d1, d2 = 1.0 - a - b, 2.0 / c - a - 2.0 * b, 2.0 / c - 8.0 * m / (r * c * c) - 2.0 * b
+    c3, c5 = 10.0 * v - 4.0 * d1 + 0.5 * d2, 6.0 * v - 3.0 * d1 + 0.5 * d2
+    return a, b, c3, 7.0 * d1 - 15.0 * v - d2, c5
+
+
+def _omega_start(r: float, s: float) -> float:
+    """omega_r(s) estimated by Newton on H_r = s from ``_start_poly``'s
+    quintic (module docstring), each step kept in [1, r'], for at most
+    ``_NEWTON_STEPS`` steps, up to one that moves less than
+    ``_NEWTON_REL_STOP`` r', or to z = 1, where H_r' is 0."""
+    top = r / (r - 1.0)
+    a, b, c3, c4, c5 = _start_poly(r)
+    t = math.sqrt(1.0 - s)
+    z = min(1.0 + t * (a + t * (b + t * (c3 + t * (c4 + t * c5)))) / (r - 1.0), top)
+    for _ in range(_NEWTON_STEPS):
+        if not z > 1.0:
+            break
+        h, slope = _h_slope(r, z)
+        step = min(max(z - (h - s) / slope, 1.0), top)
+        moved, z = abs(z - step), step
+        if moved < _NEWTON_REL_STOP * top:
+            break
+    return z
+
+
+def _omega_near(r: float, s: float, z: float) -> float:
+    """omega_r(s) from [z - d, z + d] within [1, r'], d = ``_NEAR_HALF_WIDTH``
+    r', where H_r at its ends brackets s strictly, else from [1, r']; s = 1
+    and 0 give 1 and r'.  z estimates the root; r is validated once, in
+    ``_omega_between``, and the ends are evaluated through ``_h``."""
+    top = r / (r - 1.0)
+    if s == 1.0 or s == 0.0:
+        return top if s == 0.0 else 1.0
+    d = _NEAR_HALF_WIDTH * top
+    z_lo, z_hi = max(1.0, z - d), min(top, z + d)
+    h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
+    if not h_lo > s > h_hi:
+        z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
+    return _omega_between(r, s, z_lo, h_lo, z_hi, h_hi)
+
+
 def omega(r: float, s: float) -> float:
     """Invert H_r: the unique z in [1, r/(r-1)] with H_r(z) = s.
 
-    Endpoints are short-circuited to the exact closed-form values
-    omega_r(1) = 1 and omega_r(0) = r/(r-1).  Inside, it is
-    ``_omega_between`` on the natural bracket [1, r/(r-1)], where the end
-    values H_r = 1 and 0 are exact.
+    ``_omega_near`` around ``_omega_start``'s estimate (module docstring).
+    Endpoints are exact: omega_r(1) = 1 and omega_r(0) = r/(r-1).
     """
     _check_exponent(r)
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"omega_{r} is defined on [0, 1], got s={s}")
-    top = r / (r - 1.0)
-    if s == 1.0:
-        return 1.0
-    if s == 0.0:
-        return top
-    return _omega_between(r, s, 1.0, 1.0, top, 0.0)
+    # s = 0 spares the Newton steps; at s = 1 the start is 1
+    return _omega_near(r, s, _omega_start(r, s) if s > 0.0 else 1.0)
 
 
 def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -403,17 +459,40 @@ def _root_lanes(
     return out_a, out_b, out_x
 
 
-def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
-    bit, through ``_root_lanes``.
+def _h_slope_lanes(r: float | np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_h_slope`` on lanes, bit for bit."""
+    z_r2 = np.float_power(z, r - 2.0)
+    return z_r2 * z * (r - (r - 1.0) * z), r * (r - 1.0) * z_r2 * (1.0 - z)
 
-    Every lane's natural bracket [1, r'], xtol, k1 and projection scale are
-    its r's, kept in a table over the distinct r.  A straggler solves
-    ``_h`` - s = 0: its end values have s subtracted, and (fa + s) - s need
-    not round back to fa.  s = 1 and s = 0 give 1 and r' exactly; a bad r or
-    an s outside [0, 1] raises the DomainError ``omega`` raises for one
-    such lane.
-    """
+
+def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_omega_start`` on lanes, lane i's exponent exps[k[i]], bit for bit;
+    a lane leaves the Newton passes once it stops."""
+    a, b, c3, c4, c5 = np.array([_start_poly(x) for x in exps.tolist()])[k].T
+    r = exps[k]
+    top, t = r / (r - 1.0), np.sqrt(1.0 - s)
+    z = np.minimum(1.0 + t * (a + t * (b + t * (c3 + t * (c4 + t * c5)))) / (r - 1.0), top)
+    live = np.flatnonzero(z > 1.0)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        v, r_l, top_l = z[live], r[live], top[live]
+        h, slope = _h_slope_lanes(r_l, v)
+        step = np.minimum(np.maximum(v - (h - s[live]) / slope, 1.0), top_l)
+        z[live] = step
+        live = live[(np.abs(v - step) >= _NEWTON_REL_STOP * top_l) & (step > 1.0)]
+    return z
+
+
+def _omega_lanes(
+    r: float | np.ndarray, s: np.ndarray, near: np.ndarray | None = None
+) -> np.ndarray:
+    """``omega`` on a 1-D array of s, with one r or one r per lane, or
+    ``_omega_near`` from the estimates ``near``, bit for bit, in one
+    ``_root_lanes`` call; xtol and k1 are kept per distinct r.  A straggler
+    solves ``_h`` - s = 0: its end values have s subtracted, and (fa + s) - s
+    need not round back to fa.  A bad r or an s outside [0, 1] raises
+    ``omega``'s DomainError for one such lane."""
     s = np.asarray(s, dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
     for x in exps.tolist():
@@ -424,18 +503,26 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
         raise DomainError(f"omega_{exps[k[i]]} is defined on [0, 1], got s={s[i]}")
     top = exps / (exps - 1.0)
     xtol = _BRACKET_REL_TOL * top
-    # where r' - 1 <= xtol the lane stops before k1 or the scale is read
-    span = np.maximum(top - 1.0, xtol)
-    z = np.where(s == 1.0, 1.0, top[k])
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
-    r_of = exps[k]
-    z[idx] = _root_lanes(
+    near = _start_lanes(exps, k, y) if near is None else near[idx]
+    d, r_of = _NEAR_HALF_WIDTH * top[k], exps[k]
+    a, b = np.maximum(1.0, near - d), np.minimum(top[k], near + d)
+    del near, d
+    # fa > 0 > fb exactly where H_r(a) > y > H_r(b): y - y' is 0 only at y = y'
+    fa, fb = _h_lanes(r_of, a) - y, _h_lanes(r_of, b) - y
+    wide = np.flatnonzero(~((fa > 0.0) & (fb < 0.0)))
+    a[wide], b[wide], fa[wide], fb[wide] = 1.0, top[k[wide]], 1.0 - y[wide], 0.0 - y[wide]
+    # where r' - 1 <= xtol the lane stops before k1 is read
+    k1 = 0.2 / np.maximum(top - 1.0, xtol)
+    root = _root_lanes(
         lambda i, x: _h_lanes(r_of[i], x) - y[i],
         lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
-        np.ones(idx.size), top[k], 1.0 - y, 0.0 - y,
-        xtol[k], (0.2 / span)[k], _scale_lanes(span, xtol)[k],
+        a, b, fa, fb, xtol[k], k1[k], _scale_lanes(b - a, xtol[k]),
     )[2]
+    r = np.broadcast_to(r, s.shape)
+    z = np.where(s == 1.0, 1.0, r / (r - 1.0))
+    z[idx] = root
     return z
 
 

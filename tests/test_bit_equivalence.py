@@ -16,7 +16,10 @@ must their hand-off to the scalar kernel, which finishes the last few lanes
 from the state they reached: on calls of 1, N - 1, N and N + 1 targets, N
 the straggler threshold, and with the threshold at 0 (every lane runs its
 lock-step passes to the end) and above the lane count (every lane is
-``omega``'s).
+``omega``'s).  So must the Newton start, at its edges (a start that rounds
+to 1, r' near 1e9 and near 1 + 1e-15, subnormal s, and 1 - s down to 1e-16,
+where most lanes fall back to the natural bracket, in calls that mix both
+kinds), and ``_omega_lanes`` from given estimates, against ``_omega_near``.
 
 ``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` solves
 its grid with, must return ``solve_t``'s verdict and every field bit for
@@ -69,7 +72,6 @@ from hardyconst.hardy import _lhs_rows
 from hardyconst.sensitivity import _signs_lanes, delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import (
     _K_MIN,
-    _NEAR_HALF_WIDTH,
     _u_equation,
     _u_top,
     residual,
@@ -78,11 +80,14 @@ from hardyconst.solver import (
 )
 from hardyconst.special import (
     _BRACKET_REL_TOL,
+    _NEAR_HALF_WIDTH,
     _STRAGGLER_LANES,
     _bracketed_root,
     _h,
     _h_lanes,
     _omega_lanes,
+    _omega_near,
+    _omega_start,
     omega,
 )
 
@@ -314,15 +319,15 @@ def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
 def test_solve_lanes_match_solve_t_where_the_certificate_falls_back(monkeypatch, lane_cases):
     # at half the omega tolerance about a fifth of certificates fall back to
     # the natural bracket; both solves read the patched width
-    monkeypatch.setattr(hardyconst.solver, "_NEAR_HALF_WIDTH", _NEAR_HALF_WIDTH / 8.0)
+    monkeypatch.setattr(hardyconst.special, "_NEAR_HALF_WIDTH", _NEAR_HALF_WIDTH / 8.0)
     fallbacks = []
-    omega_lanes = hardyconst.solver._omega_lanes
+    root_lanes = hardyconst.special._root_lanes
 
-    def counted(r, s):
-        fallbacks.append(s.size)
-        return omega_lanes(r, s)
+    def counted(f_lanes, f_of_lane, a, b, *rest):
+        fallbacks.append(np.count_nonzero((a == 1.0) & (b == e.q_conj)))
+        return root_lanes(f_lanes, f_of_lane, a, b, *rest)
 
-    monkeypatch.setattr(hardyconst.solver, "_omega_lanes", counted)
+    monkeypatch.setattr(hardyconst.special, "_root_lanes", counted)
     for pair in [(3.0, 2.0), (5.0, 1.2)]:
         e = Exponents(*pair)
         s1, s2, _ = lane_cases[pair]
@@ -580,6 +585,71 @@ def test_omega_lanes_match_scalar_omega_at_either_end_of_the_hand_off(
     for x in (1.05, 2.5, 4.023077022296251):
         t = _lane_targets(int(x * 1000))
         assert _bits(_omega_lanes(x, t)) == _bits([omega(x, float(y)) for y in t])
+
+
+#: exponents at the Newton start's edges: r' near 1e9 and r' - 1 near 1e-8
+#: and 1e-15, where the start rounds to 1 for s within an ulp of 1
+R_EDGE = [1.0 + 1e-9, 1.05, 2.5, 20.0, 1e3, 1e8, 1e15]
+
+
+def _edge_targets(seed: int) -> np.ndarray:
+    """s within a few ulp of 1 and down to the smallest subnormal, 1 - s from
+    1e-16 to 1e-6, where H_r varies by less than rounding across the narrow
+    bracket and most lanes fall back to the natural one, and uniform s."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        _lane_targets(seed)[-13:], 1.0 - np.geomspace(1e-16, 1e-6, 300),
+        rng.uniform(0.0, 1.0, 300),
+    ])
+
+
+@pytest.fixture
+def brackets(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The initial brackets (a, b) of each ``_root_lanes`` call of ``special``."""
+    seen = []
+    root_lanes = hardyconst.special._root_lanes
+
+    def counted(f_lanes, f_of_lane, a, b, *rest):
+        seen.append((a.copy(), b.copy()))
+        return root_lanes(f_lanes, f_of_lane, a, b, *rest)
+
+    monkeypatch.setattr(hardyconst.special, "_root_lanes", counted)
+    return seen
+
+
+@pytest.mark.parametrize("handoff", ["threshold", "pure lanes", "pure scalar"])
+def test_omega_lanes_match_scalar_omega_at_the_newton_starts_edges(
+    monkeypatch, brackets, handoff
+):
+    lanes = {"threshold": _STRAGGLER_LANES, "pure lanes": 0, "pure scalar": 10**6}[handoff]
+    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    for i, r in enumerate(R_EDGE):
+        s = _edge_targets(i)
+        assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])
+    # every call with r' - 1 above 1e-8 mixes narrow lanes with lanes that
+    # fall back to the natural bracket
+    for r, (a, b) in list(zip(R_EDGE, brackets))[:6]:
+        assert 0 < np.count_nonzero((a == 1.0) & (b == r / (r - 1.0))) < a.size
+    assert _omega_start(1e15, 1.0 - 2.0**-53) == 1.0
+
+
+@pytest.mark.parametrize("handoff", ["threshold", "pure lanes"])
+def test_omega_lanes_from_estimates_match_omega_near(monkeypatch, brackets, handoff):
+    # estimates within the narrow half-width of the root, beyond it, and at
+    # either end of [1, r']
+    if handoff == "pure lanes":
+        monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", 0)
+    rng = np.random.default_rng(31)
+    exps = [1.05, 1.5, 2.0, 5.0, 19.0]
+    for i, r in enumerate(exps):
+        top = r / (r - 1.0)
+        s = np.concatenate([_edge_targets(i), [0.0, 1.0]])
+        offset = rng.choice([0.0, 0.5, -0.9, 3.0, -1e3, 1e9], s.size)
+        near = np.clip(_omega_lanes(r, s) + offset * _NEAR_HALF_WIDTH * top, 1.0, top)
+        expected = [_omega_near(r, float(x), float(z)) for x, z in zip(s, near)]
+        assert _bits(_omega_lanes(r, s, near)) == _bits(expected)
+    for r, (a, b) in zip(exps, brackets[1::2]):
+        assert 0 < np.count_nonzero((a == 1.0) & (b == r / (r - 1.0))) < a.size
 
 
 def test_h_lanes_with_one_exponent_per_lane_match_scalar_h():

@@ -275,13 +275,13 @@ PARTIAL = [
      "3a75a9553ab8910d27bd91b39b70328be2eb293fbf96c99bedf573882e82a133",
      "error: internal: step-function sampling failed to find an interior sample\n"),
     (("2", "1.5"), {2: OVERFLOWING, 5: DRAW_FAILS}, 2,
-     "21062607456d0457f75c1b301df3dc41ba77e5833238f6e7a319239db6d61c1d", OVERFLOW_ERR),
+     "b73172a852640e6f667b940d267315bcc07150fc5e2a23fc22e1535666542baa", OVERFLOW_ERR),
     (("2", "1.5"), {3: CONSTANT, 5: DRAW_FAILS}, 3,
-     "798b853636778daea07202eb9838c743a15e28efed9094f58b319cdb5a81ada2",
+     "003d6834bb877e0f2c9a2d66b30afd35fcb170d70cba1e7d46622d3bba886f0f",
      "error: boundary-case: induced point (1.0, 1.0) is on-lower-boundary for p=2.0, "
      "q=1.5; the trivial bound lhs <= t^p z (any t >= 1) applies\n"),
     (("2", "1.5"), {6: OVERFLOWING}, 6,
-     "894e3720f6f79c1c4ae91ad6701272f11e306c9099c297a28c06cfcc7ff6b1c5", OVERFLOW_ERR),
+     "3a13e16c4a52cba84c05b7e7d71a94088784028ab15f75fd9d3d8844898cbb7b", OVERFLOW_ERR),
 ]
 PARTIAL_IDS = ["draw-fails", "overflow-then-draw-fails", "solve-fails", "overflow"]
 

@@ -28,8 +28,8 @@ from hardyconst.errors import (
     SingularityError,
 )
 from hardyconst.sensitivity import delta_eval, gamma_eval
-from hardyconst.solver import _alpha, _omega_certificate, _residual_at
-from hardyconst.special import h_eval
+from hardyconst.solver import _alpha, _residual_at
+from hardyconst.special import _omega_between, _omega_near, h_eval
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -431,13 +431,15 @@ class TestOmegaCertificate:
 
     def test_close_estimate_is_refined_in_its_bracket(self):
         w = omega(self.Q, self.TAU)
-        got = _omega_certificate(self.Q, self.TAU, w + 2e-15)
+        got = _omega_near(self.Q, self.TAU, w + 2e-15)
         assert abs(got - w) <= 1e-15 * 3.0
         assert abs(h_eval(self.Q, got) - self.TAU) <= 1e-15
 
     @pytest.mark.parametrize("estimate", [1.0, 2.5, 3.0], ids=["low", "high", "top"])
     def test_bracket_missing_the_root_falls_back_to_natural(self, estimate):
-        assert _omega_certificate(self.Q, self.TAU, estimate) == omega(self.Q, self.TAU)
+        assert _omega_near(self.Q, self.TAU, estimate) == _omega_between(
+            self.Q, self.TAU, 1.0, 1.0, 3.0, 0.0
+        )
 
 
 class TestSolutionRecord:

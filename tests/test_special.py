@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -111,6 +112,38 @@ class TestOmega:
     def test_domain(self, s):
         with pytest.raises(DomainError):
             omega(2.0, s)
+
+
+def _mp_omega(r: float, s: float) -> mp.mpf:
+    """omega_r(s) at 40 digits for the exact float inputs, from ``findroot``.
+
+    It solves sqrt(1 - H_r(z)) = sqrt(1 - s), which is near linear in z at
+    z = 1, where H_r - s has a double point as s -> 1; on H_r = s directly
+    the bracketing solver stalls there, 1e-7 short of the root at r = 1.3.
+    """
+    with mp.workdps(40):
+        r_, s_ = mp.mpf(r), mp.mpf(s)
+        return mp.findroot(
+            lambda z: mp.sqrt(1 - z ** (r_ - 1) * (r_ - (r_ - 1) * z)) - mp.sqrt(1 - s_),
+            (mp.mpf(1), r_ / (r_ - 1)), solver="anderson", verify=False,
+        )
+
+
+@pytest.mark.parametrize("r", [1.0001, 1.05, 1.3, 2.0, 5.0, 20.0, 1e3])
+def test_omega_against_mpmath(r):
+    # uniform s, s down to 1e-300 and 1 - s down to 1e-16.  The bound is the
+    # bracket tolerance plus H_r's conditioning: the float H_r is off by up
+    # to a few r eps ((r-1) z rounds to its last bit), which moves the root
+    # by that over |H_r'|, up to 2e-10 at r = 1e3 near s = 1
+    rng = np.random.default_rng(int(100 * r))
+    eps, top = np.finfo(float).eps, conjugate(r)
+    for s in np.concatenate([
+        rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-300, -1, 20),
+        1.0 - 10.0 ** rng.uniform(-16, -1, 20),
+    ]).tolist():
+        z = _mp_omega(r, s)
+        slope = abs(r * (r - 1) * z ** (r - 2) * (1 - z))
+        assert abs(omega(r, s) - z) <= 4e-15 * top + 4 * r * eps / slope
 
 
 class TestOmegaBetween:

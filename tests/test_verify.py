@@ -151,9 +151,16 @@ def test_sign_suite_raises_solver_defect(monkeypatch):
 
 
 def test_sign_suite_raises_a_certificate_stragglers_defect(monkeypatch):
-    # the stragglers of the certificate's inversion are sign_suite's only
-    # scalar H_q evaluations through the solver's binding of _h
-    monkeypatch.setattr(hardyconst.solver, "_h", _failing_h)
+    # the stragglers of the certificate's inversion are the only scalar H_q
+    # evaluations inside the solver's call of _omega_lanes
+    omega_lanes = hardyconst.solver._omega_lanes
+
+    def failing_stragglers(*args):
+        with monkeypatch.context() as m:
+            m.setattr(hardyconst.special, "_h", _failing_h)
+            return omega_lanes(*args)
+
+    monkeypatch.setattr(hardyconst.solver, "_omega_lanes", failing_stragglers)
     with pytest.raises(ConvergenceError, match="injected in a straggler's H_q"):
         sign_suite(E2, 10)
 

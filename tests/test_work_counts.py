@@ -3,10 +3,10 @@ and for one solve, and alpha(s2) evaluations per scan row.
 
 Counts are deterministic, unlike wall times on a shared host, so they are
 the gate for the solver's cost.  Each limit is 1.2x the count measured when
-the guard was set.  H_r is counted at ``special._h``, which every H_r
-evaluation goes through: the root kernel's, ``h_eval``'s after its checks,
-and the certificate's at its bracket ends, which ``solver`` calls through
-its own binding of ``_h``.  Deciding solvability in t again, with a tau-feasibility solve and
+the guard was set.  H_r is counted at ``special._h``, which the root
+kernel's evaluations, ``h_eval``'s after its checks and ``_omega_near``'s
+at its bracket ends go through, and at ``special._h_slope``, which
+evaluates H_r and H_r' for ``omega``'s Newton steps.  Deciding solvability in t again, with a tau-feasibility solve and
 omega_q inverted at the bracket's top (374 H_r per row, 22 per solve, 25 on
 the stiff pair), would exceed the H_r limits, and so, on the stiff pair,
 would a certificate that inverted omega_q on its natural bracket; the
@@ -20,10 +20,13 @@ lock-step passes and the stragglers it finishes in the scalar kernel must
 together do exactly the scalar kernel's evaluations, in no more passes than
 the costliest single inversion's evaluations.  ``inverse_suite`` inverts
 all of its exponents' grids in one call, and ``endgame_suite`` every s2 it
-reads in one call, once each, with no scalar ``omega`` or
+reads in one call, once each, with no scalar ``omega``, ``_omega_near`` or
 ``_omega_between`` call (counted at every binding, so a fallback to one
 inversion per point shows), and forms F, F' and G from those values
-exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.
+exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.  inverse_suite's
+call brackets each lane narrowly around omega's Newton estimate: its
+lock-step passes and lane H_r evaluations, Newton's included, and its traced
+peak memory are pinned too.
 
 ``sign_suite`` solves its grid through ``solve_lanes``, with no scalar
 ``solve_t`` call: its lock-step passes and the stragglers it finishes on
@@ -45,6 +48,8 @@ the decision, as a sample-by-sample loop computed them, and runs the
 quadrature once per chunk; a second decision per accepted sample, as
 ``has_root`` before ``solve_t`` made, would show.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,35 +75,41 @@ S2 = 0.7
 S1_TOP = S2 ** ((E3.p - 1.0) / (E3.q - 1.0))
 
 #: H_r evaluations measured for the row and the solve below
-ROW_CALLS = 101
-SOLVE_CALLS = 13
+ROW_CALLS = 98
+SOLVE_CALLS = 11
 #: evaluations of the explicit equation g(u) for the same row and solve
 ROW_G_CALLS = 275
 SOLVE_G_CALLS = 11
 #: H_r and g evaluations for one solve on a stiff pair, where the natural
 #: omega_q bracket costs the certificate 10 H_r evaluations more
-STIFF_CALLS = 11
+STIFF_CALLS = 9
 STIFF_G_CALLS = 10
 #: H_r and g evaluations for one cold solve with q near p: alpha(s2) and the
 #: certificate
-NEAR_CALLS = 35
+NEAR_CALLS = 14
 NEAR_G_CALLS = 13
 #: H_r evaluations for the solve below when ``has_root`` has just tested its
-#: point: the certificate's, none for the decision
-AFTER_HAS_ROOT_CALLS = 4
+#: point: the certificate's, none for the decision: its two bracket ends and
+#: three ITP steps, one step more than on the t that alpha(s2) gave when
+#: omega inverted from its natural bracket
+AFTER_HAS_ROOT_CALLS = 5
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of H_r, g and alpha(s2) evaluations made so far, as a dict."""
     counts = {"h": 0, "g": 0, "alpha": 0}
-    h = hardyconst.special._h
+    h, h_slope = hardyconst.special._h, hardyconst.special._h_slope
     u_equation = hardyconst.solver._u_equation
     alpha_eval = hardyconst.solver.alpha_eval
 
     def counted_h(r, z):
         counts["h"] += 1
         return h(r, z)
+
+    def counted_h_slope(r, z):
+        counts["h"] += 1
+        return h_slope(r, z)
 
     def counted_u_equation(e, pt, k):
         g, t_of = u_equation(e, pt, k)
@@ -114,7 +125,7 @@ def calls(monkeypatch):
         return alpha_eval(e, s2)
 
     monkeypatch.setattr(hardyconst.special, "_h", counted_h)
-    monkeypatch.setattr(hardyconst.solver, "_h", counted_h)
+    monkeypatch.setattr(hardyconst.special, "_h_slope", counted_h_slope)
     monkeypatch.setattr(hardyconst.solver, "_u_equation", counted_u_equation)
     monkeypatch.setattr(hardyconst.solver, "alpha_eval", counted_alpha_eval)
     return counts
@@ -178,7 +189,7 @@ def test_dt_ds1_row_evaluates_alpha_once(calls):
 def test_certificate_validates_the_exponent_once(monkeypatch):
     # q was validated when the point was decided: the certificate checks it
     # only in _omega_between, not again in h_eval at each bracket end
-    check, certificate = hardyconst.special._check_exponent, hardyconst.solver._omega_certificate
+    check, certificate = hardyconst.special._check_exponent, hardyconst.solver._omega_near
     checks, per_certificate = [], []
 
     def counted_check(r):
@@ -192,7 +203,7 @@ def test_certificate_validates_the_exponent_once(monkeypatch):
         return result
 
     monkeypatch.setattr(hardyconst.special, "_check_exponent", counted_check)
-    monkeypatch.setattr(hardyconst.solver, "_omega_certificate", counted_certificate)
+    monkeypatch.setattr(hardyconst.solver, "_omega_near", counted_certificate)
     solve_t(E3, ParamPoint(0.2, S2))
     assert per_certificate == [1]
 
@@ -242,12 +253,13 @@ def _scalar_work(r, s, calls) -> list[int]:
 @pytest.fixture
 def lane_calls(monkeypatch, calls):
     """The (r, s) of each ``_omega_lanes`` call, at ``special`` and in
-    ``verify``, the lane count of each ``_h_lanes`` call, i.e. of each
-    lock-step pass, and the scalar H_r evaluations of the stragglers that
-    each ``_omega_lanes`` call finishes in the scalar kernel."""
-    seen = {"omega": [], "h": [], "stragglers": []}
+    ``verify``, the lane count of each ``_h_lanes`` and ``_h_slope_lanes``
+    call, i.e. of each bracket end's evaluation and each lock-step ITP or
+    Newton pass, and the scalar H_r evaluations of the stragglers that each
+    ``_omega_lanes`` call finishes in the scalar kernel."""
+    seen = {"omega": [], "h": [], "newton": [], "stragglers": []}
     omega_lanes = hardyconst.special._omega_lanes
-    h_lanes = hardyconst.special._h_lanes
+    h_lanes, h_slope_lanes = hardyconst.special._h_lanes, hardyconst.special._h_slope_lanes
 
     def counted_omega_lanes(r, s):
         seen["omega"].append((r, s))
@@ -260,19 +272,35 @@ def lane_calls(monkeypatch, calls):
         seen["h"].append(z.size)
         return h_lanes(r, z)
 
+    def counted_h_slope_lanes(r, z):
+        seen["newton"].append(z.size)
+        return h_slope_lanes(r, z)
+
     monkeypatch.setattr(hardyconst.special, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.verify, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
+    monkeypatch.setattr(hardyconst.special, "_h_slope_lanes", counted_h_slope_lanes)
     return seen
+
+
+def _lane_evaluations(seen) -> int:
+    """H_r lane evaluations of the lane calls seen: bracket ends, ITP and
+    Newton passes."""
+    return sum(seen["h"]) + sum(seen["newton"])
+
+
+def _passes(seen) -> int:
+    """Lock-step evaluations of H_r seen, each over all of its live lanes."""
+    return len(seen["h"]) + len(seen["newton"])
 
 
 @pytest.fixture
 def scalar_inversions(monkeypatch):
-    """The (r, s) of each scalar ``omega`` and ``_omega_between`` call, at
-    every module binding of either."""
+    """The (r, s) of each scalar ``omega``, ``_omega_near`` and
+    ``_omega_between`` call, at every module binding of each."""
     seen = []
     for module in (hardyconst.special, hardyconst.solver, hardyconst.verify, hardyconst.asymptotics):
-        for name in ("omega", "_omega_between"):
+        for name in ("omega", "_omega_near", "_omega_between"):
             if hasattr(module, name):
 
                 def counted(r, s, *rest, inner=getattr(module, name)):
@@ -291,8 +319,8 @@ def test_omega_lanes_do_the_scalar_kernels_work(calls, lane_calls):
     per_call = _scalar_work(2.0, grid, calls)
     hardyconst.special._omega_lanes(2.0, grid)
     (stragglers,) = lane_calls["stragglers"]
-    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
-    assert len(lane_calls["h"]) <= max(per_call)
+    assert _lane_evaluations(lane_calls) + stragglers == sum(per_call)
+    assert _passes(lane_calls) <= max(per_call)
     assert stragglers > 0
 
 
@@ -316,8 +344,37 @@ def test_inverse_suite_inverts_every_exponent_in_one_call(
     (stragglers,) = lane_calls["stragglers"]
     assert calls["h"] == stragglers
     per_call = _scalar_work(r, s, calls)
-    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
-    assert len(lane_calls["h"]) <= max(per_call)
+    assert _lane_evaluations(lane_calls) + stragglers == sum(per_call)
+    assert _passes(lane_calls) <= max(per_call)
+
+
+#: lock-step passes of inverse_suite's one ``_omega_lanes`` call on (2.5,
+#: 1.5), bracket ends and Newton passes included, and its lane H_r
+#: evaluations: 9 and 38,102 measured, 21 and 60,772 when every lane ran ITP
+#: from the natural bracket [1, r']
+INVERSE_PASSES = 10
+INVERSE_LANE_CALLS = 40_000
+#: inverse_suite's traced peak memory on (2.5, 1.5), bytes: 1.56 MB, 32.5
+#: floats per lane, from the natural bracket, plus 10 %
+INVERSE_PEAK_BYTES = 1.1 * 1.56e6
+
+
+def test_inverse_suite_counts_its_passes(calls, lane_calls):
+    assert inverse_suite(Exponents(2.5, 1.5)).passed
+    assert _passes(lane_calls) <= INVERSE_PASSES
+    assert _lane_evaluations(lane_calls) <= INVERSE_LANE_CALLS
+
+
+def test_inverse_suite_peak_memory():
+    e = Exponents(2.5, 1.5)
+    inverse_suite(e)
+    tracemalloc.start()
+    try:
+        assert inverse_suite(e).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= INVERSE_PEAK_BYTES
 
 
 def test_endgame_suite_inverts_each_target_once(calls, lane_calls, scalar_inversions):
@@ -330,8 +387,8 @@ def test_endgame_suite_inverts_each_target_once(calls, lane_calls, scalar_invers
     (stragglers,) = lane_calls["stragglers"]
     assert calls["h"] == stragglers
     per_call = _scalar_work(r, s, calls)
-    assert sum(lane_calls["h"]) + stragglers == sum(per_call)
-    assert len(lane_calls["h"]) <= max(per_call)
+    assert _lane_evaluations(lane_calls) + stragglers == sum(per_call)
+    assert _passes(lane_calls) <= max(per_call)
 
 
 def _sign_grid(e: Exponents, n: int) -> list[ParamPoint]:
@@ -358,7 +415,6 @@ def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
     lanes = {"g": 0, "h": 0, "solve_t": 0}
     for module, name, key in [
         (hardyconst.solver, "_g_lanes", "g"),
-        (hardyconst.solver, "_h_lanes", "h"),
         (hardyconst.special, "_h_lanes", "h"),
         (hardyconst.solver, "solve_t", "solve_t"),
         (hardyconst.verify, "solve_t", "solve_t"),
