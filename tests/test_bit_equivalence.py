@@ -316,23 +316,40 @@ def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
         assert _solved_lanes(Exponents(*pair), s1, s2) == expected
 
 
-def test_solve_lanes_match_solve_t_where_the_certificate_falls_back(monkeypatch, lane_cases):
-    # at half the omega tolerance about a fifth of certificates fall back to
-    # the natural bracket; both solves read the patched width
-    monkeypatch.setattr(hardyconst.special, "_NEAR_HALF_WIDTH", _NEAR_HALF_WIDTH / 8.0)
-    fallbacks = []
+@pytest.fixture
+def brackets(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The initial brackets (a, b) of each ``_root_lanes`` call of ``special``."""
+    seen = []
     root_lanes = hardyconst.special._root_lanes
 
     def counted(f_lanes, f_of_lane, a, b, *rest):
-        fallbacks.append(np.count_nonzero((a == 1.0) & (b == e.q_conj)))
+        seen.append((a.copy(), b.copy()))
         return root_lanes(f_lanes, f_of_lane, a, b, *rest)
 
     monkeypatch.setattr(hardyconst.special, "_root_lanes", counted)
+    return seen
+
+
+def _natural(bracket: tuple[np.ndarray, np.ndarray], r: float) -> int:
+    """Lanes of a ``brackets`` entry on omega_r's natural bracket [1, r']."""
+    a, b = bracket
+    return np.count_nonzero((a == 1.0) & (b == r / (r - 1.0)))
+
+
+def test_solve_lanes_match_solve_t_where_the_certificate_falls_back(
+    monkeypatch, lane_cases, brackets
+):
+    # at half the omega tolerance about a fifth of certificates fall back to
+    # the natural bracket; both solves read the patched width
+    monkeypatch.setattr(hardyconst.special, "_NEAR_HALF_WIDTH", _NEAR_HALF_WIDTH / 8.0)
+    fallbacks = 0
     for pair in [(3.0, 2.0), (5.0, 1.2)]:
         e = Exponents(*pair)
         s1, s2, _ = lane_cases[pair]
+        brackets.clear()
         assert _solved_lanes(e, s1, s2) == _solved(e, s1, s2)
-    assert sum(fallbacks) >= 50
+        fallbacks += sum(_natural(bracket, e.q) for bracket in brackets)
+    assert fallbacks >= 50
 
 
 def test_solve_lanes_where_u_top_is_not_positive():
@@ -603,20 +620,6 @@ def _edge_targets(seed: int) -> np.ndarray:
     ])
 
 
-@pytest.fixture
-def brackets(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The initial brackets (a, b) of each ``_root_lanes`` call of ``special``."""
-    seen = []
-    root_lanes = hardyconst.special._root_lanes
-
-    def counted(f_lanes, f_of_lane, a, b, *rest):
-        seen.append((a.copy(), b.copy()))
-        return root_lanes(f_lanes, f_of_lane, a, b, *rest)
-
-    monkeypatch.setattr(hardyconst.special, "_root_lanes", counted)
-    return seen
-
-
 @pytest.mark.parametrize("handoff", ["threshold", "pure lanes", "pure scalar"])
 def test_omega_lanes_match_scalar_omega_at_the_newton_starts_edges(
     monkeypatch, brackets, handoff
@@ -628,8 +631,8 @@ def test_omega_lanes_match_scalar_omega_at_the_newton_starts_edges(
         assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])
     # every call with r' - 1 above 1e-8 mixes narrow lanes with lanes that
     # fall back to the natural bracket
-    for r, (a, b) in list(zip(R_EDGE, brackets))[:6]:
-        assert 0 < np.count_nonzero((a == 1.0) & (b == r / (r - 1.0))) < a.size
+    for r, bracket in list(zip(R_EDGE, brackets))[:6]:
+        assert 0 < _natural(bracket, r) < bracket[0].size
     assert _omega_start(1e15, 1.0 - 2.0**-53) == 1.0
 
 
@@ -648,8 +651,8 @@ def test_omega_lanes_from_estimates_match_omega_near(monkeypatch, brackets, hand
         near = np.clip(_omega_lanes(r, s) + offset * _NEAR_HALF_WIDTH * top, 1.0, top)
         expected = [_omega_near(r, float(x), float(z)) for x, z in zip(s, near)]
         assert _bits(_omega_lanes(r, s, near)) == _bits(expected)
-    for r, (a, b) in zip(exps, brackets[1::2]):
-        assert 0 < np.count_nonzero((a == 1.0) & (b == r / (r - 1.0))) < a.size
+    for r, bracket in zip(exps, brackets[1::2]):
+        assert 0 < _natural(bracket, r) < bracket[0].size
 
 
 def test_h_lanes_with_one_exponent_per_lane_match_scalar_h():
