@@ -25,11 +25,11 @@ expansions at s = 1 and s = 0.  H_r'' = r (r-1) z^(r-3) ((r-2) - (r-1) z)
 lands right of the root and the rest fall to it monotonically.
 ``_omega_near`` then runs the kernel (``_omega_between``) on [z - d, z + d],
 d = 4e-15 r', where H_r at its ends brackets s strictly, and on the natural
-bracket [1, r'] otherwise, as where 1 - s is below about 1e-6 H_r varies by
-less than rounding across the narrow one.  ``solver``'s certificate runs
-the second stage from its own estimate.  ITP's k1 always comes from the
-natural bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r 4.4 times per
-call, against 9.8 from the natural bracket, plus about 2 Newton steps.
+bracket [1, r'] otherwise: for most s with 1 - s below 1e-5, H_r varies by
+less than rounding across the narrow one.  ``solver``'s certificate runs the
+second stage from its own estimate.  ITP's k1 always comes from the natural
+bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r 4.4 times per call,
+against 9.8 from the natural bracket, plus about 2 Newton steps.
 
 The kernel's step arithmetic is fixed bit for bit: every float that feeds
 the next point, the bracket ends or the best point must stay as it is, or
