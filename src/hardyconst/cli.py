@@ -32,7 +32,7 @@ from .errors import (
     OutsideDomainError,
 )
 from .hardy import _verified_samples
-from .sensitivity import delta_eval, gamma_eval
+from .sensitivity import _signs
 from .solver import solve_t
 from .special import Exponents
 from .verify import run_all_suites
@@ -50,8 +50,7 @@ _SAMPLE_KAPPAS = (0.5, 1.0, 3.0)
 def _ok_row(e: Exponents, pt: ParamPoint, head: str, mid: str) -> str:
     """The CSV row of a solved point, given head = "p,q," and mid = ",s2,"."""
     sol = solve_t(e, pt)
-    gamma = gamma_eval(e, pt, sol)
-    delta = delta_eval(e, pt, sol)
+    gamma, delta, _ = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
     return (
         f"{head}{pt.s1:.17g}{mid}{sol.t:.17g},{sol.tau:.17g},{gamma:.17g},{delta:.17g},"
         f"{sol.t * gamma / delta:.17g},{sol.residual:.17g},ok"

@@ -17,15 +17,17 @@ delta and lambda are strictly positive on the whole region, gamma is
 strictly negative, hence the constant strictly decreases in s1.  All of
 this is checked numerically by the verification suites; ``dt_ds1`` also
 carries its own finite-difference cross-check of the analytic value.
-``_signs_lanes`` is gamma_eval, delta_eval and lambda_eval on arrays of
-solved points, bit for bit, for ``verify.sign_suite``'s lane solve.
+``_signs`` forms gamma, delta and lambda together, with B and t^q once: on
+floats for ``gamma_eval``, ``delta_eval`` and a CLI row, and on arrays of
+solved points for ``verify.sign_suite``'s lane solve, where the power
+function it takes is np.float_power (``special`` module docstring).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .domain import ParamPoint
 from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
@@ -60,34 +62,30 @@ def _bracket_factor(e: Exponents, u: float) -> float:
     return (e.p - 1.0) * (e.p - e.q * u) / (e.p * (e.q - 1.0) * (1.0 - u))
 
 
+def _signs(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
+    """(gamma, delta, lambda) at a solved point with its t, u and alpha;
+    floats with pw = math.pow, lanes with pw = np.float_power."""
+    p, q = e.p, e.q
+    b = _bracket_factor(e, u)
+    t_q = pw(t, q)
+    lam = q * pw(t, p) - p * t_q * (s1 / s2) + (p - q) * s1
+    return a2 - b * (t_q / s2 - 1.0), b * lam + (p - q) * s1 * a2, lam
+
+
 def gamma_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """gamma = alpha(s2) - B(u) * (t^q / s2 - 1); negative in the region."""
-    b = _bracket_factor(e, sol.u)
-    return sol.alpha - b * (sol.t**e.q / pt.s2 - 1.0)
+    return _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[0]
 
 
 def delta_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """delta = B(u) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
-    b = _bracket_factor(e, sol.u)
-    return b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * sol.alpha
-
-
-def _signs_lanes(
-    e: Exponents, s1: np.ndarray, s2: np.ndarray, t: np.ndarray, u: np.ndarray, a2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gamma, delta, lambda) on lanes of solved points with their t, u and
-    alpha, bit for bit ``gamma_eval``, ``delta_eval`` and ``lambda_eval``."""
-    p, q = e.p, e.q
-    b = _bracket_factor(e, u)
-    t_q = np.float_power(t, q)
-    gamma = a2 - b * (t_q / s2 - 1.0)
-    lam = q * np.float_power(t, p) - p * t_q * (s1 / s2) + (p - q) * s1
-    return gamma, b * lam + (p - q) * s1 * a2, lam
+    return _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[1]
 
 
 def dt_ds1_analytic(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """dt/ds1 = t * gamma / delta at an already-solved point."""
-    return sol.t * gamma_eval(e, pt, sol) / delta_eval(e, pt, sol)
+    gamma, delta, _ = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
+    return sol.t * gamma / delta
 
 
 def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
@@ -99,8 +97,7 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     the centre's s2, so its solves reuse the centre's alpha(s2) (``solver``).
     """
     sol = solve_t(e, pt)
-    gamma = gamma_eval(e, pt, sol)
-    delta = delta_eval(e, pt, sol)
+    gamma, delta, lam = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
     analytic = sol.t * gamma / delta
 
     h = _FD_STEP_FRAC * max(pt.s1, 1e-3)
@@ -116,7 +113,7 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     fd = (ts[0] - ts[1]) / (2.0 * h)
 
     return SensitivityReport(
-        t=sol.t, tau=sol.tau, lambda_val=lambda_eval(e, pt, sol.t), gamma_val=gamma,
+        t=sol.t, tau=sol.tau, lambda_val=lam, gamma_val=gamma,
         delta_val=delta, dt_ds1=analytic, dt_ds1_fd=fd,
         fd_rel_err=abs(analytic - fd) / max(abs(analytic), 1e-12),
     )

@@ -87,13 +87,15 @@ Newton estimate.
 
 ``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
 to it bit for bit on every field and verdict: the same pipeline on numpy
-arrays, with both root solves in ``special._root_lanes`` and alpha once per
-run of equal s2.  A call costs ~0.7 ms with one lane against ~0.05 ms for
-``solve_t``, breaks even near 100 lanes of scattered points, and takes
-~8 ms for 1,000 against ~26 ms (process CPU time on (3, 2), 2 shared
-x86-64 vCPUs), so ``verify.sign_suite`` solves its grid with it and
-callers of single points keep ``solve_t``.  It is public in this module,
-not in the package: ``verify`` may import no private solver name.
+arrays, with both root solves in ``special._root_lanes``, alpha once per
+run of equal s2, and g, t and the residual from the functions ``solve_t``
+uses (``_u_equation``, ``_residual_at``) with pw = np.float_power.  A call
+costs ~0.7 ms with one lane against ~0.05 ms for ``solve_t``, breaks even
+near 100 lanes of scattered points, and takes ~8 ms for 1,000 against ~26
+ms (process CPU time on (3, 2), 2 shared x86-64 vCPUs), so
+``verify.sign_suite`` solves its grid with it and callers of single points
+keep ``solve_t``.  It is public in this module, not in the package:
+``verify`` may import no private solver name.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ from .special import (
     _omega_lanes,
     _omega_near,
     _root_lanes,
-    _scale_lanes,
     omega,
 )
 
@@ -193,17 +194,16 @@ def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
         raise InfeasibleTauError(f"tau={tau} left [0, 1] at t={t}; omega_q is undefined there")
-    return _residual_at(e, pt, t, omega(e.q, tau), a2)
+    return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, tau), a2, math.pow)
 
 
-def _residual_at(e: Exponents, pt: ParamPoint, t: float, w: float, a2: float) -> float:
-    """Left minus right side of the implicit equation at t, with w = omega_q(tau(t))."""
-    lhs = (
-        e.q
-        * (e.p * w ** (e.q - 1.0) - (e.p - 1.0) * w**e.q)
-        * (t ** (e.p - e.q) - pt.s1 / pt.s2)
-    )
-    return lhs - (e.p - e.q) * pt.s1 * a2
+def _residual_at(e: Exponents, s1, ratio, t, w, a2, pw: Callable):
+    """Left minus right side of the implicit equation at t, with w =
+    omega_q(tau(t)) and ratio = s1/s2; floats with pw = math.pow, lanes with
+    pw = np.float_power."""
+    p, q = e.p, e.q
+    lhs = q * (p * pw(w, q - 1.0) - (p - 1.0) * pw(w, q)) * (pw(t, p - q) - ratio)
+    return lhs - (p - q) * s1 * a2
 
 
 def _u_top(e: Exponents) -> float:
@@ -249,7 +249,7 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
         )
     a2 = _alpha(e, pt.s2)
     k = max((e.p - e.q) * pt.s1 * a2 / e.q, _K_MIN)
-    g, t_of = _u_equation(e, pt, k)
+    g, t_of = _u_equation(e, pt.s1, pt.s1 / pt.s2, k, math.pow)
     u_b = min(_u_lo(e, pt, k), u_top)
     # g -> -inf as u -> 0+; u_lo underflows to 0 only where p' < lo: no root counts
     g_b = g(u_b) if u_b > 0.0 else -math.inf
@@ -275,20 +275,20 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     return True
 
 
-def _u_equation(
-    e: Exponents, pt: ParamPoint, k: float
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """(g, t) as functions of u, given K = k; c is taken as (p-q) / (p K)."""
-    p, q, s1 = e.p, e.q, pt.s1
-    pm1, qm1, ratio = p - 1.0, q - 1.0, s1 / pt.s2
+def _u_equation(e: Exponents, s1, ratio, k, pw: Callable) -> tuple[Callable, Callable]:
+    """(g, t) as functions of u, given s1, ratio = s1/s2 and K = k; c is
+    taken as (p-q) / (p K).  Floats with pw = math.pow, lanes with pw =
+    np.float_power."""
+    p, q = e.p, e.q
+    pm1, qm1 = p - 1.0, q - 1.0
     c, x_to_tp, x_to_t = (p - q) / (p * k), p / (p - q), 1.0 / (p - q)
 
-    def g(u: float) -> float:
+    def g(u):
         w = (p - u) / pm1
-        return q - qm1 * w - c * u * ((ratio + k / (w**qm1 * u)) ** x_to_tp - s1)
+        return q - qm1 * w - c * u * (pw(ratio + k / (pw(w, qm1) * u), x_to_tp) - s1)
 
-    def t_of(u: float) -> float:
-        return (ratio + k / (((p - u) / pm1) ** qm1 * u)) ** x_to_t
+    def t_of(u):
+        return pw(ratio + k / (pw((p - u) / pm1, qm1) * u), x_to_t)
 
     return g, t_of
 
@@ -317,7 +317,8 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     tau = tau_eval(e, pt, t)
     w = _omega_near(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
-        t=t, u=u, tau=tau, omega_q_tau=w, residual=_residual_at(e, pt, t, w, a2),
+        t=t, u=u, tau=tau, omega_q_tau=w,
+        residual=_residual_at(e, pt.s1, pt.s1 / pt.s2, t, w, a2, math.pow),
         bracket_width=width, alpha=a2,
     )
 
@@ -343,28 +344,6 @@ class LaneSolutions:
     residual: np.ndarray
     bracket_width: np.ndarray
     alpha: np.ndarray
-
-
-def _g_lanes(e: Exponents, ratio, k, c, s1, u: np.ndarray) -> np.ndarray:
-    """g(u) of ``_u_equation`` on lanes with their own s1/s2, K and c."""
-    p, q = e.p, e.q
-    w = (p - u) / (p - 1.0)
-    x = ratio + k / (np.float_power(w, q - 1.0) * u)
-    return q - (q - 1.0) * w - c * u * (np.float_power(x, p / (p - q)) - s1)
-
-
-def _t_lanes(e: Exponents, ratio, k, u: np.ndarray) -> np.ndarray:
-    """t(u) of ``_u_equation`` on lanes."""
-    p, q = e.p, e.q
-    w = (p - u) / (p - 1.0)
-    return np.float_power(ratio + k / (np.float_power(w, q - 1.0) * u), 1.0 / (p - q))
-
-
-def _lane_powers(e: Exponents) -> tuple[float, float, float]:
-    """The scalar powers that ``_u_lo`` and ``solve_t`` take once per pair:
-    (1 + 1e-12)^(p-q), p'^(q-1) and cap^(p-q), cap the largest float below p'."""
-    cap = math.nextafter(e.p_conj, 0.0)
-    return (1.0 + _ENDPOINT_MARGIN) ** (e.p - e.q), e.p_conj ** (e.q - 1.0), cap ** (e.p - e.q)
 
 
 def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
@@ -417,16 +396,18 @@ def _inside_lanes(
     g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
     through ``_root_lanes``, with each straggler on its own scalar g; t and
     its width; tau; and omega_q(tau) through ``_omega_lanes`` around w(u),
-    then the residual.
+    then the residual.  g, t and the residual are ``_u_equation``'s and
+    ``_residual_at``'s, with pw = np.float_power.
     """
     p, q = e.p, e.q
     lane = np.arange(s1.size)
     start = np.flatnonzero(np.r_[True, s2[1:] != s2[:-1]])
     a2 = np.repeat([_alpha(e, x) for x in s2[start].tolist()], np.diff(np.r_[start, s2.size]))
     k = np.maximum((p - q) * s1 * a2 / q, _K_MIN)
-    ratio, c = s1 / s2, (p - q) / (p * k)
-    lo_pow, pc_pow, cap_pow = _lane_powers(e)
-    r = k / (lo_pow - ratio)
+    ratio = s1 / s2
+    # the scalar powers of _u_lo and solve_t, with the C pow that ** calls
+    cap, pc_pow = math.nextafter(e.p_conj, 0.0), math.pow(e.p_conj, q - 1.0)
+    r = k / (math.pow(1.0 + _ENDPOINT_MARGIN, p - q) - ratio)
     u_lo = r / pc_pow
     live = np.flatnonzero(u_lo < 1.0)
     while live.size:
@@ -439,50 +420,45 @@ def _inside_lanes(
         u_lo[live] = step[up]
         live = live[step[up] < 1.0]
     u_b = np.where(u_top < u_lo, u_top, u_lo)
-    g_b = _g_lanes(e, ratio, k, c, s1, u_b)
+    g_b = _u_equation(e, s1, ratio, k, np.float_power)[0](u_b)
     redo = [lane[~np.isfinite(g_b)]]
     keep = g_b > 0.0
-    lane, s1, s2, a2, k, ratio, c, u_b, g_b = (
-        v[keep] for v in (lane, s1, s2, a2, k, ratio, c, u_b, g_b)
-    )
-    d = cap_pow - ratio
+    lane, s1, a2, k, ratio, u_b, g_b = (v[keep] for v in (lane, s1, a2, k, ratio, u_b, g_b))
+    d = math.pow(cap, p - q) - ratio
     u = k / (pc_pow * d)
     u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
-    g_a = _g_lanes(e, ratio, k, c, s1, u)
+    g_a = _u_equation(e, s1, ratio, k, np.float_power)[0](u)
     # the top cap, unless g(u_a) < 0
-    cap = math.nextafter(e.p_conj, 0.0)
     t, width = np.full(lane.size, cap), np.full(lane.size, e.p_conj - cap)
     bad = ~np.isfinite(g_a)
     j = np.flatnonzero(g_a < 0.0)
     if j.size:
-        ra, rk, rc, rs1, lo = ratio[j], k[j], c[j], s1[j], u[j]
+        ra, rk, rs1, lo = ratio[j], k[j], s1[j], u[j]
         g_top, at = g_b[j], u_b[j] != u_top
-        g_top[at] = _g_lanes(e, ra[at], rk[at], rc[at], rs1[at], u_top)
-        xtol = _U_REL_WIDTH * lo
+        g_top[at] = _u_equation(e, rs1[at], ra[at], rk[at], np.float_power)[0](u_top)
 
         def minus_g(i: int) -> Callable[[float], float]:
-            g = _u_equation(e, ParamPoint(float(rs1[i]), float(s2[j[i]])), float(rk[i]))[0]
+            g = _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0]
             return lambda x: -g(x)
 
         # g rises through its root: the kernel solves -g = 0
         a, b, u[j] = _root_lanes(
-            lambda i, x: -_g_lanes(e, ra[i], rk[i], rc[i], rs1[i], x), minus_g,
-            lo, np.full(j.size, u_top), -g_a[j], -g_top, xtol,
-            0.2 / (u_top - lo), _scale_lanes(u_top - lo, xtol),
+            lambda i, x: -_u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](x),
+            minus_g, lo, np.full(j.size, u_top), -g_a[j], -g_top, _U_REL_WIDTH * lo,
         )
-        t_u = _t_lanes(e, ra, rk, u[j])
+        t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
+        t_u = t_of(u[j])
         t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
-        width[j] = np.abs(_t_lanes(e, ra, rk, a) - _t_lanes(e, ra, rk, b))
+        width[j] = np.abs(t_of(a) - t_of(b))
         bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width[j]))
     denom = np.float_power(t, p - q) - ratio
     tau = (p - q) / p * (np.float_power(t, p) - s1) / denom
     # tau_eval raises where denom <= 0, omega where tau leaves [0, 1]
     bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
     redo.append(lane[bad])
-    lane, s1, a2, t, u, width, denom, tau = (
-        v[~bad] for v in (lane, s1, a2, t, u, width, denom, tau)
+    lane, s1, ratio, a2, t, u, width, tau = (
+        v[~bad] for v in (lane, s1, ratio, a2, t, u, width, tau)
     )
     w = _omega_lanes(q, tau, (p - u) / (p - 1.0))
-    lhs = q * (p * np.float_power(w, q - 1.0) - (p - 1.0) * np.float_power(w, q)) * denom
-    res = lhs - (p - q) * s1 * a2
+    res = _residual_at(e, s1, ratio, t, w, a2, np.float_power)
     return lane, np.sort(np.concatenate(redo)), (t, u, tau, w, res, width, a2)

@@ -23,7 +23,7 @@ Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
 expansions at s = 1 and s = 0.  H_r'' = r (r-1) z^(r-3) ((r-2) - (r-1) z)
 < 0 on [1, r'], so H_r is concave and decreasing there: the first step
 lands right of the root and the rest fall to it monotonically.
-``_omega_near`` then runs the kernel (``_omega_between``) on [z - d, z + d],
+``_omega_near`` then runs the kernel on [z - d, z + d],
 d = 4e-15 r', where H_r at its ends brackets s strictly, and on the natural
 bracket [1, r'] otherwise: for most s with 1 - s below 1e-5, H_r varies by
 less than rounding across the narrow one.  ``solver``'s certificate runs the
@@ -42,8 +42,8 @@ pow(x, 2) is not always rounded like x * x.
 
 ``_root_lanes`` is the kernel's lane-wise twin, the one lane step in the
 package: lock-step ITP passes over an array of brackets, each lane with
-its own function, tolerance, k1 and projection scale, equal to
-``_bracketed_root`` bit for bit.  It solves both roots in lanes:
+its own function, tolerance and k1, equal to ``_bracketed_root``, which
+derives the same schedule, bit for bit.  It solves both roots in lanes:
 ``_omega_lanes``, omega's twin for batched grids (one r or one r per lane,
 beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one call,
 and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us however
@@ -57,14 +57,18 @@ so steps exactly as the passes would; a call with no more lanes than that
 finishes entirely in the scalar kernel.  Peak
 memory is about 34 floats per lane in ``_omega_lanes`` (1.6 MB for
 inverse_suite's 6,000 lanes), reached at the first pass that drops
-finished lanes, and 69 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
+finished lanes, and 67 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
 Python's z ** (r - 1) on 10,285 of 200,000 uniform z at r = 2.5 and
 np.power(w, 2) from w ** 2 on 163 of 200,000 w; float_power matched on all.
 So no lane function (named ``*_lanes``) uses ``**``, not even on a scalar:
-scalar powers go through ``math.ldexp`` or a helper outside them.
+scalar powers go through ``math.pow``, the C pow that ``**`` calls,
+``math.ldexp`` or a helper outside them.  A formula that floats and lanes
+share (``_h_slope`` here, and ``solver``'s and ``sensitivity``'s) is
+written once with no ``**``, taking the power ``pw``: ``math.pow`` on
+floats, ``np.float_power`` on lanes.
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ def h_deriv(r: float, z: float) -> float:
     top = r / (r - 1.0)
     if not 1.0 <= z <= top:
         raise DomainError(f"H_{r}' is only used on [1, {top}], got z={z}")
-    return _h_slope(r, z)[1]
+    return _h_slope(r, z, math.pow)[1]
 
 
 def _bracketed_root(
@@ -265,28 +269,10 @@ def _bracketed_root(
     return a, b, best_x
 
 
-def _omega_between(
-    r: float, s: float, z_lo: float, h_lo: float, z_hi: float, h_hi: float
-) -> float:
-    """The root z of H_r(z) = s in ``_omega_near``'s bracket [z_lo, z_hi],
-    h_lo = H_r(z_lo) > s > h_hi = H_r(z_hi), validating r once per inversion.
-
-    k1 is the natural bracket's, 0.2/(r'-1): scaled to a narrow one it
-    truncates the regula falsi step far more and costs more evaluations.  A
-    bracket already within the tolerance returns its midpoint."""
-    _check_exponent(r)
-    top = r / (r - 1.0)
-    xtol = _BRACKET_REL_TOL * top
-    if z_hi - z_lo <= xtol:
-        return 0.5 * (z_lo + z_hi)
-    return _bracketed_root(
-        partial(_h, r), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
-    )[2]
-
-
-def _h_slope(r: float, z: float) -> tuple[float, float]:
-    """(H_r(z), H_r'(z)) for Newton, from one pow: z^(r-2) serves both."""
-    z_r2 = z ** (r - 2.0)
+def _h_slope(r, z, pw: Callable) -> tuple:
+    """(H_r(z), H_r'(z)) for Newton, from one power: z^(r-2) serves both;
+    on floats with pw = math.pow, on lanes with pw = np.float_power."""
+    z_r2 = pw(z, r - 2.0)
     return z_r2 * z * (r - (r - 1.0) * z), r * (r - 1.0) * z_r2 * (1.0 - z)
 
 
@@ -315,7 +301,7 @@ def _omega_start(r: float, s: float) -> float:
     for _ in range(_NEWTON_STEPS):
         if not z > 1.0:
             break
-        h, slope = _h_slope(r, z)
+        h, slope = _h_slope(r, z, math.pow)
         step = min(max(z - (h - s) / slope, 1.0), top)
         moved, z = abs(z - step), step
         if moved < _NEWTON_REL_STOP * top:
@@ -326,8 +312,12 @@ def _omega_start(r: float, s: float) -> float:
 def _omega_near(r: float, s: float, z: float) -> float:
     """omega_r(s) from [z - d, z + d] within [1, r'], d = ``_NEAR_HALF_WIDTH``
     r', where H_r at its ends brackets s strictly, else from [1, r']; s = 1
-    and 0 give 1 and r'.  z estimates the root; r is validated once, in
-    ``_omega_between``, and the ends are evaluated through ``_h``."""
+    and 0 give 1 and r'.  z estimates the root; r must be valid, as it is
+    not checked, and the ends are evaluated through ``_h``.
+
+    k1 is the natural bracket's, 0.2/(r'-1): scaled to a narrow one it
+    truncates the regula falsi step far more and costs more evaluations.  A
+    bracket already within the tolerance returns its midpoint."""
     top = r / (r - 1.0)
     if s == 1.0 or s == 0.0:
         return top if s == 0.0 else 1.0
@@ -336,7 +326,12 @@ def _omega_near(r: float, s: float, z: float) -> float:
     h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
     if not h_lo > s > h_hi:
         z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
-    return _omega_between(r, s, z_lo, h_lo, z_hi, h_hi)
+    xtol = _BRACKET_REL_TOL * top
+    if z_hi - z_lo <= xtol:
+        return 0.5 * (z_lo + z_hi)
+    return _bracketed_root(
+        partial(_h, r), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
+    )[2]
 
 
 def omega(r: float, s: float) -> float:
@@ -382,13 +377,13 @@ def _root_lanes(
     fa: np.ndarray,
     fb: np.ndarray,
     xtol: np.ndarray,
-    k1: np.ndarray,
-    scale: np.ndarray,
+    k1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_bracketed_root`` on lanes, bit for bit, in lock-step ITP passes.
 
     Lane i solves f_i(x) = 0 on [a_i, b_i], with end values fa_i > 0 >= fb_i
-    (y already subtracted), its own xtol, k1 and step-0 projection scale
+    (y already subtracted), its own xtol and k1, 0.2/(b_i - a_i) unless
+    given, and the step-0 projection scale of a fresh run
     (``_scale_lanes``); a caller whose f rises from a to b passes -f, which
     takes the same steps, as negation is exact.  f_lanes(i, x) evaluates f
     at x on the lanes i, an index array; f_of_lane(i) is lane i's scalar f.
@@ -405,13 +400,18 @@ def _root_lanes(
     """
     out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     idx = np.arange(a.size)
+    if k1 is None:
+        k1 = 0.2 / (b - a)
+    scale = _scale_lanes(b - a, xtol)
     # working copies of the state the passes write: no caller's array
-    # changes.  They add no peak memory, as the caller holds its arguments
-    # until the call returns, and they halve glibc's heap trims: on
-    # inverse_suite's 6,000 lanes, 303 page faults per call against 631 in
-    # place, and verify_pairs' items_per_s 57.20 against 56.17 (median of
-    # 8 alternating 20-s pairs, 7 wins, 2 shared x86-64 vCPUs)
-    a, b, fa, fb, scale = (np.array(v, dtype=float) for v in (a, b, fa, fb, scale))
+    # changes.  They add to the peak what the caller holds until the call
+    # returns: inverse_suite(2.5, 1.5) peaks at 1.62 MB, against 1.56 where
+    # _omega_lanes' four bracket arrays were call temporaries.  They halve
+    # glibc's heap trims: on inverse_suite's 6,000 lanes, 303 page faults
+    # per call against 631 in place, and verify_pairs' items_per_s 57.20
+    # against 56.17 (median of 8 alternating 20-s pairs, 7 wins, 2 shared
+    # x86-64 vCPUs)
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
         mid = 0.5 * (a + b)
@@ -460,12 +460,6 @@ def _root_lanes(
     return out_a, out_b, out_x
 
 
-def _h_slope_lanes(r: float | np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_h_slope`` on lanes, bit for bit."""
-    z_r2 = np.float_power(z, r - 2.0)
-    return z_r2 * z * (r - (r - 1.0) * z), r * (r - 1.0) * z_r2 * (1.0 - z)
-
-
 def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``_omega_start`` on lanes, lane i's exponent exps[k[i]], bit for bit;
     a lane leaves the Newton passes once it stops."""
@@ -478,7 +472,7 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
         if not live.size:
             break
         v, r_l, top_l = z[live], r[live], top[live]
-        h, slope = _h_slope_lanes(r_l, v)
+        h, slope = _h_slope(r_l, v, np.float_power)
         step = np.minimum(np.maximum(v - (h - s[live]) / slope, 1.0), top_l)
         z[live] = step
         live = live[(np.abs(v - step) >= _NEWTON_REL_STOP * top_l) & (step > 1.0)]
@@ -519,7 +513,7 @@ def _omega_lanes(
     root = _root_lanes(
         lambda i, x: _h_lanes(r_of[i], x) - y[i],
         lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
-        a, b, fa, fb, xtol[k], k1[k], _scale_lanes(b - a, xtol[k]),
+        a, b, fa, fb, xtol[k], k1[k],
     )[2]
     r = np.broadcast_to(r, s.shape)
     z = np.where(s == 1.0, 1.0, r / (r - 1.0))

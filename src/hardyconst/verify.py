@@ -23,7 +23,7 @@ import numpy as np
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, threshold
 from .errors import DomainError, NoRootError, StencilError
-from .sensitivity import _signs_lanes, dt_ds1, gamma_eval
+from .sensitivity import _signs, dt_ds1, gamma_eval
 from .solver import has_root, solve_lanes, solve_t
 from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
 
@@ -163,9 +163,9 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     the lower-curve abscissa, solved in lanes (``solve_lanes``), whole rows
     and at most ``_SIGN_LANES`` points per call, bit for bit the floats
     ``solve_t`` returns.  gamma, delta and lambda are formed from them as
-    arrays (``sensitivity._signs_lanes``), and checked point by point in grid order: gamma, delta,
-    lambda.  Points without a root are skipped; a point outside the region
-    raises the OutsideDomainError ``solve_t`` raises there.
+    arrays (``sensitivity._signs``), and checked point by point in grid
+    order: gamma, delta, lambda.  Points without a root are skipped; a point
+    outside the region raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
     s2_grid = _grid(0.15, 0.97, n).tolist()
@@ -189,7 +189,8 @@ def _check_signs(res: SuiteResult, e: Exponents, s1: np.ndarray, s2: np.ndarray)
         solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
     res.skipped += int((~sol.ok).sum())
     s1, s2 = s1[sol.ok], s2[sol.ok]
-    gamma, delta, lam = _signs_lanes(e, s1, s2, sol.t[sol.ok], sol.u[sol.ok], sol.alpha[sol.ok])
+    t, u, a2 = sol.t[sol.ok], sol.u[sol.ok], sol.alpha[sol.ok]
+    gamma, delta, lam = _signs(e, s1, s2, t, u, a2, np.float_power)
     vals = np.stack([gamma, delta, lam], axis=1)
     ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
     res.check_many(

@@ -6,7 +6,8 @@ explicit equation in u = p - (p-1) w is written out again,
     g(u) = q - (q-1) w - c u (X^(p/(p-q)) - s1),    w = (p - u) / (p-1),
     X(u) = s1/s2 + K / (w^(q-1) u),   K = (p-q) s1 alpha/q,   c = q / (p s1 alpha),
 
-with alpha = omega_q(s2)^q / s2 - 1 and omega_q(s2) from ``mpmath.findroot``.
+with alpha = omega_q(s2)^q / s2 - 1 and omega_q(s2) from ``mpmath.findroot``
+on sqrt(1 - H_q(z)) = sqrt(1 - s2) (``omega_q``).
 g has the sign of H_q(w) - tau(t(u)), rises through one root u* in (0, 1)
 when g(1) > 0, and t = X(u*)^(1/(p-q)); ``reference_sensitivity`` takes
 gamma, delta and dt/ds1 (``hardyconst.sensitivity``) there.  The float
@@ -26,13 +27,23 @@ def _dps(s1: float) -> int:
     return max(int(-math.log10(s1)), 0) + 40
 
 
+def omega_q(q: float, s2: float) -> mp.mpf:
+    """omega_q(s2) at the working precision, for exact float inputs.
+
+    It solves sqrt(1 - H_q(z)) = sqrt(1 - s2), which is near linear in z at
+    z = 1: H_q - s2 has a double point there as s2 -> 1, and ``findroot`` on
+    H_q = s2 directly stalls once 1 - s2 is below about 1.2e-10."""
+    q, s2 = mp.mpf(q), mp.mpf(s2)
+    return mp.findroot(
+        lambda z: mp.sqrt(1 - z ** (q - 1) * (q - (q - 1) * z)) - mp.sqrt(1 - s2),
+        (mp.mpf(1), q / (q - 1)), solver="anderson",
+    )
+
+
 def _equation(p, q, s1, s2):
     """(g, X, alpha) at the working precision, for exact float inputs."""
+    w_s2 = omega_q(q, s2)
     p, q, s1, s2 = (mp.mpf(x) for x in (p, q, s1, s2))
-    w_s2 = mp.findroot(
-        lambda z: z ** (q - 1) * (q - (q - 1) * z) - s2, (mp.mpf(1), q / (q - 1)),
-        solver="anderson",
-    )
     alpha = w_s2**q / s2 - 1
     k = (p - q) * s1 * alpha / q
     c = q / (p * s1 * alpha)

@@ -29,8 +29,8 @@ no-root and outside points, certificates that fall back to omega_q's
 natural bracket, a pair with u_top <= 0 and points where u_lo underflows
 to 0; and raise what ``solve_t`` raises where it raises something else.  Its lane twins of ``in_domain``
 (``domain._outside_lanes``) and of gamma, delta and lambda
-(``sensitivity._signs_lanes``) must equal the scalar functions bit for bit
-on the same points.
+(``sensitivity._signs`` on arrays) must equal the scalar functions bit for
+bit on the same points.
 
 ``has_root`` tests the sign of g at min(u_lo, u_top): where u_lo binds, it
 must decide as the residual's sign at t = 1 + 1e-12, with omega_q inverted
@@ -69,7 +69,7 @@ from hardyconst import (
 from hardyconst.domain import _outside_lanes
 from hardyconst.errors import DomainError, NoRootError, OutsideDomainError, SingularityError
 from hardyconst.hardy import _lhs_rows
-from hardyconst.sensitivity import _signs_lanes, delta_eval, gamma_eval, lambda_eval
+from hardyconst.sensitivity import _signs, delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import (
     _K_MIN,
     _u_equation,
@@ -426,7 +426,7 @@ def test_signs_lanes_match_the_scalar_signs(lane_cases, pair):
         pt = ParamPoint(x, y)
         ref = solve_t(e, pt)
         scalar.append((gamma_eval(e, pt, ref), delta_eval(e, pt, ref), lambda_eval(e, pt, ref.t)))
-    lanes = _signs_lanes(e, s1, s2, sol.t, sol.u, sol.alpha)
+    lanes = _signs(e, s1, s2, sol.t, sol.u, sol.alpha, np.float_power)
     assert [_bits(v) for v in lanes] == [_bits(v) for v in zip(*scalar)]
 
 
@@ -500,7 +500,7 @@ def test_left_end_decides_where_it_binds(monkeypatch, pair, margin):
             assert not has_root(e, pt), pt
             continue
         k = max((e.p - e.q) * pt.s1 * alpha_eval(e, pt.s2) / e.q, _K_MIN)
-        right = _u_equation(e, pt, k)[0](u_top) > 0.0
+        right = _u_equation(e, pt.s1, pt.s1 / pt.s2, k, math.pow)[0](u_top) > 0.0
         assert has_root(e, pt) == (left and right), pt
         left_alone += right and not left
     assert left_alone > 0

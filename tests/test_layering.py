@@ -2,8 +2,9 @@
 no module imports a name it never uses, none rebinds module-level state by
 hand, none sums through BLAS, whose order depends on the CPU, and none
 calls ``np.power``, which may round unlike the C library's pow; nor does
-any lane function (named ``*_lanes``) use ``**``, which on arrays is
-``np.power``.  Only ``special._root_lanes``, the lane kernel, resumes the
+any lane function (named ``*_lanes``) or any formula shared by floats and
+lanes (a function with a parameter ``pw``, the power it runs on) use
+``**``, which on arrays is ``np.power``.  Only ``special._root_lanes``, the lane kernel, resumes the
 scalar root kernel part-way: a resumed schedule anywhere else would move the
 floats of ``omega``, the solver's certificate or its u solve."""
 
@@ -151,13 +152,15 @@ def test_no_numpy_power(path):
 
 
 def lane_pow_uses(source: str) -> list[str]:
-    """``**`` operators inside functions named ``*_lanes``, nested functions
-    and lambdas included, each as the lane function's name:line."""
+    """``**`` operators inside functions named ``*_lanes`` or with a
+    parameter named ``pw``, nested functions and lambdas included, each as
+    that function's name:line."""
     uses = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith(
-            "_lanes"
-        ):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if node.name.endswith("_lanes") or any(a.arg == "pw" for a in params):
             uses += [
                 f"{node.name}:{inner.lineno}"
                 for inner in ast.walk(node)
@@ -176,8 +179,16 @@ def test_lane_pow_check_sees_each_kind():
         "def _lane_powers(e):\n"
         "    return e.p ** 2.0\n"
         "y = x ** 2\n"
+        "def _shared(x, *, pw):\n"
+        "    def inner(u):\n"
+        "        return u ** 0.5\n"
+        "    return pw(x, 2.0) + inner(x)\n"
+        "def _float_only(x, power):\n"
+        "    return x ** 2.0\n"
     )
-    assert lane_pow_uses(source) == ["_h_lanes:2", "solve_lanes:4", "solve_lanes:5"]
+    assert lane_pow_uses(source) == [
+        "_h_lanes:2", "_shared:11", "solve_lanes:4", "solve_lanes:5"
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

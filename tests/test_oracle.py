@@ -13,9 +13,10 @@ off at these points.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from mp_oracle import reference_sensitivity, reference_t
+from mp_oracle import omega_q, reference_sensitivity, reference_t
 
 from hardyconst import Exponents, ParamPoint, has_root, solve_t
 from hardyconst.sensitivity import delta_eval, dt_ds1_analytic, gamma_eval
@@ -124,3 +125,29 @@ def test_derivative_inside(pair, frac):
         pt = ParamPoint(frac * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
         assert has_root(e, pt), pt
         assert max(_derivative_errors(e, pt)) <= 1e-13, pt
+
+
+def _bisected_omega(q: float, s2: float) -> mp.mpf:
+    """omega_q(s2) by bisection on H_q(z) = s2 over [1, q'] to 2^-240 of its
+    width, at the caller's precision; H_q decreases there."""
+    q_, s2_ = mp.mpf(q), mp.mpf(s2)
+    lo, hi = mp.mpf(1), q_ / (q_ - 1)
+    for _ in range(240):
+        mid = (lo + hi) / 2
+        if mid ** (q_ - 1) * (q_ - (q_ - 1) * mid) > s2_:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0])
+@pytest.mark.parametrize("gap", [1e-10, 1e-12, 1e-14])
+def test_oracle_omega_where_s2_nears_one(q, gap):
+    # H_q - s2 has a near-double point at z = 1 here; the oracle, at 40
+    # digits, must agree with a 70-digit bisection
+    s2 = 1.0 - gap
+    with mp.workdps(40):
+        got = omega_q(q, s2)
+    with mp.workdps(70):
+        assert abs(got - _bisected_omega(q, s2)) <= mp.mpf(10) ** -35

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hardyconst.errors import (
 )
 from hardyconst.sensitivity import delta_eval, gamma_eval
 from hardyconst.solver import _alpha, _residual_at
-from hardyconst.special import _omega_between, _omega_near, h_eval
+from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h, _omega_near, h_eval
 
 E2 = Exponents(2.0, 1.5)
 E3 = Exponents(3.0, 2.0)
@@ -437,9 +438,11 @@ class TestOmegaCertificate:
 
     @pytest.mark.parametrize("estimate", [1.0, 2.5, 3.0], ids=["low", "high", "top"])
     def test_bracket_missing_the_root_falls_back_to_natural(self, estimate):
-        assert _omega_near(self.Q, self.TAU, estimate) == _omega_between(
-            self.Q, self.TAU, 1.0, 1.0, 3.0, 0.0
-        )
+        # the kernel on [1, q'] = [1, 3] with omega's xtol and k1
+        natural = _bracketed_root(
+            partial(_h, self.Q), 1.0, 3.0, 1.0, 0.0, 3.0 * _BRACKET_REL_TOL, self.TAU, 0.1
+        )[2]
+        assert _omega_near(self.Q, self.TAU, estimate) == natural
 
 
 class TestSolutionRecord:
@@ -461,6 +464,8 @@ class TestSolutionRecord:
                 assert sol.alpha == alpha_eval(e, pt.s2)
                 assert sol.tau == tau_eval(e, pt, sol.t)
                 assert abs(h_eval(e.q, sol.omega_q_tau) - sol.tau) <= 1e-15
-                at_t = _residual_at(e, pt, sol.t, sol.omega_q_tau, sol.alpha)
+                at_t = _residual_at(
+                    e, pt.s1, pt.s1 / pt.s2, sol.t, sol.omega_q_tau, sol.alpha, math.pow
+                )
                 assert sol.residual == at_t
         assert n_ok >= 12

@@ -1,6 +1,7 @@
 """Inverse-function layer: H_r, its derivative, and omega_r = H_r^{-1}."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
-from hardyconst.special import _omega_between
+from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h
 
 R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -146,6 +147,15 @@ def test_omega_against_mpmath(r):
         assert abs(omega(r, s) - z) <= 4e-15 * top + 4 * r * eps / slope
 
 
+def _omega_between(r: float, s: float, z_lo: float, z_hi: float) -> float:
+    """omega_r(s) by the root kernel on [z_lo, z_hi] with ``omega``'s
+    schedule: xtol 1e-15 r' and the natural bracket's k1, 0.2/(r'-1)."""
+    top = conjugate(r)
+    ends = h_eval(r, z_lo), h_eval(r, z_hi)
+    xtol, k1 = _BRACKET_REL_TOL * top, 0.2 / (top - 1.0)
+    return _bracketed_root(partial(_h, r), z_lo, z_hi, *ends, xtol, s, k1)[2]
+
+
 class TestOmegaBetween:
     @staticmethod
     def _sub_brackets(r, rng, n=200):
@@ -171,7 +181,7 @@ class TestOmegaBetween:
         rng = np.random.default_rng(int(100 * r))
         top = conjugate(r)
         for s, z_lo, z_hi in self._sub_brackets(r, rng):
-            z = _omega_between(r, s, z_lo, h_eval(r, z_lo), z_hi, h_eval(r, z_hi))
+            z = _omega_between(r, s, z_lo, z_hi)
             assert z_lo <= z <= z_hi
             assert abs(z - omega(r, s)) <= 1e-15 * top
 
@@ -190,7 +200,7 @@ class TestOmegaBetween:
             if z_hi - z_lo > 1e-15 * top:
                 continue
             n_tight += 1
-            z = _omega_between(r, s, z_lo, h_eval(r, z_lo), z_hi, h_eval(r, z_hi))
+            z = _omega_between(r, s, z_lo, z_hi)
             assert z_lo <= z <= z_hi
             assert abs(z - omega(r, s)) <= 1e-15 * top
         assert n_tight >= 50

@@ -125,13 +125,39 @@ def _failing_at_call(solve, n):
 
 
 def _failing_g(u_equation):
-    """_u_equation, except that each g it returns raises ConvergenceError."""
+    """_u_equation, except that each g it returns on floats raises
+    ConvergenceError."""
 
-    def wrapped(e, pt, k):
-        def g(u):
+    def wrapped(e, s1, ratio, k, pw):
+        g, t_of = u_equation(e, s1, ratio, k, pw)
+        if pw is not math.pow:
+            return g, t_of
+
+        def failing(u):
             raise ConvergenceError("injected in a straggler's g")
 
-        return g, u_equation(e, pt, k)[1]
+        return failing, t_of
+
+    return wrapped
+
+
+def _failing_lane_g(u_equation, n):
+    """_u_equation, except that the n-th evaluation (1-based) of a g it
+    returns on lanes raises ConvergenceError."""
+    calls = [0]
+
+    def wrapped(e, s1, ratio, k, pw):
+        g, t_of = u_equation(e, s1, ratio, k, pw)
+        if pw is math.pow:
+            return g, t_of
+
+        def counted(u):
+            calls[0] += 1
+            if calls[0] == n:
+                raise ConvergenceError(f"injected at lane evaluation {n}")
+            return g(u)
+
+        return counted, t_of
 
     return wrapped
 
@@ -142,8 +168,8 @@ def _failing_h(r, z):
 
 def test_sign_suite_raises_solver_defect(monkeypatch):
     # sign_suite solves its grid in lanes, and only the stragglers of its u
-    # solve evaluate g through the solver's scalar _u_equation: the defect
-    # is injected there, and must propagate, not count as a skip
+    # solve evaluate g on floats, through _u_equation with math.pow: the
+    # defect is injected there, and must propagate, not count as a skip
     failing = _failing_g(hardyconst.solver._u_equation)
     monkeypatch.setattr(hardyconst.solver, "_u_equation", failing)
     with pytest.raises(ConvergenceError, match="injected in a straggler's g"):
@@ -168,9 +194,9 @@ def test_sign_suite_raises_a_certificate_stragglers_defect(monkeypatch):
 def test_sign_suite_raises_a_lock_step_pass_defect(monkeypatch):
     # g's lane calls are g(u_b), g(u_a), g(u_top), then the u solve's passes
     monkeypatch.setattr(
-        hardyconst.solver, "_g_lanes", _failing_at_call(hardyconst.solver._g_lanes, 4)
+        hardyconst.solver, "_u_equation", _failing_lane_g(hardyconst.solver._u_equation, 4)
     )
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="injected at lane evaluation 4"):
         sign_suite(E2, 10)
 
 

@@ -6,7 +6,9 @@ the gate for the solver's cost.  Each limit is 1.2x the count measured when
 the guard was set.  H_r is counted at ``special._h``, which the root
 kernel's evaluations, ``h_eval``'s after its checks and ``_omega_near``'s
 at its bracket ends go through, and at ``special._h_slope``, which
-evaluates H_r and H_r' for ``omega``'s Newton steps.  Deciding solvability in t again, with a tau-feasibility solve and
+evaluates H_r and H_r' for ``omega``'s Newton steps.  g is counted at the
+functions ``solver._u_equation`` returns, once per lane on arrays.
+Deciding solvability in t again, with a tau-feasibility solve and
 omega_q inverted at the bracket's top (374 H_r per row, 22 per solve, 25 on
 the stiff pair), would exceed the H_r limits, and so, on the stiff pair,
 would a certificate that inverted omega_q on its natural bracket; the
@@ -20,9 +22,9 @@ lock-step passes and the stragglers it finishes in the scalar kernel must
 together do exactly the scalar kernel's evaluations, in no more passes than
 the costliest single inversion's evaluations.  ``inverse_suite`` inverts
 all of its exponents' grids in one call, and ``endgame_suite`` every s2 it
-reads in one call, once each, with no scalar ``omega``, ``_omega_near`` or
-``_omega_between`` call (counted at every binding, so a fallback to one
-inversion per point shows), and forms F, F' and G from those values
+reads in one call, once each, with no scalar ``omega`` or ``_omega_near``
+call (counted at every binding, so a fallback to one inversion per point
+shows), and forms F, F' and G from those values
 exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.  inverse_suite's
 call brackets each lane narrowly around omega's Newton estimate: its
 lock-step passes and lane H_r evaluations, Newton's included, and its traced
@@ -33,6 +35,10 @@ peak memory are pinned too.
 their own scalar g must together evaluate g exactly as often as one
 ``solve_t`` per point does, and H_r exactly as often too, alpha(s2) and the
 certificate's inversions included.
+
+A scan row forms gamma and delta together, with one bracket factor B per
+ok row.  ``omega`` validates its exponent once per call, and the
+certificate, whose q ``Exponents`` has validated, not at all.
 
 The solver keeps the last alpha(s2), and decides solvability by one sign of
 g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
@@ -57,6 +63,7 @@ import pytest
 import hardyconst.asymptotics
 import hardyconst.errors
 import hardyconst.hardy
+import hardyconst.sensitivity
 import hardyconst.solver
 import hardyconst.special
 import hardyconst.verify
@@ -73,6 +80,11 @@ from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite, si
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
 S1_TOP = S2 ** ((E3.p - 1.0) / (E3.q - 1.0))
+#: one 24-point row from 1e-3 to 0.999 of s1's top, like the benchmark's rows
+SCAN_ROW = [
+    "scan", "--p", "3", "--q", "2", "--s2", str(S2),
+    "--s1-min", repr(1e-3 * S1_TOP), "--s1-max", repr(0.999 * S1_TOP), "--n", "24",
+]
 
 #: H_r evaluations measured for the row and the solve below
 ROW_CALLS = 98
@@ -97,8 +109,10 @@ AFTER_HAS_ROOT_CALLS = 5
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of H_r, g and alpha(s2) evaluations made so far, as a dict."""
-    counts = {"h": 0, "g": 0, "alpha": 0}
+    """Counts of scalar H_r, g and alpha(s2) evaluations made so far, as a
+    dict.  g counts lane evaluations too, one per lane, and "g_lanes" counts
+    those alone; H_r's lane evaluations are ``lane_calls``'."""
+    counts = {"h": 0, "g": 0, "g_lanes": 0, "alpha": 0}
     h, h_slope = hardyconst.special._h, hardyconst.special._h_slope
     u_equation = hardyconst.solver._u_equation
     alpha_eval = hardyconst.solver.alpha_eval
@@ -107,16 +121,18 @@ def calls(monkeypatch):
         counts["h"] += 1
         return h(r, z)
 
-    def counted_h_slope(r, z):
-        counts["h"] += 1
-        return h_slope(r, z)
+    def counted_h_slope(r, z, pw):
+        counts["h"] += np.ndim(z) == 0
+        return h_slope(r, z, pw)
 
-    def counted_u_equation(e, pt, k):
-        g, t_of = u_equation(e, pt, k)
+    def counted_u_equation(e, s1, ratio, k, pw):
+        g, t_of = u_equation(e, s1, ratio, k, pw)
 
         def counted_g(u):
-            counts["g"] += 1
-            return g(u)
+            out = g(u)
+            counts["g"] += np.size(out)
+            counts["g_lanes"] += np.size(out) if np.ndim(out) else 0
+            return out
 
         return counted_g, t_of
 
@@ -132,17 +148,29 @@ def calls(monkeypatch):
 
 
 def test_scan_row(calls, capsys):
-    # one 24-point row from 1e-3 to 0.999 of s1's top, like the benchmark's rows
-    code = main([
-        "scan", "--p", "3", "--q", "2", "--s2", str(S2),
-        "--s1-min", repr(1e-3 * S1_TOP), "--s1-max", repr(0.999 * S1_TOP), "--n", "24",
-    ])
+    code = main(SCAN_ROW)
     rows = capsys.readouterr().out.splitlines()[1:]
     assert code == 0
     assert [row.rsplit(",", 1)[1] for row in rows] == ["ok"] * 24
     assert calls["h"] <= 1.2 * ROW_CALLS
     assert calls["g"] <= 1.2 * ROW_G_CALLS
     assert calls["alpha"] == 1
+
+
+def test_scan_row_forms_the_signs_once_per_row(monkeypatch, capsys):
+    # gamma and delta share one B(u) per ok row: a row that formed them
+    # apart, through gamma_eval and delta_eval, would form it twice
+    bracket_factor, formed = hardyconst.sensitivity._bracket_factor, []
+
+    def counted(e, u):
+        formed.append(u)
+        return bracket_factor(e, u)
+
+    monkeypatch.setattr(hardyconst.sensitivity, "_bracket_factor", counted)
+    code = main(SCAN_ROW)
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert len(formed) == sum(row.endswith(",ok") for row in rows) == 24
 
 
 def test_solve(calls):
@@ -186,15 +214,31 @@ def test_dt_ds1_row_evaluates_alpha_once(calls):
     assert calls["alpha"] == 1
 
 
-def test_certificate_validates_the_exponent_once(monkeypatch):
-    # q was validated when the point was decided: the certificate checks it
-    # only in _omega_between, not again in h_eval at each bracket end
-    check, certificate = hardyconst.special._check_exponent, hardyconst.solver._omega_near
-    checks, per_certificate = [], []
+@pytest.fixture
+def checks(monkeypatch):
+    """The exponents ``special._check_exponent`` has been called on, in order."""
+    seen, check = [], hardyconst.special._check_exponent
 
     def counted_check(r):
-        checks.append(r)
+        seen.append(r)
         check(r)
+
+    monkeypatch.setattr(hardyconst.special, "_check_exponent", counted_check)
+    return seen
+
+
+def test_omega_validates_the_exponent_once(checks):
+    for s in (0.0, 0.3, 1.0 - 1e-9, 1.0):
+        checks.clear()
+        omega(2.5, s)
+        assert checks == [2.5]
+
+
+def test_certificate_validates_no_exponent(monkeypatch, checks):
+    # q was validated when Exponents was built: the certificate does not
+    # check it again, neither for the kernel nor at each bracket end
+    certificate = hardyconst.solver._omega_near
+    per_certificate = []
 
     def counted_certificate(q, tau, w):
         before = len(checks)
@@ -202,10 +246,9 @@ def test_certificate_validates_the_exponent_once(monkeypatch):
         per_certificate.append(len(checks) - before)
         return result
 
-    monkeypatch.setattr(hardyconst.special, "_check_exponent", counted_check)
     monkeypatch.setattr(hardyconst.solver, "_omega_near", counted_certificate)
     solve_t(E3, ParamPoint(0.2, S2))
-    assert per_certificate == [1]
+    assert per_certificate == [0]
 
 
 def test_solve_stiff_pair(calls):
@@ -253,13 +296,14 @@ def _scalar_work(r, s, calls) -> list[int]:
 @pytest.fixture
 def lane_calls(monkeypatch, calls):
     """The (r, s) of each ``_omega_lanes`` call, at ``special`` and in
-    ``verify``, the lane count of each ``_h_lanes`` and ``_h_slope_lanes``
-    call, i.e. of each bracket end's evaluation and each lock-step ITP or
-    Newton pass, and the scalar H_r evaluations of the stragglers that each
-    ``_omega_lanes`` call finishes in the scalar kernel."""
+    ``verify``, the lane count of each ``_h_lanes`` call and each
+    ``_h_slope`` call on lanes, i.e. of each bracket end's evaluation and
+    each lock-step ITP or Newton pass, and the scalar H_r evaluations of the
+    stragglers that each ``_omega_lanes`` call finishes in the scalar
+    kernel."""
     seen = {"omega": [], "h": [], "newton": [], "stragglers": []}
     omega_lanes = hardyconst.special._omega_lanes
-    h_lanes, h_slope_lanes = hardyconst.special._h_lanes, hardyconst.special._h_slope_lanes
+    h_lanes, h_slope = hardyconst.special._h_lanes, hardyconst.special._h_slope
 
     def counted_omega_lanes(r, s):
         seen["omega"].append((r, s))
@@ -272,14 +316,15 @@ def lane_calls(monkeypatch, calls):
         seen["h"].append(z.size)
         return h_lanes(r, z)
 
-    def counted_h_slope_lanes(r, z):
-        seen["newton"].append(z.size)
-        return h_slope_lanes(r, z)
+    def counted_h_slope(r, z, pw):
+        if np.ndim(z):
+            seen["newton"].append(z.size)
+        return h_slope(r, z, pw)
 
     monkeypatch.setattr(hardyconst.special, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.verify, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
-    monkeypatch.setattr(hardyconst.special, "_h_slope_lanes", counted_h_slope_lanes)
+    monkeypatch.setattr(hardyconst.special, "_h_slope", counted_h_slope)
     return seen
 
 
@@ -296,11 +341,11 @@ def _passes(seen) -> int:
 
 @pytest.fixture
 def scalar_inversions(monkeypatch):
-    """The (r, s) of each scalar ``omega``, ``_omega_near`` and
-    ``_omega_between`` call, at every module binding of each."""
+    """The (r, s) of each scalar ``omega`` and ``_omega_near`` call, at
+    every module binding of each."""
     seen = []
     for module in (hardyconst.special, hardyconst.solver, hardyconst.verify, hardyconst.asymptotics):
-        for name in ("omega", "_omega_near", "_omega_between"):
+        for name in ("omega", "_omega_near"):
             if hasattr(module, name):
 
                 def counted(r, s, *rest, inner=getattr(module, name)):
@@ -412,9 +457,8 @@ def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
     scalar = dict(calls)
     for key in calls:
         calls[key] = 0
-    lanes = {"g": 0, "h": 0, "solve_t": 0}
+    lanes = {"h": 0, "solve_t": 0}
     for module, name, key in [
-        (hardyconst.solver, "_g_lanes", "g"),
         (hardyconst.special, "_h_lanes", "h"),
         (hardyconst.solver, "solve_t", "solve_t"),
         (hardyconst.verify, "solve_t", "solve_t"),
@@ -429,8 +473,9 @@ def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
     _alpha.cache_clear()
     sign_suite(e, n)
     assert lanes["solve_t"] == 0
-    assert lanes["g"] > 0 and calls["g"] > 0
-    assert lanes["g"] + calls["g"] == scalar["g"]
+    # g in the lock-step passes and in the stragglers' scalar kernel
+    assert calls["g_lanes"] > 0 and calls["g"] > calls["g_lanes"]
+    assert calls["g"] == scalar["g"]
     assert lanes["h"] + calls["h"] == scalar["h"]
     assert calls["alpha"] == scalar["alpha"] == n
 
