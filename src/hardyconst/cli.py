@@ -4,11 +4,13 @@ All numeric output is CSV with the fixed header below, reals serialized
 with 17 significant digits (``format(x, ".17g")``), so reruns with identical
 configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
-once per s2, so a row formats only its own seven floats.  ``hardy`` runs
-its quadrature once per chunk of samples (``hardy._verified_samples``) and
-prints each sample's line as its chunk comes out; on an error it prints
-the lines of the samples before the failing one, exactly as checking one
-sample at a time would.  Diagnostics go to stderr as "error: <name>: <detail>".
+once per s2, so a row formats only its own seven floats.  Neither loads
+numpy: ``scan``'s grid is ``_s1_grid``, and ``verify``, array code
+throughout, is imported by its command.  ``hardy`` runs its quadrature once
+per chunk of samples (``hardy._verified_samples``) and prints each sample's
+line as its chunk comes out; on an error it prints the lines of the samples
+before the failing one, exactly as checking one sample at a time would.
+Diagnostics go to stderr as "error: <name>: <detail>".
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
 2 usage or domain error, 3 I/O error.
@@ -22,8 +24,6 @@ import sys
 from collections.abc import Sequence
 from functools import cache
 
-import numpy as np
-
 from .domain import ParamPoint
 from .errors import (
     DomainError,
@@ -35,7 +35,6 @@ from .hardy import _verified_samples
 from .sensitivity import _signs
 from .solver import solve_t
 from .special import Exponents
-from .verify import run_all_suites
 
 CSV_HEADER = "p,q,s1,s2,t,tau,gamma,delta,dt_ds1,residual,status"
 
@@ -57,6 +56,16 @@ def _ok_row(e: Exponents, pt: ParamPoint, head: str, mid: str) -> str:
     )
 
 
+def _s1_grid(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist() bit for bit: point i < n - 1 is i*step + lo,
+    or (i/div)*(hi - lo) + lo where step underflows to 0.  Allocated whole first,
+    so that a grid too large for memory, or for a list, fails at once."""
+    grid, div = [hi] * n, n - 1
+    step = (hi - lo) / div
+    grid[:-1] = (i * step + lo if step else i / div * (hi - lo) + lo for i in range(div))
+    return grid
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     e = Exponents(args.p, args.q)
     pt = ParamPoint(args.s1, args.s2)
@@ -76,8 +85,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise DomainError(f"need a grid of at least 2 points, got n={args.n}")
     e = Exponents(args.p, args.q)
     try:
-        grid = np.linspace(args.s1_min, args.s1_max, args.n).tolist()
-    except MemoryError:
+        grid = _s1_grid(args.s1_min, args.s1_max, args.n)
+    except (MemoryError, OverflowError):
         raise DomainError(f"an s1 grid of --n {args.n} points does not fit in memory") from None
     head = f"{e.p:.17g},{e.q:.17g},"
     lines = [CSV_HEADER]
@@ -103,6 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(f"grid must be at least 10, got {args.grid}")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {args.tol}")
+    from .verify import run_all_suites
     e = Exponents(args.p, args.q)
     results = run_all_suites(e, grid_n=args.grid, tol=args.tol)
     for res in results:

@@ -26,8 +26,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .special import Exponents, h_eval, omega
 
@@ -100,6 +98,7 @@ def in_domain(e: Exponents, pt: ParamPoint) -> Membership:
 
 def _outside_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """``in_domain`` on lanes of valid points: True where it is not INSIDE."""
+    import numpy as np
     lower = np.float_power(s1, (e.q - 1.0) / (e.p - 1.0))
     on_lower = np.abs(s2 - lower) <= BOUNDARY_TOL
     return on_lower | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)

@@ -35,8 +35,6 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import ParamPoint, lower_curve
 from .errors import (
     BoundaryCaseError,
@@ -50,15 +48,14 @@ from .solver import BellmanSolution, solve_t
 from .special import Exponents
 
 #: the 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16) bit for
-#: bit; nodes and weights are symmetric about 0, so the upper half is written
-_GL_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                  0.9445750230732326, 0.9894009349916499])
-_GL_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                  0.062253523938647456, 0.027152459411754176])
-_GL_NODES = np.concatenate((-_GL_X[::-1], _GL_X))
-_GL_WEIGHTS = np.concatenate((_GL_W[::-1], _GL_W))
+#: bit, as tuples: no array is built at import.  Nodes and weights are
+#: symmetric about 0, so the upper half is written
+_GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_GL_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+         0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_GL_NODES = tuple(-x for x in reversed(_GL_X)) + _GL_X
+_GL_WEIGHTS = _GL_W[::-1] + _GL_W
 
 #: multiplicative slack for power-mean comparisons (pure rounding allowance)
 _CHAIN_SLACK = 1e-12
@@ -209,6 +206,7 @@ def _lhs_rows(hs: Sequence[StepFunction], e: Exponents) -> Iterator[tuple[float,
     as (s0 + s2) + (s1 + s3), the order of OpenBLAS's Haswell dot; c and
     each step function's totals add left to right.
     """
+    import numpy as np
     v = np.array([h.values for h in hs])
     b = np.array([h.breakpoints for h in hs])
     b0, b1 = b[:, :-1], b[:, 1:]
@@ -329,6 +327,7 @@ def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
     """``sample_step``'s sample with its moments, its induced point and the
     solve there.  ``solve_t`` raises OutsideDomainError or NoRootError
     exactly when ``has_root`` is false, so its solve is the decision."""
+    import numpy as np
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if k < 2:

@@ -105,8 +105,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Membership, ParamPoint, _outside_lanes, in_domain
 from .errors import (
     DomainError,
@@ -356,6 +354,7 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     raises what solve_t raises; an invalid (s1, s2) raises ParamPoint's
     DomainError before anything is solved.
     """
+    import numpy as np
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     valid = (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
     if not valid.all():
@@ -399,6 +398,7 @@ def _inside_lanes(
     then the residual.  g, t and the residual are ``_u_equation``'s and
     ``_residual_at``'s, with pw = np.float_power.
     """
+    import numpy as np
     p, q = e.p, e.q
     lane = np.arange(s1.size)
     start = np.flatnonzero(np.r_[True, s2[1:] != s2[:-1]])

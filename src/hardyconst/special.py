@@ -58,6 +58,8 @@ finishes entirely in the scalar kernel.  Peak
 memory is about 34 floats per lane in ``_omega_lanes`` (1.6 MB for
 inverse_suite's 6,000 lanes), reached at the first pass that drops
 finished lanes, and 67 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
+Each lane function imports numpy itself, so that the scalar paths (``omega``
+and everything ``solve_t`` runs) load none.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
 library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
@@ -77,8 +79,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from .errors import DomainError, SingularityError
 
@@ -349,6 +349,7 @@ def omega(r: float, s: float) -> float:
 
 def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
     """``_h`` on an array of z and one r or one r per lane, bit for bit."""
+    import numpy as np
     val = np.float_power(z, r - 1.0) * (r - (r - 1.0) * z)
     val[(-1e-13 < val) & (val < 0.0)] = 0.0
     return val
@@ -361,6 +362,7 @@ def _scale_lanes(w: np.ndarray, xtol: np.ndarray) -> np.ndarray:
     ceil(log2(v)) is exact from frexp, except at or just above a power of
     two, where math.log2 may round down onto it; there it is math.log2's.
     """
+    import numpy as np
     v = np.maximum(w / xtol, 1.0)
     m, n = np.frexp(v)
     n = n.astype(float)
@@ -398,6 +400,7 @@ def _root_lanes(
     entirely in the scalar kernel.  Returns each lane's final (a, b, best
     point).
     """
+    import numpy as np
     out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     idx = np.arange(a.size)
     if k1 is None:
@@ -463,6 +466,7 @@ def _root_lanes(
 def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``_omega_start`` on lanes, lane i's exponent exps[k[i]], bit for bit;
     a lane leaves the Newton passes once it stops."""
+    import numpy as np
     a, b, c3, c4, c5 = np.array([_start_poly(x) for x in exps.tolist()])[k].T
     r = exps[k]
     top, t = r / (r - 1.0), np.sqrt(1.0 - s)
@@ -488,6 +492,7 @@ def _omega_lanes(
     solves ``_h`` - s = 0: its end values have s subtracted, and (fa + s) - s
     need not round back to fa.  A bad r or an s outside [0, 1] raises
     ``omega``'s DomainError for one such lane."""
+    import numpy as np
     s = np.asarray(s, dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
     for x in exps.tolist():

@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
 import hardyconst.hardy
 from hardyconst import StepFunction
-from hardyconst.cli import CSV_HEADER, _build_parser, main
+from hardyconst.cli import CSV_HEADER, _build_parser, _s1_grid, main
 from hardyconst.errors import ConvergenceError
 
 ANCHOR_ARGS = ["--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
@@ -161,11 +162,12 @@ class TestScan:
         assert out == ""
 
     def test_grid_too_large_for_memory(self, capsys, monkeypatch):
-        # numpy raises MemoryError for a grid it cannot allocate; none is made here
+        # the grid's one allocation raises MemoryError for a grid that does
+        # not fit; none is made here
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np, "linspace", no_memory)
+        monkeypatch.setattr("hardyconst.cli._s1_grid", no_memory)
         code, out, err = run(capsys, [
             "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
             "--s1-min", "1e-3", "--s1-max", "0.5", "--n", "100000000000",
@@ -175,6 +177,41 @@ class TestScan:
             "error: domain-error: an s1 grid of --n 100000000000 points does not fit in memory\n"
         )
         assert out == ""
+
+    @pytest.mark.parametrize("n", [str(2**61), str(10**20)], ids=["2^61", "1e20"])
+    def test_grid_past_the_address_space(self, capsys, n):
+        # the real allocation: a list this long is refused before any memory
+        # is asked for, or its length is no index, so the request fails at
+        # once with the same message
+        code, out, err = run(capsys, [
+            "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
+            "--s1-min", "1e-3", "--s1-max", "0.5", "--n", n,
+        ])
+        assert code == 2
+        assert err == f"error: domain-error: an s1 grid of --n {n} points does not fit in memory\n"
+        assert out == ""
+
+    def test_grid_is_linspace_bit_for_bit(self):
+        # scan's grid builds no array; it must still be np.linspace's floats,
+        # on the scan's own range and on ends whose step underflows to 0
+        rng = random.Random(20251019)
+        cases = [(5e-324, 1e-323, n) for n in (2, 3, 4, 7, 50)]
+        for _ in range(4000):
+            kind = rng.randrange(3)
+            n = rng.choice((2, 3, rng.randrange(2, 40), rng.randrange(2, 400)))
+            if kind == 0:  # scan's range, 0 < s1-min < s1-max < 1
+                lo, hi = sorted((rng.random(), rng.random()))
+            elif kind == 1:  # any magnitude, narrow to wide
+                lo = 10.0 ** rng.uniform(-320.0, 0.0)
+                hi = lo * (1.0 + 10.0 ** rng.uniform(-16.0, 2.0))
+            else:  # a few subnormal ulps apart
+                lo = rng.randrange(0, 40) * 5e-324
+                hi = lo + rng.randrange(1, 20) * 5e-324
+            cases.append((lo, hi, n))
+        assert sum((hi - lo) / (n - 1) == 0.0 for lo, hi, n in cases) > 100
+        for lo, hi, n in cases:
+            want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+            assert [x.hex() for x in _s1_grid(lo, hi, n)] == want, (lo, hi, n)
 
     def test_empty_s2_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

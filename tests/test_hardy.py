@@ -367,8 +367,9 @@ def test_draw_rejects_exactly_where_has_root_is_false(e):
 
 
 def test_gauss_legendre_literals_are_leggauss():
-    # the rule is written as float literals, which import no numpy.polynomial
-    # and need no eigenvalue solve; they are numpy's 16-point rule bit for bit
+    # the rule is written as tuples of float literals, which import no numpy,
+    # build no array and need no eigenvalue solve; they are numpy's 16-point
+    # rule bit for bit
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert _GL_NODES.tobytes() == nodes.tobytes()
-    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+    assert np.array(_GL_NODES).tobytes() == nodes.tobytes()
+    assert np.array(_GL_WEIGHTS).tobytes() == weights.tobytes()

@@ -6,9 +6,14 @@ any lane function (named ``*_lanes``) or any formula shared by floats and
 lanes (a function with a parameter ``pw``, the power it runs on) use
 ``**``, which on arrays is ``np.power``.  Only ``special._root_lanes``, the lane kernel, resumes the
 scalar root kernel part-way: a resumed schedule anywhere else would move the
-floats of ``omega``, the solver's certificate or its u solve."""
+floats of ``omega``, the solver's certificate or its u solve.  numpy is
+loaded by the functions that build arrays, not by importing the package or
+the CLI, nor by ``solve`` and ``scan``, which compute on floats."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,3 +255,38 @@ def test_only_the_lane_kernel_resumes_the_root_kernel():
         for use in resume_callers(path.read_text(encoding="utf-8"))
     ]
     assert callers == ["special._root_lanes"]
+
+
+SOLVE = ["solve", "--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
+SCAN = ["scan", "--p", "3", "--q", "2", "--s2", "0.6", "0.9",
+        "--s1-min", "0.05", "--s1-max", "0.4", "--n", "12"]
+#: code run in a fresh interpreter, after which numpy must not be loaded
+NO_NUMPY = {
+    "import": "import hardyconst",
+    "cli-parser": "import hardyconst.cli as cli; cli._build_parser()",
+    "solve": f"import hardyconst.cli as cli; assert cli.main({SOLVE!r}) == 0",
+    "scan": f"import hardyconst.cli as cli; assert cli.main({SCAN!r}) == 0",
+}
+
+
+def fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with the package under test on its path."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("code", NO_NUMPY.values(), ids=NO_NUMPY)
+def test_point_paths_load_no_numpy(code):
+    proc = fresh(["-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hardy", "--p", "2", "--q", "1.5", "--samples", "2"],
+    ["verify", "--p", "2", "--q", "1.5", "--grid", "10"],
+], ids=["hardy", "verify"])
+def test_array_commands_load_numpy_where_they_run(argv):
+    proc = fresh(["-m", "hardyconst", *argv])
+    assert proc.returncode == 0, proc.stderr
