@@ -5,7 +5,7 @@ with 17 significant digits (``format(x, ".17g")``), so reruns with identical
 configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
 once per s2, so a row formats only its own seven floats.  Neither loads
-numpy: ``scan``'s grid is ``_s1_grid``, and ``verify``, array code
+numpy: ``scan``'s grid is ``domain._linspace``, and ``verify``, array code
 throughout, is imported by its command.  ``hardy`` runs its quadrature once
 per chunk of samples (``hardy._verified_samples``) and prints each sample's
 line as its chunk comes out; on an error it prints the lines of the samples
@@ -24,7 +24,7 @@ import sys
 from collections.abc import Sequence
 from functools import cache
 
-from .domain import ParamPoint
+from .domain import ParamPoint, _linspace
 from .errors import (
     DomainError,
     HardyConstError,
@@ -56,16 +56,6 @@ def _ok_row(e: Exponents, pt: ParamPoint, head: str, mid: str) -> str:
     )
 
 
-def _s1_grid(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n).tolist() bit for bit: point i < n - 1 is i*step + lo,
-    or (i/div)*(hi - lo) + lo where step underflows to 0.  Allocated whole first,
-    so that a grid too large for memory, or for a list, fails at once."""
-    grid, div = [hi] * n, n - 1
-    step = (hi - lo) / div
-    grid[:-1] = (i * step + lo if step else i / div * (hi - lo) + lo for i in range(div))
-    return grid
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     e = Exponents(args.p, args.q)
     pt = ParamPoint(args.s1, args.s2)
@@ -85,7 +75,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise DomainError(f"need a grid of at least 2 points, got n={args.n}")
     e = Exponents(args.p, args.q)
     try:
-        grid = _s1_grid(args.s1_min, args.s1_max, args.n)
+        grid = _linspace(args.s1_min, args.s1_max, args.n)
     except (MemoryError, OverflowError):
         raise DomainError(f"an s1 grid of --n {args.n} points does not fit in memory") from None
     head = f"{e.p:.17g},{e.q:.17g},"

@@ -18,6 +18,9 @@ which the constant is omega_p(s1) in closed form, and the horizontal
 threshold s2 = H_q(p/(p-1)).  The small-s1 limit F(s2) of gamma has one
 formula on both sides of the threshold; what changes there is the sign of
 F': F increases below it and decreases above it.
+
+``_linspace`` is the evenly spaced grid of ``scan``'s s1 and ``verify``'s
+suites, np.linspace's floats as a list, built without numpy.
 """
 
 from __future__ import annotations
@@ -94,6 +97,17 @@ def in_domain(e: Exponents, pt: ParamPoint) -> Membership:
     if pt.s2 < lower or pt.s2 >= 1.0 or pt.s1 >= 1.0:
         return Membership.OUTSIDE
     return Membership.INSIDE
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist() bit for bit: point i < n - 1 is i*step + lo,
+    or (i/div)*(hi - lo) + lo where step underflows to 0.  Allocated whole first,
+    so that a grid too large for memory, or for a list, fails at once, with
+    MemoryError or OverflowError."""
+    grid, div = [hi] * n, n - 1
+    step = (hi - lo) / div
+    grid[:-1] = (i * step + lo if step else i / div * (hi - lo) + lo for i in range(div))
+    return grid
 
 
 def _outside_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

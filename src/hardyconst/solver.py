@@ -86,16 +86,16 @@ tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
 Newton estimate.
 
 ``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
-to it bit for bit on every field and verdict: the same pipeline on numpy
-arrays, with both root solves in ``special._root_lanes``, alpha once per
-run of equal s2, and g, t and the residual from the functions ``solve_t``
-uses (``_u_equation``, ``_residual_at``) with pw = np.float_power.  A call
-costs ~0.7 ms with one lane against ~0.05 ms for ``solve_t``, breaks even
-near 100 lanes of scattered points, and takes ~8 ms for 1,000 against ~26
-ms (process CPU time on (3, 2), 2 shared x86-64 vCPUs), so
-``verify.sign_suite`` solves its grid with it and callers of single points
-keep ``solve_t``.  It is public in this module, not in the package:
-``verify`` may import no private solver name.
+to it bit for bit on the verdict and on t, u and alpha, the fields
+``verify.sign_suite`` reads; it makes no certificate.  It runs the same
+pipeline on numpy arrays, with the u solve in ``special._root_lanes``,
+alpha once per run of equal s2, and g and t from ``_u_equation`` with pw =
+np.float_power.  A call costs ~0.17 ms with one lane against ~0.014 ms for
+``solve_t``, breaks even near 25 lanes of scattered points, and takes ~5.2
+ms for 1,000 against ~18 ms (process CPU time on (3, 2), min of 7 rounds,
+2 shared x86-64 vCPUs), so ``verify.sign_suite`` solves its grid with it
+and callers of single points keep ``solve_t``.  It is public in this
+module, not in the package: ``verify`` may import no private solver name.
 """
 
 from __future__ import annotations
@@ -113,14 +113,7 @@ from .errors import (
     OutsideDomainError,
     SingularityError,
 )
-from .special import (
-    Exponents,
-    _bracketed_root,
-    _omega_lanes,
-    _omega_near,
-    _root_lanes,
-    omega,
-)
+from .special import Exponents, _bracketed_root, _omega_near, _root_lanes, omega
 
 #: margin by which the root must lie above t = 1
 _ENDPOINT_MARGIN = 1e-12
@@ -192,15 +185,14 @@ def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
         raise InfeasibleTauError(f"tau={tau} left [0, 1] at t={t}; omega_q is undefined there")
-    return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, tau), a2, math.pow)
+    return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, tau), a2)
 
 
-def _residual_at(e: Exponents, s1, ratio, t, w, a2, pw: Callable):
+def _residual_at(e: Exponents, s1: float, ratio: float, t: float, w: float, a2: float) -> float:
     """Left minus right side of the implicit equation at t, with w =
-    omega_q(tau(t)) and ratio = s1/s2; floats with pw = math.pow, lanes with
-    pw = np.float_power."""
+    omega_q(tau(t)) and ratio = s1/s2."""
     p, q = e.p, e.q
-    lhs = q * (p * pw(w, q - 1.0) - (p - 1.0) * pw(w, q)) * (pw(t, p - q) - ratio)
+    lhs = q * (p * w ** (q - 1.0) - (p - 1.0) * w**q) * (t ** (p - q) - ratio)
     return lhs - (p - q) * s1 * a2
 
 
@@ -316,31 +308,27 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     w = _omega_near(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
         t=t, u=u, tau=tau, omega_q_tau=w,
-        residual=_residual_at(e, pt.s1, pt.s1 / pt.s2, t, w, a2, math.pow),
+        residual=_residual_at(e, pt.s1, pt.s1 / pt.s2, t, w, a2),
         bracket_width=width, alpha=a2,
     )
 
 
 @dataclass(frozen=True)
 class LaneSolutions:
-    """``solve_lanes``' result: each lane's verdict, and ``BellmanSolution``'s
-    fields as arrays, nan where the lane has no constant.
+    """``solve_lanes``' result: each lane's verdict, and the fields of
+    ``BellmanSolution`` that ``verify.sign_suite`` reads, as arrays, nan
+    where the lane has no constant.
 
     ok        solve_t returns a constant
     outside   solve_t raises OutsideDomainError; a lane neither ok nor
               outside is one where it raises NoRootError
-
-    The other fields follow ``BellmanSolution``'s, in its order.
+    t, u, alpha  solve_t's t, u and alpha
     """
 
     ok: np.ndarray
     outside: np.ndarray
     t: np.ndarray
     u: np.ndarray
-    tau: np.ndarray
-    omega_q_tau: np.ndarray
-    residual: np.ndarray
-    bracket_width: np.ndarray
     alpha: np.ndarray
 
 
@@ -350,8 +338,8 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     Runs solve_t's pipeline lane-wise (``_inside_lanes``) and returns each
     lane's verdict instead of raising OutsideDomainError or NoRootError.  A
     lane whose arithmetic meets a non-finite value, or a tau where
-    ``tau_eval`` or ``omega`` would raise, is solved by ``solve_t``, so it
-    raises what solve_t raises; an invalid (s1, s2) raises ParamPoint's
+    ``tau_eval`` would raise or omega_q(tau) is undefined, is solved by
+    ``solve_t``, so it raises what solve_t raises; an invalid (s1, s2) raises ParamPoint's
     DomainError before anything is solved.
     """
     import numpy as np
@@ -360,7 +348,7 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     if not valid.all():
         i = valid.argmin()
         ParamPoint(float(s1[i]), float(s2[i]))
-    fields = [np.full(s1.size, np.nan) for _ in range(7)]
+    t, u, a2 = (np.full(s1.size, np.nan) for _ in range(3))
     ok = np.zeros(s1.size, dtype=bool)
     with np.errstate(all="ignore"):
         outside = _outside_lanes(e, s1, s2)
@@ -368,35 +356,32 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
         u_top = _u_top(e)
         redo = []
         if idx.size and u_top > 0.0:
-            done, redo, values = _inside_lanes(e, u_top, s1[idx], s2[idx])
-            ok[idx[done]] = True
-            for field, v in zip(fields, values):
-                field[idx[done]] = v
+            done, redo, (t_in, u_in, a2_in) = _inside_lanes(e, u_top, s1[idx], s2[idx])
+            done = idx[done]
+            ok[done], t[done], u[done], a2[done] = True, t_in, u_in, a2_in
             redo = idx[redo].tolist()
     for i in redo:
         try:
             sol = solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
         except NoRootError:
             continue
-        ok[i] = True
-        for field, v in zip(fields, vars(sol).values()):
-            field[i] = v
-    return LaneSolutions(ok, outside, *fields)
+        ok[i], t[i], u[i], a2[i] = True, sol.t, sol.u, sol.alpha
+    return LaneSolutions(ok, outside, t, u, a2)
 
 
 def _inside_lanes(
     e: Exponents, u_top: float, s1: np.ndarray, s2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``solve_t`` on inside lanes, given u_top > 0: (the lanes with a
-    constant, the lanes for ``solve_t`` to redo, the constants' fields).
+    constant, the lanes for ``solve_t`` to redo, their t, u and alpha).
 
     The decision: alpha once per run of equal s2 through ``_alpha``, where
     the scalar loop computes it, K, ``_u_lo``'s Newton loop, masked, and
     g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
-    through ``_root_lanes``, with each straggler on its own scalar g; t and
-    its width; tau; and omega_q(tau) through ``_omega_lanes`` around w(u),
-    then the residual.  g, t and the residual are ``_u_equation``'s and
-    ``_residual_at``'s, with pw = np.float_power.
+    through ``_root_lanes``, with each straggler on its own scalar g; and t.
+    g and t are ``_u_equation``'s, with pw = np.float_power.  The width
+    and tau are formed only to find the lanes where solve_t's arithmetic
+    would meet a non-finite value or raise; no lane inverts omega_q.
     """
     import numpy as np
     p, q = e.p, e.q
@@ -429,7 +414,7 @@ def _inside_lanes(
     u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
     g_a = _u_equation(e, s1, ratio, k, np.float_power)[0](u)
     # the top cap, unless g(u_a) < 0
-    t, width = np.full(lane.size, cap), np.full(lane.size, e.p_conj - cap)
+    t = np.full(lane.size, cap)
     bad = ~np.isfinite(g_a)
     j = np.flatnonzero(g_a < 0.0)
     if j.size:
@@ -449,16 +434,13 @@ def _inside_lanes(
         t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
         t_u = t_of(u[j])
         t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
-        width[j] = np.abs(t_of(a) - t_of(b))
-        bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width[j]))
+        # solve_t's width |t(a) - t(b)|, formed for this check alone
+        width = t_of(a) - t_of(b)
+        bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width))
     denom = np.float_power(t, p - q) - ratio
     tau = (p - q) / p * (np.float_power(t, p) - s1) / denom
-    # tau_eval raises where denom <= 0, omega where tau leaves [0, 1]
+    # tau_eval raises where denom <= 0; omega_q(tau) is undefined where tau
+    # leaves [0, 1]
     bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
     redo.append(lane[bad])
-    lane, s1, ratio, a2, t, u, width, tau = (
-        v[~bad] for v in (lane, s1, ratio, a2, t, u, width, tau)
-    )
-    w = _omega_lanes(q, tau, (p - u) / (p - 1.0))
-    res = _residual_at(e, s1, ratio, t, w, a2, np.float_power)
-    return lane, np.sort(np.concatenate(redo)), (t, u, tau, w, res, width, a2)
+    return lane[~bad], np.sort(np.concatenate(redo)), (t[~bad], u[~bad], a2[~bad])

@@ -57,7 +57,7 @@ so steps exactly as the passes would; a call with no more lanes than that
 finishes entirely in the scalar kernel.  Peak
 memory is about 34 floats per lane in ``_omega_lanes`` (1.6 MB for
 inverse_suite's 6,000 lanes), reached at the first pass that drops
-finished lanes, and 67 in ``solver.solve_lanes`` (2.2 MB for 4,096 lanes).
+finished lanes, and 51 in ``solver.solve_lanes`` (1.7 MB for 4,096 lanes).
 Each lane function imports numpy itself, so that the scalar paths (``omega``
 and everything ``solve_t`` runs) load none.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
@@ -483,15 +483,13 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     return z
 
 
-def _omega_lanes(
-    r: float | np.ndarray, s: np.ndarray, near: np.ndarray | None = None
-) -> np.ndarray:
-    """``omega`` on a 1-D array of s, with one r or one r per lane, or
-    ``_omega_near`` from the estimates ``near``, bit for bit, in one
-    ``_root_lanes`` call; xtol and k1 are kept per distinct r.  A straggler
-    solves ``_h`` - s = 0: its end values have s subtracted, and (fa + s) - s
-    need not round back to fa.  A bad r or an s outside [0, 1] raises
-    ``omega``'s DomainError for one such lane."""
+def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
+    bit: ``_start_lanes``' estimates, then one ``_root_lanes`` call; xtol
+    and k1 are kept per distinct r.  A straggler solves ``_h`` - s = 0: its
+    end values have s subtracted, and (fa + s) - s need not round back to
+    fa.  A bad r or an s outside [0, 1] raises ``omega``'s DomainError for
+    one such lane."""
     import numpy as np
     s = np.asarray(s, dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
@@ -505,7 +503,7 @@ def _omega_lanes(
     xtol = _BRACKET_REL_TOL * top
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
-    near = _start_lanes(exps, k, y) if near is None else near[idx]
+    near = _start_lanes(exps, k, y)
     d, r_of = _NEAR_HALF_WIDTH * top[k], exps[k]
     a, b = np.maximum(1.0, near - d), np.minimum(top[k], near + d)
     del near, d

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
-from .domain import ParamPoint, threshold
+from .domain import ParamPoint, _linspace, threshold
 from .errors import DomainError, NoRootError, StencilError
 from .sensitivity import _signs, dt_ds1, gamma_eval
 from .solver import has_root, solve_lanes, solve_t
@@ -82,11 +82,12 @@ class SuiteResult:
         return line
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.linspace(lo, hi, n); a grid too large for memory is a DomainError."""
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist() (``domain._linspace``); a grid too
+    large for memory, or for a list, is a DomainError."""
     try:
-        return np.linspace(lo, hi, n)
-    except MemoryError:
+        return _linspace(lo, hi, n)
+    except (MemoryError, OverflowError):
         raise DomainError(f"a verify grid of {n} points does not fit in memory") from None
 
 
@@ -142,7 +143,7 @@ def inverse_suite(e: Exponents) -> SuiteResult:
 def equal_omega_suite(e: Exponents, n: int = 50) -> SuiteResult:
     """On s2 = H_q(omega_p(s1)) the constant is omega_p(s1) and tau = s2."""
     res = SuiteResult("equal-omega curve identity")
-    for s1 in _grid(0.05, 0.95, n).tolist():
+    for s1 in _grid(0.05, 0.95, n):
         w = omega(e.p, s1)
         s2 = h_eval(e.q, w)
         sol = solve_t(e, ParamPoint(s1, s2))
@@ -168,7 +169,7 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     outside the region raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
-    s2_grid = _grid(0.15, 0.97, n).tolist()
+    s2_grid = _grid(0.15, 0.97, n)
     rows = max(_SIGN_LANES // n, 1)
     for lo in range(0, n, rows):
         s2_rows = s2_grid[lo : lo + rows]

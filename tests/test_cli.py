@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import hardyconst.hardy
+import hardyconst.verify
 from hardyconst import StepFunction
-from hardyconst.cli import CSV_HEADER, _build_parser, _s1_grid, main
+from hardyconst.cli import CSV_HEADER, _build_parser, main
+from hardyconst.domain import _linspace
 from hardyconst.errors import ConvergenceError
 
 ANCHOR_ARGS = ["--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
@@ -167,7 +169,7 @@ class TestScan:
         def no_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("hardyconst.cli._s1_grid", no_memory)
+        monkeypatch.setattr("hardyconst.cli._linspace", no_memory)
         code, out, err = run(capsys, [
             "scan", "--p", "2", "--q", "1.5", "--s2", "0.9",
             "--s1-min", "1e-3", "--s1-max", "0.5", "--n", "100000000000",
@@ -211,7 +213,7 @@ class TestScan:
         assert sum((hi - lo) / (n - 1) == 0.0 for lo, hi, n in cases) > 100
         for lo, hi, n in cases:
             want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
-            assert [x.hex() for x in _s1_grid(lo, hi, n)] == want, (lo, hi, n)
+            assert [x.hex() for x in _linspace(lo, hi, n)] == want, (lo, hi, n)
 
     def test_empty_s2_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -271,15 +273,16 @@ class TestVerify:
         assert "error:" in err
 
     def test_grid_too_large_for_memory(self, capsys, monkeypatch):
-        # numpy raises MemoryError for a grid it cannot allocate; none is made here
-        linspace = np.linspace
+        # the grid's one allocation raises MemoryError for a grid that does
+        # not fit; none is made here
+        linspace = hardyconst.verify._linspace
 
-        def no_memory(start, stop, num, *args, **kwargs):
-            if num > 10**6:
+        def no_memory(lo, hi, n):
+            if n > 10**6:
                 raise MemoryError
-            return linspace(start, stop, num, *args, **kwargs)
+            return linspace(lo, hi, n)
 
-        monkeypatch.setattr(np, "linspace", no_memory)
+        monkeypatch.setattr(hardyconst.verify, "_linspace", no_memory)
         code, out, err = run(
             capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", "1000000000000"]
         )
@@ -287,6 +290,17 @@ class TestVerify:
         assert err == (
             "error: domain-error: a verify grid of 1000000000000 points does not fit in memory\n"
         )
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "n", [str(2**61), str(10**20), str(2**63 - 1)], ids=["2^61", "1e20", "2^63-1"]
+    )
+    def test_grid_past_the_address_space(self, capsys, n):
+        # the real allocation, as scan's: refused before any memory is asked
+        # for, or the length is no index
+        code, out, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", n])
+        assert code == 2
+        assert err == f"error: domain-error: a verify grid of {n} points does not fit in memory\n"
         assert out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -350,6 +364,12 @@ class TestHardyCmd:
         code, _, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--samples", "0"])
         assert code == 2
         assert "error:" in err
+
+    def test_one_step_rejected(self, capsys):
+        code, out, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--steps", "1"])
+        assert code == 2
+        assert err == "error: domain-error: need at least 2 steps, got 1\n"
+        assert out == ""
 
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--seed", "-1"])

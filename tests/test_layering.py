@@ -8,9 +8,12 @@ lanes (a function with a parameter ``pw``, the power it runs on) use
 scalar root kernel part-way: a resumed schedule anywhere else would move the
 floats of ``omega``, the solver's certificate or its u solve.  numpy is
 loaded by the functions that build arrays, not by importing the package or
-the CLI, nor by ``solve`` and ``scan``, which compute on floats."""
+the CLI, nor by ``solve`` and ``scan``, which compute on floats.  Every
+field of ``solver.LaneSolutions`` is read from a ``solve_lanes`` result
+outside ``solver``: the lane solve returns nothing its callers ignore."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import hardyconst
+from hardyconst.solver import LaneSolutions
 
 PACKAGE = Path(hardyconst.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "solver")
@@ -35,6 +39,43 @@ def test_no_private_solver_name_is_imported(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def lane_reads(source: str) -> set[str]:
+    """Attributes read on a name that a ``solve_lanes(...)`` call's result is
+    assigned to, called by name or as a module attribute."""
+    tree = ast.parse(source)
+    results = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and "solve_lanes" in (getattr(node.value.func, "id", None),
+                              getattr(node.value.func, "attr", None))
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id in results
+    }
+
+
+def test_lane_read_check_sees_each_kind():
+    source = (
+        "sol = solve_lanes(e, s1, s2)\n"
+        "lanes = solver.solve_lanes(e, s1, s2)\n"
+        "other = solve_t(e, pt)\n"
+        "x = sol.t + lanes.alpha[sol.ok] + other.tau\n"
+        "sol.u = 0\n"
+    )
+    assert lane_reads(source) == {"alpha", "ok", "t"}
+
+
+def test_every_lane_solution_field_is_read():
+    read = set().union(*(lane_reads(path.read_text(encoding="utf-8")) for path in MODULES))
+    assert [f.name for f in dataclasses.fields(LaneSolutions) if f.name not in read] == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
-from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h
+from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h, _h_lanes
 
 R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -49,6 +49,14 @@ class TestHEval:
         for r in R_SET:
             for z in np.linspace(1.0, conjugate(r), 101):
                 assert 0.0 <= h_eval(r, float(z)) <= 1.0
+
+    def test_strayed_negative_at_the_right_end_is_clamped(self):
+        # the raw product z^(r-1) (r - (r-1) z) rounds to -9.4e-15 at r'
+        r = 23.025612683583383
+        z = r / (r - 1.0)
+        assert z ** (r - 1.0) * (r - (r - 1.0) * z) < 0.0
+        # hex, so that -0.0 would differ
+        assert h_eval(r, z).hex() == float(_h_lanes(r, np.array([z]))[0]).hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize("z", [0.99, -1.0, 2.0000001, 10.0])
     def test_outside_bracket(self, z):

@@ -33,8 +33,10 @@ peak memory are pinned too.
 ``sign_suite`` solves its grid through ``solve_lanes``, with no scalar
 ``solve_t`` call: its lock-step passes and the stragglers it finishes on
 their own scalar g must together evaluate g exactly as often as one
-``solve_t`` per point does, and H_r exactly as often too, alpha(s2) and the
-certificate's inversions included.
+``solve_t`` per point does.  The lane solve returns no certificate, so it
+evaluates H_r only for alpha(s2): as often as the scalar loop less its
+certificates' inversions (counted at ``solver._omega_near``), and never on
+lanes.
 
 A scan row forms gamma and delta together, with one bracket factor B per
 ok row.  ``omega`` validates its exponent once per call, and the
@@ -448,35 +450,49 @@ def _sign_grid(e: Exponents, n: int) -> list[ParamPoint]:
 @pytest.mark.parametrize("pair", [(3.0, 2.0), (5.0, 1.2), (20.0, 19.0)], ids=str)
 def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
     e, n = Exponents(*pair), 12
+    # H_r evaluations of each scalar solve's certificate
+    certificates, omega_near = [], hardyconst.solver._omega_near
+
+    def counted_certificate(q, tau, w):
+        before = calls["h"]
+        z = omega_near(q, tau, w)
+        certificates.append(calls["h"] - before)
+        return z
+
+    monkeypatch.setattr(hardyconst.solver, "_omega_near", counted_certificate)
     _alpha.cache_clear()
     for pt in _sign_grid(e, n):
         try:
             solve_t(e, pt)
         except hardyconst.errors.NoRootError:
             pass
-    scalar = dict(calls)
+    scalar, certificate_h = dict(calls), sum(certificates)
+    assert certificate_h > 0
     for key in calls:
         calls[key] = 0
-    lanes = {"h": 0, "solve_t": 0}
-    for module, name, key in [
-        (hardyconst.special, "_h_lanes", "h"),
-        (hardyconst.solver, "solve_t", "solve_t"),
-        (hardyconst.verify, "solve_t", "solve_t"),
+    certificates.clear()
+    lanes = {"_h_lanes": 0, "solve_t": 0}
+    for module, name in [
+        (hardyconst.special, "_h_lanes"),
+        (hardyconst.solver, "solve_t"),
+        (hardyconst.verify, "solve_t"),
     ]:
 
-        def counted(*args, inner=getattr(module, name), key=key):
-            out = inner(*args)
-            lanes[key] += np.size(out) if key != "solve_t" else 1
-            return out
+        def counted(*args, inner=getattr(module, name), name=name):
+            lanes[name] += 1
+            return inner(*args)
 
         monkeypatch.setattr(module, name, counted)
     _alpha.cache_clear()
     sign_suite(e, n)
-    assert lanes["solve_t"] == 0
+    # no scalar solve, no H_r on lanes and no certificate
+    assert lanes == {"_h_lanes": 0, "solve_t": 0}
+    assert certificates == []
     # g in the lock-step passes and in the stragglers' scalar kernel
     assert calls["g_lanes"] > 0 and calls["g"] > calls["g_lanes"]
     assert calls["g"] == scalar["g"]
-    assert lanes["h"] + calls["h"] == scalar["h"]
+    # the scalar loop's H_r less its certificates': alpha(s2)'s alone
+    assert calls["h"] == scalar["h"] - certificate_h
     assert calls["alpha"] == scalar["alpha"] == n
 
 
