@@ -23,13 +23,15 @@ Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
 expansions at s = 1 and s = 0.  H_r'' = r (r-1) z^(r-3) ((r-2) - (r-1) z)
 < 0 on [1, r'], so H_r is concave and decreasing there: the first step
 lands right of the root and the rest fall to it monotonically.
-``_omega_near`` then runs the kernel on [z - d, z + d],
-d = 4e-15 r', where H_r at its ends brackets s strictly, and on the natural
-bracket [1, r'] otherwise: for most s with 1 - s below 1e-5, H_r varies by
-less than rounding across the narrow one.  ``solver``'s certificate runs the
-second stage from its own estimate.  ITP's k1 always comes from the natural
-bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r 4.4 times per call,
-against 9.8 from the natural bracket, plus about 2 Newton steps.
+``_omega_near`` then runs the kernel on the first [z - d, z + d], d = 1e-15
+r' and then 4e-15 r', where H_r at its ends brackets s strictly, and on the
+natural bracket [1, r'] where neither does: for most s with 1 - s below
+1e-5, H_r varies by less than rounding across both.  ``solver``'s
+certificate runs the second stage from its own estimate.  ITP's k1 always
+comes from the natural bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r
+3.8 times per call for s <= 0.9 and 4.4 for 1 - s in [1e-4, 1e-1] (4.4 and
+3.8 from the wide bracket alone, 9.9 from the natural one), plus about 2
+Newton steps.
 
 The kernel's step arithmetic is fixed bit for bit: every float that feeds
 the next point, the bracket ends or the best point must stay as it is, or
@@ -49,8 +51,8 @@ beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one call,
 and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us however
 few lanes are left, and a solve's last passes carry few: the u solve of
 4,096 lanes ends its 12 passes with 1,256, 441 and 141 live lanes.
-inverse_suite's ~6,000 lanes take 3 Newton passes, 2 bracket-end
-evaluations and 4 ITP passes (21 ITP passes from the natural bracket).
+inverse_suite's ~6,000 lanes take 3 Newton passes, one pass per bracket
+rung and 3 ITP passes (21 ITP passes from the natural bracket).
 So once at most ``_STRAGGLER_LANES`` lanes are live, each finishes in
 ``_bracketed_root``, which takes the lane's state as resume arguments and
 so steps exactly as the passes would; a call with no more lanes than that
@@ -85,10 +87,12 @@ from .errors import DomainError, SingularityError
 #: final width of omega's root bracket, relative to r'; an absolute width
 #: this small would be below the float spacing near r' once r' >= 8
 _BRACKET_REL_TOL = 1e-15
-#: half-width, relative to r', of the narrow bracket around an estimate of
-#: omega_r(s): at 0.5 bracket tolerances 18 % of certificates fell back to
-#: the natural bracket, at 4 0.3 %
-_NEAR_HALF_WIDTH = 4.0 * _BRACKET_REL_TOL
+#: half-widths, relative to r', of the brackets tried in turn around an
+#: estimate of omega_r(s) before [1, r'].  Certificates on scan_rows traffic
+#: invert on them and on [1, r'] in 92.3, 7.5 and 0.25 % of calls (7.7 % on
+#: [1, r'] with the first alone, 18 % with 0.5 alone); inverse_suite's omega
+#: on (2.5, 1.5), on the first in 5,984 of 5,988 and on the second in 4
+_NEAR_HALF_WIDTHS = (1.0 * _BRACKET_REL_TOL, 4.0 * _BRACKET_REL_TOL)
 #: ``_omega_start``'s Newton steps at most, and the move, relative to r',
 #: after which it stops: quadratic convergence leaves the estimate within
 #: rounding of the root, 2.5e-16 r' at most where 1 - s > 1e-3
@@ -310,10 +314,10 @@ def _omega_start(r: float, s: float) -> float:
 
 
 def _omega_near(r: float, s: float, z: float) -> float:
-    """omega_r(s) from [z - d, z + d] within [1, r'], d = ``_NEAR_HALF_WIDTH``
-    r', where H_r at its ends brackets s strictly, else from [1, r']; s = 1
-    and 0 give 1 and r'.  z estimates the root; r must be valid, as it is
-    not checked, and the ends are evaluated through ``_h``.
+    """omega_r(s) from the first [z - d, z + d] within [1, r'], d in
+    ``_NEAR_HALF_WIDTHS`` r', where H_r at its ends brackets s strictly, else
+    from [1, r']; s = 1 and 0 give 1 and r'.  z estimates the root; r must be
+    valid, as it is not checked, and the ends are evaluated through ``_h``.
 
     k1 is the natural bracket's, 0.2/(r'-1): scaled to a narrow one it
     truncates the regula falsi step far more and costs more evaluations.  A
@@ -321,10 +325,12 @@ def _omega_near(r: float, s: float, z: float) -> float:
     top = r / (r - 1.0)
     if s == 1.0 or s == 0.0:
         return top if s == 0.0 else 1.0
-    d = _NEAR_HALF_WIDTH * top
-    z_lo, z_hi = max(1.0, z - d), min(top, z + d)
-    h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
-    if not h_lo > s > h_hi:
+    for width in _NEAR_HALF_WIDTHS:
+        z_lo, z_hi = max(1.0, z - width * top), min(top, z + width * top)
+        h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
+        if h_lo > s > h_hi:
+            break
+    else:
         z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
     xtol = _BRACKET_REL_TOL * top
     if z_hi - z_lo <= xtol:
@@ -467,7 +473,7 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``_omega_start`` on lanes, lane i's exponent exps[k[i]], bit for bit;
     a lane leaves the Newton passes once it stops."""
     import numpy as np
-    a, b, c3, c4, c5 = np.array([_start_poly(x) for x in exps.tolist()])[k].T
+    a, b, c3, c4, c5 = np.array([_start_poly(x) for x in exps.tolist()]).reshape(-1, 5)[k].T
     r = exps[k]
     top, t = r / (r - 1.0), np.sqrt(1.0 - s)
     z = np.minimum(1.0 + t * (a + t * (b + t * (c3 + t * (c4 + t * c5)))) / (r - 1.0), top)
@@ -485,11 +491,11 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
-    bit: ``_start_lanes``' estimates, then one ``_root_lanes`` call; xtol
-    and k1 are kept per distinct r.  A straggler solves ``_h`` - s = 0: its
-    end values have s subtracted, and (fa + s) - s need not round back to
-    fa.  A bad r or an s outside [0, 1] raises ``omega``'s DomainError for
-    one such lane."""
+    bit: ``_start_lanes``' estimates, one pass per rung over the lanes no
+    rung before bracketed, then one ``_root_lanes`` call; xtol and k1 are
+    kept per distinct r.  A straggler solves ``_h`` - s = 0: its end values
+    have s subtracted, and (fa + s) - s need not round back to fa.  A bad r
+    or an s outside [0, 1] raises ``omega``'s DomainError for one such lane."""
     import numpy as np
     s = np.asarray(s, dtype=float)
     exps, k = np.unique(np.broadcast_to(r, s.shape), return_inverse=True)
@@ -503,14 +509,21 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     xtol = _BRACKET_REL_TOL * top
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
-    near = _start_lanes(exps, k, y)
-    d, r_of = _NEAR_HALF_WIDTH * top[k], exps[k]
-    a, b = np.maximum(1.0, near - d), np.minimum(top[k], near + d)
-    del near, d
-    # fa > 0 > fb exactly where H_r(a) > y > H_r(b): y - y' is 0 only at y = y'
-    fa, fb = _h_lanes(r_of, a) - y, _h_lanes(r_of, b) - y
-    wide = np.flatnonzero(~((fa > 0.0) & (fb < 0.0)))
-    a[wide], b[wide], fa[wide], fb[wide] = 1.0, top[k[wide]], 1.0 - y[wide], 0.0 - y[wide]
+    near, r_of, top_of = _start_lanes(exps, k, y), exps[k], top[k]
+    a, b, fa, fb = np.ones(y.size), top_of.copy(), 1.0 - y, 0.0 - y
+    todo = np.arange(y.size)
+    for width in _NEAR_HALF_WIDTHS:
+        z, d = near[todo], width * top_of[todo]
+        ends = np.stack([np.maximum(1.0, z - d), np.minimum(top_of[todo], z + d)])
+        # both ends in one pass; fa > 0 > fb exactly where H_r(a) > y >
+        # H_r(b): y - y' is 0 only at y = y'
+        f = _h_lanes(r_of[todo], ends) - y[todo]
+        hit = (f[0] > 0.0) & (f[1] < 0.0)
+        i, todo = todo[hit], todo[~hit]
+        a[i], b[i], fa[i], fb[i] = ends[0, hit], ends[1, hit], f[0, hit], f[1, hit]
+        if not todo.size:
+            break
+    del near, todo, z, d, ends, f, hit, i
     # where r' - 1 <= xtol the lane stops before k1 is read
     k1 = 0.2 / np.maximum(top - 1.0, xtol)
     root = _root_lanes(

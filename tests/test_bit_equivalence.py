@@ -21,7 +21,9 @@ lock-step passes to the end) and above the lane count (every lane is
 ``omega``'s).  So must the Newton start, at its edges (a start that rounds
 to 1, r' near 1e9 and near 1 + 1e-15, subnormal s, and 1 - s down to 1e-16,
 where most lanes fall back to the natural bracket, in calls that mix both
-kinds).
+kinds), and a call whose lanes start on each of the three brackets, 1e-15 r'
+and 4e-15 r' around the estimate and [1, r'].  A call of no lane returns an
+empty array.
 
 ``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` solves
 its grid with, must return ``solve_t``'s verdict and the bits of the
@@ -623,6 +625,40 @@ def test_omega_lanes_match_scalar_omega_at_the_newton_starts_edges(
     for r, bracket in list(zip(R_EDGE, brackets))[:6]:
         assert 0 < _natural(bracket, r) < bracket[0].size
     assert _omega_start(1e15, 1.0 - 2.0**-53) == 1.0
+
+
+def _rung_lanes(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n lanes, one r per lane, a third each of uniform s (the 1e-15 r'
+    rung), 1 - s log-uniform in [1e-4, 1e-3], where some lanes need the
+    4e-15 r' rung, and in [1e-9, 1e-6], where most fall back to [1, r']."""
+    rng = np.random.default_rng(seed)
+    k = n // 3
+    s = np.concatenate([
+        rng.uniform(0.0, 1.0, n - 2 * k),
+        1.0 - 10.0 ** rng.uniform(-4.0, -3.0, k),
+        1.0 - 10.0 ** rng.uniform(-9.0, -6.0, k),
+    ])
+    return rng.choice([1.5, 2.5, 20.0], n), rng.permutation(s)
+
+
+@pytest.mark.parametrize("n", [_STRAGGLER_LANES, 6 * _STRAGGLER_LANES])
+def test_omega_lanes_match_scalar_omega_on_every_rung(brackets, n):
+    # one call whose lanes start on each of the three brackets, finished in
+    # the scalar kernel alone, or in lock-step passes and then the kernel
+    r, s = _rung_lanes(n, n)
+    assert _bits(_omega_lanes(r, s)) == _bits([omega(float(x), float(y)) for x, y in zip(r, s)])
+    ((a, b),) = brackets
+    top = r / (r - 1.0)
+    natural = (a == 1.0) & (b == top)
+    wide = ~natural & (b - a > 4e-15 * top)
+    assert natural.sum() > 0 and wide.sum() > 0 and (~natural & ~wide).sum() > 0
+
+
+def test_omega_lanes_of_no_lane():
+    for r in (2.0, np.array([])):
+        z = _omega_lanes(r, np.array([]))
+        assert z.dtype == float and z.shape == (0,)
+    assert _bits(_omega_lanes(2.0, np.array([0.0, 1.0, 0.0]))) == _bits([2.0, 1.0, 2.0])
 
 
 def test_h_lanes_with_one_exponent_per_lane_match_scalar_h():

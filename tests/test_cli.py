@@ -323,7 +323,7 @@ OVERFLOW_ERR = "error: domain-error: int ((1/t) int_0^t h)^p overflows a float\n
 #: with those samples replaced, as a sample-by-sample loop printed them
 PARTIAL = [
     (("3", "2"), {5: DRAW_FAILS}, 5,
-     "3a75a9553ab8910d27bd91b39b70328be2eb293fbf96c99bedf573882e82a133",
+     "c18e025febe21c181d992b11dad4cd8d4e6d5ad3bcb7db274486a8ecfc6e2383",
      "error: internal: step-function sampling failed to find an interior sample\n"),
     (("2", "1.5"), {2: OVERFLOWING, 5: DRAW_FAILS}, 2,
      "b73172a852640e6f667b940d267315bcc07150fc5e2a23fc22e1535666542baa", OVERFLOW_ERR),

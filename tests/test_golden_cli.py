@@ -20,7 +20,15 @@ bits, every status stayed, t moved by at most 2 ulp, gamma, delta and
 dt_ds1 by at most 4.5e-15 relative, and the hardy ratios by at most 2.1e-15
 on the four-sample requests and 3.3e-14 on the 1,100-sample one, largest
 where s2 nears 1 (1 - s2 = 1.4e-5 there), as omega_q(s2) is ill-conditioned
-there; the verify digests held.
+there; the verify digests held.  The four scan digests, the two-row scan
+and the hardy digests of (2, 1.5, 32), (2.5, 1.3, 32), (5, 1.2, 2), (5, 1.2,
+32) and both chunked requests were last re-pinned when omega came to try a
+bracket of 1e-15 r' around its estimate before the one of 4e-15 r': every
+status stayed; on the s2 = 0.7 rows only the residual moved, within
+rounding (no row's |residual| grew past the parent's largest); on the
+two-row scan t moved by at most 2 ulp and the other columns by at most
+2.6e-15 relative; the hardy ratios by at most 4.5e-15 relative; and every
+verify digest held.
 """
 
 import hashlib
@@ -34,10 +42,10 @@ from hardyconst.hardy import _CHUNK_SEGMENTS
 #: the benchmark's scan pairs: one 24-point row at s2 = 0.7, from 1e-3 to
 #: 0.999 of the lower-curve abscissa
 SCAN = {
-    (2.0, 1.5): "8e29a7485abe723a65287d362fc3fdbe7f2e2273fdfdffa4fc25d146803d4721",
-    (3.0, 2.0): "1c1f16f7bfcfbb8dde5ece1e5ca2c9942a54a3dadd86a497ae3681e777aadfe0",
-    (2.5, 1.3): "d187bd5eec218a61f10a6379a951166b7212e77f49d48789b6e29b9b1e196a72",
-    (5.0, 1.2): "7608a4a362a71eeb7ddd08b046eba206748056db557d48eb4ac9fd98e3bb411d",
+    (2.0, 1.5): "29182dfa12e70c78d31bca83b275f59341d8c47d33554151d072c672acc633f0",
+    (3.0, 2.0): "4aed19ce57eca9572eacce417ae114d3fd12b933683ba4b3831720876d996f02",
+    (2.5, 1.3): "94493daa36f524f20839e5868351461a6d993714f27979bc5e3bed36c0471efc",
+    (5.0, 1.2): "7917bcaa6953b083b2a550e00f17a6b7858b20dcacb346d356b5523a4d126f6d",
 }
 #: verify --grid 10 on the benchmark's verify pairs, then on the stiff scan
 #: pairs, which bring the exponents 1.2 and 2.5 into inverse_suite
@@ -61,24 +69,24 @@ VERIFY_GRID_30 = {
 MIXED_SCAN = (
     ["--p", "3", "--q", "2", "--s2", "0.5", "0.9", "--s1-min", "0.05", "--s1-max", "0.85",
      "--n", "17"],
-    "04ae5a3505ee0de822ef1ae79dc2d15d7141af5745dde7ab34df63e4b7489e2f",
+    "3fa8142e8b059405cbb632629bcfedff1903bddc748d053f786bf241565b0b92",
 )
 #: hardy --samples 4 (default seed) with 2 and 32 steps on the scan pairs
 HARDY = {
     (2.0, 1.5, 2): "fbebb26dc1127ed22d596384037cfdb39bef490557340357c27d1621beb3b04e",
-    (2.0, 1.5, 32): "08264cd6c211851b6f327a15844a07cdc5a0d737c4447230aed8e2220986b0bb",
+    (2.0, 1.5, 32): "4414f9b2cd27fe0016d61dcfc929efdcb01362ef5e7bdc361bd5afc1eb9c4971",
     (3.0, 2.0, 2): "3394a8cbc59d73a0f23715a37f4bf4b6d17ea23863c156c751fd27f926ea7beb",
     (3.0, 2.0, 32): "3ae5dad9b1b37f2865bd57eefe8f47254825e0ea635e16839a22d8f2b5e7f014",
     (2.5, 1.3, 2): "474c10a5afa45191af5e7319fe6a3925bf6fc22dcce0cf49d7ffb0f281c9864e",
-    (2.5, 1.3, 32): "1dd19c8a06232ee7f69e2632d3c82f8dc7d01eac03c01f3ec43aef138c00c200",
-    (5.0, 1.2, 2): "896b93a7fb469432b08f8be962d0f326c52f21c693cc45285b237a9897f379ec",
-    (5.0, 1.2, 32): "8b03bf9434e02755a7f958cedd44f456d9ec42f49d7d9a81e6c6249e9dc1d128",
+    (2.5, 1.3, 32): "813df99d451a328179b27d7531a0b16352f80dd6712f96cf3dccbd49525c6cd7",
+    (5.0, 1.2, 2): "29c39de6ab170872710d2f61dcaf2abe3a324e0ee4d6757fd803a3111f09e8f9",
+    (5.0, 1.2, 32): "9d3eea02e5a9fb675f4f4ca720cf050ccb38b3daa7248963c390d50cf05f7d15",
 }
 
 #: hardy on (3, 2) over at least three quadrature chunks: (steps, samples)
 HARDY_CHUNKED = {
-    (2, 1100): "928b48892f62a259f2325810115b5aba4a7948f5cde5a9d15dcc5e3f8a0d86dd",
-    (33, 70): "a3e96ec7ae2e49038f732bd9739743dc20b0ea1aeae6cede7d8a8fe137f1adbd",
+    (2, 1100): "b5eb70404b85187dca588a258fd69ab897a1e7cb2d90eb6c8aaa274e313d7a3c",
+    (33, 70): "afb86c0cd20fba4db8e53ea6c61fd45c28a9b3879a9da5add944da38f0c22aea",
 }
 
 

@@ -6,6 +6,7 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from omega_ulps import R_SWEEP, ulp_errors
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
@@ -153,6 +154,19 @@ def test_omega_against_mpmath(r):
         z = _mp_omega(r, s)
         slope = abs(r * (r - 1) * z ** (r - 2) * (1 - z))
         assert abs(omega(r, s) - z) <= 4e-15 * top + 4 * r * eps / slope
+
+
+#: omega's max error in ulp for s in [0, 0.9], per r, 2 unless given: the
+#: bracket tolerance 1e-15 r' spans more ulp of z as r' grows (21 at r = 1.05)
+ULP_MAX = {1.05: 5.0, 1.2: 3.0}
+
+
+@pytest.mark.parametrize("i, r", list(enumerate(R_SWEEP)))
+def test_omega_within_a_few_ulp(i, r):
+    # the first 200 points of tests/omega_ulps.py's s <= 0.9 band
+    err = ulp_errors(r, np.random.default_rng([i, 0]).uniform(0.0, 0.9, 200))
+    assert err.max() <= ULP_MAX.get(r, 2.0)
+    assert err.mean() <= 0.6
 
 
 def _omega_between(r: float, s: float, z_lo: float, z_hi: float) -> float:

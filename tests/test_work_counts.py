@@ -28,7 +28,9 @@ shows), and forms F, F' and G from those values
 exactly as ``big_f``, ``big_f_deriv`` and ``big_g`` do.  inverse_suite's
 call brackets each lane narrowly around omega's Newton estimate: its
 lock-step passes and lane H_r evaluations, Newton's included, and its traced
-peak memory are pinned too.
+peak memory are pinned too.  Scalar ``omega`` and the certificate try a
+bracket of 1e-15 r' around their estimate, then one of 4e-15 r', then
+[1, r']: the z of their ``_h`` calls show each bracket reached.
 
 ``sign_suite`` solves its grid through ``solve_lanes``, with no scalar
 ``solve_t`` call: its lock-step passes and the stragglers it finishes on
@@ -76,7 +78,7 @@ from hardyconst.cli import main
 from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
 from hardyconst.asymptotics import big_f, big_f_deriv, big_g
-from hardyconst.special import omega
+from hardyconst.special import _omega_start, omega
 from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite, sign_suite
 
 E3 = Exponents(3.0, 2.0)
@@ -397,10 +399,11 @@ def test_inverse_suite_inverts_every_exponent_in_one_call(
 
 #: lock-step passes of inverse_suite's one ``_omega_lanes`` call on (2.5,
 #: 1.5), bracket ends and Newton passes included, and its lane H_r
-#: evaluations: 9 and 38,102 measured, 21 and 60,772 when every lane ran ITP
-#: from the natural bracket [1, r']
-INVERSE_PASSES = 10
-INVERSE_LANE_CALLS = 40_000
+#: evaluations: 8 and 34,209 measured (3 Newton passes, one pass per bracket
+#: rung and 3 ITP passes), 9 and 38,102 from a ±4e-15 r' bracket alone, and
+#: 21 and 60,772 when every lane ran ITP from the natural bracket [1, r']
+INVERSE_PASSES = 8
+INVERSE_LANE_CALLS = 36_000
 #: inverse_suite's traced peak memory on (2.5, 1.5), bytes: 1.56 MB, 32.5
 #: floats per lane, from the natural bracket, plus 10 %
 INVERSE_PEAK_BYTES = 1.1 * 1.56e6
@@ -422,6 +425,64 @@ def test_inverse_suite_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= INVERSE_PEAK_BYTES
+
+
+@pytest.fixture
+def h_points(monkeypatch):
+    """The z of each scalar ``special._h`` call, in order."""
+    seen, h = [], hardyconst.special._h
+
+    def recorded(r, z):
+        seen.append(z)
+        return h(r, z)
+
+    monkeypatch.setattr(hardyconst.special, "_h", recorded)
+    return seen
+
+
+def _rung(r: float, z0: float, zs: list[float]):
+    """The bracket that an inversion from the estimate z0 ran ITP in, read
+    from the z of its ``_h`` calls: the two ends of the 1e-15 r' rung, then,
+    where those miss, the two of the 4e-15 r' rung, then the kernel's steps,
+    all inside the rung that bracketed, or outside both on [1, r']."""
+    top = r / (r - 1.0)
+    ends = [[max(1.0, z0 - w * top), min(top, z0 + w * top)] for w in (1e-15, 4e-15)]
+    assert zs[:2] == ends[0]
+    if all(ends[0][0] < z < ends[0][1] for z in zs[2:]):
+        return 1
+    assert zs[2:4] == ends[1]
+    if all(ends[1][0] < z < ends[1][1] for z in zs[4:]):
+        return 4
+    return "natural"
+
+
+@pytest.mark.parametrize("s, rung", [(0.5, 1), (0.999, 4), (1.0 - 1e-7, "natural")])
+def test_omega_tries_the_narrow_rung_then_the_wide_one(h_points, s, rung):
+    # omega's Newton steps go through _h_slope: every _h call is a rung's
+    # end or a kernel step
+    omega(2.5, s)
+    assert _rung(2.5, _omega_start(2.5, s), h_points) == rung
+
+
+@pytest.mark.parametrize(
+    "s1, s2, rung",
+    [(0.00025, 0.5, 1), (0.4772230653266331, 0.7, 4), (0.7807545226130653, 0.9, "natural")],
+)
+def test_certificate_tries_the_narrow_rung_then_the_wide_one(monkeypatch, h_points, s1, s2, rung):
+    # the certificate inverts omega_q(tau) around w(u*), which is not
+    # Newton-converged: 7.5 % of scan rows' certificates need the wide rung
+    seen, certificate = [], hardyconst.solver._omega_near
+
+    def counted_certificate(q, tau, w):
+        h_points.clear()
+        z = certificate(q, tau, w)
+        seen.append((q, w, list(h_points)))
+        return z
+
+    monkeypatch.setattr(hardyconst.solver, "_omega_near", counted_certificate)
+    solve_t(E3, ParamPoint(s1, s2))
+    ((q, w, zs),) = seen
+    assert _rung(q, w, zs) == rung
 
 
 def test_endgame_suite_inverts_each_target_once(calls, lane_calls, scalar_inversions):
