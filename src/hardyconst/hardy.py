@@ -311,14 +311,17 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
     """Deterministic pseudo-random step function with k pieces.
 
     Draws breakpoints and positive values from a generator seeded with
-    seed >= 0 (a negative seed is a DomainError), rejecting
-    degenerate geometry (segments shorter than 1e-3 * kappa, so k > 1000 is
-    a DomainError before any draw), samples whose
-    induced (s1, s2) comes within 1e-6 of the region boundary, and samples
-    whose induced point has no root (``has_root``): beyond the no-root
-    cutoff, the band along the lower curve at large s2 where a root would
-    need tau >= 1, the constant is not characterized by the equation solved
-    here, so such samples are rejected rather than guessed at.
+    seed >= 0 (a negative seed is a DomainError), in at most 1000 draws,
+    rejecting degenerate geometry (segments shorter than 1e-3 * kappa),
+    samples whose induced (s1, s2) comes within 1e-6 of the region boundary,
+    and samples whose induced point has no root (``has_root``): beyond the
+    no-root cutoff, the band along the lower curve at large s2 where a root
+    would need tau >= 1, the constant is not characterized by the equation
+    solved here, so such samples are rejected rather than guessed at.  A
+    draw meets the length rule with probability (1 - k/1000)^(k-1): 1.6 % at
+    k = 64, 0.14 % at 80, 3e-5 at 100.  So k > 1000 is a DomainError before
+    any draw, and a k whose 1000 draws all miss the rule is one after them;
+    k up to about 64 is practical.
     """
     return _draw(seed, k, kappa, e)[0]
 
@@ -337,10 +340,12 @@ def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise DomainError(f"kappa must be positive, got {kappa}")
     rng = np.random.default_rng(seed)
+    spaced = False
     for _ in range(1000):
         pts = (0.0, *sorted(rng.uniform(0.0, kappa, size=k - 1).tolist()), kappa)
         if min(b - a for a, b in zip(pts, pts[1:])) < 1e-3 * kappa:
             continue
+        spaced = True
         values = tuple(rng.uniform(0.05, 4.0, size=k).tolist())
         h = StepFunction(kappa=kappa, breakpoints=pts, values=values)
         m = step_moments(h, e)
@@ -351,6 +356,8 @@ def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
                 return h, m, pt, solve_t(e, pt)
             except (OutsideDomainError, NoRootError):
                 pass
+    if not spaced:
+        raise DomainError(f"none of 1000 draws of k={k} pieces kept each 1e-3 * kappa long")
     raise ConvergenceError("step-function sampling failed to find an interior sample")
 
 

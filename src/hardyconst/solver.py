@@ -90,13 +90,14 @@ back to [1, q'].
 ``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
 to it bit for bit on the verdict and on t, u and alpha, the fields
 ``verify.sign_suite`` reads; it makes no certificate.  It runs the same
-pipeline on numpy arrays, with the u solve in ``special._root_lanes``,
-alpha once per run of equal s2, and g and t from ``_u_equation`` with pw =
-np.float_power.  A call costs ~0.17 ms with one lane against ~0.014 ms for
-``solve_t``, breaks even near 25 lanes of scattered points, and takes ~5.2
-ms for 1,000 against ~18 ms (process CPU time on (3, 2), min of 7 rounds,
-2 shared x86-64 vCPUs), so ``verify.sign_suite`` solves its grid with it
-and callers of single points keep ``solve_t``.  It is public in this
+pipeline on numpy arrays: the u solve on solve_t's g and end values in
+``special._root_lanes``, alpha once per run of equal s2, and g and t from
+``_u_equation`` with pw = np.float_power.  A call costs ~0.17 ms with one
+lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
+scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
+time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
+``verify.sign_suite`` solves its grid with it and callers of single points
+keep ``solve_t``.  It is public in this
 module, not in the package: ``verify`` may import no private solver name.
 """
 
@@ -380,7 +381,7 @@ def _inside_lanes(
     The decision: alpha once per run of equal s2 through ``_alpha``, where
     the scalar loop computes it, K, ``_u_lo``'s Newton loop, masked, and
     g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
-    through ``_root_lanes``, with each straggler on its own scalar g; and t.
+    of g = 0 through ``_root_lanes``, each straggler on its scalar g; and t.
     g and t are ``_u_equation``'s, with pw = np.float_power.  The width
     and tau are formed only to find the lanes where solve_t's arithmetic
     would meet a non-finite value or raise; no lane inverts omega_q.
@@ -424,14 +425,10 @@ def _inside_lanes(
         g_top, at = g_b[j], u_b[j] != u_top
         g_top[at] = _u_equation(e, rs1[at], ra[at], rk[at], np.float_power)[0](u_top)
 
-        def minus_g(i: int) -> Callable[[float], float]:
-            g = _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0]
-            return lambda x: -g(x)
-
-        # g rises through its root: the kernel solves -g = 0
         a, b, u[j] = _root_lanes(
-            lambda i, x: -_u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](x),
-            minus_g, lo, np.full(j.size, u_top), -g_a[j], -g_top, _U_REL_WIDTH * lo,
+            lambda i, x: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](x),
+            lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
+            lo, np.full(j.size, u_top), g_a[j], g_top, _U_REL_WIDTH * lo,
         )
         t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
         t_u = t_of(u[j])

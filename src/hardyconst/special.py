@@ -10,13 +10,14 @@ where r' = r/(r-1) is the Hoelder conjugate of r.  Its inverse
     omega_r : [0, 1] -> [1, r']
 
 underpins everything else in this package.  Every root in the package is
-found by one bracketed kernel, ``_bracketed_root``: omega_r here, and the
-explicit equation for the constant in ``solver``.  The kernel is the ITP
-method (Oliveira and Takahashi, ACM TOMS 2020): a regula falsi step,
-truncated toward the midpoint and projected into a ball around it that
-shrinks like bisection, so it keeps a sign-change bracket, converges
-superlinearly on smooth functions, and never needs more than three
-evaluations beyond bisection.
+found by one bracketed kernel, ``_bracketed_root``, on one contract: f(x) =
+0 on [a, b] for f rising through its root, from f(a) < 0 < f(b).  omega_r(s)
+is the root of s - H_r here, and ``solver`` solves its explicit equation.
+The kernel is the ITP method (Oliveira and Takahashi, ACM TOMS 2020): a
+regula falsi step, truncated toward the midpoint and projected into a ball
+around it that shrinks like bisection, so it keeps a sign-change bracket,
+converges superlinearly on smooth functions, and never needs more than
+three evaluations beyond bisection.
 
 ``omega`` inverts in two stages.  ``_omega_start`` estimates the root by
 Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
@@ -44,22 +45,22 @@ pow(x, 2) is not always rounded like x * x.
 
 ``_root_lanes`` is the kernel's lane-wise twin, the one lane step in the
 package: lock-step ITP passes over an array of brackets, each lane with
-its own function, tolerance and k1, equal to ``_bracketed_root``, which
-derives the same schedule, bit for bit.  It solves both roots in lanes:
-``_omega_lanes``, omega's twin for batched grids (one r or one r per lane,
-beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one call,
-and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us however
-few lanes are left, and a solve's last passes carry few: the u solve of
-4,096 lanes ends its 12 passes with 1,256, 441 and 141 live lanes.
-inverse_suite's ~6,000 lanes take 3 Newton passes, one pass per bracket
-rung and 3 ITP passes (21 ITP passes from the natural bracket).
+its own rising function, tolerance and k1, equal to ``_bracketed_root``,
+which derives the same schedule, bit for bit.  It solves both roots in
+lanes: ``_omega_lanes``, omega's twin for batched grids (one r or one r per
+lane, beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one
+call, and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us
+however few lanes are left, and a solve's last passes carry few: the u
+solve of 4,096 lanes ends its 12 passes with 1,256, 441 and 141 live
+lanes.  inverse_suite's ~6,000 lanes take 3 Newton passes, one pass per
+bracket rung and 3 ITP passes (21 ITP passes from the natural bracket).
 So once at most ``_STRAGGLER_LANES`` lanes are live, each finishes in
 ``_bracketed_root``, which takes the lane's state as resume arguments and
 so steps exactly as the passes would; a call with no more lanes than that
-finishes entirely in the scalar kernel.  Peak
-memory is about 34 floats per lane in ``_omega_lanes`` (1.6 MB for
-inverse_suite's 6,000 lanes), reached at the first pass that drops
-finished lanes, and 51 in ``solver.solve_lanes`` (1.7 MB for 4,096 lanes).
+finishes entirely in the scalar kernel.  Peak memory is about 34 floats
+per lane in ``_omega_lanes`` (1.6 MB for inverse_suite's 6,000 lanes),
+reached at the first pass that drops finished lanes, and 51 in
+``solver.solve_lanes`` (1.7 MB for 4,096 lanes).
 Each lane function imports numpy itself, so that the scalar paths (``omega``
 and everything ``solve_t`` runs) load none.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
@@ -80,7 +81,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import DomainError, SingularityError
 
@@ -98,11 +98,8 @@ _NEAR_HALF_WIDTHS = (1.0 * _BRACKET_REL_TOL, 4.0 * _BRACKET_REL_TOL)
 #: rounding of the root, 2.5e-16 r' at most where 1 - s > 1e-3
 _NEWTON_STEPS, _NEWTON_REL_STOP = 8, 1e-9
 #: live lanes at or below which ``_root_lanes`` stops its lock-step passes
-#: and finishes each lane in the scalar kernel.  inverse_suite plus
-#: endgame_suite took 11.3 ms per verify pair with no hand-off, and 10.2,
-#: 9.8, 10.2 and 10.4 ms handing off at 32, 64, 128 and 200 lanes (min of
-#: 12 interleaved rounds over (2, 1.5), (3, 2) and (2.5, 1.5), process CPU
-#: time, 2 shared x86-64 vCPUs)
+#: and finishes each lane in the scalar kernel: verify's lane suites ran
+#: slower with 32, 128 or 200, and with no hand-off
 _STRAGGLER_LANES = 64
 
 
@@ -181,20 +178,21 @@ def _bracketed_root(
     fa: float,
     fb: float,
     xtol: float,
-    y: float = 0.0,
     k1: float | None = None,
     scale: float | None = None,
     best_x: float | None = None,
     best_abs: float = math.inf,
 ) -> tuple[float, float, float]:
-    """ITP search for x in (a, b) with f(x) = y.
+    """ITP search for x in (a, b) with f(x) = 0, for f rising through its root.
 
-    fa = f(a) and fb = f(b) lie on opposite sides of y; the caller may know
-    them exactly, and either may equal y.  Iterates until the bracket is at
-    most xtol wide, or its ends are adjacent floats, or f hits y exactly.
-    Returns the final bracket (a, b), whose ends keep the sides of fa and
-    fb, and the evaluated interior point x with the smallest |f(x) - y|, or
-    the initial midpoint when the bracket needed no evaluation.  ITP's
+    fa = f(a) < 0 < fb = f(b); the caller may know them exactly.  A point
+    where f > 0 replaces b, one where f < 0 replaces a, and one where f = 0
+    returns at once.  A falling f is solved as -f in the same steps:
+    negation is exact, and so is the regula falsi point (fb a - fa b)/(fb -
+    fa) with both ends negated.  Iterates until the bracket is at most xtol
+    wide or its ends are adjacent floats.  Returns the final bracket (a, b)
+    and the evaluated interior point x with the smallest |f(x)|, or the
+    initial midpoint when the bracket needed no evaluation.  ITP's
     parameters are k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most
     three evaluations more than bisection to reach xtol.  With n0 = 1 a few
     slow regula falsi steps early on use up the slack and the rest is plain
@@ -202,21 +200,18 @@ def _bracketed_root(
 
     scale, best_x and best_abs resume a run part-way: the projection scale
     xtol * 2^(n_max - j - 1) at the next step j, and the best point so far
-    with its |f - y|.  They default to a fresh run's: the scale at j = 0,
-    the initial midpoint and inf.  A resumed run passes its bracket and end
+    with its |f|.  They default to a fresh run's: the scale at j = 0, the
+    initial midpoint and inf.  A resumed run passes its bracket and end
     values as they stand, with the k1 and xtol it started with.
     """
     if k1 is None:
         k1 = 0.2 / (b - a)
-    fa, fb = fa - y, fb - y
     if scale is None:
         n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
         # xtol * 2^(n_max - j - 1) at step j; halving a power-of-two multiple
         # of xtol is exact while it is at least xtol, and below that the
         # projection radius is 0 either way
         scale = xtol * 2.0 ** (n_max - 1)
-    # b only ever takes points on fb's side
-    b_pos = fb > 0.0
     if best_x is None:
         best_x = 0.5 * (a + b)
     w = b - a
@@ -252,23 +247,17 @@ def _bracketed_root(
                 x = mid
         else:
             x = mid
-        g = f(x) - y
+        g = f(x)
         if g > 0.0:
             if g < best_abs:
                 best_x, best_abs = x, g
-            if b_pos:
-                b, fb = x, g
-            else:
-                a, fa = x, g
+            b, fb = x, g
         else:
             if -g < best_abs:
                 if g == 0.0:
                     return x, x, x
                 best_x, best_abs = x, -g
-            if b_pos:
-                a, fa = x, g
-            else:
-                b, fb = x, g
+            a, fa = x, g
         w = b - a
     return a, b, best_x
 
@@ -319,7 +308,8 @@ def _omega_near(r: float, s: float, z: float) -> float:
     from [1, r']; s = 1 and 0 give 1 and r'.  z estimates the root; r must be
     valid, as it is not checked, and the ends are evaluated through ``_h``.
 
-    k1 is the natural bracket's, 0.2/(r'-1): scaled to a narrow one it
+    The kernel solves s - H_r = 0, rising through the root.  k1 is the
+    natural bracket's, 0.2/(r'-1): scaled to a narrow one it
     truncates the regula falsi step far more and costs more evaluations.  A
     bracket already within the tolerance returns its midpoint."""
     top = r / (r - 1.0)
@@ -336,7 +326,7 @@ def _omega_near(r: float, s: float, z: float) -> float:
     if z_hi - z_lo <= xtol:
         return 0.5 * (z_lo + z_hi)
     return _bracketed_root(
-        partial(_h, r), z_lo, z_hi, h_lo, h_hi, xtol, s, 0.2 / (top - 1.0)
+        lambda x: s - _h(r, x), z_lo, z_hi, s - h_lo, s - h_hi, xtol, 0.2 / (top - 1.0)
     )[2]
 
 
@@ -389,14 +379,13 @@ def _root_lanes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_bracketed_root`` on lanes, bit for bit, in lock-step ITP passes.
 
-    Lane i solves f_i(x) = 0 on [a_i, b_i], with end values fa_i > 0 >= fb_i
-    (y already subtracted), its own xtol and k1, 0.2/(b_i - a_i) unless
-    given, and the step-0 projection scale of a fresh run
-    (``_scale_lanes``); a caller whose f rises from a to b passes -f, which
-    takes the same steps, as negation is exact.  f_lanes(i, x) evaluates f
-    at x on the lanes i, an index array; f_of_lane(i) is lane i's scalar f.
-    Every lane takes the scalar kernel's steps: the same truncation and
-    projection branch, the same best point, b kept where f <= 0, an early
+    Lane i solves f_i(x) = 0 on [a_i, b_i] on ``_bracketed_root``'s
+    contract, from end values fa_i < 0 < fb_i, with its own xtol and k1,
+    0.2/(b_i - a_i) unless given, and the step-0 projection scale of a fresh
+    run (``_scale_lanes``).  f_lanes(i, x) evaluates f at x on the lanes i,
+    an index array; f_of_lane(i) is lane i's scalar f.  Every lane takes
+    the scalar kernel's steps: the same truncation and projection branch,
+    the same best point, b replaced where f > 0 and a where f < 0, an early
     stop where f hits 0 (a, b and the best point are then x) and a stop
     where the bracket's ends are adjacent floats.  Lanes leave the working
     arrays as they finish.  Once at most ``_STRAGGLER_LANES`` are left, each
@@ -412,14 +401,10 @@ def _root_lanes(
     if k1 is None:
         k1 = 0.2 / (b - a)
     scale = _scale_lanes(b - a, xtol)
-    # working copies of the state the passes write: no caller's array
-    # changes.  They add to the peak what the caller holds until the call
-    # returns: inverse_suite(2.5, 1.5) peaks at 1.62 MB, against 1.56 where
-    # _omega_lanes' four bracket arrays were call temporaries.  They halve
-    # glibc's heap trims: on inverse_suite's 6,000 lanes, 303 page faults
-    # per call against 631 in place, and verify_pairs' items_per_s 57.20
-    # against 56.17 (median of 8 alternating 20-s pairs, 7 wins, 2 shared
-    # x86-64 vCPUs)
+    # working copies of the state the passes write, so no caller's array
+    # changes: inverse_suite(2.5, 1.5)'s 6,000 lanes peak at 1.62 MB, not
+    # 1.56, and glibc's heap trims halve against working in place (303 page
+    # faults per call against 631)
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
@@ -451,20 +436,20 @@ def _root_lanes(
         better = g_abs < best_abs
         np.copyto(best_x, x, where=better)
         np.copyto(best_abs, g_abs, where=better)
-        pos = g > 0.0
-        neg = ~pos
+        neg = g < 0.0
+        pos = ~neg
         # a lane with g == 0 collapses its bracket onto x, its best point
-        np.copyto(a, x, where=g >= 0.0)
-        np.copyto(b, x, where=neg)
-        np.copyto(fa, g, where=pos)
-        np.copyto(fb, g, where=neg)
+        np.copyto(a, x, where=g <= 0.0)
+        np.copyto(b, x, where=pos)
+        np.copyto(fa, g, where=neg)
+        np.copyto(fb, g, where=pos)
         del x, g, g_abs, better, pos, neg
     for i, *state in zip(
         *(v.tolist() for v in (idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs))
     ):
         a_i, b_i, fa_i, fb_i, xtol_i, k1_i, scale_i, x_i, abs_i = state
         out_a[i], out_b[i], out_x[i] = _bracketed_root(
-            f_of_lane(i), a_i, b_i, fa_i, fb_i, xtol_i, 0.0, k1_i, scale_i, x_i, abs_i
+            f_of_lane(i), a_i, b_i, fa_i, fb_i, xtol_i, k1_i, scale_i, x_i, abs_i
         )
     return out_a, out_b, out_x
 
@@ -492,9 +477,8 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
     bit: ``_start_lanes``' estimates, one pass per rung over the lanes no
-    rung before bracketed, then one ``_root_lanes`` call; xtol and k1 are
-    kept per distinct r.  A straggler solves ``_h`` - s = 0: its end values
-    have s subtracted, and (fa + s) - s need not round back to fa.  A bad r
+    rung before bracketed, then one ``_root_lanes`` call on s - H_r, the
+    function ``omega`` solves; xtol and k1 are kept per distinct r.  A bad r
     or an s outside [0, 1] raises ``omega``'s DomainError for one such lane."""
     import numpy as np
     s = np.asarray(s, dtype=float)
@@ -510,15 +494,15 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero((0.0 < s) & (s < 1.0))
     k, y = k[idx], s[idx]
     near, r_of, top_of = _start_lanes(exps, k, y), exps[k], top[k]
-    a, b, fa, fb = np.ones(y.size), top_of.copy(), 1.0 - y, 0.0 - y
+    a, b, fa, fb = np.ones(y.size), top_of.copy(), y - 1.0, y - 0.0
     todo = np.arange(y.size)
     for width in _NEAR_HALF_WIDTHS:
         z, d = near[todo], width * top_of[todo]
         ends = np.stack([np.maximum(1.0, z - d), np.minimum(top_of[todo], z + d)])
-        # both ends in one pass; fa > 0 > fb exactly where H_r(a) > y >
+        # both ends in one pass; fa < 0 < fb exactly where H_r(a) > y >
         # H_r(b): y - y' is 0 only at y = y'
-        f = _h_lanes(r_of[todo], ends) - y[todo]
-        hit = (f[0] > 0.0) & (f[1] < 0.0)
+        f = y[todo] - _h_lanes(r_of[todo], ends)
+        hit = (f[0] < 0.0) & (f[1] > 0.0)
         i, todo = todo[hit], todo[~hit]
         a[i], b[i], fa[i], fb[i] = ends[0, hit], ends[1, hit], f[0, hit], f[1, hit]
         if not todo.size:
@@ -527,8 +511,8 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
     # where r' - 1 <= xtol the lane stops before k1 is read
     k1 = 0.2 / np.maximum(top - 1.0, xtol)
     root = _root_lanes(
-        lambda i, x: _h_lanes(r_of[i], x) - y[i],
-        lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): _h(r, x) - y,
+        lambda i, x: y[i] - _h_lanes(r_of[i], x),
+        lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): y - _h(r, x),
         a, b, fa, fb, xtol[k], k1[k],
     )[2]
     r = np.broadcast_to(r, s.shape)

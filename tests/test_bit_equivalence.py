@@ -2,11 +2,15 @@
 
 ``_reference_bracketed_root`` is a verbatim copy of the ITP kernel before
 its per-step arithmetic was streamlined (running projection scale,
-comparisons in place of ``abs``/``max``, the side of f(b) hoisted).  The
-streamlined kernel must return the same floats on every input, so every
-verdict and every CSV byte of the package stays the same: ``solve_t``
-must return every field, its certificate included, as it does on the
-reference kernel.  Writing
+comparisons in place of ``abs``/``max``, the side of f(b) hoisted), when it
+solved f(x) = y for f rising or falling.  The kernel now solves f(x) = 0
+for f rising through its root, so a reference call (f, y) maps onto a
+kernel call on y - f with end values y - f(a) and y - f(b) where f falls,
+and onto one on f itself where y = 0 and f rises; negation is exact, so
+both take the same steps.  The kernel must return the reference's floats
+on every input, so every verdict and every CSV byte of the package stays
+the same: ``solve_t`` must return every field, its certificate included,
+as it does on the reference kernel.  Writing
 ``(b - a) ** 2`` as a product changes omega_r on some inputs, mostly at
 r = 1.05 and 1.1, so the random brackets below include those exponents.
 
@@ -194,8 +198,9 @@ def test_kernel_matches_reference_on_omega_brackets(r):
         h_lo, h_hi = _h(r, z_lo), _h(r, z_hi)
         if not h_lo > s > h_hi:
             z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
-        args = (f, z_lo, z_hi, h_lo, h_hi, xtol, s, k1)
-        new, ref = _bracketed_root(*args), _reference_bracketed_root(*args)[:3]
+        # the kernel on s - H_r against the reference on H_r = s
+        new = _bracketed_root(lambda x: s - f(x), z_lo, z_hi, s - h_lo, s - h_hi, xtol, k1)
+        ref = _reference_bracketed_root(f, z_lo, z_hi, h_lo, h_hi, xtol, s, k1)[:3]
         # bit patterns, so that -0.0 and 0.0 differ too
         assert [x.hex() for x in new] == [x.hex() for x in ref], (r, s, z_lo, z_hi)
 
@@ -214,8 +219,11 @@ def test_solve_matches_reference_kernel(monkeypatch, pair):
     pts = [pt for pt in _points(e, 80, 7) if has_root(e, pt)]
     assert len(pts) >= 10
     sols = [solve_t(e, pt) for pt in pts]
-    # the reference kernel also returns f at its best point; callers take three
-    reference = lambda *args: _reference_bracketed_root(*args)[:3]  # noqa: E731
+    # callers pass the kernel's (f, a, b, fa, fb, xtol, k1), the reference's
+    # with y = 0; it also returns f at its best point, and callers take three
+    def reference(f, a, b, fa, fb, xtol, k1=None):
+        return _reference_bracketed_root(f, a, b, fa, fb, xtol, 0.0, k1)[:3]
+
     monkeypatch.setattr(hardyconst.special, "_bracketed_root", reference)
     monkeypatch.setattr(hardyconst.solver, "_bracketed_root", reference)
     # so that the reference kernel computes every alpha again

@@ -389,6 +389,19 @@ class TestHardyCmd:
         )
         assert out == ""
 
+    def test_steps_whose_draws_all_miss_the_length_rule_rejected(self, capsys):
+        # a draw keeps 100 pieces each 1e-3 * kappa long with probability
+        # 3e-5, so all 1000 draws miss: a domain error naming k, not an
+        # internal error
+        code, out, err = run(capsys, [
+            "hardy", "--p", "2", "--q", "1.5", "--samples", "3", "--steps", "100",
+        ])
+        assert code == 2
+        assert err == (
+            "error: domain-error: none of 1000 draws of k=100 pieces kept each 1e-3 * kappa long\n"
+        )
+        assert out == ""
+
     @pytest.mark.parametrize("pair, failures, lines, digest, err", PARTIAL, ids=PARTIAL_IDS)
     def test_partial_output(self, capsys, monkeypatch, pair, failures, lines, digest, err):
         # a failing sample prints the lines of the samples before it, then

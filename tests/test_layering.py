@@ -245,7 +245,7 @@ def test_no_pow_operator_in_lane_functions(path):
 #: ``_bracketed_root``'s arguments that resume a run part-way, and the
 #: number of arguments before them
 RESUME_ARGS = {"scale", "best_x", "best_abs"}
-FRESH_ARGS = 8
+FRESH_ARGS = 7
 
 
 def resume_callers(source: str) -> list[str]:
@@ -277,10 +277,10 @@ def resume_callers(source: str) -> list[str]:
 def test_resume_check_sees_each_kind():
     source = (
         "def fresh():\n"
-        "    _bracketed_root(f, a, b, fa, fb, xtol, y, k1)\n"
+        "    _bracketed_root(f, a, b, fa, fb, xtol, k1)\n"
         "    special._bracketed_root(f, a, b, fa, fb, xtol, k1=k1)\n"
         "def by_position():\n"
-        "    _bracketed_root(f, a, b, fa, fb, xtol, y, k1, scale)\n"
+        "    _bracketed_root(f, a, b, fa, fb, xtol, k1, scale)\n"
         "def by_keyword():\n"
         "    return special._bracketed_root(f, a, b, fa, fb, xtol, best_x=x)\n"
         "def unpacked(args, kw):\n"

@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 from dataclasses import astuple
-from functools import partial
 
 import numpy as np
 import pytest
@@ -440,7 +439,8 @@ class TestOmegaCertificate:
     def test_bracket_missing_the_root_falls_back_to_natural(self, estimate):
         # the kernel on [1, q'] = [1, 3] with omega's xtol and k1
         natural = _bracketed_root(
-            partial(_h, self.Q), 1.0, 3.0, 1.0, 0.0, 3.0 * _BRACKET_REL_TOL, self.TAU, 0.1
+            lambda x: self.TAU - _h(self.Q, x), 1.0, 3.0, self.TAU - 1.0, self.TAU - 0.0,
+            3.0 * _BRACKET_REL_TOL, 0.1,
         )[2]
         assert _omega_near(self.Q, self.TAU, estimate) == natural
 

@@ -1,7 +1,6 @@
 """Inverse-function layer: H_r, its derivative, and omega_r = H_r^{-1}."""
 
 import math
-from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -173,9 +172,9 @@ def _omega_between(r: float, s: float, z_lo: float, z_hi: float) -> float:
     """omega_r(s) by the root kernel on [z_lo, z_hi] with ``omega``'s
     schedule: xtol 1e-15 r' and the natural bracket's k1, 0.2/(r'-1)."""
     top = conjugate(r)
-    ends = h_eval(r, z_lo), h_eval(r, z_hi)
+    ends = s - h_eval(r, z_lo), s - h_eval(r, z_hi)
     xtol, k1 = _BRACKET_REL_TOL * top, 0.2 / (top - 1.0)
-    return _bracketed_root(partial(_h, r), z_lo, z_hi, *ends, xtol, s, k1)[2]
+    return _bracketed_root(lambda x: s - _h(r, x), z_lo, z_hi, *ends, xtol, k1)[2]
 
 
 class TestOmegaBetween:
