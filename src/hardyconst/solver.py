@@ -56,8 +56,10 @@ s1) > 0, explicit once alpha is known.  Two refinements:
   (w <= p') climbs by concavity; it stops once a step no longer raises u
   or u reaches 1, after 1.2 to 2.6 steps on average over 12 pairs, at most
   10.  w^(q-1) is w^(q-2) w, one pow per step: t* - 1 is small only near
-  the corner (1, 1), and on 42,000 sampled points (12,000 with 1 - s2 <
-  1.2e-10) lo rejected none, so u_lo need not be bit-exact.  The test is
+  the corner (1, 1), so u_lo need not be bit-exact.  lo rejected none of
+  42,000 sampled points (12,000 with 1 - s2 < 1.2e-10); it rejects some
+  with 1 - s2 near 1e-15, for alpha's error there, not a root below lo, as
+  the t-space test does (ROADMAP item 2).  The test is
   g(min(u_lo, u_top)) > 0, and inverts no omega_q.
 
 The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1) (p' = p/(p-1)),

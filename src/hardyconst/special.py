@@ -38,15 +38,19 @@ The kernel's step arithmetic is fixed bit for bit: every float that feeds
 the next point, the bracket ends or the best point must stay as it is, or
 verdicts and CLI output move.  Rewrites that keep each rounding are fine:
 a projection scale halved every step instead of xtol * 2^(n_max-j-1),
-comparisons instead of abs and max.  Trap: (b - a) ** 2 must stay a pow;
-written as (b - a) * (b - a) it changed omega on 434 of 40,000 inputs over
-ten exponents, 400 of them at r = 1.05 and 1.1, because the C library's
-pow(x, 2) is not always rounded like x * x.
+comparisons instead of abs and max, one signed step (sigma = 1 where the
+regula falsi point is at or below the midpoint) for two mirrored branches.
+``_itp_scale`` gives both kernels n_max with ceil(log2(w/xtol)) exact from
+frexp: math.log2 rounds the first floats above 2^k down onto k for every
+k >= 4 (one at 2^4, five at 2^16), one step short.  Trap: (b - a) ** 2
+must stay a pow; written as (b - a) * (b - a) it changed omega on 434 of
+40,000 inputs over ten exponents, 400 of them at r = 1.05 and 1.1, because
+the C library's pow(x, 2) is not always rounded like x * x.
 
 ``_root_lanes`` is the kernel's lane-wise twin, the one lane step in the
 package: lock-step ITP passes over an array of brackets, each lane with
 its own rising function, tolerance and k1, equal to ``_bracketed_root``,
-which derives the same schedule, bit for bit.  It solves both roots in
+with the same schedule and step, bit for bit.  It solves both roots in
 lanes: ``_omega_lanes``, omega's twin for batched grids (one r or one r per
 lane, beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one
 call, and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us
@@ -200,18 +204,14 @@ def _bracketed_root(
 
     scale, best_x and best_abs resume a run part-way: the projection scale
     xtol * 2^(n_max - j - 1) at the next step j, and the best point so far
-    with its |f|.  They default to a fresh run's: the scale at j = 0, the
+    with its |f|.  They default to a fresh run's: ``_itp_scale``'s, the
     initial midpoint and inf.  A resumed run passes its bracket and end
     values as they stand, with the k1 and xtol it started with.
     """
     if k1 is None:
         k1 = 0.2 / (b - a)
     if scale is None:
-        n_max = max(math.ceil(math.log2((b - a) / xtol)), 0) + 3
-        # xtol * 2^(n_max - j - 1) at step j; halving a power-of-two multiple
-        # of xtol is exact while it is at least xtol, and below that the
-        # projection radius is 0 either way
-        scale = xtol * 2.0 ** (n_max - 1)
+        scale = _itp_scale(b - a, xtol, math.frexp, math.ldexp)
     if best_x is None:
         best_x = 0.5 * (a + b)
     w = b - a
@@ -228,24 +228,14 @@ def _bracketed_root(
         x_f = (fb * a - fa * b) / (fb - fa)
         # (b - a) ** 2 stays a pow: w * w rounds differently on some w
         delta = k1 * w**2
-        # the truncation moves x_f by delta toward mid unless delta
-        # overshoots it; the projection then keeps x within radius of mid
-        if mid >= x_f:
-            if delta <= mid - x_f:
-                x = x_f + delta
-                if not -radius <= x - mid <= radius:
-                    x = mid - radius
-                if not a < x < b:
-                    x = mid
-            else:
-                x = mid
-        elif delta <= x_f - mid:
-            x = x_f - delta
-            if not -radius <= x - mid <= radius:
-                x = mid + radius
-            if not a < x < b:
-                x = mid
-        else:
+        # the truncation moves x_f by delta toward mid, sigma = 1 where x_f
+        # is at or below mid; the projection keeps x within radius of mid,
+        # and a delta that overshoots mid, or an x outside (a, b), gives mid
+        sigma = 1.0 if mid >= x_f else -1.0
+        x = x_f + sigma * delta
+        if not -radius <= x - mid <= radius:
+            x = mid - sigma * radius
+        if not (delta <= sigma * (mid - x_f) and a < x < b):
             x = mid
         g = f(x)
         if g > 0.0:
@@ -260,6 +250,16 @@ def _bracketed_root(
             a, fa = x, g
         w = b - a
     return a, b, best_x
+
+
+def _itp_scale(w, xtol, frexp: Callable, ldexp: Callable):
+    """ITP's step-0 projection scale xtol * 2^(n_max - 1) for a bracket of
+    width w, n_max = max(ceil(log2(w / xtol)), 0) + 3, on floats with math's
+    frexp and ldexp, on lanes with numpy's.  With w / xtol = m 2^e, 0.5 <=
+    m < 1, ceil(log2(w / xtol)) is e - 1 where m = 0.5 and e otherwise."""
+    m, e = frexp(w / xtol)
+    n = e - (m == 0.5)
+    return ldexp(xtol, n * (n > 0) + 2)  # max(n, 0) on ints and int arrays
 
 
 def _h_slope(r, z, pw: Callable) -> tuple:
@@ -308,10 +308,10 @@ def _omega_near(r: float, s: float, z: float) -> float:
     from [1, r']; s = 1 and 0 give 1 and r'.  z estimates the root; r must be
     valid, as it is not checked, and the ends are evaluated through ``_h``.
 
-    The kernel solves s - H_r = 0, rising through the root.  k1 is the
-    natural bracket's, 0.2/(r'-1): scaled to a narrow one it
-    truncates the regula falsi step far more and costs more evaluations.  A
-    bracket already within the tolerance returns its midpoint."""
+    The kernel solves s - H_r = 0, rising through the root, with the natural
+    bracket's k1, 0.2/(r'-1) (0.2/xtol where r' - 1 <= xtol, r' may round to
+    1): scaled to a narrow one it truncates the regula falsi step far more
+    and costs more evaluations.  A bracket within xtol returns its midpoint."""
     top = r / (r - 1.0)
     if s == 1.0 or s == 0.0:
         return top if s == 0.0 else 1.0
@@ -323,10 +323,9 @@ def _omega_near(r: float, s: float, z: float) -> float:
     else:
         z_lo, h_lo, z_hi, h_hi = 1.0, 1.0, top, 0.0
     xtol = _BRACKET_REL_TOL * top
-    if z_hi - z_lo <= xtol:
-        return 0.5 * (z_lo + z_hi)
     return _bracketed_root(
-        lambda x: s - _h(r, x), z_lo, z_hi, s - h_lo, s - h_hi, xtol, 0.2 / (top - 1.0)
+        lambda x: s - _h(r, x), z_lo, z_hi, s - h_lo, s - h_hi, xtol,
+        0.2 / max(top - 1.0, xtol),
     )[2]
 
 
@@ -351,22 +350,6 @@ def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
     return val
 
 
-def _scale_lanes(w: np.ndarray, xtol: np.ndarray) -> np.ndarray:
-    """``_bracketed_root``'s step-0 projection scale xtol * 2^(n_max - 1) on
-    lanes of bracket width w, n_max = max(ceil(log2(w / xtol)), 0) + 3.
-
-    ceil(log2(v)) is exact from frexp, except at or just above a power of
-    two, where math.log2 may round down onto it; there it is math.log2's.
-    """
-    import numpy as np
-    v = np.maximum(w / xtol, 1.0)
-    m, n = np.frexp(v)
-    n = n.astype(float)
-    near = np.flatnonzero(m < 0.5 + 1e-12)
-    n[near] = [math.ceil(math.log2(x)) for x in v[near].tolist()]
-    return xtol * np.ldexp(1.0, n.astype(int) + 2)
-
-
 def _root_lanes(
     f_lanes: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f_of_lane: Callable[[int], Callable[[float], float]],
@@ -382,12 +365,12 @@ def _root_lanes(
     Lane i solves f_i(x) = 0 on [a_i, b_i] on ``_bracketed_root``'s
     contract, from end values fa_i < 0 < fb_i, with its own xtol and k1,
     0.2/(b_i - a_i) unless given, and the step-0 projection scale of a fresh
-    run (``_scale_lanes``).  f_lanes(i, x) evaluates f at x on the lanes i,
+    run (``_itp_scale``).  f_lanes(i, x) evaluates f at x on the lanes i,
     an index array; f_of_lane(i) is lane i's scalar f.  Every lane takes
-    the scalar kernel's steps: the same truncation and projection branch,
-    the same best point, b replaced where f > 0 and a where f < 0, an early
-    stop where f hits 0 (a, b and the best point are then x) and a stop
-    where the bracket's ends are adjacent floats.  Lanes leave the working
+    the scalar kernel's signed step, the same best point, b replaced where
+    f > 0 and a where f < 0, an early stop where f hits 0 (a, b and the
+    best point are then x) and a stop where the bracket's ends are adjacent
+    floats.  Lanes leave the working
     arrays as they finish.  Once at most ``_STRAGGLER_LANES`` are left, each
     finishes in ``_bracketed_root``, resumed from its bracket, end values,
     k1, xtol, projection scale and best point, so it takes the steps the
@@ -400,7 +383,7 @@ def _root_lanes(
     idx = np.arange(a.size)
     if k1 is None:
         k1 = 0.2 / (b - a)
-    scale = _scale_lanes(b - a, xtol)
+    scale = _itp_scale(b - a, xtol, np.frexp, np.ldexp)
     # working copies of the state the passes write, so no caller's array
     # changes: inverse_suite(2.5, 1.5)'s 6,000 lanes peak at 1.62 MB, not
     # 1.56, and glibc's heap trims halve against working in place (303 page
@@ -423,8 +406,8 @@ def _root_lanes(
         scale *= 0.5
         x_f = (fb * a - fa * b) / (fb - fa)
         delta = k1 * np.float_power(w, 2.0)
-        # the scalar kernel's two signed branches, with sigma = 1 where
-        # x_f is at or below mid; negating a difference is exact
+        # the scalar kernel's signed step, with sigma = 1 where x_f is at or
+        # below mid; negating a difference is exact
         sigma = np.where(mid >= x_f, 1.0, -1.0)
         x = x_f + sigma * delta
         x = np.where(np.abs(x - mid) <= radius, x, mid - sigma * radius)

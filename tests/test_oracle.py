@@ -151,3 +151,25 @@ def test_oracle_omega_where_s2_nears_one(q, gap):
         got = omega_q(q, s2)
     with mp.workdps(70):
         assert abs(got - _bisected_omega(q, s2)) <= mp.mpf(10) ** -35
+
+
+#: a point of (20, 19) next to the corner (1, 1): the float omega_q(s2) - 1
+#: is 2.2e-16 against 1.14e-9, so the float alpha is 4.4e-15 against 2.17e-8
+ALPHA_ERROR_POINT = Exponents(20.0, 19.0), ParamPoint(0.9999999999946025, 0.9999999999999998)
+
+
+def test_the_root_lies_above_the_left_end_at_the_alpha_error_point():
+    e, pt = ALPHA_ERROR_POINT
+    t_ref, gap = reference_t(e.p, e.q, pt.s1, pt.s2)
+    assert 1e-9 < t_ref - 1 < 2e-9 and gap > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: alpha's error near s2 = 1 puts t below lo = 1 + 1e-12",
+)
+def test_has_root_where_the_float_alpha_loses_its_digits():
+    # the oracle's t is 1 + 1.15e-9, far above lo; with the float alpha both
+    # u_lo's test and the t-space test with omega_q inverted reject the point
+    e, pt = ALPHA_ERROR_POINT
+    assert has_root(e, pt)

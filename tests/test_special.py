@@ -9,7 +9,14 @@ from omega_ulps import R_SWEEP, ulp_errors
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
-from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h, _h_lanes
+from hardyconst.special import (
+    _BRACKET_REL_TOL,
+    _bracketed_root,
+    _h,
+    _h_lanes,
+    _itp_scale,
+    _root_lanes,
+)
 
 R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]
 
@@ -225,6 +232,94 @@ class TestOmegaBetween:
             assert z_lo <= z <= z_hi
             assert abs(z - omega(r, s)) <= 1e-15 * top
         assert n_tight >= 50
+
+
+def _ceil_log2(v: float) -> int:
+    """ceil(log2(v)) for a float v > 0, exactly: v = n / 2^j in integers."""
+    n, d = v.as_integer_ratio()
+    return (n - 1).bit_length() - (d.bit_length() - 1)
+
+
+#: w / xtol at 2^k and at the floats on either side, k = 0..60: math.log2
+#: rounds nextafter(2^k, inf) down onto k for every k from 4 to 63
+SCHEDULE_RATIOS = [
+    x
+    for k in range(61)
+    for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf))
+]
+
+
+def _stalling(w):
+    """A rising f on [0, w] whose root lies near 0, where regula falsi with
+    k1 = 0 stalls at the left end: ITP then needs all of its n_max steps."""
+    return lambda x: (x / w) ** 12 - 1e-30
+
+
+class TestItpSchedule:
+    """Both kernels' ITP schedule: the step-0 projection scale xtol 2^(n_max
+    - 1), n_max = max(ceil(log2(w / xtol)), 0) + 3, with ceil(log2) exact."""
+
+    @pytest.mark.parametrize("xtol", [2.0**-40, 3e-15, 1e-300])
+    def test_step_0_scale_is_exact(self, xtol):
+        w = [0.0] + [v * xtol for v in SCHEDULE_RATIOS]
+        expected = [xtol * 2.0 ** (max(_ceil_log2(x / xtol) if x else 0, 0) + 2) for x in w]
+        floats = [_itp_scale(x, xtol, math.frexp, math.ldexp) for x in w]
+        lanes = _itp_scale(np.array(w), np.full(len(w), xtol), np.frexp, np.ldexp)
+        assert [x.hex() for x in floats] == [x.hex() for x in expected]
+        assert [x.hex() for x in lanes.tolist()] == [x.hex() for x in expected]
+
+    def test_a_stalled_run_takes_n_max_steps_in_both_kernels(self):
+        # with xtol a power of two every halving of the bracket is exact, so
+        # a run that regula falsi cannot shorten takes exactly n_max steps
+        xtol = 2.0**-40
+        w = np.array(SCHEDULE_RATIOS) * xtol
+        n_max = [_ceil_log2(v) + 3 if v > 1.0 else 0 for v in SCHEDULE_RATIOS]
+        steps = np.zeros(w.size, dtype=int)
+
+        def counted(i, f):
+            def f_i(x):
+                steps[i] += 1
+                return f(x)
+            return f_i
+
+        floats = [
+            _bracketed_root(counted(i, _stalling(x)), 0.0, x, -1e-30, 1.0 - 1e-30, xtol, 0.0)
+            for i, x in enumerate(w.tolist())
+        ]
+        assert steps.tolist() == n_max
+        steps[:] = 0
+
+        def f_lanes(i, x):
+            np.add.at(steps, i, 1)
+            return _stalling(w[i])(x)
+
+        n = w.size
+        lanes = _root_lanes(
+            f_lanes, lambda i: counted(i, _stalling(float(w[i]))), np.zeros(n), w,
+            np.full(n, -1e-30), np.full(n, 1.0 - 1e-30), np.full(n, xtol), np.zeros(n),
+        )
+        assert steps.tolist() == n_max
+        assert [[x.hex() for x in v.tolist()] for v in lanes] == [
+            [x.hex() for x in v] for v in zip(*floats)
+        ]
+
+    @pytest.mark.parametrize("xtol", [2.0**-40, 3e-15])
+    def test_lanes_match_the_scalar_kernel_on_linear_brackets(self, xtol):
+        # k1 from each bracket, 0.2/w; the root a third of the way in
+        w = np.array(SCHEDULE_RATIOS) * xtol
+        root = w / 3.0
+        n = w.size
+        floats = [
+            _bracketed_root(lambda x, c=c: x - c, 0.0, b, -c, b - c, xtol)
+            for b, c in zip(w.tolist(), root.tolist())
+        ]
+        lanes = _root_lanes(
+            lambda i, x: x - root[i], lambda i: lambda x, c=float(root[i]): x - c,
+            np.zeros(n), w, -root, w - root, np.full(n, xtol),
+        )
+        assert [[x.hex() for x in v.tolist()] for v in lanes] == [
+            [x.hex() for x in v] for v in zip(*floats)
+        ]
 
 
 class TestOmegaDeriv:
