@@ -4,12 +4,15 @@ All numeric output is CSV with the fixed header below, reals serialized
 with 17 significant digits (``format(x, ".17g")``), so reruns with identical
 configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
-once per s2, so a row formats only its own seven floats.  Neither loads
-numpy: ``scan``'s grid is ``domain._linspace``, and ``verify``, array code
-throughout, is imported by its command.  ``hardy`` runs its quadrature once
-per chunk of samples (``hardy._verified_samples``) and prints each sample's
-line as its chunk comes out; on an error it prints the lines of the samples
-before the failing one, exactly as checking one sample at a time would.
+once per s2, so a row formats only its own seven floats.  Each command
+loads only the modules it runs: ``solve`` and ``scan`` need ``errors``,
+``special``, ``domain``, ``solver`` and ``sensitivity``, and no numpy
+(``scan``'s grid is ``domain._linspace``); ``hardy`` imports ``hardy``, and
+``verify`` imports ``verify`` and with it ``asymptotics``, each with numpy,
+when it runs.  ``hardy`` runs its quadrature once per chunk of samples
+(``hardy._verified_samples``) and prints each sample's line as its chunk
+comes out; on an error it prints the lines of the samples before the
+failing one, exactly as checking one sample at a time would.
 Diagnostics go to stderr as "error: <name>: <detail>".
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
@@ -31,7 +34,6 @@ from .errors import (
     NoRootError,
     OutsideDomainError,
 )
-from .hardy import _verified_samples
 from .sensitivity import _signs
 from .solver import solve_t
 from .special import Exponents
@@ -118,6 +120,7 @@ def cmd_hardy(args: argparse.Namespace) -> int:
         raise DomainError(f"need at least 1 sample, got {args.samples}")
     if args.steps < 2:
         raise DomainError(f"need at least 2 steps, got {args.steps}")
+    from .hardy import _verified_samples
     e = Exponents(args.p, args.q)
     draws = (
         (args.seed + i, _SAMPLE_KAPPAS[i % len(_SAMPLE_KAPPAS)]) for i in range(args.samples)

@@ -16,8 +16,9 @@ is the root of s - H_r here, and ``solver`` solves its explicit equation.
 The kernel is the ITP method (Oliveira and Takahashi, ACM TOMS 2020): a
 regula falsi step, truncated toward the midpoint and projected into a ball
 around it that shrinks like bisection, so it keeps a sign-change bracket,
-converges superlinearly on smooth functions, and never needs more than
-three evaluations beyond bisection.
+converges superlinearly on smooth functions, and needs at most four
+evaluations beyond bisection: three in exact arithmetic, and one more where
+the rounded bracket ends a hair above xtol after ITP's n_max steps.
 
 ``omega`` inverts in two stages.  ``_omega_start`` estimates the root by
 Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
@@ -198,9 +199,10 @@ def _bracketed_root(
     and the evaluated interior point x with the smallest |f(x)|, or the
     initial midpoint when the bracket needed no evaluation.  ITP's
     parameters are k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most
-    three evaluations more than bisection to reach xtol.  With n0 = 1 a few
-    slow regula falsi steps early on use up the slack and the rest is plain
-    bisection (50 evaluations for omega_2 at s = 0.99575; 11 with n0 = 3).
+    n_max + 1 evaluations to reach xtol, four more than bisection.  With n0
+    = 1 a few slow regula falsi steps early on use up the slack and the rest
+    is plain bisection (50 evaluations for omega_2 at s = 0.99575; 11 with
+    n0 = 3).
 
     scale, best_x and best_abs resume a run part-way: the projection scale
     xtol * 2^(n_max - j - 1) at the next step j, and the best point so far

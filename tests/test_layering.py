@@ -8,8 +8,10 @@ lanes (a function with a parameter ``pw``, the power it runs on) use
 scalar root kernel part-way: a resumed schedule anywhere else would move the
 floats of ``omega``, the solver's certificate or its u solve.  numpy is
 loaded by the functions that build arrays, not by importing the package or
-the CLI, nor by ``solve`` and ``scan``, which compute on floats.  Every
-field of ``solver.LaneSolutions`` is read from a ``solve_lanes`` result
+the CLI, nor by ``solve`` and ``scan``, which compute on floats; nor are
+``hardy``, ``asymptotics`` and ``verify``, which only the array commands
+run.  The package serves each public name lazily, as the very object its
+defining module holds.  Every field of ``solver.LaneSolutions`` is read from a ``solve_lanes`` result
 outside ``solver``: the lane solve returns nothing its callers ignore."""
 
 import ast
@@ -79,7 +81,8 @@ def test_every_lane_solution_field_is_read():
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names a module imports but never reads; ``__all__`` entries count as read."""
+    """Names a module imports but never reads; a literal ``__all__``'s entries
+    count as read."""
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
@@ -89,7 +92,7 @@ def unused_imports(source: str) -> list[str]:
             bound.update(a.asname or a.name for a in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read.update(ast.literal_eval(node.value))
@@ -104,6 +107,7 @@ def test_unused_import_check_sees_each_kind():
         "from .errors import DomainError, NoRootError as Missing\n"
         "from . import special\n"
         "__all__ = ['special']\n"
+        "__all__ = sorted(['Missing', *names])\n"
         "x: DomainError = math.pi\n"
         "np = None\n"
     )
@@ -322,6 +326,100 @@ def test_point_paths_load_no_numpy(code):
     proc = fresh(["-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+#: modules that only the array commands, ``hardy`` and ``verify``, run
+ARRAY_COMMAND_MODULES = ("hardyconst.hardy", "hardyconst.asymptotics", "hardyconst.verify")
+
+
+@pytest.mark.parametrize("code", NO_NUMPY.values(), ids=NO_NUMPY)
+def test_point_paths_load_no_array_command_module(code):
+    check = f"import sys\nprint([m for m in {ARRAY_COMMAND_MODULES!r} if m in sys.modules])"
+    proc = fresh(["-c", f"{code}\n{check}"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def top_level_definitions(source: str) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_definition_check_sees_each_kind():
+    source = (
+        "import math\n"
+        "from .special import omega\n"
+        "TOL = 1e-12\n"
+        "LIMIT: int = 3\n"
+        "class Point:\n"
+        "    inner = 1\n"
+        "def solve(x):\n"
+        "    local = x\n"
+        "a.b = 2\n"
+    )
+    assert top_level_definitions(source) == {"LIMIT", "Point", "TOL", "solve"}
+
+
+#: run in a fresh interpreter with ``homes``, each public name's defining
+#: module, filled in; it touches those modules and then every name through
+#: the package first, then prints the modules and names that are not the
+#: defining module's object, the names ``import *`` binds wrongly or not at
+#: all, and those ``dir`` does not list
+NAMESPACE = """
+import importlib
+import hardyconst
+homes = {homes!r}
+modules = {{home: getattr(hardyconst, home) for home in sorted(set(homes.values()))}}
+got = {{name: getattr(hardyconst, name) for name in hardyconst.__all__}}
+star = {{}}
+exec("from hardyconst import *", star)
+listed = dir(hardyconst)
+
+
+def defined(name):
+    home = homes.get(name, name)
+    module = importlib.import_module("hardyconst." + home)
+    return module if home == name else getattr(module, name)
+
+
+print([home for home in modules if modules[home] is not defined(home)])
+print([name for name in hardyconst.__all__ if got[name] is not defined(name)])
+print(sorted(set(star) - {{"__builtins__"}} ^ set(hardyconst.__all__)))
+print([name for name in hardyconst.__all__ if star[name] is not got[name]])
+print([name for name in hardyconst.__all__ if name not in listed])
+"""
+
+
+def test_every_public_name_is_its_modules_object():
+    definitions = {
+        path.stem: top_level_definitions(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    homes = {"errors": "errors"}
+    for name in set(hardyconst.__all__) - {"errors"}:
+        modules = [stem for stem, names in definitions.items() if name in names]
+        assert len(modules) == 1, (name, modules)
+        homes[name] = modules[0]
+    proc = fresh(["-c", NAMESPACE.format(homes=homes)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"] * 5
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hardyconst.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="has no attribute '_h'"):
+        hardyconst._h  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        from hardyconst import no_such_name  # noqa: F401
 
 
 @pytest.mark.parametrize("argv", [

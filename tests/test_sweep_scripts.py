@@ -1,0 +1,38 @@
+"""The two scripts pytest does not collect, ``solve_sweep.py`` and
+``omega_ulps.py``, run on tiny inputs: a rename of a name either one
+imports or reads then fails here instead of in the script."""
+
+import re
+import sys
+
+import numpy as np
+import omega_ulps
+import solve_sweep
+
+from hardyconst import Exponents
+
+
+def test_omega_ulps_on_a_few_targets(monkeypatch, capsys):
+    assert omega_ulps.ulp_errors(2.0, np.array([0.0, 0.3, 0.9, 0.999])).max() <= 2.0
+    monkeypatch.setattr(omega_ulps, "R_SWEEP", (1.5, 20.0))
+    monkeypatch.setattr(sys, "argv", ["omega_ulps.py", "--points", "3", "--flat", "2"])
+    omega_ulps.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "band r max p99.9 mean beyond_2ulp"
+    assert [line.split()[-5] for line in lines[1:]] == ["1.5", "20", "1.5", "20"]
+
+
+def test_solve_sweep_on_a_few_points(monkeypatch, capsys):
+    e = Exponents(2.0, 1.5)
+    lo, hi = solve_sweep.NEAR_ONE
+    assert all(lo <= 1.0 - pt.s2 <= hi for pt in solve_sweep._near_one_points(e, 4, 0))
+    monkeypatch.setattr(solve_sweep, "SWEEP_PAIRS", [(2.0, 1.5), (20.0, 19.0)])
+    for name in ("N_POINTS", "N_NEAR_ONE", "N_OMEGA_UNIFORM", "N_OMEGA_NEAR_ONE"):
+        monkeypatch.setattr(solve_sweep, name, 5)
+    solve_sweep.main()
+    lines = capsys.readouterr().out.splitlines()
+    counts = re.fullmatch(r"verdicts: ok (\d+) outside (\d+) no_root (\d+)", lines[0])
+    assert sum(map(int, counts.groups())) == 20
+    assert re.fullmatch(r"sha256: [0-9a-f]{64}", lines[1])
+    assert lines[2] == "solve_lanes mismatches: 0"
+    assert re.fullmatch(r"omega sha256: [0-9a-f]{64} _omega_lanes mismatches: 0", lines[3])
