@@ -89,18 +89,22 @@ Newton estimate.  w(u*) is not Newton-converged, so 7.5 % of certificates
 on scan rows need the half-width 4e-15 q' after 1e-15 q', and 0.25 % fall
 back to [1, q'].
 
-``solve_lanes`` is ``solve_t`` for a batch of points, one per lane, equal
-to it bit for bit on the verdict and on t, u and alpha, the fields
-``verify.sign_suite`` reads; it makes no certificate.  It runs the same
-pipeline on numpy arrays: the u solve on solve_t's g and end values in
-``special._root_lanes``, alpha once per run of equal s2, and g and t from
-``_u_equation`` with pw = np.float_power.  A call costs ~0.17 ms with one
+``solve_lanes`` is the loop that calls ``solve_t`` on each of a batch of
+points, one per lane, and marks a lane not ok where it raises NoRootError:
+equal to it bit for bit on the verdict and on t, u and alpha, the fields
+``verify.sign_suite`` reads, and raising what it raises first; it makes no
+certificate.  It runs the same pipeline on numpy arrays: the u solve on
+solve_t's g and end values in ``special._root_lanes``, alpha once per run
+of equal s2, and g and t from ``_u_equation`` with pw = np.float_power.
+Each lane it cannot finish bit for bit (an invalid or outside point, a
+non-finite value) goes into one redo mask that ``solve_t`` solves in lane
+order.  A call costs ~0.17 ms with one
 lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
 scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
 time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
 ``verify.sign_suite`` solves its grid with it and callers of single points
-keep ``solve_t``.  It is public in this
-module, not in the package: ``verify`` may import no private solver name.
+keep ``solve_t``.  It is public in this module, not in the package:
+``verify`` may import no private solver name.
 """
 
 from __future__ import annotations
@@ -325,128 +329,108 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
 
 @dataclass(frozen=True)
 class LaneSolutions:
-    """``solve_lanes``' result: each lane's verdict, and the fields of
-    ``BellmanSolution`` that ``verify.sign_suite`` reads, as arrays, nan
-    where the lane has no constant.
+    """``solve_lanes``' result: the fields of ``BellmanSolution`` that
+    ``verify.sign_suite`` reads, as arrays, nan where the lane has no
+    constant.
 
-    ok        solve_t returns a constant
-    outside   solve_t raises OutsideDomainError; a lane neither ok nor
-              outside is one where it raises NoRootError
+    ok        solve_t returns a constant; a lane not ok is one where it
+              raises NoRootError
     t, u, alpha  solve_t's t, u and alpha
     """
 
     ok: np.ndarray
-    outside: np.ndarray
     t: np.ndarray
     u: np.ndarray
     alpha: np.ndarray
 
 
 def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
-    """``solve_t`` on 1-D arrays of s1 and s2, one point per lane, bit for bit.
+    """``solve_t`` on 1-D arrays of s1 and s2, one point per lane, bit for bit:
+    the loop that calls ``solve_t`` on each lane in order and marks the lane
+    not ok where it raises NoRootError.
 
-    Runs solve_t's pipeline lane-wise (``_inside_lanes``) and returns each
-    lane's verdict instead of raising OutsideDomainError or NoRootError.  A
-    lane whose arithmetic meets a non-finite value, or a tau where
-    ``tau_eval`` would raise or omega_q(tau) is undefined, is solved by
-    ``solve_t``, so it raises what solve_t raises; an invalid (s1, s2) raises ParamPoint's
-    DomainError before anything is solved.
+    The lanes run solve_t's pipeline: alpha once per run of equal s2 through
+    ``_alpha``, where the scalar loop computes it, K, ``_u_lo``'s Newton
+    loop, masked, and g(u_b); then u_a and g(u_a), g(u_top) where u_b <
+    u_top, the u solve of g = 0 through ``_root_lanes``, each straggler on
+    its scalar g, and t.  g and t are ``_u_equation``'s, with pw =
+    np.float_power.  Where u_top <= 0 no inside lane is ok.  Every lane the
+    pipeline cannot finish bit for bit goes into one redo mask: an invalid
+    (s1, s2), a point outside the region, a non-finite g(u_b), g(u_a),
+    g(u_top), t or width, or a tau where ``tau_eval`` would raise or
+    omega_q(tau) is undefined.  ``solve_t`` solves the masked lanes in lane
+    order, so the call raises what the loop raises first.  The width and
+    tau are formed for that check alone; no lane inverts omega_q.
     """
     import numpy as np
+    p, q = e.p, e.q
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
-    valid = (0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0)
-    if not valid.all():
-        i = valid.argmin()
-        ParamPoint(float(s1[i]), float(s2[i]))
-    t, u, a2 = (np.full(s1.size, np.nan) for _ in range(3))
-    ok = np.zeros(s1.size, dtype=bool)
+    ok, out = np.zeros(s1.size, dtype=bool), np.full((3, s1.size), np.nan)
+    u_top = _u_top(e)
     with np.errstate(all="ignore"):
-        outside = _outside_lanes(e, s1, s2)
-        idx = np.flatnonzero(~outside)
-        u_top = _u_top(e)
-        redo = []
-        if idx.size and u_top > 0.0:
-            done, redo, (t_in, u_in, a2_in) = _inside_lanes(e, u_top, s1[idx], s2[idx])
-            done = idx[done]
-            ok[done], t[done], u[done], a2[done] = True, t_in, u_in, a2_in
-            redo = idx[redo].tolist()
-    for i in redo:
+        redo = ~((0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0))
+        redo |= _outside_lanes(e, s1, s2)
+        lane = np.flatnonzero(~redo & (u_top > 0.0))
+        x, y = s1[lane], s2[lane]  # s1 and s2 of the lanes the pipeline runs
+        start = np.flatnonzero(np.diff(y, prepend=np.nan) != 0.0)
+        a2 = np.repeat([_alpha(e, v) for v in y[start].tolist()], np.diff(np.r_[start, y.size]))
+        k = np.maximum((p - q) * x * a2 / q, _K_MIN)
+        ratio = x / y
+        # the scalar powers of _u_lo and solve_t, with the C pow that ** calls
+        cap, pc_pow = math.nextafter(e.p_conj, 0.0), math.pow(e.p_conj, q - 1.0)
+        r = k / (math.pow(1.0 + _ENDPOINT_MARGIN, p - q) - ratio)
+        u_lo = r / pc_pow
+        live = np.flatnonzero(u_lo < 1.0)
+        while live.size:
+            v = u_lo[live]
+            w = (p - v) / (p - 1.0)
+            w_q2 = np.float_power(w, q - 2.0)
+            step = v + (r[live] - w_q2 * w * v) * (p - 1.0) / (w_q2 * (p - q * v))
+            up = step > v
+            live = live[up]
+            u_lo[live] = step[up]
+            live = live[step[up] < 1.0]
+        u_b = np.where(u_top < u_lo, u_top, u_lo)
+        g_b = _u_equation(e, x, ratio, k, np.float_power)[0](u_b)
+        redo[lane[~np.isfinite(g_b)]] = True
+        keep = g_b > 0.0
+        lane, x, a2, k, ratio, u_b, g_b = (v[keep] for v in (lane, x, a2, k, ratio, u_b, g_b))
+        d = math.pow(cap, p - q) - ratio
+        u = k / (pc_pow * d)
+        u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
+        g_a = _u_equation(e, x, ratio, k, np.float_power)[0](u)
+        # the top cap, unless g(u_a) < 0
+        t = np.full(lane.size, cap)
+        bad = ~np.isfinite(g_a)
+        j = np.flatnonzero(g_a < 0.0)
+        if j.size:
+            ra, rk, rs1, lo = ratio[j], k[j], x[j], u[j]
+            g_top, at = g_b[j], u_b[j] != u_top
+            g_top[at] = _u_equation(e, rs1[at], ra[at], rk[at], np.float_power)[0](u_top)
+
+            a, b, u[j] = _root_lanes(
+                lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
+                lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
+                lo, np.full(j.size, u_top), g_a[j], g_top, _U_REL_WIDTH * lo,
+            )
+            t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
+            t_u = t_of(u[j])
+            t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
+            # solve_t's width |t(a) - t(b)|, formed for this check alone
+            width = t_of(a) - t_of(b)
+            bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width))
+        denom = np.float_power(t, p - q) - ratio
+        tau = (p - q) / p * (np.float_power(t, p) - x) / denom
+        # tau_eval raises where denom <= 0; omega_q(tau) is undefined where tau
+        # leaves [0, 1]
+        bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
+        redo[lane[bad]] = True
+        ok[lane[~bad]] = True
+        out[:, lane[~bad]] = t[~bad], u[~bad], a2[~bad]
+    for i in np.flatnonzero(redo).tolist():
         try:
             sol = solve_t(e, ParamPoint(float(s1[i]), float(s2[i])))
         except NoRootError:
             continue
-        ok[i], t[i], u[i], a2[i] = True, sol.t, sol.u, sol.alpha
-    return LaneSolutions(ok, outside, t, u, a2)
-
-
-def _inside_lanes(
-    e: Exponents, u_top: float, s1: np.ndarray, s2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``solve_t`` on inside lanes, given u_top > 0: (the lanes with a
-    constant, the lanes for ``solve_t`` to redo, their t, u and alpha).
-
-    The decision: alpha once per run of equal s2 through ``_alpha``, where
-    the scalar loop computes it, K, ``_u_lo``'s Newton loop, masked, and
-    g(u_b).  Then u_a and g(u_a); g(u_top) where u_b < u_top; the u solve
-    of g = 0 through ``_root_lanes``, each straggler on its scalar g; and t.
-    g and t are ``_u_equation``'s, with pw = np.float_power.  The width
-    and tau are formed only to find the lanes where solve_t's arithmetic
-    would meet a non-finite value or raise; no lane inverts omega_q.
-    """
-    import numpy as np
-    p, q = e.p, e.q
-    lane = np.arange(s1.size)
-    start = np.flatnonzero(np.r_[True, s2[1:] != s2[:-1]])
-    a2 = np.repeat([_alpha(e, x) for x in s2[start].tolist()], np.diff(np.r_[start, s2.size]))
-    k = np.maximum((p - q) * s1 * a2 / q, _K_MIN)
-    ratio = s1 / s2
-    # the scalar powers of _u_lo and solve_t, with the C pow that ** calls
-    cap, pc_pow = math.nextafter(e.p_conj, 0.0), math.pow(e.p_conj, q - 1.0)
-    r = k / (math.pow(1.0 + _ENDPOINT_MARGIN, p - q) - ratio)
-    u_lo = r / pc_pow
-    live = np.flatnonzero(u_lo < 1.0)
-    while live.size:
-        v = u_lo[live]
-        w = (p - v) / (p - 1.0)
-        w_q2 = np.float_power(w, q - 2.0)
-        step = v + (r[live] - w_q2 * w * v) * (p - 1.0) / (w_q2 * (p - q * v))
-        up = step > v
-        live = live[up]
-        u_lo[live] = step[up]
-        live = live[step[up] < 1.0]
-    u_b = np.where(u_top < u_lo, u_top, u_lo)
-    g_b = _u_equation(e, s1, ratio, k, np.float_power)[0](u_b)
-    redo = [lane[~np.isfinite(g_b)]]
-    keep = g_b > 0.0
-    lane, s1, a2, k, ratio, u_b, g_b = (v[keep] for v in (lane, s1, a2, k, ratio, u_b, g_b))
-    d = math.pow(cap, p - q) - ratio
-    u = k / (pc_pow * d)
-    u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
-    g_a = _u_equation(e, s1, ratio, k, np.float_power)[0](u)
-    # the top cap, unless g(u_a) < 0
-    t = np.full(lane.size, cap)
-    bad = ~np.isfinite(g_a)
-    j = np.flatnonzero(g_a < 0.0)
-    if j.size:
-        ra, rk, rs1, lo = ratio[j], k[j], s1[j], u[j]
-        g_top, at = g_b[j], u_b[j] != u_top
-        g_top[at] = _u_equation(e, rs1[at], ra[at], rk[at], np.float_power)[0](u_top)
-
-        a, b, u[j] = _root_lanes(
-            lambda i, x: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](x),
-            lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
-            lo, np.full(j.size, u_top), g_a[j], g_top, _U_REL_WIDTH * lo,
-        )
-        t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
-        t_u = t_of(u[j])
-        t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
-        # solve_t's width |t(a) - t(b)|, formed for this check alone
-        width = t_of(a) - t_of(b)
-        bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width))
-    denom = np.float_power(t, p - q) - ratio
-    tau = (p - q) / p * (np.float_power(t, p) - s1) / denom
-    # tau_eval raises where denom <= 0; omega_q(tau) is undefined where tau
-    # leaves [0, 1]
-    bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
-    redo.append(lane[bad])
-    return lane[~bad], np.sort(np.concatenate(redo)), (t[~bad], u[~bad], a2[~bad])
+        ok[i], out[:, i] = True, (sol.t, sol.u, sol.alpha)
+    return LaneSolutions(ok, *out)

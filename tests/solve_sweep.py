@@ -16,8 +16,11 @@ lines:
   no root (NoRootError);
 - one sha256 over each point's verdict and the ``.hex()`` of all seven
   ``BellmanSolution`` fields;
-- the count of points where ``solve_lanes`` on the pair's arrays differs
-  from ``solve_t``, in verdict or in the bits of t, u or alpha;
+- the count of points where ``solve_lanes`` on the pair's points inside
+  the region differs from ``solve_t``, in verdict or in the bits of t, u
+  or alpha, plus the pairs where ``solve_lanes`` on all of the pair's
+  points does not raise the first OutsideDomainError that ``solve_t``
+  raises, message and all;
 - one sha256 over the ``.hex()`` of ``omega(r, s)`` for every exponent r of
   the pairs, on 2,000 seeded s per exponent: 1,000 uniform on [0, 1] and
   1,000 with 1 - s log-uniform in [1e-16, 1e-1]; beside it, the count of s
@@ -71,12 +74,12 @@ def main() -> None:
         e = Exponents(*pair)
         pts = _points(e, N_POINTS, i) + _near_one_points(e, N_NEAR_ONE, 1000 + i)
         pts.sort(key=lambda pt: (pt.s2, pt.s1))
-        verdicts, sols = [], []
+        verdicts, sols, first = [], [], None
         for pt in pts:
             try:
                 sol, verdict = solve_t(e, pt), "ok"
-            except OutsideDomainError:
-                sol, verdict = None, "outside"
+            except OutsideDomainError as exc:
+                sol, verdict, first = None, "outside", first or str(exc)
             except NoRootError:
                 sol, verdict = None, "no_root"
             tally[verdict] += 1
@@ -84,11 +87,18 @@ def main() -> None:
             sols.append(sol)
             fields = [getattr(sol, f).hex() for f in SOLUTION_FIELDS] if sol else []
             digest.update(" ".join([verdict, *fields, "\n"]).encode())
-        lanes = solve_lanes(
-            e, np.array([pt.s1 for pt in pts]), np.array([pt.s2 for pt in pts])
-        )
-        for j, (verdict, sol) in enumerate(zip(verdicts, sols)):
-            lane = "ok" if lanes.ok[j] else "outside" if lanes.outside[j] else "no_root"
+        s1, s2 = np.array([pt.s1 for pt in pts]), np.array([pt.s2 for pt in pts])
+        try:
+            solve_lanes(e, s1, s2)
+            raised = None
+        except OutsideDomainError as exc:
+            raised = str(exc)
+        mismatches += raised != first
+        inside = np.array([v != "outside" for v in verdicts])
+        lanes = solve_lanes(e, s1[inside], s2[inside])
+        pairs = [(v, sol) for v, sol in zip(verdicts, sols) if v != "outside"]
+        for j, (verdict, sol) in enumerate(pairs):
+            lane = "ok" if lanes.ok[j] else "no_root"
             got = [float(getattr(lanes, f)[j]).hex() for f in FIELDS] if lanes.ok[j] else []
             want = [getattr(sol, f).hex() for f in FIELDS] if sol else []
             mismatches += lane != verdict or got != want

@@ -33,13 +33,16 @@ and 4e-15 r' around the estimate and [1, r'].  A call of no lane returns an
 empty array.
 
 ``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` solves
-its grid with, must return ``solve_t``'s verdict and the bits of the
-fields it returns (t, u and alpha, the ones ``sign_suite`` reads), through
-the same hand-off and at either end of it, on top-cap points, s1 down to
-5e-324, s2 within 1e-11 of the lower curve, rows of equal s2, no-root and
-outside points, a pair with u_top <= 0 and points where u_lo underflows to
-0; and raise what ``solve_t`` raises where it raises something else.  Its
-lane twins of ``in_domain``
+its grid with, is the loop that calls ``solve_t`` on each lane in order and
+marks the lane not ok where it raises NoRootError.  It must return that
+loop's verdict and the bits of the fields it returns (t, u and alpha, the
+ones ``sign_suite`` reads), through the same hand-off and at either end of
+it, on top-cap points, s1 down to 5e-324, s2 within 1e-11 of the lower
+curve, rows of equal s2, no-root points, a pair with u_top <= 0, points
+where u_lo underflows to 0 and a lane whose g(u_b) is not finite, which
+``solve_t`` solves; and raise what the loop raises first, type and
+message, where an outside or invalid point or a lane that ``solve_t``
+redoes raises.  Its lane twins of ``in_domain``
 (``domain._outside_lanes``) and of gamma, delta and lambda
 (``sensitivity._signs`` on arrays) must equal the scalar functions bit for
 bit on the same points.
@@ -261,29 +264,43 @@ def _lane_points(e: Exponents, n: int, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _solved(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> list[tuple[str, ...]]:
-    """``solve_t``'s verdict and the bits of its t, u and alpha, point by point."""
+    """``solve_t``'s verdict and the bits of its t, u and alpha, point by
+    point; an outside point carries its OutsideDomainError's message."""
     out = []
     for x, y in zip(s1.tolist(), s2.tolist()):
         try:
             sol = solve_t(e, ParamPoint(x, y))
         except NoRootError:
             out.append(("no-root",))
-        except OutsideDomainError:
-            out.append(("outside",))
+        except OutsideDomainError as exc:
+            out.append(("outside", str(exc)))
         else:
             out.append(("ok", *(getattr(sol, f).hex() for f in FIELDS)))
     return out
 
 
 def _solved_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> list[tuple[str, ...]]:
-    """``_solved`` from one ``solve_lanes`` call."""
+    """``_solved`` from one ``solve_lanes`` call on points none of which is
+    outside."""
     sol = solve_lanes(e, s1, s2)
     fields = [getattr(sol, f).tolist() for f in FIELDS]
     return [
-        ("ok", *(v[i].hex() for v in fields)) if sol.ok[i]
-        else ("outside",) if sol.outside[i] else ("no-root",)
+        ("ok", *(v[i].hex() for v in fields)) if sol.ok[i] else ("no-root",)
         for i in range(s1.size)
     ]
+
+
+def _assert_lanes_match(e: Exponents, s1: np.ndarray, s2: np.ndarray, expected: list) -> None:
+    """``solve_lanes`` gives ``_solved``'s verdicts and bits on the points
+    that are not outside, and on all the points raises what a loop of
+    ``solve_t`` raises first: the first outside point's OutsideDomainError,
+    with its message."""
+    inside = np.array([v[0] != "outside" for v in expected])
+    assert _solved_lanes(e, s1[inside], s2[inside]) == [v for v in expected if v[0] != "outside"]
+    first = next(v[1] for v in expected if v[0] == "outside")
+    with pytest.raises(OutsideDomainError) as info:
+        solve_lanes(e, s1, s2)
+    assert (type(info.value), str(info.value)) == (OutsideDomainError, first)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +318,7 @@ def lane_cases() -> dict[tuple[float, float], tuple]:
 def test_solve_lanes_match_solve_t(lane_cases, pair):
     e = Exponents(*pair)
     s1, s2, expected = lane_cases[pair]
-    assert _solved_lanes(e, s1, s2) == expected
+    _assert_lanes_match(e, s1, s2, expected)
     verdicts = [v[0] for v in expected]
     cap = math.nextafter(e.p_conj, 0.0).hex()
     assert {"ok", "outside"} <= set(verdicts)
@@ -331,7 +348,7 @@ def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
     monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
     for pair in [(2.0, 1.5), (2.5, 1.3), (10.0, 1.05), (1.5, 1.45)]:
         s1, s2, expected = lane_cases[pair]
-        assert _solved_lanes(Exponents(*pair), s1, s2) == expected
+        _assert_lanes_match(Exponents(*pair), s1, s2, expected)
 
 
 @pytest.fixture
@@ -362,7 +379,7 @@ def test_solve_lanes_where_u_top_is_not_positive():
     s2 = 1.0 - np.geomspace(1e-5, 1e-7, 40)
     s1 = s2 ** ((e.p - 1.0) / (e.q - 1.0)) * np.linspace(0.01, 1.01, 40)
     expected = _solved(e, s1, s2)
-    assert _solved_lanes(e, s1, s2) == expected
+    _assert_lanes_match(e, s1, s2, expected)
     assert "no-root" in {v[0] for v in expected}
 
 
@@ -372,26 +389,79 @@ def test_solve_lanes_raise_what_solve_t_raises(monkeypatch):
     # lane, whose g(0) is not finite, is handed to solve_t for that verdict
     e = Exponents(1e14, 2e13)
     s1, s2 = np.array([1e-100, 1e-300, 1e-200]), np.full(3, 0.5)
-    redone = []
+    redone, failing = [], set()
     scalar = hardyconst.solver.solve_t
 
     def recorded(e, pt):
         redone.append(pt)
+        if pt in failing:
+            raise SingularityError("injected")
         return scalar(e, pt)
 
     monkeypatch.setattr(hardyconst.solver, "solve_t", recorded)
     assert _solved_lanes(e, s1, s2) == _solved(e, s1, s2) == [("no-root",)] * 3
     assert redone == [ParamPoint(1e-300, 0.5)]
 
-    # any other error of the redone lane propagates
-    def failing(e, pt):
-        raise SingularityError("injected")
+    # any other error of a redone lane propagates, and the first lane that
+    # raises decides what, as in a loop of solve_t: an invalid point (s1 =
+    # 0), an outside one (s1 = 0.9, below the lower curve) or a redone lane
+    failing.add(ParamPoint(1e-300, 0.5))
+    kinds = set()
+    for lanes in ([1e-100, 1e-300], [0.9, 1e-300], [1e-300, 0.9], [1e-200, 0.0, 0.9, 1e-300],
+                  [0.9, 0.0], [1e-100, 0.9, 1e-200]):
+        s1, s2 = np.array(lanes), np.full(len(lanes), 0.5)
+        want = _first_raised(recorded, e, s1, s2)
+        with pytest.raises(DomainError) as info:
+            solve_lanes(e, s1, s2)
+        assert (type(info.value), str(info.value)) == (type(want), str(want))
+        kinds.add(type(want))
+    assert kinds == {DomainError, OutsideDomainError, SingularityError}
 
-    monkeypatch.setattr(hardyconst.solver, "solve_t", failing)
-    with pytest.raises(SingularityError, match="injected"):
-        solve_lanes(e, s1, s2)
-    with pytest.raises(DomainError, match="s1 must lie in"):
-        solve_lanes(Exponents(2.0, 1.5), np.array([0.1, 0.0]), np.array([0.5, 0.5]))
+
+def test_solve_lanes_redo_a_lane_that_solve_t_solves(monkeypatch):
+    # g(u_b), the first lane evaluation of g, is nan on lane 1 alone: solve_t
+    # solves that lane, and it is ok with solve_t's bits
+    e = Exponents(2.0, 1.5)
+    s1, s2 = 0.25 ** 2.0 * np.array([0.2, 0.5, 0.8]), np.full(3, 0.25)
+    expected = _solved(e, s1, s2)
+    assert [v[0] for v in expected] == ["ok"] * 3
+    u_equation, calls, redone = hardyconst.solver._u_equation, [0], []
+    scalar = hardyconst.solver.solve_t
+
+    def doctored(e, s1, ratio, k, pw):
+        g, t_of = u_equation(e, s1, ratio, k, pw)
+        if pw is math.pow:
+            return g, t_of
+
+        def lane_g(u):
+            calls[0] += 1
+            out = g(u)
+            if calls[0] == 1:
+                out[1] = math.nan
+            return out
+
+        return lane_g, t_of
+
+    def recorded(e, pt):
+        redone.append(pt)
+        return scalar(e, pt)
+
+    monkeypatch.setattr(hardyconst.solver, "_u_equation", doctored)
+    monkeypatch.setattr(hardyconst.solver, "solve_t", recorded)
+    assert _solved_lanes(e, s1, s2) == expected
+    assert calls[0] > 1 and redone == [ParamPoint(float(s1[1]), 0.25)]
+
+
+def _first_raised(solve, e: Exponents, s1: np.ndarray, s2: np.ndarray) -> Exception | None:
+    """What a loop of solve over the points raises first, NoRootError aside."""
+    for x, y in zip(s1.tolist(), s2.tolist()):
+        try:
+            solve(e, ParamPoint(x, y))
+        except NoRootError:
+            continue
+        except DomainError as exc:
+            return exc
+    return None
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=str)

@@ -257,6 +257,19 @@ class TestVerify:
         assert code == 0
         assert "7/7 suites passed" in out
 
+    def test_pairs_across_the_exponent_spread_pass(self, capsys):
+        # q from near 1 to near p, where the threshold H_q(p/(p-1)) falls
+        # below every limit_suite row
+        failed = []
+        for p in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
+            for f in (0.1, 0.3, 0.5, 0.7, 0.9, 0.97):
+                q = 1.0 + f * (p - 1.0)
+                argv = ["verify", "--p", repr(p), "--q", repr(q), "--grid", "10"]
+                code, out, _ = run(capsys, argv)
+                if code:
+                    failed.append((p, q, [line for line in out.splitlines() if "[FAIL]" in line]))
+        assert failed == []
+
     def test_skip_counts_pinned(self, capsys):
         # only no-root grid points and unsolvable stencils are skipped; the
         # ten s2 = 0.15 points whose root lies less than an ulp below p' are

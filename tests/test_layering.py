@@ -11,8 +11,10 @@ loaded by the functions that build arrays, not by importing the package or
 the CLI, nor by ``solve`` and ``scan``, which compute on floats; nor are
 ``hardy``, ``asymptotics`` and ``verify``, which only the array commands
 run.  The package serves each public name lazily, as the very object its
-defining module holds.  Every field of ``solver.LaneSolutions`` is read from a ``solve_lanes`` result
-outside ``solver``: the lane solve returns nothing its callers ignore."""
+defining module holds.  Every field of ``solver.LaneSolutions`` is read
+from a ``solve_lanes`` result outside ``solver``: the lane solve, a loop of
+``solve_t`` that hands each lane it cannot finish to ``solve_t``, returns
+nothing its callers ignore, and so no verdict but ok."""
 
 import ast
 import dataclasses

@@ -19,7 +19,7 @@ from hardyconst import Exponents, ParamPoint
 from hardyconst.errors import ConvergenceError, NoRootError
 from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import solve_t
-from hardyconst.verify import SuiteResult, fd_suite, sign_suite
+from hardyconst.verify import SuiteResult, fd_suite, limit_suite, sign_suite
 
 E2 = Exponents(2.0, 1.5)
 
@@ -216,3 +216,10 @@ def test_summary_names_the_failures_and_the_first_message():
         res.check(ok, lambda i=i: f"check {i} failed")
     assert not res.passed
     assert res.summary() == "[FAIL] demo: 4 checks, 2 skipped; 2 failed (first: check 1 failed)"
+
+
+def test_limit_suite_checks_rows_above_the_threshold():
+    # threshold(20, 19) is about 0.05: every row lies above it, and gamma's
+    # limit there is F(s2) too (asymptotics)
+    res = limit_suite(Exponents(20.0, 19.0))
+    assert (res.passed, res.checks, res.skipped) == (True, 27, 0)
