@@ -35,48 +35,44 @@ amplify t's rounding.
 Solvability is decided in u (``has_root``; ``solve_t`` makes the same test
 first), by the sign of g at one point.  u = 1 is w = 1, i.e. tau = 1, so a
 root with tau < 1 exists exactly when g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) -
-s1) > 0, explicit once alpha is known.  Two refinements:
+s1) > 0, explicit once alpha is known.  Where tau at the root is within
+rounding of 1, tau(t) rounds to 1 or above and the certificate's
+omega_q(tau) is undefined (``sensitivity`` reads the solve's own u < 1).
+So g is tested at u_top, where H_q(w) = 1 - eps to second order (H_q(1 + d)
+= 1 - q (q-1) d^2 / 2 + ...), eps = 1e-14 p/(p-q): tau(t) carries X's
+rounding times about p/(p-q).  A root within eps of tau = 1 counts as no
+root.  On 3180 points within 1e-3 relative of the g(1) = 0 frontier over
+ten pairs, has_root disagreed with a usable solve (0 < tau < 1 <
+omega_q(tau), gamma and delta finite) at 1 point with 1e-16 in place of
+1e-14 and at none with 1e-15.  The test is g(u_top) > 0: one evaluation of
+g, which the u solve reuses, and no omega_q inversion.  No point of a pair
+has a root that counts where u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, as
+H_q(w) > 1 - eps on all of [1, p'], or where p' = p/(p-1) <= lo = 1 +
+1e-12, as no t lies in (lo, p').
 
-- The frontier.  Where tau at the root is within rounding of 1, tau(t)
-  rounds to 1 or above and the certificate's omega_q(tau) is undefined
-  (``sensitivity`` reads the solve's own u < 1).  So g is tested at u_top,
-  where H_q(w) = 1 - eps to second order (H_q(1 + d) = 1 - q (q-1) d^2 / 2
-  + ...), eps = 1e-14 p/(p-q): tau(t) carries X's rounding times about
-  p/(p-q).  A root within eps of tau = 1 counts as no root.  On 3180 points
-  within 1e-3 relative of the g(1) = 0 frontier over ten pairs, has_root
-  disagreed with a usable solve (0 < tau < 1 < omega_q(tau), gamma and
-  delta finite) at 1 point with 1e-16 in place of 1e-14 and at none with
-  1e-15.  Where u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, H_q(w) > 1 - eps
-  on all of [1, p'] and no point of the pair has a root that counts.
-- The left end.  The root must also lie above lo = 1 + 1e-12.  phi(u) =
-  w^(q-1) u is increasing and concave on (0, 1] (phi' = w^(q-2) (p - q u)
-  /(p-1), phi'' = -(q-1) w^(q-3) (2p - q u)/(p-1)^2) and t(u) falls, so
-  with phi(u_lo) = R = K / (lo^(p-q) - s1/s2), i.e. t(u_lo) = lo, t(u*) >
-  lo exactly when g(u_lo) > 0.  Newton on phi = R from R / p'^(q-1) <= u_lo
-  (w <= p') climbs by concavity; it stops once a step no longer raises u
-  or u reaches 1, after 1.2 to 2.6 steps on average over 12 pairs, at most
-  10.  w^(q-1) is w^(q-2) w, one pow per step: t* - 1 is small only near
-  the corner (1, 1), so u_lo need not be bit-exact.  lo rejected none of
-  42,000 sampled points (12,000 with 1 - s2 < 1.2e-10); it rejects some
-  with 1 - s2 near 1e-15, for alpha's error there, not a root below lo, as
-  the t-space test does (ROADMAP item 2).  The test is
-  g(min(u_lo, u_top)) > 0, and inverts no omega_q.
+The floor lo is no test: a root is taken to lie above it.  A 40-digit
+oracle found none below lo on 47,000 points near the corner (1, 1) of 8
+pairs, nor at s2 = 1 - k 2^-53 (k <= 1e6) within 1e-11 of the lower curve
+on 12 pairs (smallest t* - 1: 1.5e-11, on (1000, 999)).  A test of g where
+t = lo rejected only points with 1 - s2 <= 1.1e-15, each with t* - 1 in
+[4.9e-10, 2.6e-9]: alpha's float error there, not a root below lo (ROADMAP
+item 4).
 
-The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1) (p' = p/(p-1)),
-u_0 = K / (p'^(q-1) (cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest
-float below p'.  u_a repeats that with w(u_0) in place of p': it keeps
-u_a <= u* and t(u_a) >= cap, and saves 0.7 evaluations of g per solve on
-(3, 2), 2.3 on (20, 19).  Where g(u_a) >= 0 the root lies at t >= cap,
-within an ulp of p', and t is cap: the top cap.  Otherwise the kernel
-solves g = 0 on [u_a, u_top], evaluating g(u_top) where the decision
-tested u_lo, and t = min(t(u*), cap), raised to lo where t(u*) rounds
-below it: X = t^(p-q) resolves t only to about 1e-16/(p-q), and the
-decision has put the root above lo.  K is floored at
-1e-290: below it s1 and s1/s2 are below ~1e-280, the root lies far less
-than an ulp below p', and the floor keeps c and the width 1e-15 u_a normal
-floats.  g's rounding bounds t to a few ulp: up to 1.0e-15 relative against
-a 40-digit oracle on (1.5, 1.1), where X is near 1, and more as p - q
-shrinks (t = X^(1/(p-q))).
+The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1), u_0 = K / (p'^(q-1)
+(cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest float below p'.  u_a
+repeats that with w(u_0) in place of p': it keeps u_a <= u* and t(u_a) >=
+cap, and saves 0.7 evaluations of g per solve on (3, 2), 2.3 on (20, 19).
+Where g(u_a) >= 0 the root lies at t >= cap, within an ulp of p', and t is
+cap: the top cap.  Otherwise the kernel solves g = 0 on [u_a, u_top] from
+g(u_a) < 0 and the decision's g(u_top) > 0, and t = min(t(u*), cap), raised
+to lo where t(u*) falls below it.  That keeps t >= 1: X = t^(p-q) resolves t
+only to about 1e-16/(p-q), and near s2 = 1 alpha's error can put t(u*)
+below lo although the root lies above it; there the residual, not
+bracket_width, shows the gap.  K is floored at 1e-290: below it s1 and
+s1/s2 are below ~1e-280, the root lies far less than an ulp below p', and
+the floor keeps c and the width 1e-15 u_a normal floats.  g's rounding
+bounds t to a few ulp: up to 1.0e-15 relative against a 40-digit oracle on
+(1.5, 1.1), where X is near 1, and more as p - q shrinks (t = X^(1/(p-q))).
 
 The last alpha(s2) is kept by ``functools.lru_cache(maxsize=1)``, keyed on
 (e, s2): a row's points (``scan``, the ``verify`` rows) and ``dt_ds1``'s
@@ -124,15 +120,16 @@ from .errors import (
 )
 from .special import Exponents, _bracketed_root, _omega_near, _root_lanes, omega
 
-#: margin by which the root must lie above t = 1
+#: the floor lo = 1 + this, below which t is raised to lo; no test (module
+#: docstring)
 _ENDPOINT_MARGIN = 1e-12
 #: g decides solvability where H_q(w) = 1 - eps, eps = this times p/(p-q)
 #: (module docstring)
 _TAU_MARGIN = 1e-14
 #: floor of K = (p-q) s1 alpha/q: below it t is the top cap
 _K_MIN = 1e-290
-#: u bracket width relative to u_a <= u*, not u_b: 1e-15 u_b left t up to
-#: 7.7e-15 off where u_b was 60 u*
+#: u bracket width relative to u_a <= u*: relative to the bracket's upper
+#: end it left t up to 7.7e-15 off where that end was 60 u*
 _U_REL_WIDTH = 1e-15
 
 
@@ -156,6 +153,9 @@ class BellmanSolution:
     see alpha's own error, which grows as s2 -> 1: on (3, 2) at s1 =
     0.029448272933048966, s2 = 0.9999999999999716, alpha is 4.8e-4 and t
     3.6e-13 (about 1,600 eps) relative off, while bracket_width reads 0.
+    Where it puts t(u) below the floor 1 + 1e-12, t is the floor and only
+    the residual shows the gap: 8.9e-12 on (20, 19) at s1 =
+    0.9999999999946025, s2 = 0.9999999999999998, where t* - 1 is 1.15e-9.
     """
 
     t: float
@@ -216,29 +216,11 @@ def _u_top(e: Exponents) -> float:
     return 1.0 - (e.p - 1.0) * math.sqrt(2.0 * eps / (e.q * (e.q - 1.0)))
 
 
-def _u_lo(e: Exponents, pt: ParamPoint, k: float) -> float:
-    """The u at which t(u) = 1 + 1e-12, or a u >= 1 where t > 1 + 1e-12 on
-    all of (0, 1]: Newton from below on w^(q-1) u = R (module docstring)."""
-    p, q = e.p, e.q
-    r = k / ((1.0 + _ENDPOINT_MARGIN) ** (p - q) - pt.s1 / pt.s2)
-    u = r / e.p_conj ** (q - 1.0)
-    while u < 1.0:
-        w = (p - u) / (p - 1.0)
-        w_q2 = w ** (q - 2.0)
-        step = u + (r - w_q2 * w * u) * (p - 1.0) / (w_q2 * (p - q * u))
-        if not step > u:
-            break
-        u = step
-    return u
-
-
-def _decide(e: Exponents, pt: ParamPoint) -> tuple[
-    float, float, Callable[[float], float], Callable[[float], float], float, float, float
-]:
-    """(alpha, K, g, t(u), u_b, g(u_b), u_top) of a solvable point, u_b = min(u_lo, u_top).
+def _decide(e: Exponents, pt: ParamPoint) -> tuple[float, float, Callable, Callable, float, float]:
+    """(alpha, K, g, t(u), u_top, g(u_top)) of a solvable point.
 
     Raises OutsideDomainError unless in_domain(...) is INSIDE, and
-    NoRootError unless g(u_b) > 0 (module docstring).
+    NoRootError unless g(u_top) > 0 (module docstring).
     """
     verdict = in_domain(e, pt)
     if verdict is not Membership.INSIDE:
@@ -246,31 +228,28 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[
             f"({pt.s1}, {pt.s2}) is {verdict.value} for p={e.p}, q={e.q}"
         )
     u_top = _u_top(e)
-    if not u_top > 0.0:
+    if not (u_top > 0.0 and e.p_conj > 1.0 + _ENDPOINT_MARGIN):
         raise NoRootError(
-            f"u_top = {u_top} is not positive for p={e.p}, q={e.q}: tau at any "
-            "root is within rounding of 1; point is operationally outside"
+            f"no root counts for p={e.p}, q={e.q}: it needs u_top = {u_top} > 0 "
+            f"and p/(p-1) = {e.p_conj} > 1 + 1e-12; point is operationally outside"
         )
     a2 = _alpha(e, pt.s2)
     k = max((e.p - e.q) * pt.s1 * a2 / e.q, _K_MIN)
     g, t_of = _u_equation(e, pt.s1, pt.s1 / pt.s2, k, math.pow)
-    u_b = min(_u_lo(e, pt, k), u_top)
-    # g -> -inf as u -> 0+; u_lo underflows to 0 only where p' < lo: no root counts
-    g_b = g(u_b) if u_b > 0.0 else -math.inf
-    if not g_b > 0.0:
+    g_top = g(u_top)
+    if not g_top > 0.0:
         raise NoRootError(
-            f"g(u) = {g_b} is not positive at u = {u_b} at "
+            f"g(u) = {g_top} is not positive at u_top = {u_top} at "
             f"(s1={pt.s1}, s2={pt.s2}); point is operationally outside"
         )
-    return a2, k, g, t_of, u_b, g_b, u_top
+    return a2, k, g, t_of, u_top, g_top
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
     """True exactly when ``solve_t(e, pt)`` returns a constant.
 
     The test ``solve_t`` makes before it solves: ``in_domain``, then the
-    sign of g at min(u_lo, u_top), where t is 1 + 1e-12 and where tau is
-    1 - 1e-14 p/(p-q) (module docstring).
+    sign of g at u_top, where tau is 1 - 1e-14 p/(p-q) (module docstring).
     """
     try:
         _decide(e, pt)
@@ -300,19 +279,18 @@ def _u_equation(e: Exponents, s1, ratio, k, pw: Callable) -> tuple[Callable, Cal
 def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     """Solve the implicit equation for the constant at an interior point.
 
-    ``_bracketed_root`` solves g(u) = 0 on [u_a, u_top] and t =
-    X(u)^(1/(p-q)), capped at the largest float below p/(p-1) (module
-    docstring).  Raises OutsideDomainError or NoRootError exactly when
-    ``has_root`` is false.
+    ``_bracketed_root`` solves g(u) = 0 on [u_a, u_top], with the decision's
+    g(u_top), and t = X(u)^(1/(p-q)), capped at the largest float below
+    p/(p-1) and raised to the floor 1 + 1e-12 (module docstring).  Raises
+    OutsideDomainError or NoRootError exactly when ``has_root`` is false.
     """
-    a2, k, g, t_of, u_b, g_b, u_top = _decide(e, pt)
+    a2, k, g, t_of, u_top, g_top = _decide(e, pt)
     p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
     d = cap ** (p - q) - pt.s1 / pt.s2
     u = k / (e.p_conj ** (q - 1.0) * d)
     u = k / (((p - u) / (p - 1.0)) ** (q - 1.0) * d)
     g_a = g(u)
     if g_a < 0.0:
-        g_top = g_b if u_b == u_top else g(u_top)
         a, b, u = _bracketed_root(g, u, u_top, g_a, g_top, _U_REL_WIDTH * u)
         t, width = min(max(t_of(u), 1.0 + _ENDPOINT_MARGIN), cap), abs(t_of(a) - t_of(b))
     else:
@@ -350,75 +328,58 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     not ok where it raises NoRootError.
 
     The lanes run solve_t's pipeline: alpha once per run of equal s2 through
-    ``_alpha``, where the scalar loop computes it, K, ``_u_lo``'s Newton
-    loop, masked, and g(u_b); then u_a and g(u_a), g(u_top) where u_b <
-    u_top, the u solve of g = 0 through ``_root_lanes``, each straggler on
-    its scalar g, and t.  g and t are ``_u_equation``'s, with pw =
-    np.float_power.  Where u_top <= 0 no inside lane is ok.  Every lane the
-    pipeline cannot finish bit for bit goes into one redo mask: an invalid
-    (s1, s2), a point outside the region, a non-finite g(u_b), g(u_a),
-    g(u_top), t or width, or a tau where ``tau_eval`` would raise or
-    omega_q(tau) is undefined.  ``solve_t`` solves the masked lanes in lane
-    order, so the call raises what the loop raises first.  The width and
-    tau are formed for that check alone; no lane inverts omega_q.
+    ``_alpha``, where the scalar loop computes it, K and g(u_top); then u_a
+    and g(u_a), the u solve of g = 0 through ``_root_lanes`` with that
+    g(u_top), each straggler on its scalar g, and t.  g and t are
+    ``_u_equation``'s, with pw = np.float_power.  Where u_top <= 0 or
+    p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the pipeline
+    cannot finish bit for bit goes into one redo mask: an invalid (s1, s2),
+    a point outside the region, a non-finite g(u_top), g(u_a), t or width,
+    or a tau where ``tau_eval`` would raise or omega_q(tau) is undefined.
+    ``solve_t`` solves the masked lanes in lane order, so the call raises
+    what the loop raises first.  The width and tau are formed for that check
+    alone; no lane inverts omega_q.
     """
     import numpy as np
     p, q = e.p, e.q
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     ok, out = np.zeros(s1.size, dtype=bool), np.full((3, s1.size), np.nan)
-    u_top = _u_top(e)
+    u_top, cap = _u_top(e), math.nextafter(e.p_conj, 0.0)
     with np.errstate(all="ignore"):
         redo = ~((0.0 < s1) & (s1 <= 1.0) & (0.0 < s2) & (s2 <= 1.0))
         redo |= _outside_lanes(e, s1, s2)
-        lane = np.flatnonzero(~redo & (u_top > 0.0))
+        lane = np.flatnonzero(~redo & (u_top > 0.0) & (e.p_conj > 1.0 + _ENDPOINT_MARGIN))
         x, y = s1[lane], s2[lane]  # s1 and s2 of the lanes the pipeline runs
         start = np.flatnonzero(np.diff(y, prepend=np.nan) != 0.0)
         a2 = np.repeat([_alpha(e, v) for v in y[start].tolist()], np.diff(np.r_[start, y.size]))
         k = np.maximum((p - q) * x * a2 / q, _K_MIN)
         ratio = x / y
-        # the scalar powers of _u_lo and solve_t, with the C pow that ** calls
-        cap, pc_pow = math.nextafter(e.p_conj, 0.0), math.pow(e.p_conj, q - 1.0)
-        r = k / (math.pow(1.0 + _ENDPOINT_MARGIN, p - q) - ratio)
-        u_lo = r / pc_pow
-        live = np.flatnonzero(u_lo < 1.0)
-        while live.size:
-            v = u_lo[live]
-            w = (p - v) / (p - 1.0)
-            w_q2 = np.float_power(w, q - 2.0)
-            step = v + (r[live] - w_q2 * w * v) * (p - 1.0) / (w_q2 * (p - q * v))
-            up = step > v
-            live = live[up]
-            u_lo[live] = step[up]
-            live = live[step[up] < 1.0]
-        u_b = np.where(u_top < u_lo, u_top, u_lo)
-        g_b = _u_equation(e, x, ratio, k, np.float_power)[0](u_b)
-        redo[lane[~np.isfinite(g_b)]] = True
-        keep = g_b > 0.0
-        lane, x, a2, k, ratio, u_b, g_b = (v[keep] for v in (lane, x, a2, k, ratio, u_b, g_b))
+        g_top = _u_equation(e, x, ratio, k, np.float_power)[0](u_top)
+        redo[lane[~np.isfinite(g_top)]] = True
+        keep = g_top > 0.0
+        lane, x, a2, k, ratio, g_top = (v[keep] for v in (lane, x, a2, k, ratio, g_top))
+        # solve_t's scalar powers, with the C pow that ** calls
         d = math.pow(cap, p - q) - ratio
-        u = k / (pc_pow * d)
+        u = k / (math.pow(e.p_conj, q - 1.0) * d)
         u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
         g_a = _u_equation(e, x, ratio, k, np.float_power)[0](u)
         # the top cap, unless g(u_a) < 0
         t = np.full(lane.size, cap)
-        bad = ~np.isfinite(g_a)
+        bad = ~(np.isfinite(g_a) & np.isfinite(g_top))
         j = np.flatnonzero(g_a < 0.0)
         if j.size:
             ra, rk, rs1, lo = ratio[j], k[j], x[j], u[j]
-            g_top, at = g_b[j], u_b[j] != u_top
-            g_top[at] = _u_equation(e, rs1[at], ra[at], rk[at], np.float_power)[0](u_top)
-
             a, b, u[j] = _root_lanes(
                 lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
                 lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
-                lo, np.full(j.size, u_top), g_a[j], g_top, _U_REL_WIDTH * lo,
+                lo, np.full(j.size, u_top), g_a[j], g_top[j], _U_REL_WIDTH * lo,
             )
             t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
             t_u = t_of(u[j])
             t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
             # solve_t's width |t(a) - t(b)|, formed for this check alone
             width = t_of(a) - t_of(b)
-            bad[j] |= ~(np.isfinite(g_top) & np.isfinite(t_u) & np.isfinite(width))
+            bad[j] |= ~(np.isfinite(t_u) & np.isfinite(width))
         denom = np.float_power(t, p - q) - ratio
         tau = (p - q) / p * (np.float_power(t, p) - x) / denom
         # tau_eval raises where denom <= 0; omega_q(tau) is undefined where tau

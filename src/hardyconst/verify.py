@@ -92,6 +92,18 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
         raise DomainError(f"a verify grid of {n} points does not fit in memory") from None
 
 
+def _s1_top(name: str, e: Exponents, s2: float, lo_frac: float) -> float:
+    """The lower-curve abscissa s2^((p-1)/(q-1)) of name's s1 row from lo_frac
+    of it; a DomainError where that smallest s1 underflows to 0."""
+    top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+    if not lo_frac * top > 0.0:
+        raise DomainError(
+            f"{name}: the s1 row at s2={s2} for p={e.p}, q={e.q} starts at "
+            f"{lo_frac} * s2^((p-1)/(q-1)), which underflows to 0"
+        )
+    return top
+
+
 def feasible_s1_grid(
     e: Exponents,
     s2: float,
@@ -102,10 +114,11 @@ def feasible_s1_grid(
     """n solvable s1 values for fixed s2, evenly drawn from a scan of 2n.
 
     Candidates span (lo_frac, hi_frac) times the lower-boundary abscissa
-    s2^((p-1)/(q-1)); candidates without a root (``has_root``) are dropped
-    and the surviving list is subsampled back to n evenly spaced entries.
+    s2^((p-1)/(q-1)), a DomainError where the smallest underflows to 0;
+    candidates without a root (``has_root``) are dropped and the surviving
+    list is subsampled back to n evenly spaced entries.
     """
-    s1_top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+    s1_top = _s1_top("feasible_s1_grid", e, s2, lo_frac)
     cands = np.linspace(lo_frac * s1_top, hi_frac * s1_top, 2 * n)
     good = [float(s1) for s1 in cands if has_root(e, ParamPoint(float(s1), s2))]
     if len(good) < n:
@@ -162,19 +175,20 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     """gamma < 0, delta > 0 and lambda(t) > 0 across a feasible (s1, s2) grid.
 
     n rows of n points, s2 from 0.15 to 0.97 and s1 from 0.02 to 0.98 of
-    the lower-curve abscissa, solved in lanes (``solve_lanes``), whole rows
-    and at most ``_SIGN_LANES`` points per call, bit for bit the floats
-    ``solve_t`` returns.  gamma, delta and lambda are formed from them as
-    arrays (``sensitivity._signs``), and checked point by point in grid
-    order: gamma, delta, lambda.  Points without a root are skipped; a point
-    outside the region raises the OutsideDomainError ``solve_t`` raises there.
+    the lower-curve abscissa (a DomainError where 0.02 of it underflows to
+    0), solved in lanes (``solve_lanes``), whole rows and at most
+    ``_SIGN_LANES`` points per call, bit for bit the floats ``solve_t``
+    returns.  gamma, delta and lambda are formed from them as arrays
+    (``sensitivity._signs``) and checked in that order, point by point in
+    grid order.  Points without a root are skipped; a point outside the
+    region raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
     s2_grid = _grid(0.15, 0.97, n)
     rows = max(_SIGN_LANES // n, 1)
     for lo in range(0, n, rows):
         s2_rows = s2_grid[lo : lo + rows]
-        tops = [s2 ** ((e.p - 1.0) / (e.q - 1.0)) for s2 in s2_rows]
+        tops = [_s1_top(res.name, e, s2, 0.02) for s2 in s2_rows]
         s1 = np.concatenate([_grid(0.02 * top, 0.98 * top, n) for top in tops])
         s2 = np.repeat(s2_rows, n)
         for j in range(0, s1.size, _SIGN_LANES):

@@ -85,8 +85,8 @@ class TestScan:
         rows = out.strip().splitlines()[1:]
         assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "no-root"]
 
-    def test_no_root_rows_where_u_lo_underflows(self, capsys):
-        # at s1 = 1e-300, u_lo underflows to 0 and g(0) would divide by zero
+    def test_no_root_rows_where_p_conj_is_at_the_floor(self, capsys):
+        # p/(p-1) = 1 + 1e-14 leaves no t above the floor 1 + 1e-12
         code, out, err = run(capsys, [
             "scan", "--p", "1e14", "--q", "2e13", "--s2", "0.5",
             "--s1-min", "1e-300", "--s1-max", "1e-200", "--n", "2",
@@ -314,6 +314,18 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", n])
         assert code == 2
         assert err == f"error: domain-error: a verify grid of {n} points does not fit in memory\n"
+        assert out == ""
+
+    def test_grid_row_whose_s1_underflows(self, capsys):
+        # the sign suite's first row, s2 = 0.15, has s1_top = 0.15^999999,
+        # which underflows to 0
+        code, out, err = run(capsys, ["verify", "--p", "1e6", "--q", "2"])
+        assert code == 2
+        assert err == (
+            "error: domain-error: sign suite (gamma<0, delta>0, lambda>0): the s1 row "
+            "at s2=0.15 for p=1000000.0, q=2.0 starts at 0.02 * s2^((p-1)/(q-1)), "
+            "which underflows to 0\n"
+        )
         assert out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -16,10 +16,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from mp_oracle import omega_q, reference_sensitivity, reference_t
+from mp_oracle import g_at, omega_q, reference_sensitivity, reference_t
 
-from hardyconst import Exponents, ParamPoint, has_root, solve_t
+from hardyconst import Exponents, Membership, ParamPoint, has_root, in_domain, solve_t
 from hardyconst.sensitivity import delta_eval, dt_ds1_analytic, gamma_eval
+from hardyconst.solver import _u_top
 
 
 def _top_cap(e: Exponents) -> float:
@@ -164,12 +165,44 @@ def test_the_root_lies_above_the_left_end_at_the_alpha_error_point():
     assert 1e-9 < t_ref - 1 < 2e-9 and gap > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: alpha's error near s2 = 1 puts t below lo = 1 + 1e-12",
-)
 def test_has_root_where_the_float_alpha_loses_its_digits():
-    # the oracle's t is 1 + 1.15e-9, far above lo; with the float alpha both
-    # u_lo's test and the t-space test with omega_q inverted reject the point
+    # the oracle's t is 1 + 1.15e-9, far above the floor 1 + 1e-12; the
+    # t-space test with omega_q inverted at the floor rejects the point
     e, pt = ALPHA_ERROR_POINT
     assert has_root(e, pt)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: alpha's error near s2 = 1 puts t on the floor 1 + 1e-12",
+)
+def test_t_matches_the_oracle_where_the_float_alpha_loses_its_digits():
+    e, pt = ALPHA_ERROR_POINT
+    t_ref, _ = reference_t(e.p, e.q, pt.s1, pt.s2)
+    t = solve_t(e, pt).t
+    assert abs(t - t_ref) <= 4 * math.ulp(t)
+
+
+@pytest.mark.parametrize("pair", [(20.0, 19.0), (44.0, 43.99)], ids=str)
+def test_has_root_where_the_oracle_finds_one_near_the_corner(pair):
+    # 1 - s2 = k 2^-53 <= 1.1e-15 and s1 within 1e-10 relative below s1_top,
+    # where the float alpha loses its digits: each root the oracle puts above
+    # the floor 1 + 1e-12, at an inside point with g(u_top) clear of 0, must
+    # count
+    e = Exponents(*pair)
+    u_top = _u_top(e)
+    rng = np.random.default_rng(int(pair[0]))
+    pts = [ALPHA_ERROR_POINT[1]] if e == ALPHA_ERROR_POINT[0] else []
+    for k in range(1, 11):
+        s2 = 1.0 - k * 2.0**-53
+        top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
+        pts += [ParamPoint(float(top * (1.0 - 10.0**x)), s2) for x in rng.uniform(-12, -10, 2)]
+    checked = 0
+    for pt in pts:
+        if in_domain(e, pt) is not Membership.INSIDE:
+            continue
+        ref = reference_t(e.p, e.q, pt.s1, pt.s2)
+        if ref is not None and ref[0] - 1 > 1e-12 and g_at(e.p, e.q, pt.s1, pt.s2, u_top) > 1e-12:
+            assert has_root(e, pt), pt
+            checked += 1
+    assert checked >= 15

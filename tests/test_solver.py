@@ -273,12 +273,15 @@ class TestHasRoot:
         assert (self._solve_outcome(e, pt) == "ok") is expected
 
     @pytest.mark.parametrize("s1", [1e-300, 1e-290])
-    def test_u_lo_underflowing_to_zero_is_no_root(self, s1):
-        # K is at its floor and (1 + 1e-12)^(p-q) ~ 1e35, so u_lo underflows
-        # to 0, where g -> -inf: with p' < 1 + 1e-12 no root counts
+    def test_p_conj_at_the_floor_is_no_root(self, s1):
+        # p/(p-1) = 1 + 1e-14 leaves no t above the floor 1 + 1e-12: no
+        # root counts at any point of the pair, K at its floor included
         e, pt = Exponents(1e14, 2e13), ParamPoint(s1, 0.5)
         assert not has_root(e, pt)
-        with pytest.raises(NoRootError, match=r"^g\(u\) = -inf is not positive at u = 0\.0 "):
+        with pytest.raises(NoRootError, match=(
+            r"^no root counts for p=100000000000000\.0, q=20000000000000\.0: .* "
+            r"p/\(p-1\) = 1\.00000000000001 > 1 \+ 1e-12;"
+        )):
             solve_t(e, pt)
 
 

@@ -16,7 +16,7 @@ import hardyconst.sensitivity
 import hardyconst.solver
 import hardyconst.verify
 from hardyconst import Exponents, ParamPoint
-from hardyconst.errors import ConvergenceError, NoRootError
+from hardyconst.errors import ConvergenceError, DomainError, NoRootError
 from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import solve_t
 from hardyconst.verify import SuiteResult, fd_suite, limit_suite, sign_suite
@@ -172,11 +172,12 @@ def test_sign_suite_raises_solver_defect(monkeypatch):
 
 
 def test_sign_suite_raises_a_lock_step_pass_defect(monkeypatch):
-    # g's lane calls are g(u_b), g(u_a), g(u_top), then the u solve's passes
+    # g's lane calls are g(u_top), g(u_a), then the u solve's passes: the
+    # third is the first lock-step pass
     monkeypatch.setattr(
-        hardyconst.solver, "_u_equation", _failing_lane_g(hardyconst.solver._u_equation, 4)
+        hardyconst.solver, "_u_equation", _failing_lane_g(hardyconst.solver._u_equation, 3)
     )
-    with pytest.raises(ConvergenceError, match="injected at lane evaluation 4"):
+    with pytest.raises(ConvergenceError, match="injected at lane evaluation 3"):
         sign_suite(E2, 10)
 
 
@@ -188,6 +189,15 @@ def test_fd_suite_raises_solver_defect(monkeypatch, n):
     )
     with pytest.raises(ConvergenceError):
         fd_suite(E2, 12)
+
+
+def test_fd_suite_names_a_row_whose_s1_underflows():
+    # fd_suite's first row, s2 = 0.3, has 0.05 * 0.3^999 = 0 as its smallest s1
+    with pytest.raises(DomainError, match=(
+        r"^feasible_s1_grid: the s1 row at s2=0\.3 for p=1000\.0, q=2\.0 starts "
+        r"at 0\.05 \* s2\^\(\(p-1\)/\(q-1\)\), which underflows to 0$"
+    )):
+        fd_suite(Exponents(1000.0, 2.0), 12)
 
 
 def test_check_many_matches_check_lane_by_lane():

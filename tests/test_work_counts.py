@@ -45,8 +45,8 @@ ok row.  ``omega`` validates its exponent once per call, and the
 certificate, whose q ``Exponents`` has validated, not at all.
 
 The solver keeps the last alpha(s2), and decides solvability by one sign of
-g, at min(u_lo, u_top): ``has_root`` on a point whose alpha is known inverts
-nothing, with q near p too, a solve right after it inverts only for its
+g, at u_top, which the u solve reuses as its bracket's upper value:
+``has_root`` on a point whose alpha is known inverts nothing, with q near p too, a solve right after it inverts only for its
 certificate, and ``dt_ds1``'s stencil, like a row of ``dt_ds1`` calls at one
 s2, evaluates alpha(s2) once.
 
@@ -99,7 +99,7 @@ SOLVE_G_CALLS = 11
 #: H_r and g evaluations for one solve on a stiff pair, where the natural
 #: omega_q bracket costs the certificate 10 H_r evaluations more
 STIFF_CALLS = 9
-STIFF_G_CALLS = 10
+STIFF_G_CALLS = 8
 #: H_r and g evaluations for one cold solve with q near p: alpha(s2) and the
 #: certificate
 NEAR_CALLS = 14
