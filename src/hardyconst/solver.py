@@ -93,8 +93,9 @@ certificate.  It runs the same pipeline on numpy arrays: the u solve on
 solve_t's g and end values in ``special._root_lanes``, alpha once per run
 of equal s2, and g and t from ``_u_equation`` with pw = np.float_power.
 Each lane it cannot finish bit for bit (an invalid or outside point, a
-non-finite value) goes into one redo mask that ``solve_t`` solves in lane
-order.  A call costs ~0.17 ms with one
+non-finite g, a tau that ``solve_t`` would reject) goes into one redo mask
+that ``solve_t`` solves in lane order; t needs no test, as t(u) is at most
+t(u_a) on the u bracket (``solve_lanes``).  A call costs ~0.17 ms with one
 lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
 scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
 time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
@@ -334,11 +335,16 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     ``_u_equation``'s, with pw = np.float_power.  Where u_top <= 0 or
     p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the pipeline
     cannot finish bit for bit goes into one redo mask: an invalid (s1, s2),
-    a point outside the region, a non-finite g(u_top), g(u_a), t or width,
-    or a tau where ``tau_eval`` would raise or omega_q(tau) is undefined.
-    ``solve_t`` solves the masked lanes in lane order, so the call raises
-    what the loop raises first.  The width and tau are formed for that check
-    alone; no lane inverts omega_q.
+    a point outside the region, a non-finite g(u_top) or g(u_a), or a tau
+    where ``tau_eval`` would raise or omega_q(tau) is undefined.  ``solve_t``
+    solves the masked lanes in lane order, so the call raises what the loop
+    raises first.  tau is formed for that check alone; no lane inverts
+    omega_q.  t and solve_t's width need no test: w^(q-1) u rises with u
+    (its u-derivative is w^(q-2) (p - q u)/(p-1) > 0 for u <= 1), so X(u)
+    and t(u) = X^(1/(p-q)) fall as u rises, and t at the kernel's ends and
+    root is at most t(u_a).  X(u_a) >= cap^(p-q) > 1, so X^(1/(p-q)) is
+    below X^(p/(p-q)), a term of g(u_a), which is finite; and X > 0.  So
+    solve_t's pow can neither overflow nor raise on those values.
     """
     import numpy as np
     p, q = e.p, e.q
@@ -365,26 +371,21 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
         g_a = _u_equation(e, x, ratio, k, np.float_power)[0](u)
         # the top cap, unless g(u_a) < 0
         t = np.full(lane.size, cap)
-        bad = ~(np.isfinite(g_a) & np.isfinite(g_top))
         j = np.flatnonzero(g_a < 0.0)
         if j.size:
             ra, rk, rs1, lo = ratio[j], k[j], x[j], u[j]
-            a, b, u[j] = _root_lanes(
+            u[j] = _root_lanes(
                 lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
                 lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
                 lo, np.full(j.size, u_top), g_a[j], g_top[j], _U_REL_WIDTH * lo,
-            )
-            t_of = _u_equation(e, rs1, ra, rk, np.float_power)[1]
-            t_u = t_of(u[j])
+            )[2]
+            t_u = _u_equation(e, rs1, ra, rk, np.float_power)[1](u[j])
             t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
-            # solve_t's width |t(a) - t(b)|, formed for this check alone
-            width = t_of(a) - t_of(b)
-            bad[j] |= ~(np.isfinite(t_u) & np.isfinite(width))
         denom = np.float_power(t, p - q) - ratio
         tau = (p - q) / p * (np.float_power(t, p) - x) / denom
-        # tau_eval raises where denom <= 0; omega_q(tau) is undefined where tau
-        # leaves [0, 1]
-        bad |= ~((denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
+        # redone: a non-finite g(u_top) or g(u_a), a denom <= 0, where tau_eval
+        # raises, and a tau outside [0, 1], where omega_q(tau) is undefined
+        bad = ~(np.isfinite(g_top) & np.isfinite(g_a) & (denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
         redo[lane[bad]] = True
         ok[lane[~bad]] = True
         out[:, lane[~bad]] = t[~bad], u[~bad], a2[~bad]

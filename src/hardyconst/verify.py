@@ -10,8 +10,10 @@ The suites with large grids solve them in lanes, bit for bit the floats of
 the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
 omega grids through ``special._omega_lanes``, and ``sign_suite`` solves its
 n x n grid through ``solver.solve_lanes``, a loop of ``solve_t`` over its
-lanes that raises what the loop raises first.  A grid too large for memory
-is a DomainError.
+lanes that raises what the loop raises first, one call per block of whole
+rows.  Every s1 row (``sign_suite``'s, and ``feasible_s1_grid``'s
+candidates) is spaced along the lower-curve abscissa by ``_s1_row``.  A grid
+too large for memory is a DomainError.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .solver import has_root, solve_lanes, solve_t
 from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
 
 _MAX_REPORTED_FAILURES = 5
-#: points per lane solve in sign_suite, in whole rows of its grid where a
-#: row fits, so that its memory does not grow with n.  sign_suite took 48,
-#: 28 and 38 ms at n = 100 with 1,024, 4,096 and 16,384 points per call
-#: (peak traced memory 0.6, 2.2 and 5.6 MB), and 145, 125 and 149 ms at
-#: n = 200 with 4,096, 16,384 and 65,536 (2.2, 9.0 and 22 MB); min of 3
-#: interleaved rounds over (2, 1.5), (3, 2) and (2.5, 1.5), process CPU
-#: time, 2 shared x86-64 vCPUs
+#: points per lane solve in sign_suite, in whole rows of its grid; a longer
+#: row goes alone, so memory grows with n only past 4,096, a --grid of 16.8
+#: million solves.  sign_suite took 48, 28 and 38 ms at n = 100 with 1,024,
+#: 4,096 and 16,384 points per call (peak traced memory 0.6, 2.2 and 5.6 MB),
+#: and 145, 125 and 149 ms at n = 200 with 4,096, 16,384 and 65,536 (2.2, 9.0
+#: and 22 MB); min of 3 interleaved rounds over (2, 1.5), (3, 2) and
+#: (2.5, 1.5), process CPU time, 2 shared x86-64 vCPUs
 _SIGN_LANES = 4096
 #: sign_suite's failure messages: gamma, delta, lambda
 _SIGN_MESSAGES = (
@@ -92,16 +94,17 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
         raise DomainError(f"a verify grid of {n} points does not fit in memory") from None
 
 
-def _s1_top(name: str, e: Exponents, s2: float, lo_frac: float) -> float:
-    """The lower-curve abscissa s2^((p-1)/(q-1)) of name's s1 row from lo_frac
-    of it; a DomainError where that smallest s1 underflows to 0."""
+def _s1_row(name: str, e: Exponents, s2: float, lo: float, hi: float, n: int) -> list[float]:
+    """name's row of n s1 values at s2, from lo to hi times the lower-curve
+    abscissa s2^((p-1)/(q-1)) (``_grid``); a DomainError where the smallest
+    s1 underflows to 0."""
     top = s2 ** ((e.p - 1.0) / (e.q - 1.0))
-    if not lo_frac * top > 0.0:
+    if not lo * top > 0.0:
         raise DomainError(
             f"{name}: the s1 row at s2={s2} for p={e.p}, q={e.q} starts at "
-            f"{lo_frac} * s2^((p-1)/(q-1)), which underflows to 0"
+            f"{lo} * s2^((p-1)/(q-1)), which underflows to 0"
         )
-    return top
+    return _grid(lo * top, hi * top, n)
 
 
 def feasible_s1_grid(
@@ -113,14 +116,14 @@ def feasible_s1_grid(
 ) -> list[float]:
     """n solvable s1 values for fixed s2, evenly drawn from a scan of 2n.
 
-    Candidates span (lo_frac, hi_frac) times the lower-boundary abscissa
-    s2^((p-1)/(q-1)), a DomainError where the smallest underflows to 0;
-    candidates without a root (``has_root``) are dropped and the surviving
-    list is subsampled back to n evenly spaced entries.
+    The 2n candidates are the ``_s1_row`` from lo_frac to hi_frac times the
+    lower-boundary abscissa s2^((p-1)/(q-1)), a DomainError where the
+    smallest underflows to 0 or the row does not fit in memory; candidates
+    without a root (``has_root``) are dropped and the surviving list is
+    subsampled back to n evenly spaced entries.
     """
-    s1_top = _s1_top("feasible_s1_grid", e, s2, lo_frac)
-    cands = np.linspace(lo_frac * s1_top, hi_frac * s1_top, 2 * n)
-    good = [float(s1) for s1 in cands if has_root(e, ParamPoint(float(s1), s2))]
+    cands = _s1_row("feasible_s1_grid", e, s2, lo_frac, hi_frac, 2 * n)
+    good = [s1 for s1 in cands if has_root(e, ParamPoint(s1, s2))]
     if len(good) < n:
         raise NoRootError(
             f"only {len(good)} of {n} requested feasible s1 values exist "
@@ -175,24 +178,21 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     """gamma < 0, delta > 0 and lambda(t) > 0 across a feasible (s1, s2) grid.
 
     n rows of n points, s2 from 0.15 to 0.97 and s1 from 0.02 to 0.98 of
-    the lower-curve abscissa (a DomainError where 0.02 of it underflows to
-    0), solved in lanes (``solve_lanes``), whole rows and at most
-    ``_SIGN_LANES`` points per call, bit for bit the floats ``solve_t``
-    returns.  gamma, delta and lambda are formed from them as arrays
-    (``sensitivity._signs``) and checked in that order, point by point in
-    grid order.  Points without a root are skipped; a point outside the
-    region raises the OutsideDomainError ``solve_t`` raises there.
+    the lower-curve abscissa (``_s1_row``: a DomainError where 0.02 of it
+    underflows to 0), solved in lanes (``solve_lanes``), one call per block
+    of max(``_SIGN_LANES`` // n, 1) whole rows, bit for bit the floats
+    ``solve_t`` returns.  gamma, delta and lambda are formed from them as
+    arrays (``sensitivity._signs``) and checked in that order, point by
+    point in grid order.  Points without a root are skipped; a point outside
+    the region raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
     s2_grid = _grid(0.15, 0.97, n)
     rows = max(_SIGN_LANES // n, 1)
     for lo in range(0, n, rows):
         s2_rows = s2_grid[lo : lo + rows]
-        tops = [_s1_top(res.name, e, s2, 0.02) for s2 in s2_rows]
-        s1 = np.concatenate([_grid(0.02 * top, 0.98 * top, n) for top in tops])
-        s2 = np.repeat(s2_rows, n)
-        for j in range(0, s1.size, _SIGN_LANES):
-            _check_signs(res, e, s1[j : j + _SIGN_LANES], s2[j : j + _SIGN_LANES])
+        s1 = np.concatenate([_s1_row(res.name, e, s2, 0.02, 0.98, n) for s2 in s2_rows])
+        _check_signs(res, e, s1, np.repeat(s2_rows, n))
     return res
 
 
@@ -258,8 +258,7 @@ def fd_suite(e: Exponents, n: int = 30, tol: float = 1e-5) -> SuiteResult:
     res = SuiteResult("derivative identity vs finite differences")
     n_rows = min(max(n // 6, 3), 6)
     per_row = min(max(n // 4, 4), 10)
-    for s2 in np.linspace(0.3, 0.95, n_rows):
-        s2 = float(s2)
+    for s2 in _grid(0.3, 0.95, n_rows):
         try:
             grid = feasible_s1_grid(e, s2, per_row, lo_frac=0.05, hi_frac=0.9)
         except NoRootError:

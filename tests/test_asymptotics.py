@@ -14,7 +14,8 @@ from hardyconst import (
     solve_t,
     threshold,
 )
-from hardyconst.errors import DomainError
+from hardyconst.asymptotics import _g_at
+from hardyconst.errors import DomainError, SingularityError
 
 E2 = Exponents(2.0, 1.5)
 E_PAIRS = [E2, Exponents(3.0, 2.0), Exponents(2.5, 1.3)]
@@ -100,6 +101,11 @@ class TestBigG:
 
     def test_blows_up_toward_one(self):
         assert big_g(E2, 1.0 - 1e-10) > 1e4
+
+    def test_singular_where_omega_is_one(self):
+        # omega_q(s2) = 1 only at s2 = 1, which big_g's domain leaves out
+        with pytest.raises(SingularityError, match="G is singular"):
+            _g_at(E2, 0.5, 1.0)
 
 
 class TestGammaLimitLink:

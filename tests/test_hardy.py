@@ -24,6 +24,7 @@ from hardyconst import (
 )
 from hardyconst.errors import (
     BoundaryCaseError,
+    ConvergenceError,
     DomainError,
     InconsistentMomentsError,
     OutsideDomainError,
@@ -147,6 +148,10 @@ class TestMomentsToParams:
         with pytest.raises(InconsistentMomentsError):
             moments_to_params(m, E2)
 
+    def test_nonpositive_moment_rejected(self):
+        with pytest.raises(DomainError, match="moments and kappa must be positive"):
+            MomentTriple(0.0, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("e", [E2, E3], ids=["p2q1.5", "p3q2"])
     def test_samples_land_inside(self, e):
         # Hoelder interpolation puts every genuine sample strictly inside
@@ -260,12 +265,14 @@ class TestVerifyHardy:
             verify_hardy(h, e)
 
     @pytest.mark.parametrize("h", [
-        # finite moments, z = 1.37e308, but x^3 raises and kappa^2 z rounds to inf
+        # finite moments, z = 1.37e308, but kappa^2 z rounds to inf (x^3 would raise)
         StepFunction(3.0, (0.0, 1.5, 3.0), (4e102, 3e102)),
         # kappa^2 underflows to 0
         StepFunction(1e-200, (0.0, 1e-200), (1.0,)),
         StepFunction(1e-200, (0.0, 5e-201, 1e-200), (1.0, 2.0)),
-    ], ids=["x^p-overflows", "constant-underflows", "two-steps-underflow"])
+        # kappa^2 = 1e400: Python's pow raises OverflowError
+        StepFunction(1e200, (0.0, 1e200), (1.0,)),
+    ], ids=["x^p-overflows", "constant-underflows", "two-steps-underflow", "kappa^(p-1)-raises"])
     def test_induced_point_beyond_float_range_is_a_domain_error(self, h):
         pattern = r"^induced s1 = x\^p / \(kappa\^\(p-1\) z\) leaves float range"
         with pytest.raises(DomainError, match=pattern):
@@ -343,6 +350,16 @@ class TestSampleStep:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be nonnegative"):
             sample_step(-1, 4, 1.0, E2)
+
+    def test_rejects_nonpositive_kappa(self):
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            sample_step(0, 4, 0.0, E2)
+
+    def test_no_interior_sample_is_a_convergence_error(self):
+        # u_top <= 0, as q (q-1) < 2e-14 p/(p-q) (p-1)^2: no point has a root
+        # that counts, so no draw is solved
+        with pytest.raises(ConvergenceError, match="failed to find an interior sample"):
+            sample_step(0, 4, 1.0, Exponents(10.0, 1.0 + 1e-13))
 
 
 def _candidates(seed, k, kappa, e):

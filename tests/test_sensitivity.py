@@ -18,7 +18,7 @@ from hardyconst import (
     solve_t,
     tau_eval,
 )
-from hardyconst.errors import HardyConstError, StencilError
+from hardyconst.errors import HardyConstError, SingularityError, StencilError
 from hardyconst.sensitivity import _bracket_factor
 from hardyconst.solver import alpha_eval, has_root
 from hardyconst.verify import feasible_s1_grid
@@ -190,6 +190,11 @@ class TestTauPartials:
         d = dtau_ds1(E2, pt, t)
         assert d > 0.0
         assert abs(d - fd) / abs(d) <= 1e-6
+
+    def test_dtau_dt_where_the_tau_denominator_is_not_positive(self):
+        # t^(p-q) - s1/s2 = 1 - 1.8 < 0 at t = 1
+        with pytest.raises(SingularityError, match="tau denominator"):
+            dtau_dt(E2, ParamPoint(0.9, 0.5), 1.0)
 
     def test_dtau_ds1_small_near_top_edge(self):
         val = dtau_ds1(E2, ParamPoint(0.5, 0.999), 1.0)

@@ -22,13 +22,14 @@ from hardyconst import (
 )
 from hardyconst.errors import (
     DomainError,
+    HardyConstError,
     InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
     SingularityError,
 )
 from hardyconst.sensitivity import delta_eval, gamma_eval
-from hardyconst.solver import _alpha, _residual_at
+from hardyconst.solver import _alpha, _residual_at, solve_lanes
 from hardyconst.special import _BRACKET_REL_TOL, _bracketed_root, _h, _omega_near, h_eval
 
 E2 = Exponents(2.0, 1.5)
@@ -226,6 +227,49 @@ class TestSolveT:
         a = solve_t(E2, ParamPoint(0.4, 0.8))
         b = solve_t(E2, ParamPoint(0.4, 0.8))
         assert a == b
+
+
+#: points of extreme pairs where has_root is True but tau(t) rounds above 1:
+#: at the first the certificate hands ``_omega_near`` a bracket whose ends
+#: have one sign, and ZeroDivisionError leaks from ``_bracketed_root``; at
+#: the second solve_t returns tau = 1.0000000000011475 and residual 522.8
+TAU_ABOVE_ONE = {
+    "zero-division": (
+        Exponents(1.0000000000728846, 1.0000000000012503),
+        ParamPoint(0.9999960651987733, 0.9999999325003993),
+    ),
+    "returned": (
+        Exponents(18683881648.77494, 28501.89607527246),
+        ParamPoint(0.9997549884389365, 0.9999999999999962),
+    ),
+}
+
+
+class TestTauAboveOne:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="has_root admits points whose tau(t) rounds above 1 on extreme pairs",
+    )
+    @pytest.mark.parametrize("case", list(TAU_ABOVE_ONE))
+    def test_solve_t_certifies_or_names_the_failure(self, case):
+        e, pt = TAU_ABOVE_ONE[case]
+        try:
+            sol = solve_t(e, pt)
+        except HardyConstError:
+            return
+        assert all(math.isfinite(v) for v in astuple(sol))
+        assert 0.0 <= sol.tau <= 1.0
+
+    def test_solve_lanes_raises_what_solve_t_raises(self):
+        # the lane's tau leaves [0, 1], so solve_lanes hands the lane to
+        # solve_t, which raises; without that test the lane would be ok
+        e, pt = TAU_ABOVE_ONE["zero-division"]
+        assert has_root(e, pt)
+        with pytest.raises(ZeroDivisionError) as scalar:
+            solve_t(e, pt)
+        with pytest.raises(ZeroDivisionError) as lanes:
+            solve_lanes(e, np.array([pt.s1]), np.array([pt.s2]))
+        assert str(lanes.value) == str(scalar.value)
 
 
 class TestHasRoot:

@@ -27,7 +27,9 @@ class TestExponents:
         assert e.p_conj == 2.0
         assert e.q_conj == 3.0
 
-    @pytest.mark.parametrize("p,q", [(1.5, 1.5), (1.5, 2.0), (2.0, 1.0), (2.0, 0.5), (1.0, 0.9)])
+    @pytest.mark.parametrize(
+        "p,q", [(1.5, 1.5), (1.5, 2.0), (2.0, 1.0), (2.0, 0.5), (1.0, 0.9), (math.inf, 2.0)]
+    )
     def test_invalid_order(self, p, q):
         with pytest.raises(DomainError):
             Exponents(p, q)

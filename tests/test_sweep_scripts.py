@@ -1,10 +1,12 @@
-"""The two scripts pytest does not collect, ``solve_sweep.py`` and
-``omega_ulps.py``, run on tiny inputs: a rename of a name either one
-imports or reads then fails here instead of in the script."""
+"""The scripts pytest does not collect, ``solve_sweep.py``,
+``omega_ulps.py`` and ``line_split.py``, run on tiny inputs: a rename of a
+name one of them imports or reads then fails here instead of in the
+script."""
 
 import re
 import sys
 
+import line_split
 import numpy as np
 import omega_ulps
 import solve_sweep
@@ -36,3 +38,15 @@ def test_solve_sweep_on_a_few_points(monkeypatch, capsys):
     assert re.fullmatch(r"sha256: [0-9a-f]{64}", lines[1])
     assert lines[2] == "solve_lanes mismatches: 0"
     assert re.fullmatch(r"omega sha256: [0-9a-f]{64} _omega_lanes mismatches: 0", lines[3])
+
+
+def test_line_split_on_a_small_package(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\ndef f():\n    """Doc."""\n    return 1\n'
+    )
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    line_split.main(tmp_path)
+    assert capsys.readouterr().out.splitlines() == [
+        "wc -l: 9",
+        "code 3 docstring 3 comment 1 blank 2",
+    ]

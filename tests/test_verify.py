@@ -19,7 +19,7 @@ from hardyconst import Exponents, ParamPoint
 from hardyconst.errors import ConvergenceError, DomainError, NoRootError
 from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import solve_t
-from hardyconst.verify import SuiteResult, fd_suite, limit_suite, sign_suite
+from hardyconst.verify import SuiteResult, fd_suite, feasible_s1_grid, limit_suite, sign_suite
 
 E2 = Exponents(2.0, 1.5)
 
@@ -66,7 +66,7 @@ def test_sign_suite_matches_the_point_by_point_loop(pair, n):
 
 @pytest.mark.parametrize("lanes", [7, 25])
 def test_sign_suite_matches_the_loop_over_several_lane_solves(monkeypatch, lanes):
-    # 25 lanes solve two whole rows of 10 per call and 7 split each row
+    # 25 lanes solve two whole rows of 10 per call, and 7 one row per call
     monkeypatch.setattr(hardyconst.verify, "_SIGN_LANES", lanes)
     e = Exponents(5.0, 1.2)
     assert _fields(sign_suite(e, 10)) == _fields(_reference_sign_suite(e, 10))
@@ -200,6 +200,24 @@ def test_fd_suite_names_a_row_whose_s1_underflows():
         fd_suite(Exponents(1000.0, 2.0), 12)
 
 
+@pytest.mark.parametrize("n", [2**61, 10**20], ids=["2**61", "10**20"])
+def test_feasible_s1_grid_names_a_grid_too_large_for_memory(n):
+    # its 2n candidates are one s1 row: numpy's linspace would raise a plain
+    # ValueError here
+    with pytest.raises(DomainError, match=f"^a verify grid of {2 * n} points does not fit"):
+        feasible_s1_grid(E2, 0.5, n)
+
+
+def test_fd_suite_skips_a_row_without_feasible_s1():
+    # p/(p-1) <= 1 + 1e-12 leaves no root that counts: no candidate has one,
+    # so each of fd_suite's 3 rows of 4 points is skipped
+    e = Exponents(1e14, 2e13)
+    with pytest.raises(NoRootError, match="^only 0 of 4 requested feasible s1 values exist"):
+        feasible_s1_grid(e, 0.5, 4)
+    res = fd_suite(e, 10)
+    assert (res.checks, res.failed, res.skipped) == (0, 0, 12)
+
+
 def test_check_many_matches_check_lane_by_lane():
     ok = np.ones(40, dtype=bool)
     ok[[3, 7, 8, 20, 21, 22, 39]] = False
@@ -233,3 +251,13 @@ def test_limit_suite_checks_rows_above_the_threshold():
     # limit there is F(s2) too (asymptotics)
     res = limit_suite(Exponents(20.0, 19.0))
     assert (res.passed, res.checks, res.skipped) == (True, 27, 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: every rung of the s1 ladder falls below the 1e-12 floor",
+)
+def test_limit_suite_checks_a_pair_whose_lower_curve_starts_below_the_floor():
+    # at s2 = 0.3 the lower-curve abscissa 0.3^(19/0.1) is about 1e-99, and
+    # the rows at 0.5 and 0.65 fall below the floor too: 0 checks, 3 skipped
+    assert limit_suite(Exponents(20.0, 1.1)).passed
