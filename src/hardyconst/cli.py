@@ -152,17 +152,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--p", type=float, required=True)
+    pair.add_argument("--q", type=float, required=True)
 
-    sp = sub.add_parser("solve", help="solve the constant at one (s1, s2)")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp = sub.add_parser("solve", parents=[pair], help="solve the constant at one (s1, s2)")
     sp.add_argument("--s1", type=float, required=True)
     sp.add_argument("--s2", type=float, required=True)
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("scan", help="scan an s1 grid at fixed s2 values to CSV")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp = sub.add_parser("scan", parents=[pair], help="scan an s1 grid at fixed s2 values to CSV")
     sp.add_argument("--s2", type=float, nargs="+", required=True)
     sp.add_argument("--s1-min", dest="s1_min", type=float, required=True)
     sp.add_argument("--s1-max", dest="s1_max", type=float, required=True)
@@ -170,16 +169,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("verify", help="run all invariant suites")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp = sub.add_parser("verify", parents=[pair], help="run all invariant suites")
     sp.add_argument("--grid", type=int, default=30)
     sp.add_argument("--tol", type=float, default=1e-5, help="max FD relative error of dt/ds1")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("hardy", help="verify the inequality on random step functions")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp = sub.add_parser("hardy", parents=[pair], help="verify the inequality on random step functions")
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--steps", type=int, default=4)
     sp.add_argument("--seed", type=int, default=7, help="sample i uses seed + i, seed >= 0")

@@ -40,11 +40,12 @@ class NoRootError(HardyConstError):
 
     Treated as a domain exclusion, not a solver defect: beyond the no-root
     cutoff, the band along the lower curve at large s2, a root would need
-    tau >= 1.  ``solver.has_root`` decides it exactly, as one sign of the
+    tau >= 1.  ``solver.has_root`` decides it, as one sign of the
     explicit equation g(u), taken at u_top, just below u = 1 (tau = 1).  A
     root within 1e-14 p/(p-q) of tau = 1, where tau rounds to 1, counts as
     none, and so does every root of a pair with p/(p-1) <= 1 + 1e-12, the
-    floor of t.
+    floor of t.  On extreme pairs only, a root that counts can still fail
+    the solve (``solver.has_root``).
     """
 
     name = "no-root"

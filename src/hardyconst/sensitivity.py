@@ -30,8 +30,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .domain import ParamPoint
-from .errors import NoRootError, OutsideDomainError, SingularityError, StencilError
-from .solver import BellmanSolution, solve_t
+from .errors import NoRootError, OutsideDomainError, StencilError
+from .solver import BellmanSolution, solve_t, tau_denominator
 from .special import Exponents
 
 #: relative finite-difference step; balances solver noise against truncation
@@ -119,23 +119,13 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     )
 
 
-def _tau_denominator(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """t^(p-q) - s1/s2, the denominator of tau; raises SingularityError unless positive."""
-    denom = t ** (e.p - e.q) - pt.s1 / pt.s2
-    if denom <= 0.0:
-        raise SingularityError(
-            f"tau denominator t^(p-q) - s1/s2 = {denom} is not positive"
-        )
-    return denom
-
-
 def dtau_dt(e: Exponents, pt: ParamPoint, t: float) -> float:
     """d tau/d t = ((p-q)/p) t^(p-q-1) lambda(t) / (t^(p-q) - s1/s2)^2 > 0."""
-    denom = _tau_denominator(e, pt, t)
+    denom = tau_denominator(e, pt, t)
     return (e.p - e.q) / e.p * t ** (e.p - e.q - 1.0) * lambda_eval(e, pt, t) / denom**2
 
 
 def dtau_ds1(e: Exponents, pt: ParamPoint, t: float) -> float:
     """d tau/d s1 at frozen t: ((p-q)/p) (t^p/s2 - t^(p-q)) / (t^(p-q) - s1/s2)^2 > 0."""
-    denom = _tau_denominator(e, pt, t)
+    denom = tau_denominator(e, pt, t)
     return (e.p - e.q) / e.p * (t**e.p / pt.s2 - t ** (e.p - e.q)) / denom**2

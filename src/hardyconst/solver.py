@@ -100,8 +100,9 @@ lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
 scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
 time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
 ``verify.sign_suite`` solves its grid with it and callers of single points
-keep ``solve_t``.  It is public in this module, not in the package:
-``verify`` may import no private solver name.
+keep ``solve_t``.  It is public in this module, not in the package, as is
+``tau_denominator``, tau's guarded denominator, which ``tau_eval`` shares
+with ``sensitivity``: no module may import a private solver name.
 """
 
 from __future__ import annotations
@@ -168,15 +169,21 @@ class BellmanSolution:
     alpha: float
 
 
-def tau_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """tau(t) = ((p-q)/p) * (t^p - s1) / (t^(p-q) - s1/s2) for t >= 1."""
-    if not (math.isfinite(t) and t >= 1.0):
-        raise DomainError(f"tau is evaluated for t >= 1, got t={t}")
+def tau_denominator(e: Exponents, pt: ParamPoint, t: float) -> float:
+    """t^(p-q) - s1/s2, the denominator of tau; raises SingularityError unless positive."""
     denom = t ** (e.p - e.q) - pt.s1 / pt.s2
     if denom <= 0.0:
         raise SingularityError(
             f"tau denominator t^(p-q) - s1/s2 = {denom} is not positive"
         )
+    return denom
+
+
+def tau_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
+    """tau(t) = ((p-q)/p) * (t^p - s1) / (t^(p-q) - s1/s2) for t >= 1."""
+    if not (math.isfinite(t) and t >= 1.0):
+        raise DomainError(f"tau is evaluated for t >= 1, got t={t}")
+    denom = tau_denominator(e, pt, t)
     return (e.p - e.q) / e.p * (t**e.p - pt.s1) / denom
 
 
@@ -247,10 +254,12 @@ def _decide(e: Exponents, pt: ParamPoint) -> tuple[float, float, Callable, Calla
 
 
 def has_root(e: Exponents, pt: ParamPoint) -> bool:
-    """True exactly when ``solve_t(e, pt)`` returns a constant.
-
-    The test ``solve_t`` makes before it solves: ``in_domain``, then the
+    """False exactly when ``solve_t(e, pt)`` raises OutsideDomainError or
+    NoRootError: the test it makes before it solves, ``in_domain``, then the
     sign of g at u_top, where tau is 1 - 1e-14 p/(p-q) (module docstring).
+    On extreme pairs only, a point it admits can still fail the solve, where
+    tau(t) rounds above 1: ZeroDivisionError or a returned tau > 1
+    (``TestTauAboveOne`` in tests/test_solver.py).
     """
     try:
         _decide(e, pt)
@@ -283,7 +292,8 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     ``_bracketed_root`` solves g(u) = 0 on [u_a, u_top], with the decision's
     g(u_top), and t = X(u)^(1/(p-q)), capped at the largest float below
     p/(p-1) and raised to the floor 1 + 1e-12 (module docstring).  Raises
-    OutsideDomainError or NoRootError exactly when ``has_root`` is false.
+    OutsideDomainError or NoRootError exactly when ``has_root`` is false;
+    see it for the extreme pairs where a point it admits still fails.
     """
     a2, k, g, t_of, u_top, g_top = _decide(e, pt)
     p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
@@ -378,7 +388,7 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
                 lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
                 lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
                 lo, np.full(j.size, u_top), g_a[j], g_top[j], _U_REL_WIDTH * lo,
-            )[2]
+            )
             t_u = _u_equation(e, rs1, ra, rk, np.float_power)[1](u[j])
             t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
         denom = np.float_power(t, p - q) - ratio

@@ -62,10 +62,10 @@ bracket rung and 3 ITP passes (21 ITP passes from the natural bracket).
 So once at most ``_STRAGGLER_LANES`` lanes are live, each finishes in
 ``_bracketed_root``, which takes the lane's state as resume arguments and
 so steps exactly as the passes would; a call with no more lanes than that
-finishes entirely in the scalar kernel.  Peak memory is about 34 floats
-per lane in ``_omega_lanes`` (1.6 MB for inverse_suite's 6,000 lanes),
-reached at the first pass that drops finished lanes, and 51 in
-``solver.solve_lanes`` (1.7 MB for 4,096 lanes).
+finishes entirely in the scalar kernel.  Peak memory is about 32 floats
+per lane in ``_omega_lanes`` (1.5 MB for inverse_suite's 6,000 lanes),
+reached at the first pass that drops finished lanes, and 43 in
+``solver.solve_lanes`` (1.4 MB for a 64 x 64 grid on (3, 2)).
 Each lane function imports numpy itself, so that the scalar paths (``omega``
 and everything ``solve_t`` runs) load none.
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
@@ -361,7 +361,7 @@ def _root_lanes(
     fb: np.ndarray,
     xtol: np.ndarray,
     k1: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """``_bracketed_root`` on lanes, bit for bit, in lock-step ITP passes.
 
     Lane i solves f_i(x) = 0 on [a_i, b_i] on ``_bracketed_root``'s
@@ -370,34 +370,31 @@ def _root_lanes(
     run (``_itp_scale``).  f_lanes(i, x) evaluates f at x on the lanes i,
     an index array; f_of_lane(i) is lane i's scalar f.  Every lane takes
     the scalar kernel's signed step, the same best point, b replaced where
-    f > 0 and a where f < 0, an early stop where f hits 0 (a, b and the
-    best point are then x) and a stop where the bracket's ends are adjacent
-    floats.  Lanes leave the working
-    arrays as they finish.  Once at most ``_STRAGGLER_LANES`` are left, each
-    finishes in ``_bracketed_root``, resumed from its bracket, end values,
-    k1, xtol, projection scale and best point, so it takes the steps the
-    passes would have taken; a call with no more lanes than that finishes
-    entirely in the scalar kernel.  Returns each lane's final (a, b, best
-    point).
+    f > 0 and a where f < 0, an early stop where f hits 0 (the best point
+    is then x) and a stop where the bracket's ends are adjacent floats.
+    Lanes leave the working arrays as they finish.  Once at most
+    ``_STRAGGLER_LANES`` are left, each finishes in ``_bracketed_root``,
+    resumed from its bracket, end values, k1, xtol, projection scale and
+    best point, so it takes the steps the passes would have taken; a call
+    with no more lanes than that finishes entirely in the scalar kernel.
+    Returns each lane's root, the scalar kernel's best point x.
     """
     import numpy as np
-    out_a, out_b, out_x = np.empty(a.size), np.empty(a.size), np.empty(a.size)
+    out = np.empty(a.size)
     idx = np.arange(a.size)
     if k1 is None:
         k1 = 0.2 / (b - a)
     scale = _itp_scale(b - a, xtol, np.frexp, np.ldexp)
     # working copies of the state the passes write, so no caller's array
-    # changes: inverse_suite(2.5, 1.5)'s 6,000 lanes peak at 1.62 MB, not
-    # 1.56, and glibc's heap trims halve against working in place (303 page
-    # faults per call against 631)
+    # changes: inverse_suite(2.5, 1.5)'s 6,000 lanes peak at 1.52 MB, not
+    # 1.33, with 295 minor page faults per call against 264 in place
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
         mid = 0.5 * (a + b)
         live = (b - a > xtol) & (a < mid) & (mid < b)
         if not live.all():
-            done = idx[~live]
-            out_a[done], out_b[done], out_x[done] = a[~live], b[~live], best_x[~live]
+            out[idx[~live]] = best_x[~live]
             idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs, mid = (
                 v[live] for v in (idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs, mid)
             )
@@ -432,11 +429,8 @@ def _root_lanes(
     for i, *state in zip(
         *(v.tolist() for v in (idx, a, b, fa, fb, xtol, k1, scale, best_x, best_abs))
     ):
-        a_i, b_i, fa_i, fb_i, xtol_i, k1_i, scale_i, x_i, abs_i = state
-        out_a[i], out_b[i], out_x[i] = _bracketed_root(
-            f_of_lane(i), a_i, b_i, fa_i, fb_i, xtol_i, k1_i, scale_i, x_i, abs_i
-        )
-    return out_a, out_b, out_x
+        out[i] = _bracketed_root(f_of_lane(i), *state)[2]
+    return out
 
 
 def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -499,7 +493,7 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
         lambda i, x: y[i] - _h_lanes(r_of[i], x),
         lambda i: lambda x, r=float(r_of[i]), y=float(y[i]): y - _h(r, x),
         a, b, fa, fb, xtol[k], k1[k],
-    )[2]
+    )
     r = np.broadcast_to(r, s.shape)
     z = np.where(s == 1.0, 1.0, r / (r - 1.0))
     z[idx] = root

@@ -4,7 +4,8 @@ Each suite samples a claim on a grid and reports a ``SuiteResult``; the CLI
 ``verify`` subcommand runs all of them and fails if any check fails.  Grid
 points beyond the no-root cutoff are skipped, not failed: the cutoff is the
 band along the lower curve at large s2 where a root would need tau >= 1,
-and ``solver.has_root`` decides it exactly.
+and ``solver.has_root`` decides it (on extreme pairs only, a point it
+admits can still fail the solve).
 
 The suites with large grids solve them in lanes, bit for bit the floats of
 the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their

@@ -9,7 +9,7 @@ import pytest
 
 import hardyconst.hardy
 import hardyconst.verify
-from hardyconst import StepFunction
+from hardyconst import StepFunction, VerificationReport
 from hardyconst.cli import CSV_HEADER, _build_parser, main
 from hardyconst.domain import _linspace
 from hardyconst.errors import ConvergenceError
@@ -427,6 +427,19 @@ class TestHardyCmd:
         )
         assert out == ""
 
+    def test_a_violation_is_counted_and_exits_1(self, capsys, monkeypatch):
+        report = VerificationReport(
+            lhs=2.0, rhs=1.0, ratio=2.0, t=1.5, s1=0.5, s2=0.9, passed=False,
+            quadrature_error_estimate=0.0,
+        )
+        monkeypatch.setattr(hardyconst.hardy, "_verified_samples", lambda e, k, draws: [report])
+        code, out, err = run(capsys, ["hardy", "--p", "2", "--q", "1.5", "--samples", "1"])
+        assert (code, err) == (1, "")
+        assert out == (
+            "sample 0: ratio=2 VIOLATION\n"
+            "samples=1 violations=1 solver_failures=0 max_ratio=2\n"
+        )
+
     @pytest.mark.parametrize("pair, failures, lines, digest, err", PARTIAL, ids=PARTIAL_IDS)
     def test_partial_output(self, capsys, monkeypatch, pair, failures, lines, digest, err):
         # a failing sample prints the lines of the samples before it, then
@@ -448,7 +461,35 @@ class TestHardyCmd:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: each subcommand with the arguments it needs besides the exponent pair
+COMMANDS = {
+    "solve": ["--s1", "0.75", "--s2", "0.9185586535436918"],
+    "scan": ["--s2", "0.92", "--s1-min", "0.1", "--s1-max", "0.8", "--n", "3"],
+    "verify": [],
+    "hardy": [],
+}
+
+
 class TestParser:
+    @pytest.mark.parametrize("missing", ["--p", "--q"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_requires_the_pair(self, capsys, command, missing):
+        given = [x for name, value in (("--p", "2"), ("--q", "1.5")) if name != missing
+                 for x in (name, value)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *given, *COMMANDS[command]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_help_lists_the_pair(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "  --p P\n" in out and "  --q Q\n" in out
+
     def test_built_once_and_reused(self, capsys, tmp_path):
         scan = ["scan", "--p", "2", "--q", "1.5", "--s2", "0.92",
                 "--s1-min", "0.1", "--s1-max", "0.8", "--n", "3"]

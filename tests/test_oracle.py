@@ -19,7 +19,7 @@ import pytest
 from mp_oracle import g_at, omega_q, reference_sensitivity, reference_t
 
 from hardyconst import Exponents, Membership, ParamPoint, has_root, in_domain, solve_t
-from hardyconst.sensitivity import delta_eval, dt_ds1_analytic, gamma_eval
+from hardyconst.sensitivity import delta_eval, dt_ds1, dt_ds1_analytic, gamma_eval
 from hardyconst.solver import _u_top
 
 
@@ -126,6 +126,24 @@ def test_derivative_inside(pair, frac):
         pt = ParamPoint(frac * s2 ** ((e.p - 1.0) / (e.q - 1.0)), s2)
         assert has_root(e, pt), pt
         assert max(_derivative_errors(e, pt)) <= 1e-13, pt
+
+
+#: the points at which ``verify --grid 10``'s fd_suite fails on (100, 99)
+#: and (50, 49), both at s2 = 0.3
+FD_FAILURE_POINTS = {
+    "(100, 99)": (Exponents(100.0, 99.0), ParamPoint(0.01481684581653415, 0.3)),
+    "(50, 49)": (Exponents(50.0, 49.0), ParamPoint(0.014628437881958355, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", list(FD_FAILURE_POINTS))
+def test_derivative_where_the_finite_difference_check_fails(case):
+    # the analytic dt/ds1 is 3.2e-12 and 7.5e-13 off; it is t, 18 and 9 ulp
+    # off, that fails the check: over the FD step h = 1.5e-8 such errors at
+    # the stencil alone give FD errors of 9.3e-5 and 2.3e-5 (tolerance 1e-5)
+    e, pt = FD_FAILURE_POINTS[case]
+    ref = reference_sensitivity(e.p, e.q, pt.s1, pt.s2)[2]
+    assert abs((dt_ds1(e, pt).dt_ds1 - ref) / ref) <= 1e-10
 
 
 def _bisected_omega(q: float, s2: float) -> mp.mpf:

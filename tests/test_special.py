@@ -301,9 +301,7 @@ class TestItpSchedule:
             np.full(n, -1e-30), np.full(n, 1.0 - 1e-30), np.full(n, xtol), np.zeros(n),
         )
         assert steps.tolist() == n_max
-        assert [[x.hex() for x in v.tolist()] for v in lanes] == [
-            [x.hex() for x in v] for v in zip(*floats)
-        ]
+        assert [x.hex() for x in lanes.tolist()] == [x[2].hex() for x in floats]
 
     @pytest.mark.parametrize("xtol", [2.0**-40, 3e-15])
     def test_lanes_match_the_scalar_kernel_on_linear_brackets(self, xtol):
@@ -319,9 +317,7 @@ class TestItpSchedule:
             lambda i, x: x - root[i], lambda i: lambda x, c=float(root[i]): x - c,
             np.zeros(n), w, -root, w - root, np.full(n, xtol),
         )
-        assert [[x.hex() for x in v.tolist()] for v in lanes] == [
-            [x.hex() for x in v] for v in zip(*floats)
-        ]
+        assert [x.hex() for x in lanes.tolist()] == [x[2].hex() for x in floats]
 
 
 class TestOmegaDeriv:
