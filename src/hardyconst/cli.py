@@ -6,10 +6,10 @@ configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
 once per s2, so a row formats only its own seven floats.  Each command
 loads only the modules it runs: ``solve`` and ``scan`` need ``errors``,
-``special``, ``domain``, ``solver`` and ``sensitivity``, and no numpy
-(``scan``'s grid is ``domain._linspace``); ``hardy`` imports ``hardy``, and
-``verify`` imports ``verify`` and with it ``asymptotics``, each with numpy,
-when it runs.  ``hardy`` runs its quadrature once per chunk of samples
+``special``, ``domain`` and ``solver``, and no numpy (``scan``'s grid is
+``domain._linspace``); ``hardy`` imports ``hardy``, and ``verify`` imports
+``verify`` and with it ``sensitivity``, ``asymptotics`` and ``lanes``,
+each with numpy, when it runs.  ``hardy`` runs its quadrature once per chunk of samples
 (``hardy._verified_samples``) and prints each sample's line as its chunk
 comes out; on an error it prints the lines of the samples before the
 failing one, exactly as checking one sample at a time would.
@@ -34,8 +34,7 @@ from .errors import (
     NoRootError,
     OutsideDomainError,
 )
-from .sensitivity import _signs
-from .solver import solve_t
+from .solver import sign_factors, solve_t
 from .special import Exponents
 
 CSV_HEADER = "p,q,s1,s2,t,tau,gamma,delta,dt_ds1,residual,status"
@@ -51,7 +50,7 @@ _SAMPLE_KAPPAS = (0.5, 1.0, 3.0)
 def _ok_row(e: Exponents, pt: ParamPoint, head: str, mid: str) -> str:
     """The CSV row of a solved point, given head = "p,q," and mid = ",s2,"."""
     sol = solve_t(e, pt)
-    gamma, delta, _ = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
+    gamma, delta, _ = sign_factors(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
     return (
         f"{head}{pt.s1:.17g}{mid}{sol.t:.17g},{sol.tau:.17g},{gamma:.17g},{delta:.17g},"
         f"{sol.t * gamma / delta:.17g},{sol.residual:.17g},ok"

@@ -6,8 +6,8 @@ A point (s1, s2) is admissible for the constant-solve when
 
 i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
 ``in_domain`` decides this closed-form, geometric part of the region
-(``_outside_lanes`` on arrays of points, bit for bit); it is necessary but
-not sufficient for solvability.  The constant also has a
+(``lanes._outside_lanes`` on arrays of points, bit for bit); it is
+necessary but not sufficient for solvability.  The constant also has a
 no-root cutoff: a band along the lower curve at large s2 where the root
 would need tau >= 1.  ``solver.has_root`` decides that exactly, with the
 same test ``solve_t`` makes: one sign of one explicit equation in u, at the
@@ -109,10 +109,3 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     grid[:-1] = (i * step + lo if step else i / div * (hi - lo) + lo for i in range(div))
     return grid
 
-
-def _outside_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """``in_domain`` on lanes of valid points: True where it is not INSIDE."""
-    import numpy as np
-    lower = np.float_power(s1, (e.q - 1.0) / (e.p - 1.0))
-    on_lower = np.abs(s2 - lower) <= BOUNDARY_TOL
-    return on_lower | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)

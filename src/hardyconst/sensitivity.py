@@ -17,21 +17,22 @@ delta and lambda are strictly positive on the whole region, gamma is
 strictly negative, hence the constant strictly decreases in s1.  All of
 this is checked numerically by the verification suites; ``dt_ds1`` also
 carries its own finite-difference cross-check of the analytic value.
-``_signs`` forms gamma, delta and lambda together, with B and t^q once: on
-floats for ``gamma_eval``, ``delta_eval`` and a CLI row, and on arrays of
-solved points for ``verify.sign_suite``'s lane solve, where the power
-function it takes is np.float_power (``special`` module docstring).
+``solver.sign_factors`` forms gamma, delta and lambda together, with B and
+t^q once: on floats for ``gamma_eval``, ``delta_eval`` and a CLI row, and
+on arrays of solved points for ``verify.sign_suite``'s lane solve, where
+the power function it takes is np.float_power (``lanes`` module
+docstring).  It lives in ``solver`` so that a CLI row loads no
+``sensitivity``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .domain import ParamPoint
 from .errors import NoRootError, OutsideDomainError, StencilError
-from .solver import BellmanSolution, solve_t, tau_denominator
+from .solver import BellmanSolution, sign_factors, solve_t, tau_denominator
 from .special import Exponents
 
 #: relative finite-difference step; balances solver noise against truncation
@@ -57,34 +58,19 @@ def lambda_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
     return e.q * t**e.p - e.p * t**e.q * (pt.s1 / pt.s2) + (e.p - e.q) * pt.s1
 
 
-def _bracket_factor(e: Exponents, u: float) -> float:
-    """B = (p-1) (p - q u) / (p (q-1) (1 - u)) at u = p - (p-1) w, u < 1."""
-    return (e.p - 1.0) * (e.p - e.q * u) / (e.p * (e.q - 1.0) * (1.0 - u))
-
-
-def _signs(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
-    """(gamma, delta, lambda) at a solved point with its t, u and alpha;
-    floats with pw = math.pow, lanes with pw = np.float_power."""
-    p, q = e.p, e.q
-    b = _bracket_factor(e, u)
-    t_q = pw(t, q)
-    lam = q * pw(t, p) - p * t_q * (s1 / s2) + (p - q) * s1
-    return a2 - b * (t_q / s2 - 1.0), b * lam + (p - q) * s1 * a2, lam
-
-
 def gamma_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """gamma = alpha(s2) - B(u) * (t^q / s2 - 1); negative in the region."""
-    return _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[0]
+    return sign_factors(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[0]
 
 
 def delta_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """delta = B(u) * lambda(t) + (p-q) s1 alpha(s2); strictly positive."""
-    return _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[1]
+    return sign_factors(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)[1]
 
 
 def dt_ds1_analytic(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
     """dt/ds1 = t * gamma / delta at an already-solved point."""
-    gamma, delta, _ = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
+    gamma, delta, _ = sign_factors(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
     return sol.t * gamma / delta
 
 
@@ -97,7 +83,7 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
     the centre's s2, so its solves reuse the centre's alpha(s2) (``solver``).
     """
     sol = solve_t(e, pt)
-    gamma, delta, lam = _signs(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
+    gamma, delta, lam = sign_factors(e, pt.s1, pt.s2, sol.t, sol.u, sol.alpha, math.pow)
     analytic = sol.t * gamma / delta
 
     h = _FD_STEP_FRAC * max(pt.s1, 1e-3)

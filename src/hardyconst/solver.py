@@ -90,7 +90,7 @@ points, one per lane, and marks a lane not ok where it raises NoRootError:
 equal to it bit for bit on the verdict and on t, u and alpha, the fields
 ``verify.sign_suite`` reads, and raising what it raises first; it makes no
 certificate.  It runs the same pipeline on numpy arrays: the u solve on
-solve_t's g and end values in ``special._root_lanes``, alpha once per run
+solve_t's g and end values in ``lanes._root_lanes``, alpha once per run
 of equal s2, and g and t from ``_u_equation`` with pw = np.float_power.
 Each lane it cannot finish bit for bit (an invalid or outside point, a
 non-finite g, a tau that ``solve_t`` would reject) goes into one redo mask
@@ -100,9 +100,11 @@ lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
 scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
 time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
 ``verify.sign_suite`` solves its grid with it and callers of single points
-keep ``solve_t``.  It is public in this module, not in the package, as is
+keep ``solve_t``.  It is public in this module, not in the package, as are
 ``tau_denominator``, tau's guarded denominator, which ``tau_eval`` shares
-with ``sensitivity``: no module may import a private solver name.
+with ``sensitivity``, and ``sign_factors``, gamma, delta and lambda at a
+solved point, which a CLI row reads without loading ``sensitivity``: no
+module may import a private solver name.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .domain import Membership, ParamPoint, _outside_lanes, in_domain
+from .domain import Membership, ParamPoint, in_domain
 from .errors import (
     DomainError,
     InfeasibleTauError,
@@ -120,7 +122,7 @@ from .errors import (
     OutsideDomainError,
     SingularityError,
 )
-from .special import Exponents, _bracketed_root, _omega_near, _root_lanes, omega
+from .special import Exponents, _bracketed_root, _omega_near, omega
 
 #: the floor lo = 1 + this, below which t is raised to lo; no test (module
 #: docstring)
@@ -316,21 +318,15 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     )
 
 
-@dataclass(frozen=True)
-class LaneSolutions:
-    """``solve_lanes``' result: the fields of ``BellmanSolution`` that
-    ``verify.sign_suite`` reads, as arrays, nan where the lane has no
-    constant.
-
-    ok        solve_t returns a constant; a lane not ok is one where it
-              raises NoRootError
-    t, u, alpha  solve_t's t, u and alpha
-    """
-
-    ok: np.ndarray
-    t: np.ndarray
-    u: np.ndarray
-    alpha: np.ndarray
+def sign_factors(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
+    """``sensitivity``'s (gamma, delta, lambda) at a solved point with its
+    t, u < 1 and alpha, with B = (p-1) (p - q u) / (p (q-1) (1 - u)) and t^q
+    formed once; floats with pw = math.pow, lanes with pw = np.float_power."""
+    p, q = e.p, e.q
+    b = (p - 1.0) * (p - q * u) / (p * (q - 1.0) * (1.0 - u))
+    t_q = pw(t, q)
+    lam = q * pw(t, p) - p * t_q * (s1 / s2) + (p - q) * s1
+    return a2 - b * (t_q / s2 - 1.0), b * lam + (p - q) * s1 * a2, lam
 
 
 def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
@@ -355,8 +351,14 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     root is at most t(u_a).  X(u_a) >= cap^(p-q) > 1, so X^(1/(p-q)) is
     below X^(p/(p-q)), a term of g(u_a), which is finite; and X > 0.  So
     solve_t's pow can neither overflow nor raise on those values.
+
+    numpy and ``lanes`` are imported here, so that the scalar paths load
+    neither; so its annotations do not resolve (``typing.get_type_hints``
+    raises NameError).
     """
     import numpy as np
+
+    from .lanes import LaneSolutions, _outside_lanes, _root_lanes
     p, q = e.p, e.q
     s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
     ok, out = np.zeros(s1.size, dtype=bool), np.full((3, s1.size), np.nan)

@@ -9,7 +9,7 @@ admits can still fail the solve).
 
 The suites with large grids solve them in lanes, bit for bit the floats of
 the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
-omega grids through ``special._omega_lanes``, and ``sign_suite`` solves its
+omega grids through ``lanes._omega_lanes``, and ``sign_suite`` solves its
 n x n grid through ``solver.solve_lanes``, a loop of ``solve_t`` over its
 lanes that raises what the loop raises first, one call per block of whole
 rows.  Every s1 row (``sign_suite``'s, and ``feasible_s1_grid``'s
@@ -27,9 +27,10 @@ import numpy as np
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, _linspace
 from .errors import DomainError, NoRootError, StencilError
-from .sensitivity import _signs, dt_ds1, gamma_eval
-from .solver import has_root, solve_lanes, solve_t
-from .special import Exponents, _h_lanes, _omega_lanes, h_eval, omega
+from .lanes import _h_lanes, _omega_lanes
+from .sensitivity import dt_ds1, gamma_eval
+from .solver import has_root, sign_factors, solve_lanes, solve_t
+from .special import Exponents, h_eval, omega
 
 _MAX_REPORTED_FAILURES = 5
 #: points per lane solve in sign_suite, in whole rows of its grid; a longer
@@ -183,7 +184,7 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     underflows to 0), solved in lanes (``solve_lanes``), one call per block
     of max(``_SIGN_LANES`` // n, 1) whole rows, bit for bit the floats
     ``solve_t`` returns.  gamma, delta and lambda are formed from them as
-    arrays (``sensitivity._signs``) and checked in that order, point by
+    arrays (``solver.sign_factors``) and checked in that order, point by
     point in grid order.  Points without a root are skipped; a point outside
     the region raises the OutsideDomainError ``solve_t`` raises there.
     """
@@ -203,7 +204,7 @@ def _check_signs(res: SuiteResult, e: Exponents, s1: np.ndarray, s2: np.ndarray)
     res.skipped += int((~sol.ok).sum())
     s1, s2 = s1[sol.ok], s2[sol.ok]
     t, u, a2 = sol.t[sol.ok], sol.u[sol.ok], sol.alpha[sol.ok]
-    gamma, delta, lam = _signs(e, s1, s2, t, u, a2, np.float_power)
+    gamma, delta, lam = sign_factors(e, s1, s2, t, u, a2, np.float_power)
     vals = np.stack([gamma, delta, lam], axis=1)
     ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
     res.check_many(

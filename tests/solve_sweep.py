@@ -38,8 +38,8 @@ from test_bit_equivalence import FIELDS, PAIRS, SOLUTION_FIELDS, _points
 
 from hardyconst import Exponents, ParamPoint, omega, solve_t
 from hardyconst.errors import NoRootError, OutsideDomainError
+from hardyconst.lanes import _omega_lanes
 from hardyconst.solver import solve_lanes
-from hardyconst.special import _omega_lanes
 
 SWEEP_PAIRS = PAIRS + [(10.0, 9.0), (1.2, 1.1)]
 #: points per pair: drawn as ``_points`` draws them, and with s2 next to 1

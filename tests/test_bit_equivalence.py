@@ -43,8 +43,8 @@ with p/(p-1) <= 1 + 1e-12 and a lane whose g(u_top) is not finite, which
 ``solve_t`` solves; and raise what the loop raises first, type and
 message, where an outside or invalid point or a lane that ``solve_t``
 redoes raises.  Its lane twins of ``in_domain``
-(``domain._outside_lanes``) and of gamma, delta and lambda
-(``sensitivity._signs`` on arrays) must equal the scalar functions bit for
+(``lanes._outside_lanes``) and of gamma, delta and lambda
+(``solver.sign_factors`` on arrays) must equal the scalar functions bit for
 bit on the same points.
 
 ``has_root`` tests the sign of g at u_top alone: it must reject each point
@@ -70,6 +70,7 @@ import numpy as np
 import pytest
 from mp_oracle import g_at
 
+import hardyconst.lanes
 import hardyconst.solver
 import hardyconst.special
 from hardyconst import (
@@ -82,23 +83,21 @@ from hardyconst import (
     in_domain,
     solve_t,
 )
-from hardyconst.domain import _outside_lanes
 from hardyconst.errors import DomainError, NoRootError, OutsideDomainError, SingularityError
 from hardyconst.hardy import _lhs_rows
-from hardyconst.sensitivity import _signs, delta_eval, gamma_eval, lambda_eval
+from hardyconst.lanes import _STRAGGLER_LANES, _h_lanes, _omega_lanes, _outside_lanes
+from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import (
     _u_top,
     residual,
+    sign_factors,
     solve_lanes,
     tau_eval,
 )
 from hardyconst.special import (
     _BRACKET_REL_TOL,
-    _STRAGGLER_LANES,
     _bracketed_root,
     _h,
-    _h_lanes,
-    _omega_lanes,
     _omega_start,
     omega,
 )
@@ -344,7 +343,7 @@ def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
     monkeypatch, lane_cases, handoff
 ):
     lanes = 0 if handoff == "pure lanes" else 10**6
-    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    monkeypatch.setattr(hardyconst.lanes, "_STRAGGLER_LANES", lanes)
     for pair in [(2.0, 1.5), (2.5, 1.3), (10.0, 1.05), (1.5, 1.45)]:
         s1, s2, expected = lane_cases[pair]
         _assert_lanes_match(Exponents(*pair), s1, s2, expected)
@@ -352,15 +351,15 @@ def test_solve_lanes_match_solve_t_at_either_end_of_the_hand_off(
 
 @pytest.fixture
 def brackets(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The initial brackets (a, b) of each ``_root_lanes`` call of ``special``."""
+    """The initial brackets (a, b) of each ``_root_lanes`` call."""
     seen = []
-    root_lanes = hardyconst.special._root_lanes
+    root_lanes = hardyconst.lanes._root_lanes
 
     def counted(f_lanes, f_of_lane, a, b, *rest):
         seen.append((a.copy(), b.copy()))
         return root_lanes(f_lanes, f_of_lane, a, b, *rest)
 
-    monkeypatch.setattr(hardyconst.special, "_root_lanes", counted)
+    monkeypatch.setattr(hardyconst.lanes, "_root_lanes", counted)
     return seen
 
 
@@ -513,7 +512,7 @@ def test_signs_lanes_match_the_scalar_signs(lane_cases, pair):
         pt = ParamPoint(x, y)
         ref = solve_t(e, pt)
         scalar.append((gamma_eval(e, pt, ref), delta_eval(e, pt, ref), lambda_eval(e, pt, ref.t)))
-    lanes = _signs(e, s1, s2, sol.t, sol.u, sol.alpha, np.float_power)
+    lanes = sign_factors(e, s1, s2, sol.t, sol.u, sol.alpha, np.float_power)
     assert [_bits(v) for v in lanes] == [_bits(v) for v in zip(*scalar)]
 
 
@@ -638,7 +637,7 @@ def test_omega_lanes_match_scalar_omega_at_either_end_of_the_hand_off(
     # passes; above the lane count every lane is omega's
     r, s, expected = mixed_lanes
     lanes = 0 if handoff == "pure lanes" else r.size + 1
-    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    monkeypatch.setattr(hardyconst.lanes, "_STRAGGLER_LANES", lanes)
     assert _bits(_omega_lanes(r, s)) == expected
     for x in (1.05, 2.5, 4.023077022296251):
         t = _lane_targets(int(x * 1000))
@@ -666,7 +665,7 @@ def test_omega_lanes_match_scalar_omega_at_the_newton_starts_edges(
     monkeypatch, brackets, handoff
 ):
     lanes = {"threshold": _STRAGGLER_LANES, "pure lanes": 0, "pure scalar": 10**6}[handoff]
-    monkeypatch.setattr(hardyconst.special, "_STRAGGLER_LANES", lanes)
+    monkeypatch.setattr(hardyconst.lanes, "_STRAGGLER_LANES", lanes)
     for i, r in enumerate(R_EDGE):
         s = _edge_targets(i)
         assert _bits(_omega_lanes(r, s)) == _bits([omega(r, float(x)) for x in s])

@@ -4,29 +4,34 @@ hand, none sums through BLAS, whose order depends on the CPU, and none
 calls ``np.power``, which may round unlike the C library's pow; nor does
 any lane function (named ``*_lanes``) or any formula shared by floats and
 lanes (a function with a parameter ``pw``, the power it runs on) use
-``**``, which on arrays is ``np.power``.  Only ``special._root_lanes``, the lane kernel, resumes the
-scalar root kernel part-way: a resumed schedule anywhere else would move the
-floats of ``omega``, the solver's certificate or its u solve.  numpy is
-loaded by the functions that build arrays, not by importing the package or
-the CLI, nor by ``solve`` and ``scan``, which compute on floats; nor are
-``hardy``, ``asymptotics`` and ``verify``, which only the array commands
-run.  The package serves each public name lazily, as the very object its
-defining module holds.  Every field of ``solver.LaneSolutions`` is read
-from a ``solve_lanes`` result outside ``solver``: the lane solve, a loop of
+``**``, which on arrays is ``np.power``.  Only ``lanes._root_lanes``, the
+lane kernel, resumes the scalar root kernel part-way: a resumed schedule
+anywhere else would move the floats of ``omega``, the solver's certificate
+or its u solve.  numpy is loaded by the functions that build arrays, not by
+importing the package or the CLI, nor by ``solve`` and ``scan``, which
+compute on floats; nor are ``hardy``, ``asymptotics`` and ``verify``, which
+only the array commands run, nor ``lanes`` and ``sensitivity``, which only
+``verify`` runs.  Every annotation in ``lanes`` resolves.  The package
+serves each public name lazily, as the very object its defining module
+holds.  Every field of ``lanes.LaneSolutions`` is read from a
+``solve_lanes`` result outside ``solver``: the lane solve, a loop of
 ``solve_t`` that hands each lane it cannot finish to ``solve_t``, returns
 nothing its callers ignore, and so no verdict but ok."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import hardyconst
-from hardyconst.solver import LaneSolutions
+import hardyconst.lanes
+from hardyconst.lanes import LaneSolutions
 
 PACKAGE = Path(hardyconst.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "solver")
@@ -170,7 +175,7 @@ def test_no_blas_ordered_reduction(path):
 
 def power_uses(source: str) -> list[str]:
     """Uses of numpy's ``power``, as ``np.power``, ``numpy.power`` or an
-    import from numpy, each as name:line.  ``special`` documents the trap:
+    import from numpy, each as name:line.  ``lanes`` documents the trap:
     on arrays it may run SIMD routines that round unlike ``float_power``."""
     uses = []
     for node in ast.walk(ast.parse(source)):
@@ -301,7 +306,7 @@ def test_only_the_lane_kernel_resumes_the_root_kernel():
         for path in sorted(PACKAGE.glob("*.py"))
         for use in resume_callers(path.read_text(encoding="utf-8"))
     ]
-    assert callers == ["special._root_lanes"]
+    assert callers == ["lanes._root_lanes"]
 
 
 SOLVE = ["solve", "--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]
@@ -340,6 +345,40 @@ def test_point_paths_load_no_array_command_module(code):
     proc = fresh(["-c", f"{code}\n{check}"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+HARDY = ["hardy", "--p", "2", "--q", "1.5", "--samples", "2"]
+VERIFY = ["verify", "--p", "2", "--q", "1.5", "--grid", "10"]
+#: modules that only ``verify`` runs: the lane code and ``sensitivity``
+VERIFY_MODULES = ("hardyconst.lanes", "hardyconst.sensitivity")
+#: code run in a fresh interpreter, and the VERIFY_MODULES it must load
+VERIFY_LOADS = {
+    **{name: (code, []) for name, code in NO_NUMPY.items()},
+    "hardy": (f"import hardyconst.cli as cli; assert cli.main({HARDY!r}) == 0", []),
+    "verify": (f"import hardyconst.cli as cli; assert cli.main({VERIFY!r}) == 0",
+               list(VERIFY_MODULES)),
+}
+
+
+@pytest.mark.parametrize("code, loaded", VERIFY_LOADS.values(), ids=VERIFY_LOADS)
+def test_only_verify_loads_the_lane_code_and_sensitivity(code, loaded):
+    check = f"import sys\nprint([m for m in {VERIFY_MODULES!r} if m in sys.modules])"
+    proc = fresh(["-c", f"{code}\n{check}"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+#: every function and class that ``lanes`` defines
+LANE_DEFINITIONS = {
+    name: obj for name, obj in vars(hardyconst.lanes).items()
+    if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == "hardyconst.lanes"
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_DEFINITIONS))
+def test_every_lane_annotation_resolves(name):
+    # solver.solve_lanes cannot: it imports numpy and lanes in its body
+    assert typing.get_type_hints(LANE_DEFINITIONS[name])
 
 
 def top_level_definitions(source: str) -> set[str]:
@@ -424,10 +463,7 @@ def test_an_unknown_name_is_an_attribute_error():
         from hardyconst import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("argv", [
-    ["hardy", "--p", "2", "--q", "1.5", "--samples", "2"],
-    ["verify", "--p", "2", "--q", "1.5", "--grid", "10"],
-], ids=["hardy", "verify"])
+@pytest.mark.parametrize("argv", [HARDY, VERIFY], ids=["hardy", "verify"])
 def test_array_commands_load_numpy_where_they_run(argv):
     proc = fresh(["-m", "hardyconst", *argv])
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,6 @@ from hardyconst import (
     tau_eval,
 )
 from hardyconst.errors import HardyConstError, SingularityError, StencilError
-from hardyconst.sensitivity import _bracket_factor
 from hardyconst.solver import alpha_eval, has_root
 from hardyconst.verify import feasible_s1_grid
 
@@ -95,7 +94,7 @@ class TestGammaDelta:
                     continue
                 sol = solve_t(e, pt)
                 a2 = alpha_eval(e, s2)
-                b = _bracket_factor(e, sol.u)
+                b = (e.p - 1.0) * (e.p - e.q * sol.u) / (e.p * (e.q - 1.0) * (1.0 - sol.u))
                 assert gamma_eval(e, pt, sol) == a2 - b * (sol.t**e.q / s2 - 1.0)
                 assert delta_eval(e, pt, sol) == (
                     b * lambda_eval(e, pt, sol.t) + (e.p - e.q) * pt.s1 * a2

@@ -9,13 +9,12 @@ from omega_ulps import R_SWEEP, ulp_errors
 
 from hardyconst import Exponents, conjugate, h_deriv, h_eval, omega, omega_deriv
 from hardyconst.errors import DomainError, SingularityError
+from hardyconst.lanes import _h_lanes, _root_lanes
 from hardyconst.special import (
     _BRACKET_REL_TOL,
     _bracketed_root,
     _h,
-    _h_lanes,
     _itp_scale,
-    _root_lanes,
 )
 
 R_SET = [1.05, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0]

@@ -1,5 +1,6 @@
 """The scripts pytest does not collect, ``solve_sweep.py``,
-``omega_ulps.py`` and ``line_split.py``, run on tiny inputs: a rename of a
+``verify_sweep.py``, ``omega_ulps.py`` and ``line_split.py``, run on tiny
+inputs: a rename of a
 name one of them imports or reads then fails here instead of in the
 script."""
 
@@ -10,8 +11,10 @@ import line_split
 import numpy as np
 import omega_ulps
 import solve_sweep
+import verify_sweep
 
 from hardyconst import Exponents
+from hardyconst.verify import run_all_suites
 
 
 def test_omega_ulps_on_a_few_targets(monkeypatch, capsys):
@@ -38,6 +41,20 @@ def test_solve_sweep_on_a_few_points(monkeypatch, capsys):
     assert re.fullmatch(r"sha256: [0-9a-f]{64}", lines[1])
     assert lines[2] == "solve_lanes mismatches: 0"
     assert re.fullmatch(r"omega sha256: [0-9a-f]{64} _omega_lanes mismatches: 0", lines[3])
+
+
+def test_verify_sweep_on_a_few_pairs(monkeypatch, capsys):
+    e = verify_sweep.spread(1, verify_sweep.SEED)[0]
+    suites = run_all_suites(e, verify_sweep.GRID, verify_sweep.TOL)
+    assert [run(e).name for run in verify_sweep.SUITES.values()] == [res.name for res in suites]
+    monkeypatch.setattr(verify_sweep, "N_PAIRS", 3)
+    verify_sweep.main()
+    lines = capsys.readouterr().out.splitlines()
+    names = [*verify_sweep.SUITES, "run_all_suites"]
+    assert [line.split(":")[0] for line in lines[: len(names)]] == names
+    for line in lines[: len(names)]:
+        counts = re.fullmatch(r"\w+: pass (\d+) fail (\d+) no_check (\d+) named_error (\d+)", line)
+        assert sum(map(int, counts.groups())) == 3
 
 
 def test_line_split_on_a_small_package(tmp_path, capsys):

@@ -19,7 +19,14 @@ from hardyconst import Exponents, ParamPoint
 from hardyconst.errors import ConvergenceError, DomainError, NoRootError
 from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import solve_t
-from hardyconst.verify import SuiteResult, fd_suite, feasible_s1_grid, limit_suite, sign_suite
+from hardyconst.verify import (
+    SuiteResult,
+    fd_suite,
+    feasible_s1_grid,
+    inverse_suite,
+    limit_suite,
+    sign_suite,
+)
 
 E2 = Exponents(2.0, 1.5)
 
@@ -272,3 +279,14 @@ def test_fd_suite_passes_where_p_minus_q_is_one():
     # analytic dt/ds1 is right (test_oracle.py): the stencil's t is up to 37
     # ulp off, and h is 1.5e-8
     assert fd_suite(Exponents(100.0, 99.0), 10).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the fixed 1e-12 round-trip bound is about 2 ulp of z wide at r = 885",
+)
+def test_inverse_suite_passes_at_a_large_exponent():
+    # one round trip of 8,000 is off by 1.16e-12 at r = p, s = 0.0721: there
+    # omega is 2.3 ulp off the exact root, and one ulp of z moves H_r by
+    # 5.0e-13 (a pair of tests/verify_sweep.py's spread)
+    assert inverse_suite(Exponents(885.1104966075147, 4.9622091627914315)).passed

@@ -66,7 +66,9 @@ import pytest
 
 import hardyconst.asymptotics
 import hardyconst.errors
+import hardyconst.cli
 import hardyconst.hardy
+import hardyconst.lanes
 import hardyconst.sensitivity
 import hardyconst.solver
 import hardyconst.special
@@ -164,13 +166,14 @@ def test_scan_row(calls, capsys):
 def test_scan_row_forms_the_signs_once_per_row(monkeypatch, capsys):
     # gamma and delta share one B(u) per ok row: a row that formed them
     # apart, through gamma_eval and delta_eval, would form it twice
-    bracket_factor, formed = hardyconst.sensitivity._bracket_factor, []
+    sign_factors, formed = hardyconst.solver.sign_factors, []
 
-    def counted(e, u):
+    def counted(e, s1, s2, t, u, a2, pw):
         formed.append(u)
-        return bracket_factor(e, u)
+        return sign_factors(e, s1, s2, t, u, a2, pw)
 
-    monkeypatch.setattr(hardyconst.sensitivity, "_bracket_factor", counted)
+    for module in (hardyconst.cli, hardyconst.sensitivity, hardyconst.solver):
+        monkeypatch.setattr(module, "sign_factors", counted)
     code = main(SCAN_ROW)
     rows = capsys.readouterr().out.splitlines()[1:]
     assert code == 0
@@ -299,15 +302,15 @@ def _scalar_work(r, s, calls) -> list[int]:
 
 @pytest.fixture
 def lane_calls(monkeypatch, calls):
-    """The (r, s) of each ``_omega_lanes`` call, at ``special`` and in
+    """The (r, s) of each ``_omega_lanes`` call, at ``lanes`` and in
     ``verify``, the lane count of each ``_h_lanes`` call and each
     ``_h_slope`` call on lanes, i.e. of each bracket end's evaluation and
     each lock-step ITP or Newton pass, and the scalar H_r evaluations of the
     stragglers that each ``_omega_lanes`` call finishes in the scalar
     kernel."""
     seen = {"omega": [], "h": [], "newton": [], "stragglers": []}
-    omega_lanes = hardyconst.special._omega_lanes
-    h_lanes, h_slope = hardyconst.special._h_lanes, hardyconst.special._h_slope
+    omega_lanes = hardyconst.lanes._omega_lanes
+    h_lanes, h_slope = hardyconst.lanes._h_lanes, hardyconst.special._h_slope
 
     def counted_omega_lanes(r, s):
         seen["omega"].append((r, s))
@@ -325,9 +328,9 @@ def lane_calls(monkeypatch, calls):
             seen["newton"].append(z.size)
         return h_slope(r, z, pw)
 
-    monkeypatch.setattr(hardyconst.special, "_omega_lanes", counted_omega_lanes)
+    monkeypatch.setattr(hardyconst.lanes, "_omega_lanes", counted_omega_lanes)
     monkeypatch.setattr(hardyconst.verify, "_omega_lanes", counted_omega_lanes)
-    monkeypatch.setattr(hardyconst.special, "_h_lanes", counted_h_lanes)
+    monkeypatch.setattr(hardyconst.lanes, "_h_lanes", counted_h_lanes)
     monkeypatch.setattr(hardyconst.special, "_h_slope", counted_h_slope)
     return seen
 
@@ -366,7 +369,7 @@ def test_omega_lanes_do_the_scalar_kernels_work(calls, lane_calls):
     # in fewer passes than the costliest single inversion's evaluations
     grid = np.linspace(0.0, 1.0, 1000)
     per_call = _scalar_work(2.0, grid, calls)
-    hardyconst.special._omega_lanes(2.0, grid)
+    hardyconst.lanes._omega_lanes(2.0, grid)
     (stragglers,) = lane_calls["stragglers"]
     assert _lane_evaluations(lane_calls) + stragglers == sum(per_call)
     assert _passes(lane_calls) <= max(per_call)
@@ -534,7 +537,7 @@ def test_sign_suite_does_the_scalar_solves_work(calls, monkeypatch, pair):
     certificates.clear()
     lanes = {"_h_lanes": 0, "solve_t": 0}
     for module, name in [
-        (hardyconst.special, "_h_lanes"),
+        (hardyconst.lanes, "_h_lanes"),
         (hardyconst.solver, "solve_t"),
         (hardyconst.verify, "solve_t"),
     ]:
