@@ -8,11 +8,12 @@ once per s2, so a row formats only its own seven floats.  Each command
 loads only the modules it runs: ``solve`` and ``scan`` need ``errors``,
 ``special``, ``domain`` and ``solver``, and no numpy (``scan``'s grid is
 ``domain._linspace``); ``hardy`` imports ``hardy``, and ``verify`` imports
-``verify`` and with it ``sensitivity``, ``asymptotics`` and ``lanes``,
-each with numpy, when it runs.  ``hardy`` runs its quadrature once per chunk of samples
-(``hardy._verified_samples``) and prints each sample's line as its chunk
-comes out; on an error it prints the lines of the samples before the
-failing one, exactly as checking one sample at a time would.
+``verify`` and with it ``hardy``, ``asymptotics`` and ``lanes``, each with
+numpy, when it runs; no command loads ``sensitivity``.  ``hardy`` runs its
+quadrature once per chunk of samples (``hardy._verified_samples``) and
+prints each sample's line as its chunk comes out; on an error it prints the
+lines of the samples before the failing one, exactly as checking one sample
+at a time would.
 Diagnostics go to stderr as "error: <name>: <detail>".
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
@@ -98,7 +99,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run every suite, exit 1 if one fails; tol > 0 bounds dt/ds1's FD error."""
+    """Run every suite, exit 1 if one fails; tol > 0 bounds the relative error
+    of each s1 row's integral of dt/ds1 (``verify.fd_suite``)."""
     if args.grid < 10:
         raise DomainError(f"grid must be at least 10, got {args.grid}")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
@@ -170,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[pair], help="run all invariant suites")
     sp.add_argument("--grid", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=1e-5, help="max FD relative error of dt/ds1")
+    sp.add_argument("--tol", type=float, default=1e-8, help="relative bound on dt/ds1's integrals")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("hardy", parents=[pair], help="verify the inequality on random step functions")

@@ -19,10 +19,10 @@ this is checked numerically by the verification suites; ``dt_ds1`` also
 carries its own finite-difference cross-check of the analytic value.
 ``solver.sign_factors`` forms gamma, delta and lambda together, with B and
 t^q once: on floats for ``gamma_eval``, ``delta_eval`` and a CLI row, and
-on arrays of solved points for ``verify.sign_suite``'s lane solve, where
-the power function it takes is np.float_power (``lanes`` module
-docstring).  It lives in ``solver`` so that a CLI row loads no
-``sensitivity``.
+on arrays of solved points for the lane solves of ``verify.sign_suite`` and
+``verify.fd_suite``, where the power function it takes is np.float_power
+(``lanes`` module docstring).  It lives in ``solver`` so that no command
+loads ``sensitivity``.
 """
 
 from __future__ import annotations

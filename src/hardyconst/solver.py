@@ -56,7 +56,7 @@ pairs, nor at s2 = 1 - k 2^-53 (k <= 1e6) within 1e-11 of the lower curve
 on 12 pairs (smallest t* - 1: 1.5e-11, on (1000, 999)).  A test of g where
 t = lo rejected only points with 1 - s2 <= 1.1e-15, each with t* - 1 in
 [4.9e-10, 2.6e-9]: alpha's float error there, not a root below lo (ROADMAP
-item 4).
+item 7, omega and alpha near s = 1).
 
 The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1), u_0 = K / (p'^(q-1)
 (cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest float below p'.  u_a

@@ -9,16 +9,19 @@ admits can still fail the solve).
 
 The suites with large grids solve them in lanes, bit for bit the floats of
 the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
-omega grids through ``lanes._omega_lanes``, and ``sign_suite`` solves its
-n x n grid through ``solver.solve_lanes``, a loop of ``solve_t`` over its
-lanes that raises what the loop raises first, one call per block of whole
-rows.  Every s1 row (``sign_suite``'s, and ``feasible_s1_grid``'s
-candidates) is spaced along the lower-curve abscissa by ``_s1_row``.  A grid
-too large for memory is a DomainError.
+omega grids through ``lanes._omega_lanes``; ``sign_suite`` (its n x n
+grid, one call per block of whole rows) and ``fd_suite`` (all its rows'
+quadrature nodes in one call) solve through ``solver.solve_lanes``, a loop
+of ``solve_t`` over its lanes that raises what the loop raises first, and
+form every derivative checked here from the lane arrays with
+``solver.sign_factors``.  Every s1 row (``sign_suite``'s, and
+``feasible_s1_grid``'s candidates) is spaced along the lower-curve abscissa
+by ``_s1_row``.  A grid too large for memory is a DomainError.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -26,9 +29,9 @@ import numpy as np
 
 from .asymptotics import _f_at, _f_deriv_at, _g_at, big_f, endgame_constants
 from .domain import ParamPoint, _linspace
-from .errors import DomainError, NoRootError, StencilError
+from .errors import DomainError, NoRootError
+from .hardy import _GL_NODES, _GL_WEIGHTS
 from .lanes import _h_lanes, _omega_lanes
-from .sensitivity import dt_ds1, gamma_eval
 from .solver import has_root, sign_factors, solve_lanes, solve_t
 from .special import Exponents, h_eval, omega
 
@@ -255,28 +258,39 @@ def endgame_suite(e: Exponents) -> SuiteResult:
     return res
 
 
-def fd_suite(e: Exponents, n: int = 30, tol: float = 1e-5) -> SuiteResult:
-    """Analytic dt/ds1 = t gamma / delta against central finite differences."""
-    res = SuiteResult("derivative identity vs finite differences")
-    n_rows = min(max(n // 6, 3), 6)
-    per_row = min(max(n // 4, 4), 10)
-    for s2 in _grid(0.3, 0.95, n_rows):
+def fd_suite(e: Exponents, n: int = 30, tol: float = 1e-8) -> SuiteResult:
+    """dt/ds1 = t gamma / delta, checked by integrating it along s1 rows.
+
+    On each row of fixed s2 from 0.3 to 0.95, [a, b] are the first and last
+    solvable s1 of ``feasible_s1_grid`` (a row without two is skipped), and
+    t(a), t(b) come from ``solve_t``.  hardy's 16 Gauss-Legendre nodes x map
+    to s1 = b - (b - a) (1 - v)^2, v = (1 + x)/2, clustered at b, where t
+    bends next to the no-root cutoff; all rows' nodes take one
+    ``solve_lanes`` call, then ``sign_factors``.  Checked: dt/ds1 < 0 at
+    every node, and each row's integral meets t(b) - t(a) to tol relative
+    plus 64 eps t(a) and both ends' bracket_width: t's error enters once.
+    """
+    res = SuiteResult("derivative identity, integrated along s1")
+    rows = []
+    for s2 in _grid(0.3, 0.95, min(max(n // 6, 3), 6)):
         try:
-            grid = feasible_s1_grid(e, s2, per_row, lo_frac=0.05, hi_frac=0.9)
+            a, b = feasible_s1_grid(e, s2, 2, lo_frac=0.05, hi_frac=0.9)
         except NoRootError:
-            res.skipped += per_row
+            res.skipped += 1
             continue
-        for s1 in grid:
-            try:
-                rep = dt_ds1(e, ParamPoint(s1, s2))
-            except StencilError:
-                res.skipped += 1
-                continue
-            res.check(
-                rep.fd_rel_err <= tol,
-                lambda: f"FD relative error {rep.fd_rel_err} at ({s1}, {s2})",
-            )
-            res.check(rep.dt_ds1 < 0.0, lambda: f"dt/ds1 = {rep.dt_ds1} >= 0 at ({s1}, {s2})")
+        # solved while the solver's alpha cache holds this row's s2
+        sa, sb = solve_t(e, ParamPoint(a, s2)), solve_t(e, ParamPoint(b, s2))
+        rows.append((a, b, s2, sa.t, sb.t, sa.bracket_width + sb.bracket_width))
+    a, b, y, ta, tb, width = np.reshape(rows, (-1, 6)).T
+    v = (1.0 + np.array(_GL_NODES)) / 2.0
+    s1, s2 = (b[:, None] - (b - a)[:, None] * (1.0 - v) ** 2).ravel(), np.repeat(y, v.size)
+    sol = solve_lanes(e, s1, s2)
+    gamma, delta, _ = sign_factors(e, s1, s2, sol.t, sol.u, sol.alpha, np.float_power)
+    d = sol.t * gamma / delta
+    res.check_many(sol.ok & (d < 0.0), lambda i: f"dt/ds1 = {d[i]} >= 0 at ({s1[i]}, {s2[i]})")
+    quad = (b - a) * (np.array(_GL_WEIGHTS) * (1.0 - v) * d.reshape(-1, v.size)).sum(1)
+    err, bound = abs(quad - (tb - ta)), tol * abs(tb - ta) + 64.0 * math.ulp(1.0) * ta + width
+    res.check_many(err <= bound, lambda i: f"integral of dt/ds1 off by {err[i]} at s2={y[i]}")
     return res
 
 
@@ -295,8 +309,7 @@ def limit_suite(e: Exponents) -> SuiteResult:
             res.skipped += 1
             continue
         prev = None
-        for s1 in np.geomspace(hi, lo, 4):
-            s1 = float(s1)
+        for s1 in np.geomspace(hi, lo, 4).tolist():
             sol = solve_t(e, ParamPoint(s1, s2))
             t = sol.t
             res.check(t < top, lambda: f"t({s1}, {s2}) = {t} not below {top}")
@@ -311,7 +324,7 @@ def limit_suite(e: Exponents) -> SuiteResult:
             lambda: f"t({lo}, {s2}) = {prev} further than 1e-3 from {top}",
         )
         # geomspace returns lo exactly as its last rung, so sol solves at lo
-        g, f = gamma_eval(e, ParamPoint(lo, s2), sol), big_f(e, s2)
+        g, f = sign_factors(e, lo, s2, sol.t, sol.u, sol.alpha, math.pow)[0], big_f(e, s2)
         res.check(abs(g - f) <= 5e-2, lambda: f"gamma({lo}, {s2}) = {g} vs F = {f}")
     return res
 

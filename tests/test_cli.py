@@ -271,14 +271,15 @@ class TestVerify:
         assert failed == []
 
     def test_skip_counts_pinned(self, capsys):
-        # only no-root grid points and unsolvable stencils are skipped; the
-        # ten s2 = 0.15 points whose root lies less than an ulp below p' are
-        # solvable (tests/test_oracle.py)
+        # only no-root grid points and s1 rows without two solvable points
+        # are skipped; the ten s2 = 0.15 points whose root lies less than an
+        # ulp below p' are solvable (tests/test_oracle.py).  The derivative
+        # suite checks 16 nodes and one integral on each of its 3 rows
         code, out, _ = run(capsys, ["verify", "--p", "5", "--q", "1.2", "--grid", "10"])
         assert code == 0
         lines = out.splitlines()
         assert "[PASS] sign suite (gamma<0, delta>0, lambda>0): 297 checks, 1 skipped" in lines
-        assert "[PASS] derivative identity vs finite differences: 16 checks, 4 skipped" in lines
+        assert "[PASS] derivative identity, integrated along s1: 51 checks" in lines
 
     def test_grid_too_small_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--p", "2", "--q", "1.5", "--grid", "5"])

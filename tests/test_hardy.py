@@ -183,7 +183,8 @@ class TestHardyLhs:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3: GL-16 in t misses the peak of v + c/t near a segment's b0",
+        reason="ROADMAP item 6 (hardy_lhs accurate on every step function): GL-16 in t "
+        "misses the peak of v + c/t near a segment's b0",
     )
     def test_matches_p2_antiderivative_on_steep_steps(self):
         # the linear-scale rule gives 112.64 against 202.63 (its estimate,

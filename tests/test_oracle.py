@@ -128,8 +128,9 @@ def test_derivative_inside(pair, frac):
         assert max(_derivative_errors(e, pt)) <= 1e-13, pt
 
 
-#: the points at which ``verify --grid 10``'s fd_suite fails on (100, 99)
-#: and (50, 49), both at s2 = 0.3
+#: points on (100, 99) and (50, 49), both at s2 = 0.3, where ``dt_ds1``'s
+#: finite-difference report misses the analytic value by more than 1e-5:
+#: the reason ``verify`` integrates dt/ds1 along s1 instead
 FD_FAILURE_POINTS = {
     "(100, 99)": (Exponents(100.0, 99.0), ParamPoint(0.01481684581653415, 0.3)),
     "(50, 49)": (Exponents(50.0, 49.0), ParamPoint(0.014628437881958355, 0.3)),
@@ -192,7 +193,8 @@ def test_has_root_where_the_float_alpha_loses_its_digits():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: alpha's error near s2 = 1 puts t on the floor 1 + 1e-12",
+    reason="ROADMAP item 7 (omega and alpha near s = 1 in y = omega - 1): alpha's "
+    "error near s2 = 1 puts t on the floor 1 + 1e-12",
 )
 def test_t_matches_the_oracle_where_the_float_alpha_loses_its_digits():
     e, pt = ALPHA_ERROR_POINT

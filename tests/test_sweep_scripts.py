@@ -55,6 +55,8 @@ def test_verify_sweep_on_a_few_pairs(monkeypatch, capsys):
     for line in lines[: len(names)]:
         counts = re.fullmatch(r"\w+: pass (\d+) fail (\d+) no_check (\d+) named_error (\d+)", line)
         assert sum(map(int, counts.groups())) == 3
+    # the integrated derivative check fails on no pair of the spread
+    assert re.match(r"fd_suite: pass \d+ fail 0 ", lines[names.index("fd_suite")])
 
 
 def test_line_split_on_a_small_package(tmp_path, capsys):

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-import hardyconst.sensitivity
 import hardyconst.solver
 import hardyconst.verify
 from hardyconst import Exponents, ParamPoint
@@ -188,13 +187,25 @@ def test_sign_suite_raises_a_lock_step_pass_defect(monkeypatch):
         sign_suite(E2, 10)
 
 
-@pytest.mark.parametrize("n", [1, 2], ids=["centre", "stencil"])
-def test_fd_suite_raises_solver_defect(monkeypatch, n):
-    # dt_ds1's first solve is the centre, its second the stencil's upper point
+@pytest.mark.parametrize("n", [1, 2], ids=["u_top", "u_a"])
+def test_fd_suite_raises_a_lane_solve_defect(monkeypatch, n):
+    # the nodes' lane solve evaluates g on lanes at u_top, then at u_a; its
+    # 48 lanes are few enough that the u solve runs on each lane's scalar g.
+    # A defect propagates, and counts as no skip
     monkeypatch.setattr(
-        hardyconst.sensitivity, "solve_t", _failing_at_call(hardyconst.solver.solve_t, n)
+        hardyconst.solver, "_u_equation", _failing_lane_g(hardyconst.solver._u_equation, n)
     )
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=f"injected at lane evaluation {n}"):
+        fd_suite(E2, 12)
+
+
+@pytest.mark.parametrize("n", [1, 4], ids=["row-1-a", "row-2-b"])
+def test_fd_suite_raises_an_end_solve_defect(monkeypatch, n):
+    # each row solves t(a), then t(b), by solve_t
+    monkeypatch.setattr(
+        hardyconst.verify, "solve_t", _failing_at_call(hardyconst.solver.solve_t, n)
+    )
+    with pytest.raises(ConvergenceError, match=f"injected at call {n}"):
         fd_suite(E2, 12)
 
 
@@ -217,12 +228,12 @@ def test_feasible_s1_grid_names_a_grid_too_large_for_memory(n):
 
 def test_fd_suite_skips_a_row_without_feasible_s1():
     # p/(p-1) <= 1 + 1e-12 leaves no root that counts: no candidate has one,
-    # so each of fd_suite's 3 rows of 4 points is skipped
+    # so each of fd_suite's 3 rows is skipped, and the lane solve has no lane
     e = Exponents(1e14, 2e13)
-    with pytest.raises(NoRootError, match="^only 0 of 4 requested feasible s1 values exist"):
-        feasible_s1_grid(e, 0.5, 4)
+    with pytest.raises(NoRootError, match="^only 0 of 2 requested feasible s1 values exist"):
+        feasible_s1_grid(e, 0.5, 2)
     res = fd_suite(e, 10)
-    assert (res.checks, res.failed, res.skipped) == (0, 0, 12)
+    assert (res.checks, res.failed, res.skipped) == (0, 0, 3)
 
 
 def test_check_many_matches_check_lane_by_lane():
@@ -262,7 +273,8 @@ def test_limit_suite_checks_rows_above_the_threshold():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 5: every rung of the s1 ladder falls below the 1e-12 floor",
+    reason="ROADMAP item 8 (cancellation-free unknowns at both ends of t): every rung "
+    "of the s1 ladder falls below the 1e-12 floor",
 )
 def test_limit_suite_checks_a_pair_whose_lower_curve_starts_below_the_floor():
     # at s2 = 0.3 the lower-curve abscissa 0.3^(19/0.1) is about 1e-99, and
@@ -270,15 +282,28 @@ def test_limit_suite_checks_a_pair_whose_lower_curve_starts_below_the_floor():
     assert limit_suite(Exponents(20.0, 1.1)).passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 11: t's error at the FD stencil, over 2h, exceeds the 1e-5 tolerance",
-)
-def test_fd_suite_passes_where_p_minus_q_is_one():
-    # fails at (0.01481684581653415, 0.3) with FD error 9.3e-5, although the
-    # analytic dt/ds1 is right (test_oracle.py): the stencil's t is up to 37
-    # ulp off, and h is 1.5e-8
-    assert fd_suite(Exponents(100.0, 99.0), 10).passed
+@pytest.mark.parametrize("pair", [(100.0, 99.0), (50.0, 49.0)], ids=str)
+def test_fd_suite_passes_where_p_minus_q_is_one(pair):
+    # t is up to 37 ulp off near s1 = 0.0148, s2 = 0.3, which a central
+    # difference over h = 1.5e-8 turns into a 9.3e-5 error of a right
+    # dt/ds1 (test_oracle.py); in the row integral t's error enters once
+    assert fd_suite(Exponents(*pair), 10).passed
+
+
+@pytest.mark.parametrize("pair", [(2.0, 1.5), (5.0, 1.2), (100.0, 99.0)], ids=str)
+def test_fd_suite_sees_gamma_off_by_1e_7(monkeypatch, pair):
+    # 1e-7 relative in gamma, so in dt/ds1, is ten times the default tol
+    e, sign_factors = Exponents(*pair), hardyconst.verify.sign_factors
+    assert fd_suite(e, 10).passed
+
+    def scaled(e, *args):
+        gamma, delta, lam = sign_factors(e, *args)
+        return gamma * (1.0 + 1e-7), delta, lam
+
+    monkeypatch.setattr(hardyconst.verify, "sign_factors", scaled)
+    res = fd_suite(e, 10)
+    assert res.failed > 0
+    assert res.failures[0].startswith("integral of dt/ds1 off by ")
 
 
 @pytest.mark.xfail(

@@ -39,6 +39,8 @@ their own scalar g must together evaluate g exactly as often as one
 evaluates H_r only for alpha(s2): as often as the scalar loop less its
 certificates' inversions (counted at ``solver._omega_near``), and never on
 lanes.
+``fd_suite`` solves all its rows' quadrature nodes in one ``solve_lanes``
+call and each row's two ends by ``solve_t``, and calls no ``dt_ds1``.
 
 A scan row forms gamma and delta together, with one bracket factor B per
 ok row.  ``omega`` validates its exponent once per call, and the
@@ -81,7 +83,13 @@ from hardyconst.sensitivity import dt_ds1
 from hardyconst.solver import _alpha
 from hardyconst.asymptotics import big_f, big_f_deriv, big_g
 from hardyconst.special import _omega_start, omega
-from hardyconst.verify import endgame_suite, feasible_s1_grid, inverse_suite, sign_suite
+from hardyconst.verify import (
+    endgame_suite,
+    fd_suite,
+    feasible_s1_grid,
+    inverse_suite,
+    sign_suite,
+)
 
 E3 = Exponents(3.0, 2.0)
 S2 = 0.7
@@ -215,10 +223,39 @@ def test_dt_ds1_evaluates_alpha_once(calls):
 
 
 def test_dt_ds1_row_evaluates_alpha_once(calls):
-    # fd_suite's pattern: the row's feasible points, then dt_ds1 at each
+    # a caller's row at one s2: its feasible points, then dt_ds1 at each
     for s1 in feasible_s1_grid(E3, S2, 6):
         dt_ds1(E3, ParamPoint(s1, S2))
     assert calls["alpha"] == 1
+
+
+def test_fd_suite_solves_its_nodes_in_one_lane_call(calls, monkeypatch):
+    # grid 10 is 3 rows: their 16 nodes each in one lane solve, each row's
+    # two ends by solve_t while alpha(s2) is kept for the row, and no
+    # dt_ds1 (counted at the solve_t it calls, however it is bound)
+    seen = {"solve_lanes": [], "solve_t": 0, "dt_ds1 solves": 0}
+
+    def counter(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(e, *args):
+            if key == "solve_lanes":
+                seen[key].append(args[0].size)
+            else:
+                seen[key] += 1
+            return inner(e, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counter(hardyconst.verify, "solve_lanes", "solve_lanes")
+    counter(hardyconst.verify, "solve_t", "solve_t")
+    counter(hardyconst.sensitivity, "solve_t", "dt_ds1 solves")
+    _alpha.cache_clear()
+    res = fd_suite(E3, 10)
+    assert (res.passed, res.checks, res.skipped) == (True, 3 * 16 + 3, 0)
+    assert seen == {"solve_lanes": [48], "solve_t": 2 * 3, "dt_ds1 solves": 0}
+    # once per row in the loop, once per row again in the lane solve
+    assert calls["alpha"] == 2 * 3
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from hardyconst.verify import (
 )
 
 SEED, N_PAIRS = 35, 300
-GRID, TOL = 10, 1e-5
+GRID, TOL = 10, 1e-8
 #: a suite that fails on at most this many pairs has them named
 NAMED_PAIRS = 3
 #: name and run of every suite, in ``run_all_suites``' order
