@@ -59,26 +59,26 @@ def endgame_constants(e: Exponents) -> EndgameConstants:
     )
 
 
-def _check_s2(e: Exponents, s2: float) -> None:
+def _check_s2(s2: float) -> None:
     if not (math.isfinite(s2) and 0.0 < s2 < 1.0):
         raise DomainError(f"s2 must lie in (0, 1), got {s2}")
 
 
 def big_f(e: Exponents, s2: float) -> float:
     """The gamma limit F(s2); diverges to -infinity as s2 -> 0."""
-    _check_s2(e, s2)
+    _check_s2(s2)
     return _f_at(e, s2, omega(e.q, s2))
 
 
 def big_f_deriv(e: Exponents, s2: float) -> float:
     """Exact derivative of F, including the 1/s2^2 factor: (a - G(s2))/s2^2."""
-    _check_s2(e, s2)
+    _check_s2(s2)
     return _f_deriv_at(e, s2, omega(e.q, s2))
 
 
 def big_g(e: Exponents, s2: float) -> float:
     """G(s2) = omega_q(s2) s2 / ((q-1)(omega_q(s2) - 1)) + omega_q(s2)^q."""
-    _check_s2(e, s2)
+    _check_s2(s2)
     return _g_at(e, s2, omega(e.q, s2))
 
 

@@ -32,6 +32,7 @@ from .domain import ParamPoint, _linspace
 from .errors import (
     DomainError,
     HardyConstError,
+    InfeasibleTauError,
     NoRootError,
     OutsideDomainError,
 )
@@ -87,7 +88,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for s1 in grid:
             try:
                 lines.append(_ok_row(e, ParamPoint(s1, s2), head, mid))
-            except (OutsideDomainError, NoRootError) as exc:
+            except (OutsideDomainError, NoRootError, InfeasibleTauError) as exc:
                 lines.append(f"{head}{s1:.17g}{mid}nan,nan,nan,nan,nan,nan,{exc.name}")
     text = "\n".join(lines) + "\n"
     if args.out is None:

@@ -9,9 +9,9 @@ i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
 (``lanes._outside_lanes`` on arrays of points, bit for bit); it is
 necessary but not sufficient for solvability.  The constant also has a
 no-root cutoff: a band along the lower curve at large s2 where the root
-would need tau >= 1.  ``solver.has_root`` decides that exactly, with the
-same test ``solve_t`` makes: one sign of one explicit equation in u, at the
-u just below tau = 1.
+would need tau >= 1.  ``solver.has_root`` decides it with the same test
+``solve_t`` makes: one sign of one explicit equation in u, at the u just
+below tau = 1.
 
 Two more curves matter: the equal-omega curve s2 = H_q(omega_p(s1)), on
 which the constant is omega_p(s1) in closed form, and the horizontal

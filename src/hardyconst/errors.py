@@ -45,7 +45,7 @@ class NoRootError(HardyConstError):
     root within 1e-14 p/(p-q) of tau = 1, where tau rounds to 1, counts as
     none, and so does every root of a pair with p/(p-1) <= 1 + 1e-12, the
     floor of t.  On extreme pairs only, a root that counts can still fail
-    the solve (``solver.has_root``).
+    the solve, with InfeasibleTauError (``solver.has_root``).
     """
 
     name = "no-root"

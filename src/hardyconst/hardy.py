@@ -329,8 +329,9 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
 def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
     """``sample_step``'s sample with its moments, its induced point and the
     solve there.  ``solve_t`` raises OutsideDomainError or NoRootError
-    exactly when ``has_root`` is false, so its solve is the decision (save
-    on the extreme pairs that ``solver.has_root`` names)."""
+    exactly when ``has_root`` is false, so its solve is the decision; the
+    InfeasibleTauError it raises on the extreme pairs that
+    ``solver.has_root`` names propagates."""
     import numpy as np
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")

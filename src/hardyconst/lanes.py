@@ -216,8 +216,8 @@ def _outside_lanes(e: special.Exponents, s1: np.ndarray, s2: np.ndarray) -> np.n
 @dataclass(frozen=True)
 class LaneSolutions:
     """``solver.solve_lanes``' result: the fields of ``BellmanSolution``
-    that ``verify.sign_suite`` reads, as arrays, nan where the lane has no
-    constant.
+    that ``verify.sign_suite`` and ``fd_suite`` read, as arrays, nan where
+    the lane has no constant.
 
     ok        solve_t returns a constant; a lane not ok is one where it
               raises NoRootError

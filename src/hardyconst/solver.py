@@ -79,32 +79,24 @@ The last alpha(s2) is kept by ``functools.lru_cache(maxsize=1)``, keyed on
 stencil share s2.  The cache is thread-safe and never keeps an exception.
 
 The certificate stays in t-space, so that it checks t independently of g:
-tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  omega_q(tau) is
-``special._omega_near`` around w(u*), the path ``omega`` takes from its own
-Newton estimate.  w(u*) is not Newton-converged, so 7.5 % of certificates
-on scan rows need the half-width 4e-15 q' after 1e-15 q', and 0.25 % fall
-back to [1, q'].
+tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  A tau(t)
+outside [0, 1], on extreme pairs only (``has_root``), is an
+InfeasibleTauError.  omega_q(tau) is ``special._omega_near`` around w(u*),
+the path ``omega`` takes from its own Newton estimate.  w(u*) is not
+Newton-converged, so 7.5 % of certificates on scan rows need the
+half-width 4e-15 q' after 1e-15 q', and 0.25 % fall back to [1, q'].
 
-``solve_lanes`` is the loop that calls ``solve_t`` on each of a batch of
-points, one per lane, and marks a lane not ok where it raises NoRootError:
-equal to it bit for bit on the verdict and on t, u and alpha, the fields
-``verify.sign_suite`` reads, and raising what it raises first; it makes no
-certificate.  It runs the same pipeline on numpy arrays: the u solve on
-solve_t's g and end values in ``lanes._root_lanes``, alpha once per run
-of equal s2, and g and t from ``_u_equation`` with pw = np.float_power.
-Each lane it cannot finish bit for bit (an invalid or outside point, a
-non-finite g, a tau that ``solve_t`` would reject) goes into one redo mask
-that ``solve_t`` solves in lane order; t needs no test, as t(u) is at most
-t(u_a) on the u bracket (``solve_lanes``).  A call costs ~0.17 ms with one
+``solve_lanes`` is ``solve_t`` on a batch of points, one per lane, bit for
+bit, run on numpy arrays (its docstring).  A call costs ~0.17 ms with one
 lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
 scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
 time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
-``verify.sign_suite`` solves its grid with it and callers of single points
-keep ``solve_t``.  It is public in this module, not in the package, as are
-``tau_denominator``, tau's guarded denominator, which ``tau_eval`` shares
-with ``sensitivity``, and ``sign_factors``, gamma, delta and lambda at a
-solved point, which a CLI row reads without loading ``sensitivity``: no
-module may import a private solver name.
+``verify.sign_suite`` and ``verify.fd_suite`` solve their grids with it and
+callers of single points keep ``solve_t``.  It is public in this module,
+not in the package, as are ``tau_denominator``, tau's guarded denominator,
+which ``tau_eval`` shares with ``sensitivity``, and ``sign_factors``,
+gamma, delta and lambda at a solved point, which a CLI row reads without
+loading ``sensitivity``: no module may import a private solver name.
 """
 
 from __future__ import annotations
@@ -206,10 +198,15 @@ def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     """Implicit-equation residual at t, with omega_q(tau(t)) from ``omega``;
     zero exactly at the constant."""
     a2 = alpha_eval(e, pt.s2)
+    return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, _feasible_tau(e, pt, t)), a2)
+
+
+def _feasible_tau(e: Exponents, pt: ParamPoint, t: float) -> float:
+    """``tau_eval``; raises InfeasibleTauError where tau leaves [0, 1]."""
     tau = tau_eval(e, pt, t)
     if not 0.0 <= tau <= 1.0:
         raise InfeasibleTauError(f"tau={tau} left [0, 1] at t={t}; omega_q is undefined there")
-    return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, tau), a2)
+    return tau
 
 
 def _residual_at(e: Exponents, s1: float, ratio: float, t: float, w: float, a2: float) -> float:
@@ -260,7 +257,7 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     NoRootError: the test it makes before it solves, ``in_domain``, then the
     sign of g at u_top, where tau is 1 - 1e-14 p/(p-q) (module docstring).
     On extreme pairs only, a point it admits can still fail the solve, where
-    tau(t) rounds above 1: ZeroDivisionError or a returned tau > 1
+    tau(t) rounds above 1: ``solve_t`` raises InfeasibleTauError there
     (``TestTauAboveOne`` in tests/test_solver.py).
     """
     try:
@@ -294,8 +291,9 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     ``_bracketed_root`` solves g(u) = 0 on [u_a, u_top], with the decision's
     g(u_top), and t = X(u)^(1/(p-q)), capped at the largest float below
     p/(p-1) and raised to the floor 1 + 1e-12 (module docstring).  Raises
-    OutsideDomainError or NoRootError exactly when ``has_root`` is false;
-    see it for the extreme pairs where a point it admits still fails.
+    OutsideDomainError or NoRootError exactly when ``has_root`` is false,
+    and InfeasibleTauError where tau(t) leaves [0, 1], on the extreme pairs
+    where a point ``has_root`` admits still fails.
     """
     a2, k, g, t_of, u_top, g_top = _decide(e, pt)
     p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
@@ -309,7 +307,7 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     else:
         # the root lies at or above t(u) >= cap, within an ulp of p/(p-1)
         t, width = cap, e.p_conj - cap
-    tau = tau_eval(e, pt, t)
+    tau = _feasible_tau(e, pt, t)
     w = _omega_near(q, tau, (p - u) / (p - 1.0))
     return BellmanSolution(
         t=t, u=u, tau=tau, omega_q_tau=w,
@@ -332,25 +330,28 @@ def sign_factors(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
 def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
     """``solve_t`` on 1-D arrays of s1 and s2, one point per lane, bit for bit:
     the loop that calls ``solve_t`` on each lane in order and marks the lane
-    not ok where it raises NoRootError.
+    not ok where it raises NoRootError; it makes no certificate.
 
-    The lanes run solve_t's pipeline: alpha once per run of equal s2 through
-    ``_alpha``, where the scalar loop computes it, K and g(u_top); then u_a
-    and g(u_a), the u solve of g = 0 through ``_root_lanes`` with that
-    g(u_top), each straggler on its scalar g, and t.  g and t are
-    ``_u_equation``'s, with pw = np.float_power.  Where u_top <= 0 or
-    p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the pipeline
+    The lanes run solve_t's pipeline step for step: alpha once per run of
+    equal s2 through ``_alpha``, where the scalar loop computes it, K and
+    g(u_top); then u_a and g(u_a), the u solve of g = 0 through
+    ``lanes._root_lanes`` on the lanes where g(u_a) < 0, with that g(u_top)
+    and each straggler on its scalar g, and t, the top cap elsewhere.  g
+    and t are ``_u_equation``'s, with pw = np.float_power.  Where u_top <= 0
+    or p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the pipeline
     cannot finish bit for bit goes into one redo mask: an invalid (s1, s2),
-    a point outside the region, a non-finite g(u_top) or g(u_a), or a tau
-    where ``tau_eval`` would raise or omega_q(tau) is undefined.  ``solve_t``
-    solves the masked lanes in lane order, so the call raises what the loop
-    raises first.  tau is formed for that check alone; no lane inverts
-    omega_q.  t and solve_t's width need no test: w^(q-1) u rises with u
-    (its u-derivative is w^(q-2) (p - q u)/(p-1) > 0 for u <= 1), so X(u)
-    and t(u) = X^(1/(p-q)) fall as u rises, and t at the kernel's ends and
-    root is at most t(u_a).  X(u_a) >= cap^(p-q) > 1, so X^(1/(p-q)) is
-    below X^(p/(p-q)), a term of g(u_a), which is finite; and X > 0.  So
-    solve_t's pow can neither overflow nor raise on those values.
+    a point outside the region, a non-finite g(u_top), and, of the lanes
+    with g(u_top) > 0, one where g(u_top) or g(u_a) is not finite or tau(t)
+    is not at most 1, where ``solve_t`` raises InfeasibleTauError.
+    ``solve_t`` solves the masked lanes in lane order, so the call raises
+    what the loop raises first.  tau is formed for that check alone; no
+    lane inverts omega_q.  t and solve_t's width need no test: w^(q-1) u
+    rises with u (its u-derivative is w^(q-2) (p - q u)/(p-1) > 0 for
+    u <= 1), so X(u) and t(u) = X^(1/(p-q)) fall as u rises, and t at the
+    kernel's ends and root is at most t(u_a).  X(u_a) >= cap^(p-q) > 1, so
+    X^(1/(p-q)) is below X^(p/(p-q)), a term of g(u_a), which is finite;
+    and X > 0.  So solve_t's pow can neither overflow nor raise on those
+    values.
 
     numpy and ``lanes`` are imported here, so that the scalar paths load
     neither; so its annotations do not resolve (``typing.get_type_hints``
@@ -376,28 +377,26 @@ def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
         redo[lane[~np.isfinite(g_top)]] = True
         keep = g_top > 0.0
         lane, x, a2, k, ratio, g_top = (v[keep] for v in (lane, x, a2, k, ratio, g_top))
+        g, t_of = _u_equation(e, x, ratio, k, np.float_power)
         # solve_t's scalar powers, with the C pow that ** calls
         d = math.pow(cap, p - q) - ratio
         u = k / (math.pow(e.p_conj, q - 1.0) * d)
         u = k / (np.float_power((p - u) / (p - 1.0), q - 1.0) * d)
-        g_a = _u_equation(e, x, ratio, k, np.float_power)[0](u)
-        # the top cap, unless g(u_a) < 0
-        t = np.full(lane.size, cap)
+        g_a = g(u)
         j = np.flatnonzero(g_a < 0.0)
-        if j.size:
-            ra, rk, rs1, lo = ratio[j], k[j], x[j], u[j]
-            u[j] = _root_lanes(
-                lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
-                lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
-                lo, np.full(j.size, u_top), g_a[j], g_top[j], _U_REL_WIDTH * lo,
-            )
-            t_u = _u_equation(e, rs1, ra, rk, np.float_power)[1](u[j])
-            t[j] = np.minimum(np.maximum(t_u, 1.0 + _ENDPOINT_MARGIN), cap)
-        denom = np.float_power(t, p - q) - ratio
-        tau = (p - q) / p * (np.float_power(t, p) - x) / denom
-        # redone: a non-finite g(u_top) or g(u_a), a denom <= 0, where tau_eval
-        # raises, and a tau outside [0, 1], where omega_q(tau) is undefined
-        bad = ~(np.isfinite(g_top) & np.isfinite(g_a) & (denom > 0.0) & (0.0 <= tau) & (tau <= 1.0))
+        ra, rk, rs1 = ratio[j], k[j], x[j]
+        u[j] = _root_lanes(
+            lambda i, z: _u_equation(e, rs1[i], ra[i], rk[i], np.float_power)[0](z),
+            lambda i: _u_equation(e, float(rs1[i]), float(ra[i]), float(rk[i]), math.pow)[0],
+            u[j], np.full(j.size, u_top), g_a[j], g_top[j], _U_REL_WIDTH * u[j],
+        )
+        t = np.where(g_a < 0.0, np.minimum(np.maximum(t_of(u), 1.0 + _ENDPOINT_MARGIN), cap), cap)
+        tau = (p - q) / p * (np.float_power(t, p) - x) / (np.float_power(t, p - q) - ratio)
+        # redone: a non-finite g(u_top) or g(u_a), and a tau that _feasible_tau
+        # rejects.  An inside lane has s1 < 1 and s1/s2 < 1 (s2 - s1 >
+        # BOUNDARY_TOL), and t >= 1 + 1e-12, so tau's denominator and tau are
+        # positive; tau <= 1 is false for nan
+        bad = ~(np.isfinite(g_top) & np.isfinite(g_a) & (tau <= 1.0))
         redo[lane[bad]] = True
         ok[lane[~bad]] = True
         out[:, lane[~bad]] = t[~bad], u[~bad], a2[~bad]

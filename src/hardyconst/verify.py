@@ -5,7 +5,7 @@ Each suite samples a claim on a grid and reports a ``SuiteResult``; the CLI
 points beyond the no-root cutoff are skipped, not failed: the cutoff is the
 band along the lower curve at large s2 where a root would need tau >= 1,
 and ``solver.has_root`` decides it (on extreme pairs only, a point it
-admits can still fail the solve).
+admits can still fail the solve, with InfeasibleTauError).
 
 The suites with large grids solve them in lanes, bit for bit the floats of
 the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
@@ -197,25 +197,20 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
     for lo in range(0, n, rows):
         s2_rows = s2_grid[lo : lo + rows]
         s1 = np.concatenate([_s1_row(res.name, e, s2, 0.02, 0.98, n) for s2 in s2_rows])
-        _check_signs(res, e, s1, np.repeat(s2_rows, n))
+        s2 = np.repeat(s2_rows, n)
+        sol = solve_lanes(e, s1, s2)
+        res.skipped += int((~sol.ok).sum())
+        s1, s2, t, u, a2 = (v[sol.ok] for v in (s1, s2, sol.t, sol.u, sol.alpha))
+        gamma, delta, lam = sign_factors(e, s1, s2, t, u, a2, np.float_power)
+        vals = np.stack([gamma, delta, lam], axis=1)
+        ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
+        res.check_many(
+            ok.ravel(),
+            lambda i: _SIGN_MESSAGES[i % 3].format(
+                float(vals.flat[i]), float(s1[i // 3]), float(s2[i // 3])
+            ),
+        )
     return res
-
-
-def _check_signs(res: SuiteResult, e: Exponents, s1: np.ndarray, s2: np.ndarray) -> None:
-    """``sign_suite``'s checks on one lane solve of the points (s1, s2)."""
-    sol = solve_lanes(e, s1, s2)
-    res.skipped += int((~sol.ok).sum())
-    s1, s2 = s1[sol.ok], s2[sol.ok]
-    t, u, a2 = sol.t[sol.ok], sol.u[sol.ok], sol.alpha[sol.ok]
-    gamma, delta, lam = sign_factors(e, s1, s2, t, u, a2, np.float_power)
-    vals = np.stack([gamma, delta, lam], axis=1)
-    ok = np.stack([gamma < 0.0, delta > 0.0, lam > 0.0], axis=1)
-    res.check_many(
-        ok.ravel(),
-        lambda i: _SIGN_MESSAGES[i % 3].format(
-            float(vals.flat[i]), float(s1[i // 3]), float(s2[i // 3])
-        ),
-    )
 
 
 def inequality_star_suite(e: Exponents) -> SuiteResult:

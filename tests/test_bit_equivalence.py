@@ -32,15 +32,16 @@ kinds), and a call whose lanes start on each of the three brackets, 1e-15 r'
 and 4e-15 r' around the estimate and [1, r'].  A call of no lane returns an
 empty array.
 
-``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` solves
-its grid with, is the loop that calls ``solve_t`` on each lane in order and
-marks the lane not ok where it raises NoRootError.  It must return that
-loop's verdict and the bits of the fields it returns (t, u and alpha, the
-ones ``sign_suite`` reads), through the same hand-off and at either end of
-it, on top-cap points, s1 down to 5e-324, s2 within 1e-11 of the lower
-curve, rows of equal s2, no-root points, a pair with u_top <= 0, a pair
-with p/(p-1) <= 1 + 1e-12 and a lane whose g(u_top) is not finite, which
-``solve_t`` solves; and raise what the loop raises first, type and
+``solve_lanes``, the lane twin of ``solve_t`` that ``sign_suite`` and
+``fd_suite`` solve with, is the loop that calls ``solve_t`` on each lane in
+order and marks the lane not ok where it raises NoRootError.  It must return
+that loop's verdict and the bits of the fields it returns (t, u and alpha,
+the ones those suites read), through the same hand-off and at either end of
+it, on top-cap points, a batch whose lanes all take the top cap and one of
+no lane, s1 down to 5e-324, s2 within 1e-11 of the lower curve, rows of
+equal s2, no-root points, a pair with u_top <= 0, a pair with p/(p-1) <=
+1 + 1e-12 and a lane whose g(u_top) is not finite, which ``solve_t``
+solves; and raise what the loop raises first, type and
 message, where an outside or invalid point or a lane that ``solve_t``
 redoes raises.  Its lane twins of ``in_domain``
 (``lanes._outside_lanes``) and of gamma, delta and lambda
@@ -379,6 +380,20 @@ def test_solve_lanes_where_u_top_is_not_positive():
     expected = _solved(e, s1, s2)
     _assert_lanes_match(e, s1, s2, expected)
     assert "no-root" in {v[0] for v in expected}
+
+
+def test_solve_lanes_with_nothing_to_root_solve(brackets):
+    # every lane takes the top cap, and a batch of no lane: a _root_lanes
+    # call of the u solve gets no lane
+    e = Exponents(3.0, 2.0)
+    s1, s2 = np.array([1e-300, 1e-200, 1e-100]), np.array([0.3, 0.5, 0.9])
+    expected = _solved(e, s1, s2)
+    cap = math.nextafter(e.p_conj, 0.0).hex()
+    assert [v[:2] for v in expected] == [("ok", cap)] * 3
+    assert _solved_lanes(e, s1, s2) == expected
+    empty = np.array([])
+    assert _solved_lanes(e, empty, empty) == []
+    assert all(a.size == 0 for a, _ in brackets)
 
 
 def test_solve_lanes_raise_what_solve_t_raises(monkeypatch):

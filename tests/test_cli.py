@@ -95,6 +95,17 @@ class TestScan:
         rows = out.strip().splitlines()[1:]
         assert [r.split(",")[-1] for r in rows] == ["no-root", "no-root"]
 
+    def test_infeasible_tau_rows_on_an_extreme_pair(self, capsys):
+        # has_root admits both points, but tau(t) rounds above 1 there
+        code, out, err = run(capsys, [
+            "scan", "--p", "18683881648.77494", "--q", "28501.89607527246",
+            "--s2", "0.9999999999999962", "--s1-min", "0.9997549884389365",
+            "--s1-max", "0.99976", "--n", "2",
+        ])
+        assert (code, err) == (0, "")
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert [r[4:] for r in rows] == [["nan"] * 6 + ["infeasible-tau"]] * 2
+
     def test_status_rows_for_infeasible_points(self, capsys, tmp_path):
         out_path = tmp_path / "scan.csv"
         # s1 beyond the lower boundary of s2=0.5 is outside the region

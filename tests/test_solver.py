@@ -229,10 +229,11 @@ class TestSolveT:
         assert a == b
 
 
-#: points of extreme pairs where has_root is True but tau(t) rounds above 1:
-#: at the first the certificate hands ``_omega_near`` a bracket whose ends
-#: have one sign, and ZeroDivisionError leaks from ``_bracketed_root``; at
-#: the second solve_t returns tau = 1.0000000000011475 and residual 522.8
+#: points of extreme pairs where has_root is True but tau(t) rounds above 1,
+#: so solve_t raises InfeasibleTauError: without that test, at the first the
+#: certificate hands ``_omega_near`` a bracket whose ends have one sign and
+#: ZeroDivisionError leaks from ``_bracketed_root``, and at the second
+#: solve_t returns tau = 1.0000000000011475 and residual 522.8
 TAU_ABOVE_ONE = {
     "zero-division": (
         Exponents(1.0000000000728846, 1.0000000000012503),
@@ -246,10 +247,6 @@ TAU_ABOVE_ONE = {
 
 
 class TestTauAboveOne:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="has_root admits points whose tau(t) rounds above 1 on extreme pairs",
-    )
     @pytest.mark.parametrize("case", list(TAU_ABOVE_ONE))
     def test_solve_t_certifies_or_names_the_failure(self, case):
         e, pt = TAU_ABOVE_ONE[case]
@@ -265,9 +262,9 @@ class TestTauAboveOne:
         # solve_t, which raises; without that test the lane would be ok
         e, pt = TAU_ABOVE_ONE["zero-division"]
         assert has_root(e, pt)
-        with pytest.raises(ZeroDivisionError) as scalar:
+        with pytest.raises(InfeasibleTauError) as scalar:
             solve_t(e, pt)
-        with pytest.raises(ZeroDivisionError) as lanes:
+        with pytest.raises(InfeasibleTauError) as lanes:
             solve_lanes(e, np.array([pt.s1]), np.array([pt.s2]))
         assert str(lanes.value) == str(scalar.value)
 

@@ -47,16 +47,21 @@ def test_verify_sweep_on_a_few_pairs(monkeypatch, capsys):
     e = verify_sweep.spread(1, verify_sweep.SEED)[0]
     suites = run_all_suites(e, verify_sweep.GRID, verify_sweep.TOL)
     assert [run(e).name for run in verify_sweep.SUITES.values()] == [res.name for res in suites]
-    monkeypatch.setattr(verify_sweep, "N_PAIRS", 3)
+    # the ninth pair of the spread is the first whose s1 rows underflow
+    monkeypatch.setattr(verify_sweep, "N_PAIRS", 9)
     verify_sweep.main()
     lines = capsys.readouterr().out.splitlines()
     names = [*verify_sweep.SUITES, "run_all_suites"]
     assert [line.split(":")[0] for line in lines[: len(names)]] == names
     for line in lines[: len(names)]:
         counts = re.fullmatch(r"\w+: pass (\d+) fail (\d+) no_check (\d+) named_error (\d+)", line)
-        assert sum(map(int, counts.groups())) == 3
+        assert sum(map(int, counts.groups())) == 9
     # the integrated derivative check fails on no pair of the spread
     assert re.match(r"fd_suite: pass \d+ fail 0 ", lines[names.index("fd_suite")])
+    assert [line for line in lines if " raises " in line] == [
+        f"{name} raises domain-error on 1 pairs, first (539.7871716887756, 1.582425304488714)"
+        for name in ("sign_suite", "fd_suite")
+    ]
 
 
 def test_line_split_on_a_small_package(tmp_path, capsys):

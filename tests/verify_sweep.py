@@ -14,7 +14,9 @@ raises a named error (a ``HardyConstError``); any other exception stops
 the sweep.  The next line gives the same counts for ``run_all_suites`` as
 the CLI runs it: a named error where any suite raises one, else pass or
 fail.  Then comes one line per suite that fails on at most
-``NAMED_PAIRS`` pairs, with those pairs and the first message of each.
+``NAMED_PAIRS`` pairs, with those pairs and the first message of each, and
+one line per suite and named error it raises, with the number of pairs
+that raise it and the first of them: the pairs ``verify`` cannot check.
 
 A change that must keep every verdict of ``verify`` prints the same lines
 before and after.  It takes about 3 s of CPU.
@@ -77,12 +79,15 @@ def verdict(run, e: Exponents) -> tuple[str, str]:
 def main() -> None:
     tally = {name: dict.fromkeys(VERDICTS, 0) for name in [*SUITES, "run_all_suites"]}
     failed = {name: [] for name in SUITES}
+    raised = {name: {} for name in SUITES}
     for e in spread(N_PAIRS, SEED):
         got = {name: verdict(run, e) for name, run in SUITES.items()}
         for name, (v, message) in got.items():
             tally[name][v] += 1
             if v == "fail":
                 failed[name].append(f"({e.p!r}, {e.q!r}): {message}")
+            elif v == "named_error":
+                raised[name].setdefault(message.split(":")[0], []).append(f"({e.p!r}, {e.q!r})")
         kinds = {v for v, _ in got.values()}
         overall = "named_error" if "named_error" in kinds else (
             "pass" if kinds == {"pass"} else "fail"
@@ -93,6 +98,9 @@ def main() -> None:
     for name, pairs in failed.items():
         if 0 < len(pairs) <= NAMED_PAIRS:
             print(f"{name} fails on " + "; ".join(pairs))
+    for name, kinds in raised.items():
+        for kind, pairs in kinds.items():
+            print(f"{name} raises {kind} on {len(pairs)} pairs, first {pairs[0]}")
 
 
 if __name__ == "__main__":
