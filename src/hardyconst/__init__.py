@@ -9,8 +9,7 @@ s1, and verifies the surrounding sign, limit, monotonicity and inequality
 claims numerically.
 
 Each public name is loaded with the module that defines it, on first use
-(PEP 562), so a command imports only the modules it runs: ``solve`` and
-``scan`` load neither ``hardy`` nor ``asymptotics``.
+(PEP 562), so a command imports only the modules it runs (``cli``).
 """
 
 import importlib

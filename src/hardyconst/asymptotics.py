@@ -71,9 +71,14 @@ def big_f(e: Exponents, s2: float) -> float:
 
 
 def big_f_deriv(e: Exponents, s2: float) -> float:
-    """Exact derivative of F, including the 1/s2^2 factor: (a - G(s2))/s2^2."""
+    """Exact derivative of F, including the 1/s2^2 factor: (a - G(s2))/s2^2.
+    A DomainError where s2^2 underflows to 0; s2^2 stays a pow
+    (``special``'s trap)."""
     _check_s2(s2)
-    return _f_deriv_at(e, s2, omega(e.q, s2))
+    try:
+        return _f_deriv_at(e, s2, omega(e.q, s2))
+    except ZeroDivisionError:
+        raise DomainError(f"F' at s2={s2} leaves float range: s2^2 underflows to 0") from None
 
 
 def big_g(e: Exponents, s2: float) -> float:

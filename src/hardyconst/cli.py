@@ -4,17 +4,17 @@ All numeric output is CSV with the fixed header below, reals serialized
 with 17 significant digits (``format(x, ".17g")``), so reruns with identical
 configuration are byte-identical.  ``solve`` and ``scan`` share one row
 formatter, ``_ok_row``; ``scan`` formats "p,q," once per request and ",s2,"
-once per s2, so a row formats only its own seven floats.  Each command
-loads only the modules it runs: ``solve`` and ``scan`` need ``errors``,
-``special``, ``domain`` and ``solver``, and no numpy (``scan``'s grid is
-``domain._linspace``); ``hardy`` imports ``hardy``, and ``verify`` imports
-``verify`` and with it ``hardy``, ``asymptotics`` and ``lanes``, each with
-numpy, when it runs; no command loads ``sensitivity``.  ``hardy`` runs its
-quadrature once per chunk of samples (``hardy._verified_samples``) and
-prints each sample's line as its chunk comes out; on an error it prints the
-lines of the samples before the failing one, exactly as checking one sample
-at a time would.
+once per s2, so a row formats only its own seven floats.  ``hardy`` prints
+each sample's line as its chunk comes out (``hardy._verified_samples``).
 Diagnostics go to stderr as "error: <name>: <detail>".
+
+Each command loads only the modules it runs (tests/test_layering.py):
+``solve`` and ``scan`` load ``errors``, ``special``, ``domain`` and
+``solver``, and no numpy (``scan``'s grid is ``domain._linspace``);
+``hardy`` adds ``hardy`` and numpy; ``verify`` adds ``verify`` and with it
+``hardy``, ``asymptotics`` and ``lanes``, with numpy.  No command loads
+``sensitivity``, and ``solver.solve_lanes`` imports numpy and ``lanes``
+only when called.
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant failed,
 2 usage or domain error, 3 I/O error.

@@ -5,22 +5,17 @@ A point (s1, s2) is admissible for the constant-solve when
     0 < s1 < s2^((p-1)/(q-1))  and  s2 < 1,
 
 i.e. it lies strictly above the lower boundary curve s2 = s1^((q-1)/(p-1)).
-``in_domain`` decides this closed-form, geometric part of the region
-(``lanes._outside_lanes`` on arrays of points, bit for bit); it is
-necessary but not sufficient for solvability.  The constant also has a
-no-root cutoff: a band along the lower curve at large s2 where the root
-would need tau >= 1.  ``solver.has_root`` decides it with the same test
-``solve_t`` makes: one sign of one explicit equation in u, at the u just
-below tau = 1.
+``in_domain`` decides this closed-form, geometric part of the region; it is
+necessary but not sufficient for solvability, as the constant also has a
+no-root cutoff along the lower curve at large s2 (``solver.has_root``).
 
 Two more curves matter: the equal-omega curve s2 = H_q(omega_p(s1)), on
 which the constant is omega_p(s1) in closed form, and the horizontal
-threshold s2 = H_q(p/(p-1)).  The small-s1 limit F(s2) of gamma has one
-formula on both sides of the threshold; what changes there is the sign of
-F': F increases below it and decreases above it.
+threshold s2 = H_q(p/(p-1)), where the small-s1 limit F of gamma peaks
+(``asymptotics``).
 
 ``_linspace`` is the evenly spaced grid of ``scan``'s s1 and ``verify``'s
-suites, np.linspace's floats as a list, built without numpy.
+suites, built without numpy.
 """
 
 from __future__ import annotations
@@ -100,10 +95,12 @@ def in_domain(e: Exponents, pt: ParamPoint) -> Membership:
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """np.linspace(lo, hi, n).tolist() bit for bit: point i < n - 1 is i*step + lo,
-    or (i/div)*(hi - lo) + lo where step underflows to 0.  Allocated whole first,
-    so that a grid too large for memory, or for a list, fails at once, with
-    MemoryError or OverflowError."""
+    """np.linspace(lo, hi, n).tolist() bit for bit, for n >= 0: [lo] for n = 1,
+    else point i < n - 1 is i*step + lo, or (i/div)*(hi - lo) + lo where step
+    underflows to 0.  Allocated whole first, so that a grid too large for
+    memory, or for a list, fails at once, with MemoryError or OverflowError."""
+    if n == 1:
+        return [lo]
     grid, div = [hi] * n, n - 1
     step = (hi - lo) / div
     grid[:-1] = (i * step + lo if step else i / div * (hi - lo) + lo for i in range(div))

@@ -30,7 +30,8 @@ class SingularityError(DomainError):
 
 
 class InfeasibleTauError(HardyConstError):
-    """The reparameterization tau left [0, 1], where omega_q is undefined."""
+    """The reparameterization tau left [0, 1], where omega_q is undefined
+    (``solver.has_root``)."""
 
     name = "infeasible-tau"
 
@@ -40,12 +41,7 @@ class NoRootError(HardyConstError):
 
     Treated as a domain exclusion, not a solver defect: beyond the no-root
     cutoff, the band along the lower curve at large s2, a root would need
-    tau >= 1.  ``solver.has_root`` decides it, as one sign of the
-    explicit equation g(u), taken at u_top, just below u = 1 (tau = 1).  A
-    root within 1e-14 p/(p-q) of tau = 1, where tau rounds to 1, counts as
-    none, and so does every root of a pair with p/(p-1) <= 1 + 1e-12, the
-    floor of t.  On extreme pairs only, a root that counts can still fail
-    the solve, with InfeasibleTauError (``solver.has_root``).
+    tau >= 1, or one within rounding of it.  ``solver.has_root`` decides it.
     """
 
     name = "no-root"

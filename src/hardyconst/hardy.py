@@ -13,20 +13,16 @@ the averaging functional obeys
 ``verify_hardy`` checks exactly that, with the left side computed by
 per-segment Gauss-Legendre quadrature: the running average is
 (A_i + v_i (t - b_{i-1})) / t on segment i, smooth within each segment,
-so a 16-point rule plus one halving refinement is ample; the difference
-between the two passes serves as the quadrature error estimate.  All
-segments' rules are one numpy expression, with every sum in a fixed order
-(no BLAS call, whose order follows the CPU) and ``**`` rather than
-``np.float_power``, so the floats equal a per-segment loop's bit for bit.
+so a 16-point rule plus one halving refinement; the difference between the
+two passes is the quadrature error estimate.  All segments' rules are one
+numpy expression, with every sum in a fixed order (no BLAS call, whose
+order follows the CPU) and ``**`` rather than ``np.float_power``, so the
+floats equal a per-segment loop's bit for bit.
 
-The ``hardy`` command checks many samples of one piece count.  Each is
-drawn, decided and solved in one pass, ``_draw``, which hands its moments,
-induced point and solve to the check; the quadrature then runs as one array
-pass over a chunk of samples, about ``_CHUNK_SEGMENTS`` segments, with a
-leading sample axis and every float as one sample's pass gives.  Reports
-come out in sample order.  When sample i fails to draw or solve, the
-samples before it are reported first, so a quadrature overflow at an
-earlier sample j raises instead, as a sample-by-sample loop would.
+The ``hardy`` command checks many samples of one piece count
+(``_verified_samples``): each is drawn and solved once, and the quadrature
+runs as one array pass per chunk of about ``_CHUNK_SEGMENTS`` segments,
+every float and error as a sample-by-sample loop gives it.
 """
 
 from __future__ import annotations
@@ -64,9 +60,7 @@ _CHAIN_SLACK = 1e-12
 _SAMPLE_BOUNDARY_MARGIN = 1e-6
 #: segments per quadrature pass over a batch of samples: large enough that
 #: numpy's per-call cost is spread thin, small enough that the node arrays
-#: (48 floats per segment) stay in cache.  With 2 to 32 pieces a segment
-#: cost 1.4-2.7 us in passes of 1,024, against 1.9-3.6 us in passes of 64
-#: and 2.0-3.2 us in passes of 16,384 (min of 5, one shared x86-64 vCPU)
+#: (48 floats per segment) stay in cache
 _CHUNK_SEGMENTS = 1024
 
 
@@ -329,9 +323,8 @@ def sample_step(seed: int, k: int, kappa: float, e: Exponents) -> StepFunction:
 def _draw(seed: int, k: int, kappa: float, e: Exponents) -> _Solved:
     """``sample_step``'s sample with its moments, its induced point and the
     solve there.  ``solve_t`` raises OutsideDomainError or NoRootError
-    exactly when ``has_root`` is false, so its solve is the decision; the
-    InfeasibleTauError it raises on the extreme pairs that
-    ``solver.has_root`` names propagates."""
+    exactly when ``has_root`` is false, so its solve is the decision; its
+    InfeasibleTauError (``solver.has_root``) propagates."""
     import numpy as np
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")

@@ -1,39 +1,28 @@
 """The lane-wise twins of ``special``'s and ``domain``'s scalar functions.
 
-``_root_lanes`` is the kernel's lane-wise twin, the one lane step in the
-package: lock-step ITP passes over an array of brackets, each lane with
-its own rising function, tolerance and k1, equal to ``_bracketed_root``,
-with the same schedule and step, bit for bit.  It solves both roots in
-lanes: ``_omega_lanes``, omega's twin for batched grids (one r or one r per
-lane, beside ``_h_lanes`` for ``_h``), runs the Newton passes and then one
-call, and so does ``solver.solve_lanes``' u solve.  A pass costs ~70 us
-however few lanes are left, and a solve's last passes carry few: the u
-solve of 4,096 lanes ends its 12 passes with 1,256, 441 and 141 live
-lanes.  inverse_suite's ~6,000 lanes take 3 Newton passes, one pass per
-bracket rung and 3 ITP passes (21 ITP passes from the natural bracket).
-So once at most ``_STRAGGLER_LANES`` lanes are live, each finishes in
-``_bracketed_root``, which takes the lane's state as resume arguments and
-so steps exactly as the passes would; a call with no more lanes than that
-finishes entirely in the scalar kernel.  Peak memory is about 32 floats
-per lane in ``_omega_lanes`` (1.5 MB for inverse_suite's 6,000 lanes),
-reached at the first pass that drops finished lanes, and 43 in
-``solver.solve_lanes`` (1.4 MB for a 64 x 64 grid on (3, 2)).
+A twin (each here, and ``solver.solve_lanes``) runs its scalar function on
+1-D arrays, one point per lane, and returns on every lane the floats the
+scalar function returns, bit for bit:
+the same operations in the same order, every power through the same C pow.
+A change to either side of a pair changes the other with it; tests compare
+each pair.  ``_root_lanes``, the kernel's twin, is the one lane step in the
+package: lock-step ITP passes over an array of brackets, each lane with its
+own rising function, tolerance and k1, that hand their last lanes to the
+scalar kernel.  ``_omega_lanes`` (with ``_start_lanes`` and ``_h_lanes``)
+and ``solver.solve_lanes`` solve their roots through it.
+
 Trap: every power on an array must be ``np.float_power``.  ``np.power``
 (and ``**`` on arrays) may run SIMD routines that round unlike the C
-library's pow: on numpy 2.4 with AVX-512, np.power(z, r - 1) differed from
-Python's z ** (r - 1) on 10,285 of 200,000 uniform z at r = 2.5 and
-np.power(w, 2) from w ** 2 on 163 of 200,000 w; float_power matched on all.
-So no lane function (named ``*_lanes``) uses ``**``, not even on a scalar:
-scalar powers go through ``math.pow``, the C pow that ``**`` calls,
-``math.ldexp`` or a helper outside them.  A formula that floats and lanes
-share (``special._h_slope``, and ``solver``'s) is written once with no
-``**``, taking the power ``pw``: ``math.pow`` on floats, ``np.float_power``
-on lanes.
+library's pow, while float_power rounds like it on every lane the tests
+compare.  So no lane function (named
+``*_lanes``) uses ``**``, not even on a scalar: scalar powers go through
+``math.pow``, the C pow that ``**`` calls, ``math.ldexp`` or a helper
+outside them.  A formula that floats and lanes share (``special._h_slope``,
+and ``solver``'s) is written once with no ``**``, taking the power ``pw``:
+``math.pow`` on floats, ``np.float_power`` on lanes.
 
-``verify`` imports this module and ``solver.solve_lanes`` imports it when
-called, so the scalar paths (``omega`` and everything ``solve_t`` runs)
-compile none of it and load no numpy.  The scalar helpers and constants
-are read as attributes of ``special``, the one binding of each.
+The scalar helpers and constants are read as attributes of ``special``, the
+one binding of each.
 """
 
 from __future__ import annotations
@@ -48,13 +37,13 @@ from .domain import BOUNDARY_TOL
 from .errors import DomainError
 
 #: live lanes at or below which ``_root_lanes`` stops its lock-step passes
-#: and finishes each lane in the scalar kernel: verify's lane suites ran
-#: slower with 32, 128 or 200, and with no hand-off
+#: and finishes each lane in the scalar kernel: a pass costs about the same
+#: however few lanes it carries
 _STRAGGLER_LANES = 64
 
 
 def _h_lanes(r: float | np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``_h`` on an array of z and one r or one r per lane, bit for bit."""
+    """``_h``'s twin, bit for bit, on an array of z and one r or one r per lane."""
     val = np.float_power(z, r - 1.0) * (r - (r - 1.0) * z)
     val[(-1e-13 < val) & (val < 0.0)] = 0.0
     return val
@@ -70,7 +59,7 @@ def _root_lanes(
     xtol: np.ndarray,
     k1: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``_bracketed_root`` on lanes, bit for bit, in lock-step ITP passes.
+    """``_bracketed_root``'s twin, bit for bit, in lock-step ITP passes.
 
     Lane i solves f_i(x) = 0 on [a_i, b_i] on ``_bracketed_root``'s
     contract, from end values fa_i < 0 < fb_i, with its own xtol and k1,
@@ -83,8 +72,8 @@ def _root_lanes(
     Lanes leave the working arrays as they finish.  Once at most
     ``_STRAGGLER_LANES`` are left, each finishes in ``_bracketed_root``,
     resumed from its bracket, end values, k1, xtol, projection scale and
-    best point, so it takes the steps the passes would have taken; a call
-    with no more lanes than that finishes entirely in the scalar kernel.
+    best point, so it steps exactly as the passes would; a call with no more
+    lanes than that finishes entirely there.
     Returns each lane's root, the scalar kernel's best point x.
     """
     out = np.empty(a.size)
@@ -92,9 +81,7 @@ def _root_lanes(
     if k1 is None:
         k1 = 0.2 / (b - a)
     scale = special._itp_scale(b - a, xtol, np.frexp, np.ldexp)
-    # working copies of the state the passes write, so no caller's array
-    # changes: inverse_suite(2.5, 1.5)'s 6,000 lanes peak at 1.52 MB, not
-    # 1.33, with 295 minor page faults per call against 264 in place
+    # working copies of the state the passes write, so no caller's array changes
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     best_x, best_abs = 0.5 * (a + b), np.full(a.size, np.inf)
     while True:
@@ -141,8 +128,8 @@ def _root_lanes(
 
 
 def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``_omega_start`` on lanes, lane i's exponent exps[k[i]], bit for bit;
-    a lane leaves the Newton passes once it stops."""
+    """``_omega_start``'s twin, bit for bit, lane i's exponent exps[k[i]]; a
+    lane leaves the Newton passes once it stops."""
     poly = np.array([special._start_poly(x) for x in exps.tolist()]).reshape(-1, 5)
     a, b, c3, c4, c5 = poly[k].T
     r = exps[k]
@@ -161,8 +148,8 @@ def _start_lanes(exps: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``omega`` on a 1-D array of s, with one r or one r per lane, bit for
-    bit: ``_start_lanes``' estimates, one pass per rung over the lanes no
+    """``omega``'s twin, bit for bit, on a 1-D array of s with one r or one r
+    per lane: ``_start_lanes``' estimates, one pass per rung over the lanes no
     rung before bracketed, then one ``_root_lanes`` call on s - H_r, the
     function ``omega`` solves; xtol and k1 are kept per distinct r.  A bad r
     or an s outside [0, 1] raises ``omega``'s DomainError for one such lane."""
@@ -207,7 +194,8 @@ def _omega_lanes(r: float | np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _outside_lanes(e: special.Exponents, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """``in_domain`` on lanes of valid points: True where it is not INSIDE."""
+    """``in_domain``'s twin, bit for bit, on lanes of valid points: True where
+    it is not INSIDE."""
     lower = np.float_power(s1, (e.q - 1.0) / (e.p - 1.0))
     on_lower = np.abs(s2 - lower) <= BOUNDARY_TOL
     return on_lower | (s2 < lower) | (s2 >= 1.0) | (s1 >= 1.0)

@@ -17,12 +17,7 @@ delta and lambda are strictly positive on the whole region, gamma is
 strictly negative, hence the constant strictly decreases in s1.  All of
 this is checked numerically by the verification suites; ``dt_ds1`` also
 carries its own finite-difference cross-check of the analytic value.
-``solver.sign_factors`` forms gamma, delta and lambda together, with B and
-t^q once: on floats for ``gamma_eval``, ``delta_eval`` and a CLI row, and
-on arrays of solved points for the lane solves of ``verify.sign_suite`` and
-``verify.fd_suite``, where the power function it takes is np.float_power
-(``lanes`` module docstring).  It lives in ``solver`` so that no command
-loads ``sensitivity``.
+gamma, delta and lambda are formed by ``solver.sign_factors``.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import ParamPoint
-from .errors import NoRootError, OutsideDomainError, StencilError
+from .errors import DomainError, NoRootError, OutsideDomainError, StencilError
 from .solver import BellmanSolution, sign_factors, solve_t, tau_denominator
 from .special import Exponents
 
@@ -54,8 +49,12 @@ class SensitivityReport:
 
 
 def lambda_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """lambda(t) = q t^p - p t^q s1/s2 + (p-q) s1; positive for t in [1, p/(p-1))."""
-    return e.q * t**e.p - e.p * t**e.q * (pt.s1 / pt.s2) + (e.p - e.q) * pt.s1
+    """lambda(t) = q t^p - p t^q s1/s2 + (p-q) s1; positive for t in [1, p/(p-1)).
+    A DomainError where a power leaves float range."""
+    try:
+        return e.q * t**e.p - e.p * t**e.q * (pt.s1 / pt.s2) + (e.p - e.q) * pt.s1
+    except OverflowError:
+        raise DomainError(f"lambda at t={t} leaves float range") from None
 
 
 def gamma_eval(e: Exponents, pt: ParamPoint, sol: BellmanSolution) -> float:
@@ -106,12 +105,21 @@ def dt_ds1(e: Exponents, pt: ParamPoint) -> SensitivityReport:
 
 
 def dtau_dt(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """d tau/d t = ((p-q)/p) t^(p-q-1) lambda(t) / (t^(p-q) - s1/s2)^2 > 0."""
-    denom = tau_denominator(e, pt, t)
-    return (e.p - e.q) / e.p * t ** (e.p - e.q - 1.0) * lambda_eval(e, pt, t) / denom**2
+    """d tau/d t = ((p-q)/p) t^(p-q-1) lambda(t) / (t^(p-q) - s1/s2)^2 > 0.
+    Raises ``tau_denominator``'s SingularityError, and a DomainError where a
+    power leaves float range."""
+    try:
+        denom = tau_denominator(e, pt, t)
+        return (e.p - e.q) / e.p * t ** (e.p - e.q - 1.0) * lambda_eval(e, pt, t) / denom**2
+    except OverflowError:
+        raise DomainError(f"d tau/d t at t={t} leaves float range") from None
 
 
 def dtau_ds1(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """d tau/d s1 at frozen t: ((p-q)/p) (t^p/s2 - t^(p-q)) / (t^(p-q) - s1/s2)^2 > 0."""
-    denom = tau_denominator(e, pt, t)
-    return (e.p - e.q) / e.p * (t**e.p / pt.s2 - t ** (e.p - e.q)) / denom**2
+    """d tau/d s1 at frozen t: ((p-q)/p) (t^p/s2 - t^(p-q)) / (t^(p-q) - s1/s2)^2 > 0.
+    Raises as ``dtau_dt`` does."""
+    try:
+        denom = tau_denominator(e, pt, t)
+        return (e.p - e.q) / e.p * (t**e.p / pt.s2 - t ** (e.p - e.q)) / denom**2
+    except OverflowError:
+        raise DomainError(f"d tau/d s1 at t={t} leaves float range") from None

@@ -10,13 +10,12 @@ with w = omega_q(tau),
     tau(t)    = ((p-q)/p) * (t^p - s1) / (t^(p-q) - s1/s2),
     alpha(s2) = omega_q(s2)^q / s2 - 1.
 
-``residual`` is the left side minus the right side.  Structure exploited by
-the solver: tau is strictly increasing in t (its t-derivative is a positive
-multiple of lambda(t) = q t^p - p t^q s1/s2 + (p-q) s1 > 0), so the region
-where the left factor p*w^(q-1) - (p-1)*w^q is positive, i.e. where
-tau > H_q(p/(p-1)), is an upper t-interval; the residual is strictly
-negative below it and strictly increasing on it, so there is at most one
-root.
+``residual`` is the left side minus the right side.  tau is strictly
+increasing in t (its t-derivative is a positive multiple of lambda(t) =
+q t^p - p t^q s1/s2 + (p-q) s1 > 0), so the region where the left factor
+p*w^(q-1) - (p-1)*w^q is positive, i.e. where tau > H_q(p/(p-1)), is an
+upper t-interval; the residual is strictly negative below it and strictly
+increasing on it, so there is at most one root.
 
 The root is found without inverting omega_q.  With u = p - (p-1) w in
 (0, 1], the left factor is w^(q-1) u, and for a given w the equation gives
@@ -32,71 +31,37 @@ g -> -inf as u -> 0.  u keeps full relative precision as s1 -> 0, where u*
 is of the order of s1.  t^p is X^(p/(p-q)) in one pow: t**p would let p
 amplify t's rounding.
 
-Solvability is decided in u (``has_root``; ``solve_t`` makes the same test
-first), by the sign of g at one point.  u = 1 is w = 1, i.e. tau = 1, so a
-root with tau < 1 exists exactly when g(1) = 1 - c ((s1/s2 + K)^(p/(p-q)) -
-s1) > 0, explicit once alpha is known.  Where tau at the root is within
-rounding of 1, tau(t) rounds to 1 or above and the certificate's
-omega_q(tau) is undefined (``sensitivity`` reads the solve's own u < 1).
-So g is tested at u_top, where H_q(w) = 1 - eps to second order (H_q(1 + d)
-= 1 - q (q-1) d^2 / 2 + ...), eps = 1e-14 p/(p-q): tau(t) carries X's
-rounding times about p/(p-q).  A root within eps of tau = 1 counts as no
-root.  On 3180 points within 1e-3 relative of the g(1) = 0 frontier over
-ten pairs, has_root disagreed with a usable solve (0 < tau < 1 <
-omega_q(tau), gamma and delta finite) at 1 point with 1e-16 in place of
-1e-14 and at none with 1e-15.  The test is g(u_top) > 0: one evaluation of
-g, which the u solve reuses, and no omega_q inversion.  No point of a pair
-has a root that counts where u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, as
-H_q(w) > 1 - eps on all of [1, p'], or where p' = p/(p-1) <= lo = 1 +
-1e-12, as no t lies in (lo, p').
-
-The floor lo is no test: a root is taken to lie above it.  A 40-digit
-oracle found none below lo on 47,000 points near the corner (1, 1) of 8
-pairs, nor at s2 = 1 - k 2^-53 (k <= 1e6) within 1e-11 of the lower curve
-on 12 pairs (smallest t* - 1: 1.5e-11, on (1000, 999)).  A test of g where
-t = lo rejected only points with 1 - s2 <= 1.1e-15, each with t* - 1 in
-[4.9e-10, 2.6e-9]: alpha's float error there, not a root below lo (ROADMAP
-item 7, omega and alpha near s = 1).
+Solvability is one sign of g (``has_root``).  u = 1 is tau = 1, and a root
+with tau < 1 exists exactly when g(1) > 0.  Near tau = 1, tau(t) rounds to
+1 or above and the certificate's omega_q(tau) is undefined, so g is tested
+at u_top, where H_q(w) = 1 - eps to second order (H_q(1 + d) = 1 - q (q-1)
+d^2 / 2 + ...), eps = 1e-14 p/(p-q): tau(t) carries X's rounding times
+about p/(p-q).  The test is one evaluation of g, which the u solve reuses.
+A root within eps of tau = 1 counts as none, and so does every root where
+u_top <= 0, i.e. q (q-1) < 2 eps (p-1)^2, as H_q(w) > 1 - eps on all of
+[1, p'], or where p' = p/(p-1) <= lo = 1 + 1e-12, as no t lies in (lo, p').
 
 The u bracket is [u_a, u_top].  As w^(q-1) <= p'^(q-1), u_0 = K / (p'^(q-1)
-(cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest float below p'.  u_a
-repeats that with w(u_0) in place of p': it keeps u_a <= u* and t(u_a) >=
-cap, and saves 0.7 evaluations of g per solve on (3, 2), 2.3 on (20, 19).
-Where g(u_a) >= 0 the root lies at t >= cap, within an ulp of p', and t is
-cap: the top cap.  Otherwise the kernel solves g = 0 on [u_a, u_top] from
-g(u_a) < 0 and the decision's g(u_top) > 0, and t = min(t(u*), cap), raised
-to lo where t(u*) falls below it.  That keeps t >= 1: X = t^(p-q) resolves t
-only to about 1e-16/(p-q), and near s2 = 1 alpha's error can put t(u*)
-below lo although the root lies above it; there the residual, not
-bracket_width, shows the gap.  K is floored at 1e-290: below it s1 and
-s1/s2 are below ~1e-280, the root lies far less than an ulp below p', and
-the floor keeps c and the width 1e-15 u_a normal floats.  g's rounding
-bounds t to a few ulp: up to 1.0e-15 relative against a 40-digit oracle on
-(1.5, 1.1), where X is near 1, and more as p - q shrinks (t = X^(1/(p-q))).
+(cap^(p-q) - s1/s2)) has t(u_0) >= cap, the largest float below p'; u_a
+repeats that with w(u_0) in place of p', so u_a <= u* and t(u_a) >= cap.
+Where g(u_a) >= 0 the root lies within an ulp of p', and t is cap: the top
+cap.  Otherwise t = min(t(u*), cap), raised to the floor lo.  The floor is
+no test: no root below it is known, but X = t^(p-q) resolves t only to
+about 1e-16/(p-q), and near s2 = 1 alpha's error can put t(u*) below lo
+although the root lies above it; there the residual, not bracket_width,
+shows the gap.
 
 The last alpha(s2) is kept by ``functools.lru_cache(maxsize=1)``, keyed on
-(e, s2): a row's points (``scan``, the ``verify`` rows) and ``dt_ds1``'s
-stencil share s2.  The cache is thread-safe and never keeps an exception.
+(e, s2), as the points of a row share s2.  The cache is thread-safe and
+never keeps an exception.
 
 The certificate stays in t-space, so that it checks t independently of g:
-tau(t), omega_q(tau) and the residual at (t, omega_q(tau)).  A tau(t)
-outside [0, 1], on extreme pairs only (``has_root``), is an
-InfeasibleTauError.  omega_q(tau) is ``special._omega_near`` around w(u*),
-the path ``omega`` takes from its own Newton estimate.  w(u*) is not
-Newton-converged, so 7.5 % of certificates on scan rows need the
-half-width 4e-15 q' after 1e-15 q', and 0.25 % fall back to [1, q'].
+tau(t), omega_q(tau) (``special._omega_near`` around w(u*)) and the
+residual at (t, omega_q(tau)).  A tau(t) outside [0, 1] is an
+InfeasibleTauError (``has_root``).
 
-``solve_lanes`` is ``solve_t`` on a batch of points, one per lane, bit for
-bit, run on numpy arrays (its docstring).  A call costs ~0.17 ms with one
-lane against ~0.014 ms for ``solve_t``, breaks even near 25 lanes of
-scattered points, and takes ~5.2 ms for 1,000 against ~18 ms (process CPU
-time on (3, 2), min of 7 rounds, 2 shared x86-64 vCPUs), so
-``verify.sign_suite`` and ``verify.fd_suite`` solve their grids with it and
-callers of single points keep ``solve_t``.  It is public in this module,
-not in the package, as are ``tau_denominator``, tau's guarded denominator,
-which ``tau_eval`` shares with ``sensitivity``, and ``sign_factors``,
-gamma, delta and lambda at a solved point, which a CLI row reads without
-loading ``sensitivity``: no module may import a private solver name.
+``solve_lanes``, ``tau_denominator`` and ``sign_factors`` are public in this
+module, not in the package: no module may import a private solver name.
 """
 
 from __future__ import annotations
@@ -116,16 +81,16 @@ from .errors import (
 )
 from .special import Exponents, _bracketed_root, _omega_near, omega
 
-#: the floor lo = 1 + this, below which t is raised to lo; no test (module
-#: docstring)
+#: the floor lo = 1 + this of t; no test (module docstring)
 _ENDPOINT_MARGIN = 1e-12
-#: g decides solvability where H_q(w) = 1 - eps, eps = this times p/(p-q)
-#: (module docstring)
+#: g decides solvability where H_q(w) = 1 - eps, eps = this times p/(p-q),
+#: the scale of tau(t)'s rounding (module docstring)
 _TAU_MARGIN = 1e-14
-#: floor of K = (p-q) s1 alpha/q: below it t is the top cap
+#: floor of K = (p-q) s1 alpha/q, which keeps c and the u tolerance normal
+#: floats: below it the root lies far less than an ulp below p/(p-1)
 _K_MIN = 1e-290
-#: u bracket width relative to u_a <= u*: relative to the bracket's upper
-#: end it left t up to 7.7e-15 off where that end was 60 u*
+#: u bracket width relative to u_a <= u*, not to the bracket's upper end,
+#: so that t keeps its precision where u* is far below u_top
 _U_REL_WIDTH = 1e-15
 
 
@@ -146,12 +111,9 @@ class BellmanSolution:
     alpha         alpha(s2), the value the residual used
 
     residual and bracket_width certify t given the float alpha, and cannot
-    see alpha's own error, which grows as s2 -> 1: on (3, 2) at s1 =
-    0.029448272933048966, s2 = 0.9999999999999716, alpha is 4.8e-4 and t
-    3.6e-13 (about 1,600 eps) relative off, while bracket_width reads 0.
-    Where it puts t(u) below the floor 1 + 1e-12, t is the floor and only
-    the residual shows the gap: 8.9e-12 on (20, 19) at s1 =
-    0.9999999999946025, s2 = 0.9999999999999998, where t* - 1 is 1.15e-9.
+    see alpha's own error, which grows as s2 -> 1.  Where that error puts
+    t(u) below the floor 1 + 1e-12, t is the floor and only the residual
+    shows the gap.
     """
 
     t: float
@@ -174,15 +136,23 @@ def tau_denominator(e: Exponents, pt: ParamPoint, t: float) -> float:
 
 
 def tau_eval(e: Exponents, pt: ParamPoint, t: float) -> float:
-    """tau(t) = ((p-q)/p) * (t^p - s1) / (t^(p-q) - s1/s2) for t >= 1."""
+    """tau(t) = ((p-q)/p) * (t^p - s1) / (t^(p-q) - s1/s2) for t >= 1.
+
+    Raises DomainError for a t that is not finite and >= 1, or where a power
+    leaves float range, and ``tau_denominator``'s SingularityError.
+    """
     if not (math.isfinite(t) and t >= 1.0):
         raise DomainError(f"tau is evaluated for t >= 1, got t={t}")
-    denom = tau_denominator(e, pt, t)
-    return (e.p - e.q) / e.p * (t**e.p - pt.s1) / denom
+    try:
+        denom = tau_denominator(e, pt, t)
+        return (e.p - e.q) / e.p * (t**e.p - pt.s1) / denom
+    except OverflowError:
+        raise DomainError(f"tau at t={t} leaves float range") from None
 
 
 def alpha_eval(e: Exponents, s2: float) -> float:
-    """alpha(s2) = omega_q(s2)^q / s2 - 1; strictly positive on (0, 1)."""
+    """alpha(s2) = omega_q(s2)^q / s2 - 1; strictly positive on (0, 1), and
+    a DomainError for s2 outside it."""
     if not (math.isfinite(s2) and 0.0 < s2 < 1.0):
         raise DomainError(f"alpha needs s2 in (0, 1), got {s2}")
     return omega(e.q, s2) ** e.q / s2 - 1.0
@@ -196,7 +166,8 @@ def _alpha(e: Exponents, s2: float) -> float:
 
 def residual(e: Exponents, pt: ParamPoint, t: float) -> float:
     """Implicit-equation residual at t, with omega_q(tau(t)) from ``omega``;
-    zero exactly at the constant."""
+    zero exactly at the constant.  Raises ``tau_eval``'s and ``alpha_eval``'s
+    errors, and InfeasibleTauError where tau(t) leaves [0, 1]."""
     a2 = alpha_eval(e, pt.s2)
     return _residual_at(e, pt.s1, pt.s1 / pt.s2, t, omega(e.q, _feasible_tau(e, pt, t)), a2)
 
@@ -256,8 +227,9 @@ def has_root(e: Exponents, pt: ParamPoint) -> bool:
     """False exactly when ``solve_t(e, pt)`` raises OutsideDomainError or
     NoRootError: the test it makes before it solves, ``in_domain``, then the
     sign of g at u_top, where tau is 1 - 1e-14 p/(p-q) (module docstring).
-    On extreme pairs only, a point it admits can still fail the solve, where
-    tau(t) rounds above 1: ``solve_t`` raises InfeasibleTauError there
+
+    On extreme pairs only, a point it admits can still fail the solve: tau(t)
+    rounds above 1, and ``solve_t`` raises InfeasibleTauError
     (``TestTauAboveOne`` in tests/test_solver.py).
     """
     try:
@@ -292,8 +264,7 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
     g(u_top), and t = X(u)^(1/(p-q)), capped at the largest float below
     p/(p-1) and raised to the floor 1 + 1e-12 (module docstring).  Raises
     OutsideDomainError or NoRootError exactly when ``has_root`` is false,
-    and InfeasibleTauError where tau(t) leaves [0, 1], on the extreme pairs
-    where a point ``has_root`` admits still fails.
+    and InfeasibleTauError where tau(t) leaves [0, 1] (``has_root``).
     """
     a2, k, g, t_of, u_top, g_top = _decide(e, pt)
     p, q, cap = e.p, e.q, math.nextafter(e.p_conj, 0.0)
@@ -319,7 +290,12 @@ def solve_t(e: Exponents, pt: ParamPoint) -> BellmanSolution:
 def sign_factors(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
     """``sensitivity``'s (gamma, delta, lambda) at a solved point with its
     t, u < 1 and alpha, with B = (p-1) (p - q u) / (p (q-1) (1 - u)) and t^q
-    formed once; floats with pw = math.pow, lanes with pw = np.float_power."""
+    formed once; floats with pw = math.pow, lanes with pw = np.float_power.
+
+    It lives here, not in ``sensitivity``, so that a CLI row and ``verify``'s
+    lane suites form every derivative on this one path, and no command loads
+    ``sensitivity``.
+    """
     p, q = e.p, e.q
     b = (p - 1.0) * (p - q * u) / (p * (q - 1.0) * (1.0 - u))
     t_q = pw(t, q)
@@ -328,34 +304,29 @@ def sign_factors(e: Exponents, s1, s2, t, u, a2, pw: Callable) -> tuple:
 
 
 def solve_lanes(e: Exponents, s1: np.ndarray, s2: np.ndarray) -> LaneSolutions:
-    """``solve_t`` on 1-D arrays of s1 and s2, one point per lane, bit for bit:
-    the loop that calls ``solve_t`` on each lane in order and marks the lane
-    not ok where it raises NoRootError; it makes no certificate.
+    """``solve_t``'s twin, bit for bit, on 1-D arrays of s1 and s2: the loop
+    that calls ``solve_t`` on each lane in order and marks the lane not ok
+    where it raises NoRootError; it makes no certificate.
 
-    The lanes run solve_t's pipeline step for step: alpha once per run of
-    equal s2 through ``_alpha``, where the scalar loop computes it, K and
-    g(u_top); then u_a and g(u_a), the u solve of g = 0 through
-    ``lanes._root_lanes`` on the lanes where g(u_a) < 0, with that g(u_top)
-    and each straggler on its scalar g, and t, the top cap elsewhere.  g
-    and t are ``_u_equation``'s, with pw = np.float_power.  Where u_top <= 0
-    or p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the pipeline
-    cannot finish bit for bit goes into one redo mask: an invalid (s1, s2),
-    a point outside the region, a non-finite g(u_top), and, of the lanes
-    with g(u_top) > 0, one where g(u_top) or g(u_a) is not finite or tau(t)
-    is not at most 1, where ``solve_t`` raises InfeasibleTauError.
+    The lanes run solve_t's steps: alpha once per run of equal s2 through
+    ``_alpha``, K and g(u_top); then u_a and g(u_a), the u solve through
+    ``lanes._root_lanes`` where g(u_a) < 0, and the top cap elsewhere.  Where
+    u_top <= 0 or p/(p-1) <= 1 + 1e-12 no inside lane is ok.  Every lane the
+    pipeline cannot finish bit for bit goes into one redo mask: an invalid
+    (s1, s2), a point outside the region, a non-finite g(u_top) or g(u_a),
+    and a tau(t) not at most 1, where ``solve_t`` raises InfeasibleTauError.
     ``solve_t`` solves the masked lanes in lane order, so the call raises
-    what the loop raises first.  tau is formed for that check alone; no
-    lane inverts omega_q.  t and solve_t's width need no test: w^(q-1) u
-    rises with u (its u-derivative is w^(q-2) (p - q u)/(p-1) > 0 for
-    u <= 1), so X(u) and t(u) = X^(1/(p-q)) fall as u rises, and t at the
-    kernel's ends and root is at most t(u_a).  X(u_a) >= cap^(p-q) > 1, so
-    X^(1/(p-q)) is below X^(p/(p-q)), a term of g(u_a), which is finite;
-    and X > 0.  So solve_t's pow can neither overflow nor raise on those
-    values.
+    what the loop raises first.  No lane inverts omega_q.
 
-    numpy and ``lanes`` are imported here, so that the scalar paths load
-    neither; so its annotations do not resolve (``typing.get_type_hints``
-    raises NameError).
+    t and solve_t's width need no test: w^(q-1) u rises with u (its
+    u-derivative is w^(q-2) (p - q u)/(p-1) > 0 for u <= 1), so t(u) =
+    X^(1/(p-q)) falls as u rises, and t at the kernel's ends and root is at
+    most t(u_a).  X(u_a) >= cap^(p-q) > 1, so X^(1/(p-q)) is below
+    X^(p/(p-q)), a term of g(u_a), which is finite; and X > 0.  So solve_t's
+    pow can neither overflow nor raise on those values.
+
+    numpy and ``lanes`` are imported in the body (``cli``), so its
+    annotations do not resolve (``typing.get_type_hints`` raises NameError).
     """
     import numpy as np
 

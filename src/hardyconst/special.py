@@ -25,29 +25,20 @@ Newton on H_r = s from a quintic in sqrt(1-s) that matches omega_r's
 expansions at s = 1 and s = 0.  H_r'' = r (r-1) z^(r-3) ((r-2) - (r-1) z)
 < 0 on [1, r'], so H_r is concave and decreasing there: the first step
 lands right of the root and the rest fall to it monotonically.
-``_omega_near`` then runs the kernel on the first [z - d, z + d], d = 1e-15
-r' and then 4e-15 r', where H_r at its ends brackets s strictly, and on the
-natural bracket [1, r'] where neither does: for most s with 1 - s below
-1e-5, H_r varies by less than rounding across both.  ``solver``'s
-certificate runs the second stage from its own estimate.  ITP's k1 always
-comes from the natural bracket, 0.2/(r'-1).  At r = 1.5 omega evaluates H_r
-3.8 times per call for s <= 0.9 and 4.4 for 1 - s in [1e-4, 1e-1] (4.4 and
-3.8 from the wide bracket alone, 9.9 from the natural one), plus about 2
-Newton steps.
+``_omega_near`` then runs the kernel on the first of the brackets
+[z - d, z + d] (``_NEAR_HALF_WIDTHS``) where H_r at its ends brackets s
+strictly, and on the natural bracket [1, r'] where neither does: for most
+s with 1 - s below 1e-5, H_r varies by less than rounding across both.
+``solver``'s certificate runs the second stage from its own estimate.
+ITP's k1 always comes from the natural bracket, 0.2/(r'-1).
 
 The kernel's step arithmetic is fixed bit for bit: every float that feeds
 the next point, the bracket ends or the best point must stay as it is, or
-verdicts and CLI output move.  Rewrites that keep each rounding are fine:
-a projection scale halved every step instead of xtol * 2^(n_max-j-1),
-comparisons instead of abs and max, one signed step (sigma = 1 where the
-regula falsi point is at or below the midpoint) for two mirrored branches.
-``_itp_scale`` gives both kernels n_max with ceil(log2(w/xtol)) exact from
-frexp: math.log2 rounds the first floats above 2^k down onto k for every
-k >= 4 (one at 2^4, five at 2^16), one step short.  Trap: (b - a) ** 2
-must stay a pow; written as (b - a) * (b - a) it changed omega on 434 of
-40,000 inputs over ten exponents, 400 of them at r = 1.05 and 1.1, because
-the C library's pow(x, 2) is not always rounded like x * x.  ``lanes``
-holds the lane-wise twins of ``_h``, the kernel and ``omega``.
+verdicts and CLI output move.  ``_itp_scale`` gives both kernels n_max with
+ceil(log2(w/xtol)) exact from frexp, as math.log2 rounds some floats just
+above 2^k down onto k.  Trap: (b - a) ** 2 must stay a pow, as the C
+library's pow(x, 2) is not always rounded like x * x.  ``lanes`` holds the
+lane-wise twins of ``_h``, the kernel and ``omega``.
 """
 
 from __future__ import annotations
@@ -62,10 +53,8 @@ from .errors import DomainError, SingularityError
 #: this small would be below the float spacing near r' once r' >= 8
 _BRACKET_REL_TOL = 1e-15
 #: half-widths, relative to r', of the brackets tried in turn around an
-#: estimate of omega_r(s) before [1, r'].  Certificates on scan_rows traffic
-#: invert on them and on [1, r'] in 92.3, 7.5 and 0.25 % of calls (7.7 % on
-#: [1, r'] with the first alone, 18 % with 0.5 alone); inverse_suite's omega
-#: on (2.5, 1.5), on the first in 5,984 of 5,988 and on the second in 4
+#: estimate of omega_r(s) before [1, r']: a narrower bracket costs fewer
+#: evaluations, and the second holds most roots that the first misses
 _NEAR_HALF_WIDTHS = (1.0 * _BRACKET_REL_TOL, 4.0 * _BRACKET_REL_TOL)
 #: ``_omega_start``'s Newton steps at most, and the move, relative to r',
 #: after which it stops: quadratic convergence leaves the estimate within
@@ -164,10 +153,9 @@ def _bracketed_root(
     and the evaluated interior point x with the smallest |f(x)|, or the
     initial midpoint when the bracket needed no evaluation.  ITP's
     parameters are k1 = 0.2/(b-a) unless given, k2 = 2 and n0 = 3: at most
-    n_max + 1 evaluations to reach xtol, four more than bisection.  With n0
-    = 1 a few slow regula falsi steps early on use up the slack and the rest
-    is plain bisection (50 evaluations for omega_2 at s = 0.99575; 11 with
-    n0 = 3).
+    n_max + 1 evaluations to reach xtol, four more than bisection.  n0 = 3,
+    not 1, so that a few slow regula falsi steps early on do not use up the
+    slack and leave plain bisection.
 
     scale, best_x and best_abs resume a run part-way: the projection scale
     xtol * 2^(n_max - j - 1) at the next step j, and the best point so far

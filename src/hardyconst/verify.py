@@ -2,21 +2,16 @@
 
 Each suite samples a claim on a grid and reports a ``SuiteResult``; the CLI
 ``verify`` subcommand runs all of them and fails if any check fails.  Grid
-points beyond the no-root cutoff are skipped, not failed: the cutoff is the
-band along the lower curve at large s2 where a root would need tau >= 1,
-and ``solver.has_root`` decides it (on extreme pairs only, a point it
-admits can still fail the solve, with InfeasibleTauError).
+points beyond the no-root cutoff are skipped, not failed (``solver.has_root``).
 
-The suites with large grids solve them in lanes, bit for bit the floats of
-the scalar functions: ``inverse_suite`` and ``endgame_suite`` invert their
-omega grids through ``lanes._omega_lanes``; ``sign_suite`` (its n x n
-grid, one call per block of whole rows) and ``fd_suite`` (all its rows'
-quadrature nodes in one call) solve through ``solver.solve_lanes``, a loop
-of ``solve_t`` over its lanes that raises what the loop raises first, and
-form every derivative checked here from the lane arrays with
-``solver.sign_factors``.  Every s1 row (``sign_suite``'s, and
-``feasible_s1_grid``'s candidates) is spaced along the lower-curve abscissa
-by ``_s1_row``.  A grid too large for memory is a DomainError.
+The suites with large grids run them through the lane twins (``lanes``):
+``inverse_suite`` and ``endgame_suite`` invert their omega grids through
+``lanes._omega_lanes``; ``sign_suite`` and ``fd_suite`` solve through
+``solver.solve_lanes``, which raises what a loop of ``solve_t`` raises
+first, and form every derivative checked here with ``solver.sign_factors``.
+Every s1 row (``sign_suite``'s, and ``feasible_s1_grid``'s candidates) is
+spaced along the lower-curve abscissa by ``_s1_row``.  A grid too large
+for memory is a DomainError.
 """
 
 from __future__ import annotations
@@ -37,12 +32,7 @@ from .special import Exponents, h_eval, omega
 
 _MAX_REPORTED_FAILURES = 5
 #: points per lane solve in sign_suite, in whole rows of its grid; a longer
-#: row goes alone, so memory grows with n only past 4,096, a --grid of 16.8
-#: million solves.  sign_suite took 48, 28 and 38 ms at n = 100 with 1,024,
-#: 4,096 and 16,384 points per call (peak traced memory 0.6, 2.2 and 5.6 MB),
-#: and 145, 125 and 149 ms at n = 200 with 4,096, 16,384 and 65,536 (2.2, 9.0
-#: and 22 MB); min of 3 interleaved rounds over (2, 1.5), (3, 2) and
-#: (2.5, 1.5), process CPU time, 2 shared x86-64 vCPUs
+#: row goes alone, so the lane solve's memory grows with n only past 4,096
 _SIGN_LANES = 4096
 #: sign_suite's failure messages: gamma, delta, lambda
 _SIGN_MESSAGES = (
@@ -142,9 +132,9 @@ def inverse_suite(e: Exponents) -> SuiteResult:
     """Round trips H_r(omega_r(s)) = s and the r = 2 closed form 1 + sqrt(1-s),
     on 1000 evenly spaced s in [0, 1].
 
-    All exponents' grids are inverted in one lane-wise pass with one r per
-    lane, bit for bit the floats ``omega`` returns, and checked exponent by
-    exponent in ascending order; the closed-form check reuses the r = 2 lanes.
+    All exponents' grids are inverted in one ``_omega_lanes`` call with one r
+    per lane, and checked exponent by exponent in ascending order; the
+    closed-form check reuses the r = 2 lanes.
     """
     res = SuiteResult("inverse round-trip")
     exps = sorted({1.3, 1.5, 2.0, 3.0, 5.0, e.p, e.q})
@@ -184,12 +174,11 @@ def sign_suite(e: Exponents, n: int = 30) -> SuiteResult:
 
     n rows of n points, s2 from 0.15 to 0.97 and s1 from 0.02 to 0.98 of
     the lower-curve abscissa (``_s1_row``: a DomainError where 0.02 of it
-    underflows to 0), solved in lanes (``solve_lanes``), one call per block
-    of max(``_SIGN_LANES`` // n, 1) whole rows, bit for bit the floats
-    ``solve_t`` returns.  gamma, delta and lambda are formed from them as
-    arrays (``solver.sign_factors``) and checked in that order, point by
-    point in grid order.  Points without a root are skipped; a point outside
-    the region raises the OutsideDomainError ``solve_t`` raises there.
+    underflows to 0), solved by ``solve_lanes``, one call per block of
+    max(``_SIGN_LANES`` // n, 1) whole rows.  gamma, delta and lambda
+    (``solver.sign_factors``) are checked in that order, point by point in
+    grid order.  Points without a root are skipped; a point outside the
+    region raises the OutsideDomainError ``solve_t`` raises there.
     """
     res = SuiteResult("sign suite (gamma<0, delta>0, lambda>0)")
     s2_grid = _grid(0.15, 0.97, n)

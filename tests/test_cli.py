@@ -222,6 +222,7 @@ class TestScan:
                 hi = lo + rng.randrange(1, 20) * 5e-324
             cases.append((lo, hi, n))
         assert sum((hi - lo) / (n - 1) == 0.0 for lo, hi, n in cases) > 100
+        cases += [(lo, hi, n) for lo, hi in ((0.2, 0.4), (5e-324, 1e-323)) for n in (0, 1)]
         for lo, hi, n in cases:
             want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
             assert [x.hex() for x in _linspace(lo, hi, n)] == want, (lo, hi, n)

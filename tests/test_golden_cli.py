@@ -1,38 +1,15 @@
 """Golden CLI outputs: the sha256 of stdout and the exit code of fixed requests.
 
-A digest that moves means some computed float moved: find out which, and
-why, before re-pinning it.  The hardy and (5, 1.2) verify digests were last
-re-pinned when solvability came to be decided in u and the u bracket's top
-became u_top: every status stayed, t moved by at most a few ulp, and on
-(5, 1.2) ten sign-suite points whose root lies less than an ulp below
-p/(p-1) became solvable (tests/test_oracle.py checks them).  The scan digests
-were re-pinned when gamma and delta came to take the bracket factor B from
-the solve's own u instead of the certificate's omega_q(tau): 15 to 23 of the
-24 rows per pair moved, by at most 7.2e-14 relative, in the gamma, delta and
-dt_ds1 columns only, and tests/test_oracle.py checks those three against the
-mpmath oracle.  The hardy digests over several quadrature chunks were pinned
-on the sample-by-sample loop that the chunked pass replaced.  The command's
-lines must also be those of the public pair ``verify_hardy(sample_step(...))``.
-The scan digests of (3, 2), (5, 1.2) and the two-row scan, and every hardy
-digest but (3, 2, 2), were last re-pinned when omega came to invert from a
-Newton estimate in a narrow bracket around it: alpha(s2) moved in its last
-bits, every status stayed, t moved by at most 2 ulp, gamma, delta and
-dt_ds1 by at most 4.5e-15 relative, and the hardy ratios by at most 2.1e-15
-on the four-sample requests and 3.3e-14 on the 1,100-sample one, largest
-where s2 nears 1 (1 - s2 = 1.4e-5 there), as omega_q(s2) is ill-conditioned
-there; the verify digests held.  The four scan digests, the two-row scan
-and the hardy digests of (2, 1.5, 32), (2.5, 1.3, 32), (5, 1.2, 2), (5, 1.2,
-32) and both chunked requests were last re-pinned when omega came to try a
-bracket of 1e-15 r' around its estimate before the one of 4e-15 r': every
-status stayed; on the s2 = 0.7 rows only the residual moved, within
-rounding (no row's |residual| grew past the parent's largest); on the
-two-row scan t moved by at most 2 ulp and the other columns by at most
-2.6e-15 relative; the hardy ratios by at most 4.5e-15 relative; and every
-verify digest held.  Every verify digest was last re-pinned when the
-derivative check came to integrate dt/ds1 along s1 rows instead of
-differencing t: only that suite's line changed, in name and counts; the other
-six suite lines, the "7/7 suites passed" line and the exit code held byte for
-byte.
+SCAN and MIXED_SCAN pin scan rows, every CSV column of every status; VERIFY
+and VERIFY_GRID_30 pin every suite's summary line and the exit code; HARDY
+and HARDY_CHUNKED pin each sample's ratio and verdict, within one
+quadrature chunk and over several.  The hardy command's lines must also be
+those of the public pair ``verify_hardy(sample_step(...))``.
+
+A digest that moves means some computed float or line moved: find out
+which, and why.  A digest is re-pinned only with its cause, the columns or
+lines that moved and the largest move named in CHANGES.md, which keeps the
+history of every re-pin.
 """
 
 import hashlib
@@ -61,7 +38,7 @@ VERIFY = {
     (5.0, 1.2): "dd6ddb00d7497ef4918a31beaf33c33682da75a125d7ecd9f13eb87d6430883a",
 }
 #: verify at the CLI default --grid 30, where sign_suite solves 900 points
-#: per pair, pinned on the point-by-point loop that the lane solve replaced
+#: per pair in lanes
 VERIFY_GRID_30 = {
     (2.0, 1.5): "c99caa7423d55c58225fda52d9215b115b05aef7ab2586331fbd74116d10146d",
     (3.0, 2.0): "b0633b3a4e5cedd3147429e8aab0da2bbe38f1701ba97a2c09897dd1df1dbb13",

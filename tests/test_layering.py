@@ -17,18 +17,24 @@ serves each public name lazily, as the very object its defining module
 holds.  Every field of ``lanes.LaneSolutions`` is read from a
 ``solve_lanes`` result outside ``solver``: the lane solve, a loop of
 ``solve_t`` that hands each lane it cannot finish to ``solve_t``, returns
-nothing its callers ignore, and so no verdict but ok."""
+nothing its callers ignore, and so no verdict but ok.  No docstring or
+comment in the package carries history (``HISTORY``): measurements and the
+record of changes live in CHANGES.md."""
 
 import ast
 import dataclasses
 import inspect
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 import typing
 from pathlib import Path
 
 import pytest
+from line_split import _docstring_lines
 
 import hardyconst
 import hardyconst.lanes
@@ -308,6 +314,43 @@ def test_only_the_lane_kernel_resumes_the_root_kernel():
         for use in resume_callers(path.read_text(encoding="utf-8"))
     ]
     assert callers == ["lanes._root_lanes"]
+
+
+#: words that date a line instead of stating a contract: a plan's item, a
+#: change's number, the host a figure was measured on; they belong in
+#: CHANGES.md
+HISTORY = re.compile(r"ROADMAP|\bPR \d|vCPU|x86")
+
+
+def history_lines(source: str) -> list[int]:
+    """Lines of a docstring of a module, class or function, or of a
+    comment, that match HISTORY."""
+    lines = _docstring_lines(ast.parse(source)) | {
+        tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    text = source.splitlines()
+    return sorted(i for i in lines if HISTORY.search(text[i - 1]))
+
+
+def test_history_check_sees_each_kind():
+    source = (
+        '"""A module, ROADMAP item 7."""\n'
+        "x = 'PR 1 in a string is code'\n"
+        "def f():\n"
+        '    """Since PR 2\n'
+        '    on a vCPU."""\n'
+        "    return 1  # measured on x86-64\n"
+        "# PR A names no change\n"
+        "class C:\n"
+        '    """On an x86 host."""\n'
+    )
+    assert history_lines(source) == [1, 4, 5, 6, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_history_in_docstrings_or_comments(path):
+    assert history_lines(path.read_text(encoding="utf-8")) == []
 
 
 SOLVE = ["solve", "--p", "2", "--q", "1.5", "--s1", "0.75", "--s2", "0.9185586535436918"]

@@ -7,6 +7,7 @@ from hardyconst import (
     Exponents,
     ParamPoint,
     big_f,
+    big_f_deriv,
     delta_eval,
     dt_ds1,
     dt_ds1_analytic,
@@ -15,10 +16,11 @@ from hardyconst import (
     eq_omega_curve,
     gamma_eval,
     lambda_eval,
+    residual,
     solve_t,
     tau_eval,
 )
-from hardyconst.errors import HardyConstError, SingularityError, StencilError
+from hardyconst.errors import DomainError, HardyConstError, SingularityError, StencilError
 from hardyconst.solver import alpha_eval, has_root
 from hardyconst.verify import feasible_s1_grid
 
@@ -198,6 +200,22 @@ class TestTauPartials:
     def test_dtau_ds1_small_near_top_edge(self):
         val = dtau_ds1(E2, ParamPoint(0.5, 0.999), 1.0)
         assert 0.0 < val < 0.005
+
+
+#: a call at the edge of float range: t^p overflows at t = 1e200, and
+#: s2^2 underflows to 0 at s2 = 1e-200
+FLOAT_RANGE_EDGES = {
+    **{f.__name__: (f, (Exponents(3.0, 2.0), ParamPoint(0.1, 0.5), 1e200))
+       for f in (tau_eval, residual, lambda_eval, dtau_dt, dtau_ds1)},
+    **{f"big_f_deriv-{s2:g}": (big_f_deriv, (Exponents(3.0, 2.0), s2))
+       for s2 in (1e-200, 1e-300, 5e-324)},
+}
+
+
+@pytest.mark.parametrize("f, args", FLOAT_RANGE_EDGES.values(), ids=FLOAT_RANGE_EDGES)
+def test_a_value_beyond_float_range_is_a_named_error(f, args):
+    with pytest.raises(DomainError, match="leaves float range"):
+        f(*args)
 
 
 class TestInequalityStar:

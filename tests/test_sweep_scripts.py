@@ -73,4 +73,6 @@ def test_line_split_on_a_small_package(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "wc -l: 9",
         "code 3 docstring 3 comment 1 blank 2",
+        "a.py: code 2 docstring 3 comment 1 blank 1",
+        "b.py: code 1 docstring 0 comment 0 blank 1",
     ]

@@ -20,6 +20,7 @@ from hardyconst.sensitivity import delta_eval, gamma_eval, lambda_eval
 from hardyconst.solver import solve_t
 from hardyconst.verify import (
     SuiteResult,
+    equal_omega_suite,
     fd_suite,
     feasible_s1_grid,
     inverse_suite,
@@ -68,6 +69,14 @@ SIGN_PAIRS = [
 def test_sign_suite_matches_the_point_by_point_loop(pair, n):
     e = Exponents(*pair)
     assert _fields(sign_suite(e, n)) == _fields(_reference_sign_suite(e, n))
+
+
+def test_suites_run_a_grid_of_one_point():
+    # np.linspace's grid of one point is its start
+    e = Exponents(3.0, 2.0)
+    assert _fields(sign_suite(e, 1)) == _fields(_reference_sign_suite(e, 1))
+    res = equal_omega_suite(e, 1)
+    assert (res.checks, res.failed) == (2, 0)
 
 
 @pytest.mark.parametrize("lanes", [7, 25])
